@@ -1,9 +1,10 @@
 """Polynomial-time proof checking against a ground program.
 
-The checker keeps a multiset of nogoods. b steps name program bodies and
-attach their definitions; c and s steps may only add nogoods that belong to
-the program's completion; a steps must have the reverse-unit-propagation
-property against the current multiset; l and u steps are validated against
+The checker keeps a multiset of nogoods in a NogoodStore. b steps name
+program bodies and attach their definitions; c and s steps may only add
+nogoods that belong to the program's completion; a steps must have the
+reverse-unit-propagation property against the current multiset, tested
+through the store's watch lists; l and u steps are validated against
 the dependency graph and the unfounded-set conditions; d steps remove one
 instance. The proof succeeds when the empty nogood is present at the end.
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .completion import (
+    INTERNAL_ID_BASE,
     BodyCatalog,
     BodyRegistry,
     body_catalog,
@@ -28,7 +30,7 @@ from .completion import (
 from .core import Nogood, Program, Rule, RuleKind, is_consistent
 from .loops import dependency_graph, external_bodies, is_loop, is_unfounded_set, loop_nogood
 from .proof import Proof, Step
-from .propagation import WeightRulePropagator, rup_run
+from .propagation import NogoodStore, WeightRulePropagator, rup_run
 
 
 class ProofFormatError(ValueError):
@@ -76,9 +78,7 @@ class CheckerState:
         )
         self.registry = BodyRegistry(program.atom_count)
         self.graph = dependency_graph(program)
-        self.store: list[Nogood | None] = []
-        self.live: dict[Nogood, list[int]] = {}
-        self.box_count = 0
+        self.store = NogoodStore()
         self.ext_vars: set[int] = set()
         self.propagators: list[WeightRulePropagator] = []
         self.deferred_heads = frozenset(
@@ -97,23 +97,8 @@ class CheckerState:
 
     # -- nogood multiset ---------------------------------------------------
 
-    def insert(self, nogood: Nogood) -> None:
-        self.store.append(nogood)
-        self.live.setdefault(nogood, []).append(len(self.store) - 1)
-        if not nogood:
-            self.box_count += 1
-
-    def remove(self, nogood: Nogood) -> bool:
-        stack = self.live.get(nogood)
-        if not stack:
-            return False
-        self.store[stack.pop()] = None
-        if not nogood:
-            self.box_count -= 1
-        return True
-
     def live_nogoods(self) -> list[Nogood]:
-        return [delta for delta in self.store if delta is not None]
+        return self.store.live()
 
     # -- setup ---------------------------------------------------------------
 
@@ -121,7 +106,7 @@ class CheckerState:
         for body in self.catalog.order:
             body_id = self.registry.intern_internal(body)
             for nogood in body_definition(body_id, body):
-                self.insert(nogood)
+                self.store.insert(nogood)
         by_head: dict[int, list[Rule]] = {}
         for rule in self.catalog.deferred:
             by_head.setdefault(rule.head[0], []).append(rule)
@@ -137,9 +122,9 @@ class CheckerState:
                 for rule in by_head[atom]:
                     self.propagators.append(WeightRulePropagator(rule, body_ids))
             else:
-                self.insert(forward_nogood(atom, body_ids))
+                self.store.insert(forward_nogood(atom, body_ids))
         for atom, body in sorted(self.backward_pairs, key=lambda p: (p[0], sorted(p[1]))):
-            self.insert(frozenset({-atom, self.registry.id_of(body)}))
+            self.store.insert(frozenset({-atom, self.registry.id_of(body)}))
 
     # -- variable vocabulary -------------------------------------------------
 
@@ -184,19 +169,23 @@ class CheckerState:
                 f"step {self.step_no}: literal set is not an induced body "
                 "of the program (or its expansion exceeds the budget)"
             )
+        if step.head in self.ext_vars:
+            raise ProofFormatError(
+                f"step {self.step_no}: body id {step.head} is already an extension variable"
+            )
         try:
             self.registry.declare(step.head, body)
         except ValueError as exc:
             raise ProofFormatError(f"step {self.step_no}: {exc}") from None
         for nogood in body_definition(step.head, body):
-            self.insert(nogood)
+            self.store.insert(nogood)
 
     def _step_a(self, step: Step) -> None:
         self._require_known(step.lits)
         delta = frozenset(step.lits)
         if not rup_run(self.store, delta, self.propagators).is_conflict:
             raise _StepError("nogood lacks the unit-propagation conflict property")
-        self.insert(delta)
+        self.store.insert(delta)
 
     def _step_c(self, step: Step) -> None:
         if not self.registry.has_id(step.head):
@@ -205,7 +194,7 @@ class CheckerState:
         body = self.registry.lits_of(step.head)
         if len(step.lits) != 1 or (step.lits[0], body) not in self.backward_pairs:
             raise _StepError("not a rule-firing nogood of the program")
-        self.insert(frozenset({step.head, *(-a for a in step.lits)}))
+        self.store.insert(frozenset({step.head, *(-a for a in step.lits)}))
 
     def _step_s(self, step: Step) -> None:
         self._require_atoms((step.head,))
@@ -225,21 +214,25 @@ class CheckerState:
             bodies.append(self.registry.lits_of(body_id))
         if set(bodies) != set(self.catalog.bodies_of(step.head)):
             raise _StepError("body list does not match the atom's induced bodies")
-        self.insert(forward_nogood(step.head, step.lits))
+        self.store.insert(forward_nogood(step.head, step.lits))
 
     def _step_e(self, step: Step) -> None:
         self._require_known(step.lits)
+        if step.head >= INTERNAL_ID_BASE:
+            raise ProofFormatError(
+                f"step {self.step_no}: extension variable {step.head} lies in the reserved range"
+            )
         if self._known_var(step.head):
             raise _StepError("extension variable is not fresh")
         self.ext_vars.add(step.head)
         delta = frozenset(step.lits)
-        self.insert(delta | {-step.head})
+        self.store.insert(delta | {-step.head})
         for lit in step.lits:
-            self.insert(frozenset({step.head, -lit}))
+            self.store.insert(frozenset({step.head, -lit}))
 
     def _step_d(self, step: Step) -> None:
         self._require_known(step.lits)
-        if not self.remove(frozenset(step.lits)) and self.strict_delete:
+        if not self.store.remove(frozenset(step.lits)) and self.strict_delete:
             raise _StepError("deleted nogood is not present")
 
     def _step_l(self, step: Step) -> None:
@@ -259,9 +252,9 @@ class CheckerState:
             else:
                 body_id = self.registry.intern_internal(body)
                 for nogood in body_definition(body_id, body):
-                    self.insert(nogood)
+                    self.store.insert(nogood)
                 body_ids.append(body_id)
-        self.insert(loop_nogood(step.lits[0], body_ids))
+        self.store.insert(loop_nogood(step.lits[0], body_ids))
 
     def _step_u(self, step: Step) -> None:
         self._require_atoms(step.unfounded)
@@ -270,18 +263,23 @@ class CheckerState:
             raise ProofFormatError(
                 f"step {self.step_no}: contradictory assignment literals"
             )
+        named = sorted({abs(lit) for lit in step.lits} & self.ext_vars)
+        if named:
+            raise ProofFormatError(
+                f"step {self.step_no}: assignment names extension variable {named[0]}"
+            )
         unfounded = frozenset(step.unfounded)
         assignment = frozenset(step.lits)
         if not any(a in assignment for a in unfounded):
             raise _StepError("assignment makes no unfounded atom true")
         if not is_unfounded_set(self.program, assignment, unfounded, self.registry):
             raise _StepError("atom set is not unfounded for the assignment")
-        self.insert(assignment)
+        self.store.insert(assignment)
 
     # -- result ------------------------------------------------------------
 
     def result(self) -> CheckResult:
-        if self.box_count < 1:
+        if not self.store.empty:
             return CheckResult(False, None, "empty nogood never derived (or deleted)")
         return CheckResult(True)
 

@@ -6,7 +6,8 @@ write true as +id and false as -id. Line forms:
     a <tv>... 0          add a nogood with the reverse-unit-propagation property
     c <body> <atom>... 0 add the rule-firing nogood {F atoms..., T body}
     s <atom> <body>... 0 add the support nogood {T atom, F bodies...}
-    e <var> <tv>... 0    extension: define fresh var as the conjunction shown
+    e <var> 0            extension: a fresh var below the internal id range, fixed
+                         true by the nogood {F var}
     d <tv>... 0          delete one instance of the nogood
     l <atom>... 0        add the loop nogood for the atom set (first atom kept)
     u <k> <atom>{k} <tv>... 0  unfounded set, then the excluded assignment

@@ -2,10 +2,20 @@
 
 A nogood forbids its literal set: it is violated when all entries hold, and
 unit when exactly one entry is unassigned and the rest hold, which forces the
-complement of that entry. unit_propagate scans the nogood list in order and
-repeats until a full pass derives nothing, so derivation order is a
-deterministic function of list order (the solver uses its own watch-based
-engine internally; only the result set matters there).
+complement of that entry.
+
+Two engines answer the same questions. NogoodStore is the checker's store:
+an insert-and-delete multiset whose nogoods each watch two of their literals
+(Chaff's two-watched-literal scheme, as DRAT-trim uses for RUP), so a
+propagation run visits only nogoods one of whose watched literals became
+true, and costs time linear in the work it does, not in the store's size.
+unit_propagate works on any iterable of nogoods: it scans the list in order
+and repeats until a full pass derives nothing, so its derivation order is a
+deterministic function of list order; it is the slow reference the tests
+compare the store against. rup_run dispatches on its argument: a NogoodStore
+uses the watched engine, anything else the scan. The solver uses neither; it
+keeps its own watch-based engine so that the checker shares no inference
+code with it.
 """
 
 from __future__ import annotations
@@ -93,17 +103,169 @@ def unit_propagate(
             return PropagationResult(None, tuple(derived), frozenset(assigned))
 
 
+class NogoodStore:
+    """Multiset of nogoods kept ready for watched-literal propagation.
+
+    Slot i holds the i-th inserted nogood, or None once remove() has taken
+    that copy out; len() counts slots, deleted ones included. A nogood of two
+    or more literals watches two of them, and while no literal is assigned
+    any two will do. A propagation run only moves watches away from true
+    literals, so the watches it leaves behind are valid again as soon as its
+    assignment is dropped, and undoing a run needs no work. A deleted slot
+    stays in its watch lists until a run next visits them. Unit and empty
+    nogoods have no watches: propagate() asserts the units first and fails at
+    once while an empty nogood is present.
+    """
+
+    def __init__(self) -> None:
+        self._slots: list[Nogood | None] = []
+        self._copies: dict[Nogood, list[int]] = {}
+        # The watched literals of slot i are _watched[2 * i] and _watched[2 * i + 1].
+        self._watched: list[int] = []
+        self._watchers: dict[int, list[int]] = {}
+        self._units: list[int] = []
+        self.empty = 0
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def live(self) -> list[Nogood]:
+        """The nogoods present, one entry per copy, in insertion order."""
+        return [nogood for nogood in self._slots if nogood is not None]
+
+    def insert(self, nogood: Nogood) -> None:
+        slot = len(self._slots)
+        self._slots.append(nogood)
+        self._copies.setdefault(nogood, []).append(slot)
+        if len(nogood) >= 2:
+            lits = iter(nogood)
+            first, second = next(lits), next(lits)
+            self._watched += (first, second)
+            self._watchers.setdefault(first, []).append(slot)
+            self._watchers.setdefault(second, []).append(slot)
+            return
+        self._watched += (0, 0)
+        if nogood:
+            self._units.append(slot)
+        else:
+            self.empty += 1
+
+    def remove(self, nogood: Nogood) -> bool:
+        """Delete the latest live copy of the nogood; False if none is present."""
+        copies = self._copies.get(nogood)
+        if not copies:
+            return False
+        slot = copies.pop()
+        if not copies:
+            del self._copies[nogood]
+        self._slots[slot] = None
+        if len(nogood) == 1:
+            self._units.remove(slot)
+        elif not nogood:
+            self.empty -= 1
+        return True
+
+    def propagate(
+        self, assumptions: Iterable[int], propagators: Sequence[Propagator] = ()
+    ) -> PropagationResult:
+        """unit_propagate over the live nogoods, through the watch lists."""
+        assigned: set[int] = set()
+        trail: list[int] = []
+        assumed = 0
+
+        def stop(conflict: Nogood | None) -> PropagationResult:
+            return PropagationResult(conflict, tuple(trail[assumed:]), frozenset(assigned))
+
+        for lit in assumptions:
+            if -lit in assigned:
+                return stop(frozenset({-lit}))
+            if lit not in assigned:
+                assigned.add(lit)
+                trail.append(lit)
+        assumed = len(trail)
+        if self.empty:
+            return stop(frozenset())
+        slots, watched, watchers_of = self._slots, self._watched, self._watchers
+        for slot in self._units:
+            nogood = slots[slot]
+            (lit,) = nogood
+            if lit in assigned:
+                return stop(nogood)
+            if -lit not in assigned:
+                assigned.add(-lit)
+                trail.append(-lit)
+        head = 0
+        while True:
+            while head < len(trail):
+                lit = trail[head]
+                head += 1
+                watchers = watchers_of.get(lit)
+                if not watchers:
+                    continue
+                # Visit the nogoods watching the now-true lit, compacting the
+                # list in place: entries before keep are the ones that stay.
+                keep = 0
+                for index, slot in enumerate(watchers):
+                    nogood = slots[slot]
+                    if nogood is None:
+                        continue
+                    at = 2 * slot
+                    other = watched[at + 1]
+                    if other == lit:
+                        other = watched[at]
+                        at += 1
+                    if -other not in assigned:
+                        for candidate in nogood:
+                            if candidate not in assigned and candidate != other:
+                                watched[at] = candidate
+                                watchers_of.setdefault(candidate, []).append(slot)
+                                break
+                        else:
+                            if other in assigned:
+                                del watchers[keep:index]
+                                return stop(nogood)
+                            assigned.add(-other)
+                            trail.append(-other)
+                            watchers[keep] = slot
+                            keep += 1
+                        continue
+                    watchers[keep] = slot
+                    keep += 1
+                del watchers[keep:]
+            changed = False
+            for propagator in propagators:
+                conflict, forced = propagator(frozenset(assigned))
+                if conflict is not None:
+                    return stop(conflict)
+                for lit, reason in forced:
+                    if -lit in assigned:
+                        return stop(reason)
+                    if lit not in assigned:
+                        assigned.add(lit)
+                        trail.append(lit)
+                        changed = True
+            if not changed:
+                return stop(None)
+
+
 def rup_run(
-    nogoods: Iterable[Nogood | None],
+    nogoods: NogoodStore | Iterable[Nogood | None],
     delta: Nogood,
     propagators: Sequence[Propagator] = (),
 ) -> PropagationResult:
-    """Propagate under the assumption that every literal of delta holds."""
-    return unit_propagate(nogoods, sorted(delta, key=lambda l: (abs(l), -l)), propagators)
+    """Propagate under the assumption that every literal of delta holds.
+
+    A NogoodStore propagates through its watch lists; any other iterable of
+    nogoods goes through unit_propagate.
+    """
+    assumptions = sorted(delta, key=lambda l: (abs(l), -l))
+    if isinstance(nogoods, NogoodStore):
+        return nogoods.propagate(assumptions, propagators)
+    return unit_propagate(nogoods, assumptions, propagators)
 
 
 def is_rup(
-    nogoods: Iterable[Nogood | None],
+    nogoods: NogoodStore | Iterable[Nogood | None],
     delta: Nogood,
     propagators: Sequence[Propagator] = (),
 ) -> bool:

@@ -267,6 +267,19 @@ def test_checker_time_scales_polynomially():
         assert max(slower, floor) / max(faster, floor) <= 4.5
 
 
+def test_checker_time_scales_linearly():
+    # linear growth doubles the time per doubling, quadratic growth quadruples it
+    timings = []
+    for size in (1600, 3200, 6400):
+        program = _chain_program(size)
+        result = solve(program)
+        assert result.status == INCONSISTENT
+        timings.append(min(_timed_check(program, result.proof) for _ in range(3)))
+    floor = 0.005
+    for faster, slower in zip(timings, timings[1:]):
+        assert max(slower, floor) / max(faster, floor) <= 3.0
+
+
 def _timed_check(program, proof):
     start = time.perf_counter()
     assert check(program, proof).ok

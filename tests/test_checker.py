@@ -145,6 +145,30 @@ def test_format_violations_raise(proof_text, message):
         check(parse_program(LOOP_TEXT), parse_proof(proof_text))
 
 
+@pytest.mark.parametrize(
+    "program_text, proof_text, message",
+    [
+        # {a} and {b} are answer sets; body ids 3 and 4 are first made
+        # extension variables, forced true, then declared as bodies
+        (
+            "a :- not b.\nb :- not a.\n",
+            "e 3 0\nb 3 -2 0\ne 4 0\nb 4 -1 0\nc 3 1 0\nc 4 2 0\na 1 0\na 0\n",
+            "already an extension variable",
+        ),
+        # {} is an answer set; the extension variable takes the first id the
+        # l step would give its internal external body {c}
+        (
+            "a :- b.\nb :- a.\na :- c.\n{c}.\n:- c.\n",
+            "e 1099511627776 0\nl 1 2 0\nb 5 3 -4 0\nc 5 4 0\ns 4 5 0\na 4 0\na 0\n",
+            "reserved range",
+        ),
+    ],
+)
+def test_extension_variables_share_no_id_with_bodies(program_text, proof_text, message):
+    with pytest.raises(ProofFormatError, match=message):
+        _check_text(program_text, proof_text)
+
+
 def test_support_step_must_match_induced_bodies():
     result = _check_text(LOOP_TEXT, "b 4 2 0\ns 2 4 0\n")
     assert not result.ok

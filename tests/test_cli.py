@@ -89,6 +89,13 @@ def test_check_format_violations_exit_2(write, capsys):
     assert main(["check", program, proof]) == 2
 
 
+def test_check_u_step_naming_an_extension_variable_exits_2(write, capsys):
+    program = write("p.lp", "a :- not b.\nb :- not a.\n")
+    proof = write("p.drupe", "e 3 0\nu 1 1 1 3 0\n")
+    assert main(["check", program, proof]) == 2
+    assert "extension variable 3" in capsys.readouterr().err
+
+
 def test_oracle_lists_answer_sets(write, capsys):
     path = write("p.lp", "{a}.\n{b}.\n:- a, b.\n")
     assert main(["oracle", path]) == 0

@@ -1,6 +1,7 @@
 """Unit propagation, RUP checks, and the weight-rule propagator."""
 
 import random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from aspcert.core import weight_rule
 from aspcert.oracle import entails
 from aspcert.propagation import (
+    NogoodStore,
     WeightRulePropagator,
     is_rup,
     rup_run,
@@ -135,3 +137,73 @@ def test_weight_propagator_plugs_into_unit_propagate():
     result = unit_propagate([], assumptions=(-4,), propagators=(propagator,))
     assert not result.is_conflict
     assert 1 in result.assignment
+
+
+small_lits = st.integers(min_value=-5, max_value=5).filter(lambda x: x != 0)
+# A small pool makes duplicate copies, deletions of present nogoods, unit
+# nogoods and the empty nogood frequent.
+pooled_nogoods = st.sampled_from(
+    [frozenset(), frozenset({1}), frozenset({-2}), frozenset({1, -2}), frozenset({1, 3}),
+     frozenset({2, -3})]
+) | st.frozensets(small_lits, max_size=4)
+store_operations = st.lists(
+    st.tuples(st.sampled_from(("insert", "insert", "delete", "query", "query")), pooled_nogoods),
+    max_size=40,
+)
+weight_rules = st.builds(
+    lambda signed, bound: weight_rule(1, bound, {v * sign: w for v, (sign, w) in signed.items()}),
+    st.dictionaries(
+        st.integers(min_value=2, max_value=5),
+        st.tuples(st.sampled_from((1, -1)), st.integers(min_value=1, max_value=3)),
+        min_size=1,
+        max_size=3,
+    ),
+    st.integers(min_value=0, max_value=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(store_operations, st.none() | weight_rules)
+def test_nogood_store_matches_reference_propagation(operations, rule):
+    propagators = () if rule is None else (WeightRulePropagator(rule),)
+    store = NogoodStore()
+    reference: list = []
+    for kind, nogood in operations:
+        if kind == "insert":
+            store.insert(nogood)
+            reference.append(nogood)
+        elif kind == "delete":
+            assert store.remove(nogood) == (nogood in reference)
+            if nogood in reference:
+                reference.remove(nogood)
+        else:
+            watched = rup_run(store, nogood, propagators)
+            naive = rup_run(reference, nogood, propagators)
+            assert watched.is_conflict == naive.is_conflict
+            if not naive.is_conflict:
+                assert watched.assignment == naive.assignment
+        assert Counter(store.live()) == Counter(reference)
+        assert store.empty == reference.count(frozenset())
+
+
+def test_nogood_store_keeps_watches_after_a_conflict():
+    store = NogoodStore()
+    for nogood in ({1, 2}, {1, 3}, {-2}):
+        store.insert(frozenset(nogood))
+    # both binary nogoods watch 1; the first one is violated before the second is visited
+    assert rup_run(store, frozenset({1})).conflict == frozenset({1, 2})
+    store.remove(frozenset({-2}))
+    assert -3 in rup_run(store, frozenset({1})).assignment
+
+
+def test_nogood_store_takes_ids_of_any_size():
+    big = 1 << 40
+    store = NogoodStore()
+    for nogood in ({-big, 1}, {big, -(big + 1)}, {big + 1, 10**30}, {-(10**30)}):
+        store.insert(frozenset(nogood))
+    assert rup_run(store, frozenset({1})).is_conflict
+    assert not rup_run(store, frozenset({-1})).is_conflict
+    assert len(store) == 4
+    assert store.remove(frozenset({-(10**30)}))
+    assert not rup_run(store, frozenset({1})).is_conflict
+    assert len(store) == 4
