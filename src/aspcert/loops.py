@@ -2,8 +2,10 @@
 
 The dependency graph has an edge (b, a) whenever b occurs positively in the
 body of a rule with a in the head (for weight rules: positively weighted).
-A loop is a nonempty atom set whose induced subgraph is strongly connected
-and contains at least one edge, so singletons need a self-edge.
+It is a plain dict that maps every atom to the set of its successors, so an
+atom with no edges maps to an empty set. A loop is a nonempty atom set whose
+induced subgraph is strongly connected and contains at least one edge, so
+singletons need a self-edge.
 """
 
 from __future__ import annotations
@@ -11,44 +13,83 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Collection, Iterable
 
-import networkx as nx
-
 from .core import Nogood, Program, Rule, RuleKind
 from .completion import BodyCatalog, BodyRegistry
 
 MAX_LOOP_ENUMERATION = 1 << 16
 
+Graph = dict[int, set[int]]
 
-def dependency_graph(program: Program) -> nx.DiGraph:
-    """Positive atom dependencies; every atom is a node."""
-    graph = nx.DiGraph()
-    graph.add_nodes_from(program.atom_ids())
+
+def dependency_graph(program: Program) -> Graph:
+    """Positive atom dependencies; every atom is a key."""
+    graph: Graph = {atom: set() for atom in program.atom_ids()}
     for rule in program.rules:
         for source in rule.pos_body:
-            for target in rule.head:
-                graph.add_edge(source, target)
+            graph[source].update(rule.head)
     return graph
 
 
-def is_loop(graph: nx.DiGraph, atoms: Collection[int]) -> bool:
+def strongly_connected_components(graph: Graph) -> list[list[int]]:
+    """Tarjan's algorithm on an explicit stack, so deep graphs need no recursion.
+
+    Every successor must be a key of graph. Components come out sinks first.
+    """
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+    components: list[list[int]] = []
+    for root in graph:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(graph[root]))]
+        while work:
+            node, successors = work[-1]
+            for succ in successors:
+                if succ not in index:
+                    index[succ] = low[succ] = len(index)
+                    stack.append(succ)
+                    on_stack.add(succ)
+                    work.append((succ, iter(graph[succ])))
+                    break
+                if succ in on_stack and index[succ] < low[node]:
+                    low[node] = index[succ]
+            else:
+                work.pop()
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
+                if low[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    components.append(component)
+    return components
+
+
+def is_loop(graph: Graph, atoms: Collection[int]) -> bool:
     """Check the loop property on the induced subgraph."""
-    if not atoms or not all(graph.has_node(a) for a in atoms):
+    members = set(atoms)
+    if not members or not all(a in graph for a in members):
         return False
-    sub = graph.subgraph(atoms)
-    return sub.number_of_edges() >= 1 and nx.is_strongly_connected(sub)
+    sub = {a: graph[a] & members for a in members}
+    return any(sub.values()) and len(strongly_connected_components(sub)) == 1
 
 
-def cyclic_atoms(graph: nx.DiGraph) -> frozenset[int]:
-    """Atoms on some positive cycle (members of loops)."""
-    out: set[int] = set()
-    for component in nx.strongly_connected_components(graph):
-        if len(component) > 1:
-            out.update(component)
-        else:
-            (atom,) = component
-            if graph.has_edge(atom, atom):
-                out.add(atom)
-    return frozenset(out)
+def cyclic_atoms(graph: Graph, components: list[list[int]] | None = None) -> frozenset[int]:
+    """Atoms on some positive cycle; components, if given, are the graph's SCCs."""
+    if components is None:
+        components = strongly_connected_components(graph)
+    return frozenset(
+        atom for c in components for atom in c if len(c) > 1 or atom in graph[atom]
+    )
 
 
 def has_loops(program: Program) -> bool:
@@ -60,7 +101,7 @@ def all_loops(program: Program) -> list[frozenset[int]]:
     graph = dependency_graph(program)
     loops: list[frozenset[int]] = []
     total = 0
-    for component in nx.strongly_connected_components(graph):
+    for component in strongly_connected_components(graph):
         members = sorted(component)
         total += 1 << len(members)
         if total > MAX_LOOP_ENUMERATION:

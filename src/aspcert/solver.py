@@ -21,8 +21,6 @@ import random
 from dataclasses import dataclass
 from typing import IO
 
-import networkx as nx
-
 from .completion import (
     DEFAULT_BODY_BUDGET,
     BodyRegistry,
@@ -32,7 +30,9 @@ from .completion import (
     forward_family,
 )
 from .core import Nogood, Program, RuleKind
-from .loops import cyclic_atoms, dependency_graph, external_bodies, loop_nogood
+from .loops import (
+    cyclic_atoms, dependency_graph, external_bodies, loop_nogood, strongly_connected_components,
+)
 from .proof import Proof, Step, serialize_step, sorted_lits
 
 HEURISTICS = ("min-true", "min-false", "random")
@@ -55,14 +55,11 @@ class SolveResult:
     reason: str = ""
 
 
-def _check_scope(program: Program) -> None:
+def _check_scope(program: Program, components: list[list[int]]) -> None:
+    """Reject disjunctions and weight rules inside a positive SCC."""
     if any(rule.is_disjunctive for rule in program.rules):
         raise SolveError("disjunctive rules are not supported by the solver")
-    graph = dependency_graph(program)
-    scc_of: dict[int, int] = {}
-    for i, component in enumerate(nx.strongly_connected_components(graph)):
-        for atom in component:
-            scc_of[atom] = i
+    scc_of = {atom: i for i, component in enumerate(components) for atom in component}
     for rule in program.rules:
         if rule.kind is RuleKind.WEIGHT:
             head = rule.head[0]
@@ -80,6 +77,7 @@ class _Search:
         rng: random.Random,
         sink: IO[str] | None,
         budget: int,
+        cyclic: frozenset[int],
     ) -> None:
         self.program = program
         self.heuristic = heuristic
@@ -92,8 +90,7 @@ class _Search:
         for body in self.catalog.order:
             self.registry.intern(body)
         self.var_count = program.atom_count + len(self.catalog.order)
-        self.graph = dependency_graph(program)
-        self.cyclic = cyclic_atoms(self.graph)
+        self.cyclic = cyclic
         self.supports: dict[int, list[tuple[frozenset[int], int, frozenset[int]]]] = {
             atom: [
                 (body, self.registry.id_of(body), frozenset(l for l in body if l > 0))
@@ -270,7 +267,11 @@ class _Search:
                 return conflict
 
     def _unfounded_component(self) -> frozenset[int] | None:
-        """A source SCC of the support graph on the greatest unfounded set."""
+        """A source SCC of the support graph on the greatest unfounded set.
+
+        Among several source SCCs the one whose least atom is smallest wins;
+        the emitted l steps, and so the proof text, depend on this choice.
+        """
         unmarked = {a for a in self.cyclic if self.value(a) is not False}
         if not unmarked:
             return None
@@ -286,18 +287,16 @@ class _Search:
                     break
         if not unmarked:
             return None
-        graph = nx.DiGraph()
-        graph.add_nodes_from(unmarked)
+        # Edges run from an atom to the unmarked atoms its live bodies need,
+        # so a source SCC is one whose members need nothing outside it.
+        needs: dict[int, set[int]] = {atom: set() for atom in unmarked}
         for atom in unmarked:
             for _, body_id, pos in self.supports[atom]:
-                if self.value(body_id) is False:
-                    continue
-                for source in pos & unmarked:
-                    graph.add_edge(source, atom)
-        condensed = nx.condensation(graph)
-        sources = [n for n in condensed.nodes if condensed.in_degree(n) == 0]
-        chosen = min(sources, key=lambda n: min(condensed.nodes[n]["members"]))
-        return frozenset(condensed.nodes[chosen]["members"])
+                if self.value(body_id) is not False:
+                    needs[atom].update(pos & unmarked)
+        components = [frozenset(c) for c in strongly_connected_components(needs)]
+        sources = [c for c in components if all(needs[atom] <= c for atom in c)]
+        return min(sources, key=min)
 
     # -- conflict analysis ---------------------------------------------------
 
@@ -410,8 +409,11 @@ def solve(
     """
     if heuristic not in HEURISTICS:
         raise SolveError(f"unknown heuristic {heuristic!r}")
-    _check_scope(program)
-    search = _Search(program, heuristic, random.Random(seed), proof_sink, budget)
+    graph = dependency_graph(program)
+    components = strongly_connected_components(graph)
+    _check_scope(program, components)
+    cyclic = cyclic_atoms(graph, components)
+    search = _Search(program, heuristic, random.Random(seed), proof_sink, budget, cyclic)
     if search.catalog.deferred:
         return SolveResult(
             UNKNOWN, reason="weight rule expansion exceeds the body budget"
