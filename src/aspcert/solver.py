@@ -8,11 +8,21 @@ c or s line the first time they fire, loop nogoods an l line when added,
 learned nogoods an a line, and an inconsistent run ends with the empty
 nogood once a conflict no longer depends on any decision.
 
+Search state lives in flat lists. Variable ids are contiguous, atoms
+1..atom_count and then the bodies in catalog order, so `val` is indexed by
+the literal itself (length 2*var_count+1; a negative literal wraps to the
+tail) and holds True, False or None, `watches` is indexed the same way, and
+`level` and `reason` are indexed by variable. Every variable below `cursor`
+is assigned, so picking a branch walks forward from it, and a backjump
+lowers it to the smallest variable it unassigns.
+
 Implied literals carry implication levels (the highest level among their
 reason's other entries), so backjumping removes exactly the literals that
 depended on undone decisions. Watch lists are rescanned from the start of
 the trail after every backjump, which keeps the two-watch scheme sound under
-such non-suffix trail removal.
+such non-suffix trail removal. The rescan also moves watches, so the order
+of later implications, and with it the proof text, depends on it; it stays
+until a change that may alter proofs replaces it with a level-ordered trail.
 """
 
 from __future__ import annotations
@@ -99,16 +109,18 @@ class _Search:
             for atom in self.cyclic
         }
 
-        self.sign: dict[int, int] = {}
-        self.level: dict[int, int] = {}
-        self.reason: dict[int, int | None] = {}
+        size = 2 * self.var_count + 1
+        self.val: list[bool | None] = [None] * size
+        self.level: list[int] = [0] * (self.var_count + 1)
+        self.reason: list[int | None] = [None] * (self.var_count + 1)
+        self.cursor = 1
         self.trail: list[int] = []
         self.qhead = 0
         self.dl = 0
 
         self.nogoods: list[tuple[int, ...] | None] = []
         self.watched: list[tuple[int, int]] = []
-        self.watches: dict[int, list[int]] = {}
+        self.watches: list[list[int]] = [[] for _ in range(size)]
         self.tags: list[Step | None] = []
         self.recorded: set[int] = set()
         self.learned_idxs: list[int] = []
@@ -130,33 +142,39 @@ class _Search:
 
     # -- assignment ------------------------------------------------------------
 
-    def value(self, lit: int) -> bool | None:
-        sign = self.sign.get(abs(lit))
-        if sign is None:
-            return None
-        return (sign > 0) == (lit > 0)
-
     def assign(self, lit: int, reason_idx: int | None) -> None:
-        var = abs(lit)
+        var = lit if lit > 0 else -lit
         if reason_idx is None:
             lv = self.dl
         else:
-            entries = self.nogoods[reason_idx] or ()
-            lv = max((self.level[abs(r)] for r in entries if abs(r) != var), default=0)
-        self.sign[var] = 1 if lit > 0 else -1
+            lv = 0
+            level = self.level
+            for r in self.nogoods[reason_idx] or ():
+                if r != lit and r != -lit:
+                    r_lv = level[r if r > 0 else -r]
+                    if r_lv > lv:
+                        lv = r_lv
+        val = self.val
+        val[lit] = True
+        val[-lit] = False
         self.level[var] = lv
         self.reason[var] = reason_idx
         self.trail.append(lit)
 
     def backjump(self, target: int) -> None:
+        val, level = self.val, self.level
+        lowest = self.cursor
         kept = []
         for lit in self.trail:
-            if self.level[abs(lit)] <= target:
+            var = lit if lit > 0 else -lit
+            if level[var] <= target:
                 kept.append(lit)
             else:
-                var = abs(lit)
-                del self.sign[var], self.level[var], self.reason[var]
+                val[lit] = val[-lit] = None
+                if var < lowest:
+                    lowest = var
         self.trail = kept
+        self.cursor = lowest
         self.qhead = 0
         self.dl = target
 
@@ -171,12 +189,21 @@ class _Search:
         if learned:
             self.learned_idxs.append(idx)
 
-        falses = [l for l in entries if self.value(l) is False]
-        frees = [l for l in entries if self.value(l) is None]
-        trues = sorted(
-            (l for l in entries if self.value(l) is True),
-            key=lambda l: -self.level[abs(l)],
-        )
+        val = self.val
+        falses: list[int] = []
+        frees: list[int] = []
+        trues: list[int] = []
+        for l in entries:
+            v = val[l]
+            if v is None:
+                frees.append(l)
+            elif v:
+                trues.append(l)
+            else:
+                falses.append(l)
+        if len(trues) > 1:
+            level = self.level
+            trues.sort(key=lambda l: -level[abs(l)])
         if falses:
             pool = falses + frees + trues
         elif len(frees) >= 2:
@@ -186,7 +213,7 @@ class _Search:
         pair = (pool[0], pool[1] if len(pool) > 1 else pool[0])
         self.watched.append(pair)
         for lit in set(pair):
-            self.watches.setdefault(lit, []).append(idx)
+            self.watches[lit].append(idx)
 
         if falses:
             return None
@@ -205,43 +232,41 @@ class _Search:
 
     def propagate(self) -> int | None:
         """Run the watch loop to fixpoint; returns a violated nogood's index."""
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
+        trail, val = self.trail, self.val
+        nogoods, watched, watches = self.nogoods, self.watched, self.watches
+        while self.qhead < len(trail):
+            lit = trail[self.qhead]
             self.qhead += 1
-            idxs = self.watches.get(lit)
+            idxs = watches[lit]
             if not idxs:
                 continue
             kept: list[int] = []
             conflict = None
             for pos, idx in enumerate(idxs):
-                entries = self.nogoods[idx]
+                entries = nogoods[idx]
                 if entries is None:
                     continue
-                w1, w2 = self.watched[idx]
+                w1, w2 = watched[idx]
                 if w2 == lit and w1 != lit:
                     w1, w2 = w2, w1
-                replacement = None
                 for cand in entries:
-                    if cand != w1 and cand != w2 and self.value(cand) is not True:
-                        replacement = cand
+                    if cand != w1 and cand != w2 and val[cand] is not True:
+                        watched[idx] = (cand, w2)
+                        watches[cand].append(idx)
                         break
-                if replacement is not None:
-                    self.watched[idx] = (replacement, w2)
-                    self.watches.setdefault(replacement, []).append(idx)
-                    continue
-                kept.append(idx)
-                other = self.value(w2) if w2 != w1 else True
-                if other is False:
-                    continue
-                if other is None:
+                else:
+                    kept.append(idx)
+                    other = val[w2] if w2 != w1 else True
+                    if other is False:
+                        continue
                     self.record(idx)
-                    self.assign(-w2, idx)
-                    continue
-                self.record(idx)
-                conflict = idx
-                kept.extend(idxs[pos + 1 :])
-                break
-            self.watches[lit] = kept
+                    if other is None:
+                        self.assign(-w2, idx)
+                        continue
+                    conflict = idx
+                    kept.extend(idxs[pos + 1 :])
+                    break
+            watches[lit] = kept
             if conflict is not None:
                 return conflict
         return None
@@ -272,7 +297,8 @@ class _Search:
         Among several source SCCs the one whose least atom is smallest wins;
         the emitted l steps, and so the proof text, depend on this choice.
         """
-        unmarked = {a for a in self.cyclic if self.value(a) is not False}
+        val = self.val
+        unmarked = {a for a in self.cyclic if val[a] is not False}
         if not unmarked:
             return None
         changed = True
@@ -280,7 +306,7 @@ class _Search:
             changed = False
             for atom in sorted(unmarked):
                 for _, body_id, pos in self.supports[atom]:
-                    if self.value(body_id) is False or pos & unmarked:
+                    if val[body_id] is False or pos & unmarked:
                         continue
                     unmarked.discard(atom)
                     changed = True
@@ -292,7 +318,7 @@ class _Search:
         needs: dict[int, set[int]] = {atom: set() for atom in unmarked}
         for atom in unmarked:
             for _, body_id, pos in self.supports[atom]:
-                if self.value(body_id) is not False:
+                if val[body_id] is not False:
                     needs[atom].update(pos & unmarked)
         components = [frozenset(c) for c in strongly_connected_components(needs)]
         sources = [c for c in components if all(needs[atom] <= c for atom in c)]
@@ -343,14 +369,17 @@ class _Search:
     # -- search ---------------------------------------------------------------
 
     def pick_branch(self) -> int | None:
-        free = [v for v in range(1, self.var_count + 1) if v not in self.sign]
-        if not free:
+        val, cursor = self.val, self.cursor
+        while cursor <= self.var_count and val[cursor] is not None:
+            cursor += 1
+        self.cursor = cursor
+        if cursor > self.var_count:
             return None
         if self.heuristic == "random":
+            free = [v for v in range(cursor, self.var_count + 1) if val[v] is None]
             var = self.rng.choice(free)
             return var if self.rng.random() < 0.5 else -var
-        var = free[0]
-        return var if self.heuristic == "min-true" else -var
+        return cursor if self.heuristic == "min-true" else -cursor
 
     def forget_learned(self) -> None:
         protected = {self.reason[abs(lit)] for lit in self.trail}
@@ -385,9 +414,7 @@ class _Search:
                 continue
             branch = self.pick_branch()
             if branch is None:
-                answer = frozenset(
-                    a for a in self.program.atom_ids() if self.sign.get(a, -1) > 0
-                )
+                answer = frozenset(a for a in self.program.atom_ids() if self.val[a])
                 return SolveResult(CONSISTENT, answer_set=answer)
             self.dl += 1
             self.assign(branch, None)

@@ -3,9 +3,14 @@
 import random
 
 from aspcert.core import RuleKind
-from aspcert.fuzz import differential_run, random_program, random_tight_program
-from aspcert.loops import has_loops
-from aspcert.program_io import emit_program
+from aspcert.fuzz import (
+    differential_run,
+    random_program,
+    random_rich_program,
+    random_tight_program,
+)
+from aspcert.loops import cyclic_atoms, dependency_graph, has_loops
+from aspcert.program_io import emit_program, parse_program
 
 
 def test_random_program_is_seed_deterministic():
@@ -31,6 +36,32 @@ def test_random_tight_program_has_no_loops():
     rng = random.Random(2)
     for _ in range(100):
         assert not has_loops(random_tight_program(rng))
+
+
+def test_random_rich_program_draws_every_construct():
+    rng = random.Random(8)
+    kinds = set()
+    for _ in range(200):
+        program = random_rich_program(rng)
+        cyclic = cyclic_atoms(dependency_graph(program))
+        for rule in program.rules:
+            if rule.kind is RuleKind.WEIGHT:
+                assert rule.head[0] not in cyclic
+                assert 0 <= rule.bound <= sum(w for _, w in rule.weights) + 1
+                kinds.add("weight")
+            elif rule.kind is RuleKind.CHOICE:
+                kinds.add("choice")
+            elif program.name(rule.head[0]) == "__bot1":
+                assert rule.head[0] in rule.neg_body
+                kinds.add("constraint")
+            else:
+                kinds.add("basic")
+        assert parse_program(emit_program(program)) == program
+    assert kinds == {"basic", "choice", "weight", "constraint"}
+
+
+def test_differential_run_covers_choice_weight_and_constraints():
+    assert differential_run(300, seed=9) == []
 
 
 def test_differential_run_is_clean_and_deterministic():

@@ -1,5 +1,6 @@
 """Conflict-driven solving with proof logging."""
 
+import hashlib
 import io
 import random
 
@@ -7,7 +8,8 @@ import pytest
 
 import aspcert.solver as solver_module
 from aspcert.checker import check
-from aspcert.fuzz import random_program
+from aspcert.completion import DEFAULT_BODY_BUDGET
+from aspcert.fuzz import random_program, random_rich_program
 from aspcert.oracle import enumerate_answer_sets, is_answer_set
 from aspcert.proof import serialize_proof
 from aspcert.program_io import parse_program
@@ -134,3 +136,125 @@ def test_unknown_when_expansion_exceeds_budget():
     assert result.status == UNKNOWN
     assert "budget" in result.reason
     assert result.proof is None and result.answer_set is None
+
+
+def _php_text(pigeons, holes, rng):
+    """Pigeonhole as choice rules and constraints, in a shuffled rule order."""
+    rules = []
+    for i in range(1, pigeons + 1):
+        rules.append("{" + "; ".join(f"p{i}_{j}" for j in range(1, holes + 1)) + "}.")
+        rules.append(":- " + ", ".join(f"not p{i}_{j}" for j in range(1, holes + 1)) + ".")
+        for j in range(1, holes + 1):
+            rules.extend(f":- p{i}_{j}, p{k}_{j}." for k in range(i + 1, pigeons + 1))
+    rng.shuffle(rules)
+    return "\n".join(rules) + "\n"
+
+
+# Out-edges of an 8-vertex digraph with no Hamiltonian path from vertex 1;
+# refuting it takes loop nogoods (l steps), since reachability is recursive.
+_NO_PATH_GRAPH = {
+    1: (3, 4, 5), 2: (1, 4, 8), 3: (4, 5, 8), 4: (2, 7, 8),
+    5: (1, 3, 4), 6: (3, 5, 8), 7: (1, 3, 5), 8: (2, 4, 6),
+}
+
+
+def _hampath_text(succ):
+    """Choose one out-edge and one in-edge per vertex, every vertex reachable from 1."""
+    rules = ["r1."]
+    for u, targets in succ.items():
+        for v in targets:
+            rules += [f"{{e{u}_{v}}}.", f"r{v} :- r{u}, e{u}_{v}."]
+        rules += [f":- e{u}_{a}, e{u}_{b}." for a in targets for b in targets if a < b]
+    for v in succ:
+        sources = [u for u in succ if v in succ[u]]
+        if v == 1:
+            rules += [f":- e{u}_1." for u in sources]
+            continue
+        rules += [f":- e{a}_{v}, e{b}_{v}." for a in sources for b in sources if a < b]
+        rules.append(f":- not r{v}.")
+    return "\n".join(rules) + "\n"
+
+
+def _chain_text(length):
+    rules = ["x1."] + [f"x{i} :- x{i - 1}." for i in range(2, length + 1)]
+    return "\n".join(rules + [f":- x{length}."]) + "\n"
+
+
+# sha256 over every run of test_search_and_proofs_are_pinned, recorded when
+# the search state moved from dicts to flat lists without changing a byte.
+PINNED_DIGEST = "08c78ccfe7b653ce42fabb409065e2631f345ef4ac55e44eb62a933fee668867"
+
+
+def test_search_and_proofs_are_pinned(monkeypatch):
+    """Status, answer set and proof text of a fixed corpus match a recorded hash.
+
+    The corpus is a shuffled PHP(4,3), an 8-vertex Hamiltonian-path program
+    without a path (so l steps occur), a 300-atom chain, and 200 random
+    normal programs under every heuristic, with and without restarts.
+    A change that speeds up search must leave this hash alone. A change
+    that alters search order, learning or proof emission on purpose
+    updates PINNED_DIGEST and says so in CHANGES.md.
+    """
+    # Short enough that PHP and the graph restart (d steps occur); at 2 or 4
+    # the deterministic heuristics repeat the same conflicts after every
+    # restart and never finish.
+    monkeypatch.setattr(solver_module, "RESTART_INTERVAL", 8)
+    texts = [_php_text(4, 3, random.Random(1)), _hampath_text(_NO_PATH_GRAPH), _chain_text(300)]
+    rng = random.Random(23)
+    programs = [parse_program(text) for text in texts]
+    programs += [random_program(rng, max_atoms=7, max_rules=14) for _ in range(200)]
+    digest = hashlib.sha256()
+    for program in programs:
+        for heuristic in HEURISTICS:
+            for restarts in (False, True):
+                sink = io.StringIO()
+                result = solve(program, heuristic=heuristic, restarts=restarts, seed=5,
+                               proof_sink=sink)
+                answer = sorted(result.answer_set or ())
+                digest.update(f"{result.status} {answer}\n{sink.getvalue()}".encode())
+    assert digest.hexdigest() == PINNED_DIGEST
+
+
+def test_branch_picks_the_smallest_unassigned_variable(monkeypatch):
+    """min-true/min-false branch on the least free variable, restarts included."""
+    monkeypatch.setattr(solver_module, "RESTART_INTERVAL", 8)
+    pick = solver_module._Search.pick_branch
+    picks = 0
+
+    def checked_pick(search):
+        nonlocal picks
+        free = [v for v in range(1, search.var_count + 1) if search.val[v] is None]
+        branch = pick(search)
+        assert (branch is None) == (not free)
+        if branch is not None:
+            assert abs(branch) == free[0]
+            assert branch > 0 if search.heuristic == "min-true" else branch < 0
+            picks += 1
+        return branch
+
+    monkeypatch.setattr(solver_module._Search, "pick_branch", checked_pick)
+    rng = random.Random(29)
+    for index in range(150):
+        generate = random_rich_program if index % 2 else random_program
+        program = generate(rng, max_atoms=8, max_rules=16)
+        for heuristic in ("min-true", "min-false"):
+            solve(program, heuristic=heuristic, restarts=True)
+    assert picks > 100
+
+
+def test_branch_cursor_drops_back_after_a_non_suffix_backjump():
+    """A backjump that keeps a literal behind one it removes reopens the gap."""
+    program = parse_program("#atoms a b c.\n")
+    search = solver_module._Search(
+        program, "min-true", random.Random(0), None, DEFAULT_BODY_BUDGET, frozenset()
+    )
+    for level in (1, 2):
+        search.dl = level
+        search.assign(search.pick_branch(), None)
+    # Unit under a alone, so not c is implied at level 1 behind b (level 2).
+    assert search.attach(frozenset({1, 3}), None) is None
+    assert search.trail == [1, 2, -3] and search.level[3] == 1
+    assert search.pick_branch() is None
+    search.backjump(1)
+    assert search.trail == [1, -3]
+    assert search.pick_branch() == 2
