@@ -11,7 +11,8 @@ instance. The proof succeeds when the empty nogood is present at the end.
 Two error classes mirror the CLI exit codes: ProofFormatError means the proof
 is ill-formed relative to the program (unknown ids, redeclared bodies, ...),
 while a failed semantic condition yields an unsuccessful CheckResult naming
-the offending step.
+the offending step. Both name the step's line in the proof file as well when
+the proof was parsed from text, since blank lines make the two counts differ.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ class CheckResult:
     ok: bool
     step: int | None = None
     reason: str = ""
+    line: int | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -51,7 +53,8 @@ class CheckResult:
             return "Success"
         if self.step is None:
             return f"Error: {self.reason}"
-        return f"Error at step {self.step}: {self.reason}"
+        where = f" (line {self.line})" if self.line is not None else ""
+        return f"Error at step {self.step}{where}: {self.reason}"
 
 
 class _StepError(Exception):
@@ -92,6 +95,7 @@ class CheckerState:
             for body in induced_bodies_of_rule(rule, atom)
         )
         self.step_no = 0
+        self.line: int | None = None
         if preloaded:
             self._preload()
 
@@ -139,22 +143,27 @@ class CheckerState:
         for lit in lits:
             if not self._known_var(abs(lit)):
                 raise ProofFormatError(
-                    f"step {self.step_no}: unknown variable {abs(lit)}"
+                    f"{self._where()}: unknown variable {abs(lit)}"
                 )
 
     def _require_atoms(self, atoms: tuple[int, ...]) -> None:
         for atom in atoms:
             if not 1 <= atom <= self.program.atom_count:
-                raise ProofFormatError(f"step {self.step_no}: unknown atom {atom}")
+                raise ProofFormatError(f"{self._where()}: unknown atom {atom}")
 
     # -- steps -----------------------------------------------------------------
+
+    def _where(self) -> str:
+        """The current step for error messages, with its proof-file line if known."""
+        line = f" (line {self.line})" if self.line is not None else ""
+        return f"step {self.step_no}{line}"
 
     def step(self, step: Step) -> None:
         """Apply one proof step; raises _StepError via check() on bad semantics."""
         self.step_no += 1
         if self.preloaded and step.kind in ("b", "c", "s"):
             raise ProofFormatError(
-                f"step {self.step_no}: {step.kind} steps are not allowed "
+                f"{self._where()}: {step.kind} steps are not allowed "
                 "with a preloaded completion"
             )
         getattr(self, f"_step_{step.kind}")(step)
@@ -162,21 +171,21 @@ class CheckerState:
     def _step_b(self, step: Step) -> None:
         self._require_atoms(tuple(abs(l) for l in step.lits))
         if not is_consistent(step.lits):
-            raise ProofFormatError(f"step {self.step_no}: contradictory body literals")
+            raise ProofFormatError(f"{self._where()}: contradictory body literals")
         body = frozenset(step.lits)
         if body not in self.catalog:
             raise ProofFormatError(
-                f"step {self.step_no}: literal set is not an induced body "
+                f"{self._where()}: literal set is not an induced body "
                 "of the program (or its expansion exceeds the budget)"
             )
         if step.head in self.ext_vars:
             raise ProofFormatError(
-                f"step {self.step_no}: body id {step.head} is already an extension variable"
+                f"{self._where()}: body id {step.head} is already an extension variable"
             )
         try:
             self.registry.declare(step.head, body)
         except ValueError as exc:
-            raise ProofFormatError(f"step {self.step_no}: {exc}") from None
+            raise ProofFormatError(f"{self._where()}: {exc}") from None
         for nogood in body_definition(step.head, body):
             self.store.insert(nogood)
 
@@ -189,7 +198,7 @@ class CheckerState:
 
     def _step_c(self, step: Step) -> None:
         if not self.registry.has_id(step.head):
-            raise ProofFormatError(f"step {self.step_no}: unknown body id {step.head}")
+            raise ProofFormatError(f"{self._where()}: unknown body id {step.head}")
         self._require_atoms(step.lits)
         body = self.registry.lits_of(step.head)
         if len(step.lits) != 1 or (step.lits[0], body) not in self.backward_pairs:
@@ -200,7 +209,7 @@ class CheckerState:
         self._require_atoms((step.head,))
         if step.head in self.deferred_heads:
             raise ProofFormatError(
-                f"step {self.step_no}: induced bodies of atom {step.head} "
+                f"{self._where()}: induced bodies of atom {step.head} "
                 "exceed the expansion budget"
             )
         if len(set(step.lits)) != len(step.lits):
@@ -209,7 +218,7 @@ class CheckerState:
         for body_id in step.lits:
             if not self.registry.has_id(body_id):
                 raise ProofFormatError(
-                    f"step {self.step_no}: unknown body id {body_id}"
+                    f"{self._where()}: unknown body id {body_id}"
                 )
             bodies.append(self.registry.lits_of(body_id))
         if set(bodies) != set(self.catalog.bodies_of(step.head)):
@@ -220,7 +229,7 @@ class CheckerState:
         self._require_known(step.lits)
         if step.head >= INTERNAL_ID_BASE:
             raise ProofFormatError(
-                f"step {self.step_no}: extension variable {step.head} lies in the reserved range"
+                f"{self._where()}: extension variable {step.head} lies in the reserved range"
             )
         if self._known_var(step.head):
             raise _StepError("extension variable is not fresh")
@@ -240,7 +249,7 @@ class CheckerState:
         atoms = frozenset(step.lits)
         if atoms & self.deferred_heads:
             raise ProofFormatError(
-                f"step {self.step_no}: loop atoms supported by a weight rule "
+                f"{self._where()}: loop atoms supported by a weight rule "
                 "beyond the expansion budget"
             )
         if not is_loop(self.graph, atoms):
@@ -261,12 +270,12 @@ class CheckerState:
         self._require_known(step.lits)
         if not is_consistent(step.lits):
             raise ProofFormatError(
-                f"step {self.step_no}: contradictory assignment literals"
+                f"{self._where()}: contradictory assignment literals"
             )
         named = sorted({abs(lit) for lit in step.lits} & self.ext_vars)
         if named:
             raise ProofFormatError(
-                f"step {self.step_no}: assignment names extension variable {named[0]}"
+                f"{self._where()}: assignment names extension variable {named[0]}"
             )
         unfounded = frozenset(step.unfounded)
         assignment = frozenset(step.lits)
@@ -296,9 +305,11 @@ def check(
     state = CheckerState(
         program, preloaded=preloaded, strict_delete=strict_delete, budget=budget
     )
-    for index, step in enumerate(proof, start=1):
+    lines = proof.lines or (None,) * len(proof)
+    for index, (step, line) in enumerate(zip(proof.steps, lines), start=1):
+        state.line = line
         try:
             state.step(step)
         except _StepError as exc:
-            return CheckResult(False, index, exc.reason)
+            return CheckResult(False, index, exc.reason, line)
     return state.result()

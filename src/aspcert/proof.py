@@ -20,7 +20,7 @@ returns t exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .completion import BodyCatalog, BodyRegistry
@@ -52,7 +52,14 @@ class Step:
 
 @dataclass(frozen=True)
 class Proof:
+    """Steps in order; lines holds each step's 1-based line when parsed from text."""
+
     steps: tuple[Step, ...]
+    lines: tuple[int, ...] = field(default=(), compare=False)
+
+    def __post_init__(self) -> None:
+        if self.lines and len(self.lines) != len(self.steps):
+            raise ValueError("a proof needs one line number per step, or none")
 
     def __iter__(self) -> Iterator[Step]:
         return iter(self.steps)
@@ -123,6 +130,7 @@ def _parse_step(kind: str, payload: list[int], line: int) -> Step:
 def parse_proof(text: str) -> Proof:
     """Parse proof text; raises ProofSyntaxError on malformed input."""
     steps: list[Step] = []
+    lines: list[int] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
@@ -137,7 +145,8 @@ def parse_proof(text: str) -> Proof:
         if 0 in payload:
             raise ProofSyntaxError(f"line {line_no}: stray 0 before terminator")
         steps.append(_parse_step(kind, payload, line_no))
-    return Proof(tuple(steps))
+        lines.append(line_no)
+    return Proof(tuple(steps), tuple(lines))
 
 
 def serialize_step(step: Step) -> str:

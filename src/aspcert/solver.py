@@ -16,13 +16,17 @@ tail) and holds True, False or None, `watches` is indexed the same way, and
 is assigned, so picking a branch walks forward from it, and a backjump
 lowers it to the smallest variable it unassigns.
 
-Implied literals carry implication levels (the highest level among their
-reason's other entries), so backjumping removes exactly the literals that
-depended on undone decisions. Watch lists are rescanned from the start of
-the trail after every backjump, which keeps the two-watch scheme sound under
-such non-suffix trail removal. The rescan also moves watches, so the order
-of later implications, and with it the proof text, depends on it; it stays
-until a change that may alter proofs replaces it with a level-ordered trail.
+The trail is level-ordered: every literal, decision or implied, is assigned
+at the current decision level, and `trail_lim` holds the trail length at
+each decision, so a backjump pops a suffix of the trail and propagation
+resumes at its new end without rescanning the kept part. One corner case
+follows. A nogood attached while a false entry above its highest true entry
+satisfies it is watched on that false entry; after a later backjump unassigns
+that entry, the nogood can stay unit without being noticed until its free
+watch turns true, when it is found as a conflict. Conflict detection and
+soundness are unaffected. A search that rescanned the kept trail would
+propagate such a nogood at once, so proofs match that search only as far as
+compared corpora, such as the one behind the pinned hash in the tests, show.
 """
 
 from __future__ import annotations
@@ -115,6 +119,7 @@ class _Search:
         self.reason: list[int | None] = [None] * (self.var_count + 1)
         self.cursor = 1
         self.trail: list[int] = []
+        self.trail_lim: list[int] = []
         self.qhead = 0
         self.dl = 0
 
@@ -144,38 +149,33 @@ class _Search:
 
     def assign(self, lit: int, reason_idx: int | None) -> None:
         var = lit if lit > 0 else -lit
-        if reason_idx is None:
-            lv = self.dl
-        else:
-            lv = 0
-            level = self.level
-            for r in self.nogoods[reason_idx] or ():
-                if r != lit and r != -lit:
-                    r_lv = level[r if r > 0 else -r]
-                    if r_lv > lv:
-                        lv = r_lv
         val = self.val
         val[lit] = True
         val[-lit] = False
-        self.level[var] = lv
+        self.level[var] = self.dl
         self.reason[var] = reason_idx
         self.trail.append(lit)
 
+    def decide(self, lit: int) -> None:
+        self.trail_lim.append(len(self.trail))
+        self.dl += 1
+        self.assign(lit, None)
+
     def backjump(self, target: int) -> None:
-        val, level = self.val, self.level
+        if target >= self.dl:
+            return
+        val, trail = self.val, self.trail
+        cut = self.trail_lim[target]
         lowest = self.cursor
-        kept = []
-        for lit in self.trail:
+        for lit in trail[cut:]:
+            val[lit] = val[-lit] = None
             var = lit if lit > 0 else -lit
-            if level[var] <= target:
-                kept.append(lit)
-            else:
-                val[lit] = val[-lit] = None
-                if var < lowest:
-                    lowest = var
-        self.trail = kept
+            if var < lowest:
+                lowest = var
+        del trail[cut:]
+        del self.trail_lim[target:]
         self.cursor = lowest
-        self.qhead = 0
+        self.qhead = cut
         self.dl = target
 
     # -- nogood store ------------------------------------------------------------
@@ -416,8 +416,7 @@ class _Search:
             if branch is None:
                 answer = frozenset(a for a in self.program.atom_ids() if self.val[a])
                 return SolveResult(CONSISTENT, answer_set=answer)
-            self.dl += 1
-            self.assign(branch, None)
+            self.decide(branch)
 
 
 def solve(

@@ -3,7 +3,7 @@
 import pytest
 
 from aspcert.checker import CheckerState, ProofFormatError, check
-from aspcert.proof import Step, parse_proof
+from aspcert.proof import Proof, Step, parse_proof
 from aspcert.program_io import parse_program
 
 LOOP_TEXT = "a :- b.\nb :- a.\n:- not a.\n"
@@ -47,6 +47,15 @@ def test_invalid_loop_step_is_reported_at_its_index(ex1_program, fig1_text):
     assert not result.ok
     assert result.step == 14
     assert "loop" in result.reason
+
+
+def test_errors_name_the_proof_file_line(ex1_program, fig1_text):
+    mutated = fig1_text.replace("a -6 1 0", "\n\na 6 0")
+    result = check(ex1_program, parse_proof(mutated))
+    assert (result.step, result.line) == (15, 17)
+    assert result.render().startswith("Error at step 15 (line 17): ")
+    unparsed = check(ex1_program, Proof(parse_proof(mutated).steps))
+    assert unparsed.line is None and unparsed.render().startswith("Error at step 15: ")
 
 
 def test_non_rup_addition_is_reported(ex1_program, fig1_text):

@@ -63,6 +63,16 @@ def test_check_reports_semantic_errors(write, capsys, ex1_program, fig1_text):
     assert capsys.readouterr().out.startswith("Error at step 14")
 
 
+def test_check_errors_name_the_proof_file_line(write, capsys):
+    program = write("p.lp", "a :- not b.\nb :- not a.\n")
+    proof = write("p.drupe", "b 3 -2 0\n\n\na 1 0\na 0\n")
+    assert main(["check", program, proof]) == 1
+    assert capsys.readouterr().out.startswith("Error at step 2 (line 4): ")
+    proof = write("q.drupe", "b 3 -2 0\n\n  \na 99 0\n")
+    assert main(["check", program, proof]) == 2
+    assert "step 2 (line 4): unknown variable 99" in capsys.readouterr().err
+
+
 def test_check_preloaded_completion(write, capsys):
     program = write("p.lp", "a :- not a.\n")
     proof = write("p.drupe", "a 1 0\na 0\n")

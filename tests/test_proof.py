@@ -69,6 +69,15 @@ def test_parse_skips_blank_lines():
     assert parse_proof("\n\na 0\n\n").steps == (Step("a"),)
 
 
+def test_parse_records_each_step_line():
+    proof = parse_proof("a 1 0\n\n  \nd 1 0\na 0\n")
+    assert proof.lines == (1, 4, 5)
+    assert proof == Proof(proof.steps)
+    assert parse_proof(serialize_proof(proof)) == proof
+    with pytest.raises(ValueError, match="line number per step"):
+        Proof(proof.steps, (1,))
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -242,19 +242,57 @@ def test_branch_picks_the_smallest_unassigned_variable(monkeypatch):
     assert picks > 100
 
 
-def test_branch_cursor_drops_back_after_a_non_suffix_backjump():
-    """A backjump that keeps a literal behind one it removes reopens the gap."""
-    program = parse_program("#atoms a b c.\n")
+def test_backjump_pops_a_suffix():
+    """A backjump keeps the trail up to the first undone decision, and only that."""
+    program = parse_program("#atoms a b c d e f.\n")
     search = solver_module._Search(
         program, "min-true", random.Random(0), None, DEFAULT_BODY_BUDGET, frozenset()
     )
-    for level in (1, 2):
-        search.dl = level
-        search.assign(search.pick_branch(), None)
-    # Unit under a alone, so not c is implied at level 1 behind b (level 2).
-    assert search.attach(frozenset({1, 3}), None) is None
-    assert search.trail == [1, 2, -3] and search.level[3] == 1
+    for atom in (1, 2, 3):
+        assert search.attach(frozenset({atom, atom + 3}), None) is None
+    for _ in range(3):
+        search.decide(search.pick_branch())
+        assert search.propagate() is None
+    assert search.trail == [1, -4, 2, -5, 3, -6]
     assert search.pick_branch() is None
     search.backjump(1)
-    assert search.trail == [1, -3]
+    assert search.trail == [1, -4]
+    levels = [search.level[abs(lit)] for lit in search.trail]
+    assert levels == sorted(levels)
+    assert search.qhead == len(search.trail)
     assert search.pick_branch() == 2
+
+
+def test_trail_stays_level_ordered_under_fuzzing(monkeypatch):
+    """Levels never fall along the trail, a backjump keeps exactly the prefix at or
+    below its target, and every decision finds the trail fully propagated."""
+    monkeypatch.setattr(solver_module, "RESTART_INTERVAL", 8)
+    backjump, pick = solver_module._Search.backjump, solver_module._Search.pick_branch
+    counts = {"backjumps": 0, "decisions": 0}
+
+    def assert_level_ordered(search):
+        levels = [search.level[abs(lit)] for lit in search.trail]
+        assert levels == sorted(levels)
+
+    def checked_backjump(search, target):
+        assert_level_ordered(search)
+        kept = [lit for lit in search.trail if search.level[abs(lit)] <= target]
+        backjump(search, target)
+        assert search.trail == kept
+        counts["backjumps"] += 1
+
+    def checked_pick(search):
+        assert search.qhead == len(search.trail)
+        assert_level_ordered(search)
+        counts["decisions"] += 1
+        return pick(search)
+
+    monkeypatch.setattr(solver_module._Search, "backjump", checked_backjump)
+    monkeypatch.setattr(solver_module._Search, "pick_branch", checked_pick)
+    rng = random.Random(31)
+    for index in range(150):
+        generate = random_rich_program if index % 2 else random_program
+        program = generate(rng, max_atoms=8, max_rules=16)
+        for heuristic in HEURISTICS:
+            solve(program, heuristic=heuristic, restarts=True, seed=index)
+    assert counts["backjumps"] > 100 and counts["decisions"] > 500
