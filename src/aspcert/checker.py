@@ -4,7 +4,8 @@ The checker keeps a multiset of nogoods in a NogoodStore. b steps name
 program bodies and attach their definitions; c and s steps may only add
 nogoods that belong to the program's completion; a steps must have the
 reverse-unit-propagation property against the current multiset, tested
-through the store's watch lists; l and u steps are validated against
+through the store's watch lists from the top-level assignment the store
+keeps between tests; l and u steps are validated against
 the dependency graph and the unfounded-set conditions; d steps remove one
 instance. The proof succeeds when the empty nogood is present at the end.
 

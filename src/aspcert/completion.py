@@ -77,11 +77,16 @@ def induced_bodies_of_rule(rule: Rule, atom: int, budget: int | None = None) -> 
 
 @dataclass(frozen=True, eq=False)
 class BodyCatalog:
-    """All induced bodies of a program, in deterministic first-use order."""
+    """All induced bodies of a program, in deterministic first-use order.
+
+    shifted lists the disjunctive rules, whose bodies the catalog holds
+    shifted.
+    """
 
     ib: dict[int, tuple[frozenset[int], ...]]
     order: tuple[frozenset[int], ...]
     deferred: tuple[Rule, ...]
+    shifted: tuple[Rule, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_index", frozenset(self.order))
@@ -128,6 +133,7 @@ def body_catalog(
         {atom: tuple(bodies) for atom, bodies in ib.items()},
         tuple(order),
         tuple(deferred),
+        tuple(rule for rule in program.rules if rule.is_disjunctive),
     )
 
 

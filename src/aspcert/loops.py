@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Collection, Iterable
 
 from .core import Nogood, Program, Rule, RuleKind
-from .completion import BodyCatalog, BodyRegistry
+from .completion import BodyCatalog, BodyRegistry, induced_bodies_of_rule
 
 MAX_LOOP_ENUMERATION = 1 << 16
 
@@ -116,15 +116,44 @@ def all_loops(program: Program) -> list[frozenset[int]]:
 def external_bodies(
     program: Program, catalog: BodyCatalog, atoms: Collection[int]
 ) -> list[frozenset[int]]:
-    """Bodies that can support an atom of the set from outside it."""
+    """Bodies that can support an atom of the set from outside it.
+
+    A rule r with a head atom in the set L supports it from outside through
+    body(r) plus the complements of head(r) minus L, unless a positive body
+    literal lies in L: the loop formula of Lee & Lifschitz (ICLP 2003) for
+    disjunctive programs. For every rule but a disjunctive one with two head
+    atoms in L, that is the atom's induced body, which the catalog holds.
+    For such a disjunctive rule the catalog's shifted body negates the other
+    one too, so the bodies of the atoms it heads are derived from their
+    rules instead. A head-cycle-free program has no such rule for any loop.
+    Bodies come out atom by atom in ascending order, each atom's in rule
+    order, without repeats.
+    """
     atom_set = set(atoms)
+    unshifted = {
+        atom
+        for rule in catalog.shifted
+        if len(atom_set.intersection(rule.head)) > 1
+        for atom in atom_set.intersection(rule.head)
+    }
     out: list[frozenset[int]] = []
     seen: set[frozenset[int]] = set()
     for atom in sorted(atom_set):
-        for body in catalog.bodies_of(atom):
-            if body in seen:
-                continue
-            if not any(lit > 0 and lit in atom_set for lit in body):
+        if atom in unshifted:
+            bodies = [
+                body
+                for rule in program.rules
+                if atom in rule.head
+                for body in (
+                    [rule.body_literals() | {-b for b in rule.head if b not in atom_set}]
+                    if rule.is_disjunctive
+                    else induced_bodies_of_rule(rule, atom)
+                )
+            ]
+        else:
+            bodies = catalog.bodies_of(atom)
+        for body in bodies:
+            if body not in seen and not any(lit > 0 and lit in atom_set for lit in body):
                 seen.add(body)
                 out.append(body)
     return out

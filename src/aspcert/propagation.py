@@ -6,22 +6,26 @@ complement of that entry.
 
 Two engines answer the same questions. NogoodStore is the checker's store:
 an insert-and-delete multiset whose nogoods each watch two of their literals
-(Chaff's two-watched-literal scheme, as DRAT-trim uses for RUP), so a
-propagation run visits only nogoods one of whose watched literals became
-true, and costs time linear in the work it does, not in the store's size.
-unit_propagate works on any iterable of nogoods: it scans the list in order
-and repeats until a full pass derives nothing, so its derivation order is a
-deterministic function of list order; it is the slow reference the tests
-compare the store against. rup_run dispatches on its argument: a NogoodStore
-uses the watched engine, anything else the scan. The solver uses neither; it
-keeps its own watch-based engine so that the checker shares no inference
-code with it.
+(Chaff's two-watched-literal scheme), so a propagation run visits only
+nogoods one of whose watched literals became true. Like DRAT-trim (Wetzler,
+Heule & Hunt, SAT 2014) it keeps its top level, the literals the nogoods
+imply with no assumption, from one RUP test to the next: a test catches up
+on what inserts left pending in one run, assumes its nogood on top, and pops
+its own suffix afterwards, so it pays only for what the assumption adds.
+Deleting the reason of a top-level literal rebuilds the top level from the
+unit nogoods. unit_propagate works on any iterable of nogoods: it starts
+from nothing, scans the list in order and repeats until a full pass derives
+nothing, so its derivation order is a deterministic function of list order;
+it is the slow reference the tests compare the store against. rup_run
+dispatches on its argument: a NogoodStore uses the watched engine, anything
+else the scan. The solver uses neither; it keeps its own watch-based engine
+so that the checker shares no inference code with it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence
+from itertools import islice
+from typing import AbstractSet, Callable, Iterable, Protocol, Sequence
 
 from .core import Assignment, Nogood, Rule, RuleKind
 
@@ -31,21 +35,41 @@ Derivation = tuple[int, Nogood]
 class Propagator(Protocol):
     """External propagation hook, consulted at each unit-propagation fixpoint."""
 
-    def __call__(self, assigned: frozenset[int]) -> tuple[Nogood | None, list[Derivation]]:
-        """Return (violated nogood or None, forced literals with reasons)."""
+    def __call__(self, assigned: AbstractSet[int]) -> tuple[Nogood | None, list[Derivation]]:
+        """Return (violated nogood or None, forced literals with reasons).
+
+        assigned is the caller's live set of true literals: read it during
+        the call, and neither change it nor keep a reference to it.
+        """
 
 
-@dataclass(frozen=True)
 class PropagationResult:
-    """Outcome of a propagation run: conflict, forced literals, final state."""
+    """Outcome of a propagation run: conflict, forced literals, final state.
 
-    conflict: Nogood | None
-    derived: tuple[int, ...]
-    assignment: Assignment
+    derived lists the literals the run forced, in order; a NogoodStore run
+    leaves out its assumptions and the literals its top level already held.
+    assignment, every literal true when the run stopped, is built when read.
+    """
+
+    __slots__ = ("conflict", "derived", "_assignment")
+
+    def __init__(
+        self,
+        conflict: Nogood | None,
+        derived: tuple[int, ...],
+        assignment: Callable[[], Assignment],
+    ) -> None:
+        self.conflict = conflict
+        self.derived = derived
+        self._assignment = assignment
 
     @property
     def is_conflict(self) -> bool:
         return self.conflict is not None
+
+    @property
+    def assignment(self) -> Assignment:
+        return self._assignment()
 
 
 def unit_propagate(
@@ -58,15 +82,13 @@ def unit_propagate(
     assigned: set[int] = set()
     derived: list[int] = []
 
-    def place(lit: int) -> bool:
-        if -lit in assigned:
-            return False
-        assigned.add(lit)
-        return True
+    def stop(conflict: Nogood | None) -> PropagationResult:
+        return PropagationResult(conflict, tuple(derived), lambda: frozenset(assigned))
 
     for lit in assumptions:
-        if not place(lit):
-            return PropagationResult(frozenset({-lit}), tuple(derived), frozenset(assigned))
+        if -lit in assigned:
+            return stop(frozenset({-lit}))
+        assigned.add(lit)
 
     while True:
         changed = False
@@ -82,39 +104,56 @@ def unit_propagate(
             if free == 0:
                 continue
             if free is None:
-                return PropagationResult(delta, tuple(derived), frozenset(assigned))
+                return stop(delta)
             assigned.add(-free)
             derived.append(-free)
             changed = True
         if changed:
             continue
         for propagator in propagators:
-            conflict, forced = propagator(frozenset(assigned))
+            conflict, forced = propagator(assigned)
             if conflict is not None:
-                return PropagationResult(conflict, tuple(derived), frozenset(assigned))
+                return stop(conflict)
             for lit, reason in forced:
                 if -lit in assigned:
-                    return PropagationResult(reason, tuple(derived), frozenset(assigned))
+                    return stop(reason)
                 if lit not in assigned:
                     assigned.add(lit)
                     derived.append(lit)
                     changed = True
         if not changed:
-            return PropagationResult(None, tuple(derived), frozenset(assigned))
+            return stop(None)
 
 
 class NogoodStore:
-    """Multiset of nogoods kept ready for watched-literal propagation.
+    """Multiset of nogoods kept ready for watched-literal RUP tests.
 
     Slot i holds the i-th inserted nogood, or None once remove() has taken
     that copy out; len() counts slots, deleted ones included. A nogood of two
-    or more literals watches two of them, and while no literal is assigned
-    any two will do. A propagation run only moves watches away from true
-    literals, so the watches it leaves behind are valid again as soon as its
-    assignment is dropped, and undoing a run needs no work. A deleted slot
-    stays in its watch lists until a run next visits them. Unit and empty
-    nogoods have no watches: propagate() asserts the units first and fails at
-    once while an empty nogood is present.
+    or more literals watches two of them; unit and empty nogoods have none,
+    and propagate() fails at once while an empty nogood is present.
+
+    The top level is a trail of the literals the live nogoods imply with no
+    assumption, the slot of each one's reason, and a head: the watchers of
+    the literals before it have been visited. insert() does no propagation.
+    A nogood watches two literals that are not true at the top level. With
+    fewer than two such literals, as a unit nogood always has, it is unit
+    there and pushes the complement of the one left onto the trail, unless
+    that literal is false there already; with none left it is violated there
+    and becomes the top-level conflict. propagate() first catches up: one
+    run from the head visits what the inserts since the last test left
+    pending. It then assumes its literals on top, runs again, consulting the
+    propagators only in this second run, and pops its own suffix, so the
+    next test starts from the same top level.
+
+    Every watched literal that is true at the top level lies at or after the
+    head, or the other watched literal is false there. A run moves watches
+    only onto literals that are not true, so popping its suffix keeps this.
+    Deleting the reason of a top-level literal, or any nogood while a
+    top-level conflict stands, rebuilds the trail from the unit nogoods with
+    the head at 0, and the next test derives the rest again; every other
+    deletion leaves the trail as it is, since each literal keeps its reason.
+    A deleted slot stays in its watch lists until a run next visits them.
     """
 
     def __init__(self) -> None:
@@ -125,6 +164,20 @@ class NogoodStore:
         self._watchers: dict[int, list[int]] = {}
         self._units: list[int] = []
         self.empty = 0
+        # Literals assigned over the store's life, at the top level and in runs.
+        self.assigned = 0
+        self._reset_top()
+
+    def _reset_top(self) -> None:
+        # A fresh list rather than a cleared one: results of earlier runs
+        # read their assignment off a prefix of the old trail.
+        self._trail: list[int] = []
+        # The reason slot of each trail entry; -1 for assumptions and
+        # propagator output, which only runs put on the trail.
+        self._reasons: list[int] = []
+        self._true: set[int] = set()
+        self._head = 0
+        self._conflict: Nogood | None = None
 
     def __len__(self) -> int:
         return len(self._slots)
@@ -137,18 +190,49 @@ class NogoodStore:
         slot = len(self._slots)
         self._slots.append(nogood)
         self._copies.setdefault(nogood, []).append(slot)
-        if len(nogood) >= 2:
-            lits = iter(nogood)
-            first, second = next(lits), next(lits)
-            self._watched += (first, second)
-            self._watchers.setdefault(first, []).append(slot)
-            self._watchers.setdefault(second, []).append(slot)
-            return
-        self._watched += (0, 0)
-        if nogood:
+        if len(nogood) < 2:
+            self._watched += (0, 0)
+            if not nogood:
+                self.empty += 1
+                return
             self._units.append(slot)
-        else:
-            self.empty += 1
+            (lit,) = nogood
+            self._settle(nogood, slot, 0 if lit in self._true else lit)
+            return
+        true = self._true
+        lits = iter(nogood)
+        first, second = next(lits), next(lits)
+        if first in true or second in true:
+            first = second = 0
+            for lit in nogood:
+                if lit not in true:
+                    if first:
+                        second = lit
+                        break
+                    first = lit
+            else:
+                # Watch the literal left, if any, and a true one.
+                self._settle(nogood, slot, first)
+                lits = iter(nogood)
+                one, two = next(lits), next(lits)
+                if not first:
+                    first, second = one, two
+                else:
+                    second = two if one == first else one
+        self._watched += (first, second)
+        self._watchers.setdefault(first, []).append(slot)
+        self._watchers.setdefault(second, []).append(slot)
+
+    def _settle(self, nogood: Nogood, slot: int, free: int) -> None:
+        """Apply a nogood whose literals other than free (0: none) are all true."""
+        if not free:
+            if self._conflict is None:
+                self._conflict = nogood
+        elif -free not in self._true:
+            self._true.add(-free)
+            self._trail.append(-free)
+            self._reasons.append(slot)
+            self.assigned += 1
 
     def remove(self, nogood: Nogood) -> bool:
         """Delete the latest live copy of the nogood; False if none is present."""
@@ -163,89 +247,115 @@ class NogoodStore:
             self._units.remove(slot)
         elif not nogood:
             self.empty -= 1
+        if self._conflict is not None or slot in self._reasons:
+            self._reset_top()
+            for unit in self._units:
+                (lit,) = kept = self._slots[unit]
+                self._settle(kept, unit, 0 if lit in self._true else lit)
         return True
 
     def propagate(
         self, assumptions: Iterable[int], propagators: Sequence[Propagator] = ()
     ) -> PropagationResult:
         """unit_propagate over the live nogoods, through the watch lists."""
-        assigned: set[int] = set()
-        trail: list[int] = []
-        assumed = 0
+        trail, true = self._trail, self._true
+        conflict = frozenset() if self.empty else self._conflict
+        if conflict is None and self._head < len(trail):
+            size = len(trail)
+            conflict = self._conflict = self._run(self._head)
+            self._head = len(trail)
+            self.assigned += len(trail) - size
+        mark = assumed = len(trail)
+        if conflict is None:
+            for lit in assumptions:
+                if -lit in true:
+                    conflict = frozenset({-lit})
+                    break
+                if lit not in true:
+                    true.add(lit)
+                    trail.append(lit)
+                    self._reasons.append(-1)
+            assumed = len(trail)
+            head = mark
+            while conflict is None:
+                conflict = self._run(head)
+                head = len(trail)
+                if conflict is not None or not propagators:
+                    break
+                conflict = self._consult(propagators)
+                if len(trail) == head:
+                    break
+        own = trail[mark:]
+        del trail[mark:]
+        del self._reasons[mark:]
+        true.difference_update(own)
+        self.assigned += len(own)
+        # No later run truncates the trail below mark, and a rebuild starts a
+        # new list, so the prefix the assignment is read from stays as it is.
+        return PropagationResult(
+            conflict,
+            tuple(own[assumed - mark:]),
+            lambda: frozenset(islice(trail, mark)).union(own),
+        )
 
-        def stop(conflict: Nogood | None) -> PropagationResult:
-            return PropagationResult(conflict, tuple(trail[assumed:]), frozenset(assigned))
-
-        for lit in assumptions:
-            if -lit in assigned:
-                return stop(frozenset({-lit}))
-            if lit not in assigned:
-                assigned.add(lit)
-                trail.append(lit)
-        assumed = len(trail)
-        if self.empty:
-            return stop(frozenset())
+    def _run(self, head: int) -> Nogood | None:
+        """Visit the watchers of each trail literal from head on; return a violated nogood."""
+        trail, reasons, true = self._trail, self._reasons, self._true
         slots, watched, watchers_of = self._slots, self._watched, self._watchers
-        for slot in self._units:
-            nogood = slots[slot]
-            (lit,) = nogood
-            if lit in assigned:
-                return stop(nogood)
-            if -lit not in assigned:
-                assigned.add(-lit)
-                trail.append(-lit)
-        head = 0
-        while True:
-            while head < len(trail):
-                lit = trail[head]
-                head += 1
-                watchers = watchers_of.get(lit)
-                if not watchers:
+        while head < len(trail):
+            lit = trail[head]
+            head += 1
+            watchers = watchers_of.get(lit)
+            if not watchers:
+                continue
+            # Visit the nogoods watching the now-true lit, compacting the
+            # list in place: entries before keep are the ones that stay.
+            keep = 0
+            for index, slot in enumerate(watchers):
+                nogood = slots[slot]
+                if nogood is None:
                     continue
-                # Visit the nogoods watching the now-true lit, compacting the
-                # list in place: entries before keep are the ones that stay.
-                keep = 0
-                for index, slot in enumerate(watchers):
-                    nogood = slots[slot]
-                    if nogood is None:
-                        continue
-                    at = 2 * slot
-                    other = watched[at + 1]
-                    if other == lit:
-                        other = watched[at]
-                        at += 1
-                    if -other not in assigned:
-                        for candidate in nogood:
-                            if candidate not in assigned and candidate != other:
-                                watched[at] = candidate
-                                watchers_of.setdefault(candidate, []).append(slot)
-                                break
-                        else:
-                            if other in assigned:
-                                del watchers[keep:index]
-                                return stop(nogood)
-                            assigned.add(-other)
-                            trail.append(-other)
-                            watchers[keep] = slot
-                            keep += 1
-                        continue
-                    watchers[keep] = slot
-                    keep += 1
-                del watchers[keep:]
-            changed = False
-            for propagator in propagators:
-                conflict, forced = propagator(frozenset(assigned))
-                if conflict is not None:
-                    return stop(conflict)
-                for lit, reason in forced:
-                    if -lit in assigned:
-                        return stop(reason)
-                    if lit not in assigned:
-                        assigned.add(lit)
-                        trail.append(lit)
-                        changed = True
-            if not changed:
-                return stop(None)
+                at = 2 * slot
+                other = watched[at + 1]
+                if other == lit:
+                    other = watched[at]
+                    at += 1
+                if -other not in true:
+                    for candidate in nogood:
+                        if candidate not in true and candidate != other:
+                            watched[at] = candidate
+                            watchers_of.setdefault(candidate, []).append(slot)
+                            break
+                    else:
+                        if other in true:
+                            del watchers[keep:index]
+                            return nogood
+                        true.add(-other)
+                        trail.append(-other)
+                        reasons.append(slot)
+                        watchers[keep] = slot
+                        keep += 1
+                    continue
+                watchers[keep] = slot
+                keep += 1
+            del watchers[keep:]
+        return None
+
+    def _consult(self, propagators: Sequence[Propagator]) -> Nogood | None:
+        """Put what the propagators force on the trail; return a conflict they find."""
+        trail, true = self._trail, self._true
+        for propagator in propagators:
+            conflict, forced = propagator(true)
+            if conflict is not None:
+                return conflict
+            for lit, reason in forced:
+                if -lit in true:
+                    return reason
+                if lit not in true:
+                    true.add(lit)
+                    trail.append(lit)
+                    self._reasons.append(-1)
+        return None
 
 
 def rup_run(
@@ -300,7 +410,7 @@ class WeightRulePropagator:
         self.head = rule.head[0]
         self.other_support_ids = tuple(other_support_ids)
 
-    def __call__(self, assigned: frozenset[int]) -> tuple[Nogood | None, list[Derivation]]:
+    def __call__(self, assigned: AbstractSet[int]) -> tuple[Nogood | None, list[Derivation]]:
         head, rule = self.head, self.rule
         bound = rule.bound
         sat = [lit for lit, _ in rule.weights if lit in assigned]
@@ -355,4 +465,4 @@ class WeightRulePropagator:
 
 def weight_propagate(rule: Rule, assignment: Assignment) -> tuple[Nogood | None, list[Derivation]]:
     """One propagation round for a weight rule taken as its head's only support."""
-    return WeightRulePropagator(rule)(frozenset(assignment))
+    return WeightRulePropagator(rule)(assignment)

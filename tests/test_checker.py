@@ -1,10 +1,15 @@
 """Proof checking: step validation, deletion, and preloaded mode."""
 
+import random
+
 import pytest
 
 from aspcert.checker import CheckerState, ProofFormatError, check
+from aspcert.core import Program, basic_rule
+from aspcert.oracle import enumerate_answer_sets
 from aspcert.proof import Proof, Step, parse_proof
-from aspcert.program_io import parse_program
+from aspcert.program_io import emit_program, parse_program
+from aspcert.solver import INCONSISTENT, solve
 
 LOOP_TEXT = "a :- b.\nb :- a.\n:- not a.\n"
 
@@ -93,6 +98,55 @@ def test_disjunctive_proof_is_accepted():
         "s 1 5 0\na 0\n",
     )
     assert result.ok
+
+
+def test_loop_step_uses_the_disjunctive_loop_formula():
+    # {a, b} is an answer set. For the loop {a, b}, `a | b.` supports it from
+    # outside through the empty body, not through the shifted bodies
+    # {not b} and {not a}, so the loop nogood cannot refute `a`.
+    result = _check_text(
+        "a | b.\na :- b.\nb :- a.\n",
+        "b 3 -2 0\nb 4 -1 0\nb 5 2 0\nb 6 1 0\nc 6 2 0\nl 1 2 0\na 1 0\n"
+        "c 3 1 0\nc 5 1 0\nc 4 2 0\na 0\n",
+    )
+    assert not result.ok
+    assert result.step == 7
+
+
+def _shifted(program):
+    """The normal program that replaces a | b :- body by a :- body, not b and b :- body, not a.
+
+    A shifted rule whose body would hold an atom and its negation never
+    fires, so it is left out.
+    """
+    rules = tuple(
+        basic_rule((atom,), rule.pos_body, rule.neg_body | others)
+        for rule in program.rules
+        for atom in rule.head
+        if not (others := set(rule.head) - {atom}) & rule.pos_body
+    )
+    return Program(program.atom_names, rules)
+
+
+def test_shifted_proofs_never_refute_a_consistent_disjunctive_program():
+    # Shifting a program that is not head-cycle-free can lose answer sets,
+    # so the solver then refutes the shifted program of a consistent one;
+    # that proof must fail against the disjunctive original.
+    rng = random.Random(3)
+    refuted = 0
+    for _ in range(1500):
+        atoms = range(1, rng.randint(2, 4) + 1)
+        rules = []
+        for _ in range(rng.randint(2, 8)):
+            body = rng.sample(atoms, rng.randint(0, 2))
+            neg = {a for a in body if rng.random() < 0.3}
+            rules.append(basic_rule(rng.sample(atoms, rng.randint(1, 2)), set(body) - neg, neg))
+        program = Program(tuple("abcd"[: len(atoms)]), tuple(rules))
+        result = solve(_shifted(program))
+        if result.status == INCONSISTENT and enumerate_answer_sets(program, cap=1):
+            refuted += 1
+            assert not check(program, result.proof).ok, emit_program(program)
+    assert refuted >= 5
 
 
 def test_extension_variable_must_be_fresh():

@@ -6,8 +6,10 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aspcert.checker import CheckerState
 from aspcert.core import weight_rule
 from aspcert.oracle import entails
+from aspcert.program_io import parse_program
 from aspcert.propagation import (
     NogoodStore,
     WeightRulePropagator,
@@ -16,6 +18,7 @@ from aspcert.propagation import (
     unit_propagate,
     weight_propagate,
 )
+from aspcert.solver import solve
 
 
 def test_unit_propagate_chain():
@@ -140,14 +143,26 @@ def test_weight_propagator_plugs_into_unit_propagate():
 
 
 small_lits = st.integers(min_value=-5, max_value=5).filter(lambda x: x != 0)
-# A small pool makes duplicate copies, deletions of present nogoods, unit
+# With no assumption, {-2} and {2, -3} imply 2 and 3; the rest of chain
+# extends that to -4 (with a second reason {2, 3, 4}) and 5, which {3, 5}
+# then violates, as do {1} and {-1} together. Drawing from it makes deletes
+# often take away a unit reason, a reason in mid-chain, or a nogood while a
+# top-level conflict stands. The small pool makes duplicate copies, unit
 # nogoods and the empty nogood frequent.
-pooled_nogoods = st.sampled_from(
-    [frozenset(), frozenset({1}), frozenset({-2}), frozenset({1, -2}), frozenset({1, 3}),
-     frozenset({2, -3})]
-) | st.frozensets(small_lits, max_size=4)
+chain = st.sampled_from(
+    [frozenset({-2}), frozenset({2, -3}), frozenset({3, 4}), frozenset({2, 3, 4}),
+     frozenset({-4, -5}), frozenset({3, 5})]
+)
+pool = chain | st.sampled_from(
+    [frozenset(), frozenset({1}), frozenset({-1}), frozenset({1, -2}), frozenset({1, 3})]
+)
+# A delete names a nogood, or by an index one of the copies present.
 store_operations = st.lists(
-    st.tuples(st.sampled_from(("insert", "insert", "delete", "query", "query")), pooled_nogoods),
+    st.tuples(st.just("insert"), chain)
+    | st.tuples(st.just("insert"), pool | st.frozensets(small_lits, max_size=4))
+    | st.tuples(st.just("delete"), pool | st.integers(min_value=0, max_value=39))
+    | st.tuples(st.just("query"), pool | st.frozensets(small_lits, max_size=4)),
+    min_size=10,
     max_size=40,
 )
 weight_rules = st.builds(
@@ -173,6 +188,8 @@ def test_nogood_store_matches_reference_propagation(operations, rule):
             store.insert(nogood)
             reference.append(nogood)
         elif kind == "delete":
+            if isinstance(nogood, int):
+                nogood = reference[nogood % len(reference)] if reference else frozenset()
             assert store.remove(nogood) == (nogood in reference)
             if nogood in reference:
                 reference.remove(nogood)
@@ -188,12 +205,38 @@ def test_nogood_store_matches_reference_propagation(operations, rule):
 
 def test_nogood_store_keeps_watches_after_a_conflict():
     store = NogoodStore()
-    for nogood in ({1, 2}, {1, 3}, {-2}):
+    for nogood in ({1, 2}, {1, 3}):
         store.insert(frozenset(nogood))
-    # both binary nogoods watch 1; the first one is violated before the second is visited
-    assert rup_run(store, frozenset({1})).conflict == frozenset({1, 2})
-    store.remove(frozenset({-2}))
+    # both binary nogoods watch 1; the run assumes 1 and 2, and the first one
+    # is violated before the second is visited
+    assert rup_run(store, frozenset({1, 2})).conflict == frozenset({1, 2})
+    store.remove(frozenset({1, 2}))
     assert -3 in rup_run(store, frozenset({1})).assignment
+
+
+def _php_text(pigeons, holes):
+    rules = []
+    for i in range(1, pigeons + 1):
+        rules.append("{" + "; ".join(f"p{i}_{j}" for j in range(1, holes + 1)) + "}.")
+        rules.append(":- " + ", ".join(f"not p{i}_{j}" for j in range(1, holes + 1)) + ".")
+        for j in range(1, holes + 1):
+            rules.extend(f":- p{i}_{j}, p{k}_{j}." for k in range(i + 1, pigeons + 1))
+    return "\n".join(rules) + "\n"
+
+
+def test_nogood_store_reuses_its_top_level_across_rup_tests():
+    # Every RUP test of unit_propagate starts from nothing; the store's
+    # count covers its top level, its runs and their assumptions.
+    program = parse_program(_php_text(5, 4))
+    proof = solve(program).proof
+    state = CheckerState(program)
+    from_scratch = 0
+    for step in proof:
+        if step.kind == "a":
+            from_scratch += len(rup_run(state.live_nogoods(), frozenset(step.lits)).derived)
+        state.step(step)
+    assert state.result().ok
+    assert state.store.assigned < from_scratch / 2
 
 
 def test_nogood_store_takes_ids_of_any_size():
