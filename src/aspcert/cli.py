@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable
 
 from .checker import ProofFormatError, check
 from .completion import BudgetError, normalize_short_body
@@ -117,6 +118,21 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 1 if discrepancies else 0
 
 
+def _at_least(low: int) -> Callable[[str], int]:
+    """An argparse type for integers no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aspcert",
@@ -140,7 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="enumerate all answer sets by brute force")
     p_oracle.add_argument("program")
-    p_oracle.add_argument("--max-models", type=int, metavar="N")
+    p_oracle.add_argument("--max-models", type=_at_least(1), metavar="N")
     p_oracle.set_defaults(run=_cmd_oracle)
 
     p_norm = sub.add_parser("normalize", help="print the short-body normalized program")
@@ -148,8 +164,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_norm.set_defaults(run=_cmd_normalize)
 
     p_fuzz = sub.add_parser("fuzz", help="differential-test solver, checker, and oracle")
-    p_fuzz.add_argument("--count", type=int, default=100)
-    p_fuzz.add_argument("--atoms", type=int, default=6)
+    p_fuzz.add_argument("--count", type=_at_least(0), default=100)
+    p_fuzz.add_argument("--atoms", type=_at_least(1), default=6)
     p_fuzz.add_argument("--seed", type=int, default=0)
     p_fuzz.set_defaults(run=_cmd_fuzz)
 

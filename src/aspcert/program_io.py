@@ -34,23 +34,20 @@ class ParseError(ValueError):
 
 
 def _statements(text: str) -> Iterator[tuple[int, str]]:
-    """Yield (line, statement) pairs, splitting on '.' outside comments."""
-    stripped = re.sub(r"%[^\n]*", "", text)
-    buf: list[str] = []
+    """Yield (line, statement) pairs, splitting on '.' outside comments.
+
+    A statement's line is that of its first non-blank character, or of its
+    '.' when it is empty.
+    """
+    *chunks, rest = re.sub(r"%[^\n]*", "", text).split(".")
     line = 1
-    start = line
-    for ch in stripped:
-        if ch == ".":
-            yield start, "".join(buf).strip()
-            buf = []
-            start = line
-        else:
-            if ch == "\n":
-                line += 1
-            if not buf and not ch.isspace():
-                start = line
-            buf.append(ch)
-    if "".join(buf).strip():
+    for chunk in chunks:
+        stmt = chunk.lstrip()
+        yield line + chunk.count("\n", 0, len(chunk) - len(stmt)), stmt.rstrip()
+        line += chunk.count("\n")
+    stmt = rest.lstrip()
+    if stmt:
+        start = line + rest.count("\n", 0, len(rest) - len(stmt))
         raise ParseError(f"line {start}: statement not terminated by '.'")
 
 

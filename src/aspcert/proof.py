@@ -150,13 +150,14 @@ def parse_proof(text: str) -> Proof:
 
 
 def serialize_step(step: Step) -> str:
-    if step.kind in ("a", "d", "l"):
-        body = list(step.lits)
-    elif step.kind == "u":
-        body = [len(step.unfounded), *step.unfounded, *step.lits]
+    kind = step.kind
+    if kind in ("a", "d", "l"):
+        body = step.lits
+    elif kind == "u":
+        body = (len(step.unfounded), *step.unfounded, *step.lits)
     else:
-        body = [step.head, *step.lits]
-    return " ".join(str(tok) for tok in (step.kind, *body, 0))
+        body = (step.head, *step.lits)
+    return " ".join(map(str, (kind, *body, 0)))
 
 
 def serialize_proof(proof: Proof) -> str:
@@ -165,8 +166,9 @@ def serialize_proof(proof: Proof) -> str:
 
 
 def sorted_lits(lits: Iterable[int]) -> tuple[int, ...]:
-    """Canonical literal order for generated steps: by variable id."""
-    return tuple(sorted(lits, key=lambda l: (abs(l), -l)))
+    """Canonical literal order for generated steps: by variable id, +v before -v."""
+    # Sorting descending first leaves +v ahead of -v for the stable sort by id.
+    return tuple(sorted(sorted(lits, reverse=True), key=abs))
 
 
 def declare_bodies(

@@ -27,6 +27,22 @@ watch turns true, when it is found as a conflict. Conflict detection and
 soundness are unaffected. A search that rescanned the kept trail would
 propagate such a nogood at once, so proofs match that search only as far as
 compared corpora, such as the one behind the pinned hash in the tests, show.
+
+Set-up (`load_completion`) makes one pass over the body catalog and builds
+every completion nogood directly as a tuple in `sorted_lits` order: by
+variable id, +v before -v. For each body B, in id order, the literals are
+sorted once; that tuple is B's b line, the definition nogood is the tuple
+followed by -B (a body id is above every atom id), and (-l, B) follows for
+each literal l in the same order. Next comes one support nogood
+(a, -B1, ..., -Bk), body ids ascending, per atom in atom order, and last the
+rule-firing nogoods (-a, B) in rule order, without duplicates or choice
+rules. This is the order, and the content, of sorted_lits applied to
+completion.py's body_definition, forward_family and backward_family, which
+the tests check. A support or rule-firing nogood carries the s or c line it
+is logged with the first time it fires; an s line lists the bodies in
+catalog order. `attach` sorts learned and loop nogoods into the same order
+and hands them to the same `attach_sorted` core, which watches the first two
+entries of a nogood with no assigned literal.
 """
 
 from __future__ import annotations
@@ -35,14 +51,7 @@ import random
 from dataclasses import dataclass
 from typing import IO
 
-from .completion import (
-    DEFAULT_BODY_BUDGET,
-    BodyRegistry,
-    backward_family,
-    body_catalog,
-    body_definition,
-    forward_family,
-)
+from .completion import DEFAULT_BODY_BUDGET, body_catalog, induced_bodies_of_rule
 from .core import Nogood, Program, RuleKind
 from .loops import (
     cyclic_atoms, dependency_graph, external_bodies, loop_nogood, strongly_connected_components,
@@ -51,6 +60,10 @@ from .proof import Proof, Step, serialize_step, sorted_lits
 
 HEURISTICS = ("min-true", "min-false", "random")
 RESTART_INTERVAL = 100
+
+# The kind, head and literals of the step a completion nogood is logged with
+# the first time it fires; the Step is only built then.
+Tag = tuple[str, int, tuple[int, ...]]
 
 CONSISTENT = "CONSISTENT"
 INCONSISTENT = "INCONSISTENT"
@@ -100,14 +113,15 @@ class _Search:
         self.steps: list[Step] = []
 
         self.catalog = body_catalog(program, budget, defer_over_budget=True)
-        self.registry = BodyRegistry(program.atom_count)
-        for body in self.catalog.order:
-            self.registry.intern(body)
+        self.body_ids = {
+            body: body_id
+            for body_id, body in enumerate(self.catalog.order, program.atom_count + 1)
+        }
         self.var_count = program.atom_count + len(self.catalog.order)
         self.cyclic = cyclic
-        self.supports: dict[int, list[tuple[frozenset[int], int, frozenset[int]]]] = {
+        self.supports: dict[int, list[tuple[int, frozenset[int]]]] = {
             atom: [
-                (body, self.registry.id_of(body), frozenset(l for l in body if l > 0))
+                (self.body_ids[body], frozenset(l for l in body if l > 0))
                 for body in self.catalog.bodies_of(atom)
             ]
             for atom in self.cyclic
@@ -126,7 +140,7 @@ class _Search:
         self.nogoods: list[tuple[int, ...] | None] = []
         self.watched: list[tuple[int, int]] = []
         self.watches: list[list[int]] = [[] for _ in range(size)]
-        self.tags: list[Step | None] = []
+        self.tags: list[Tag | None] = []
         self.recorded: set[int] = set()
         self.learned_idxs: list[int] = []
         self.loop_seen: set[Nogood] = set()
@@ -143,7 +157,8 @@ class _Search:
         tag = self.tags[idx]
         if tag is not None and idx not in self.recorded:
             self.recorded.add(idx)
-            self.emit(tag)
+            kind, head, lits = tag
+            self.emit(Step(kind, head=head, lits=lits))
 
     # -- assignment ------------------------------------------------------------
 
@@ -180,9 +195,14 @@ class _Search:
 
     # -- nogood store ------------------------------------------------------------
 
-    def attach(self, lits: Nogood, tag: Step | None, learned: bool = False) -> int | None:
+    def attach(self, lits: Nogood, tag: Tag | None, learned: bool = False) -> int | None:
         """Add a nogood; returns its index as a conflict if currently violated."""
-        entries = sorted_lits(lits)
+        return self.attach_sorted(sorted_lits(lits), tag, learned)
+
+    def attach_sorted(
+        self, entries: tuple[int, ...], tag: Tag | None, learned: bool = False
+    ) -> int | None:
+        """attach() for a nogood already in sorted_lits order."""
         idx = len(self.nogoods)
         self.nogoods.append(entries)
         self.tags.append(tag)
@@ -190,6 +210,16 @@ class _Search:
             self.learned_idxs.append(idx)
 
         val = self.val
+        for l in entries:
+            if val[l] is not None:
+                break
+        else:
+            if len(entries) > 1:
+                first, second = entries[0], entries[1]
+                self.watched.append((first, second))
+                self.watches[first].append(idx)
+                self.watches[second].append(idx)
+                return None
         falses: list[int] = []
         frees: list[int] = []
         trues: list[int] = []
@@ -227,6 +257,37 @@ class _Search:
 
     def detach(self, idx: int) -> None:
         self.nogoods[idx] = None
+
+    def load_completion(self) -> bool:
+        """Log the b lines and attach the completion; True if a nogood is violated.
+
+        Body definitions come first, body by body, then one support nogood
+        per atom, then the rule-firing nogoods, each built straight in
+        sorted_lits order (see the module docstring).
+        """
+        attach, emit, body_ids = self.attach_sorted, self.emit, self.body_ids
+        violated = False
+        for body_id, body in enumerate(self.catalog.order, self.program.atom_count + 1):
+            lits = sorted_lits(body)
+            emit(Step("b", head=body_id, lits=lits))
+            violated |= attach(lits + (-body_id,), None) is not None
+            for lit in lits:
+                violated |= attach((-lit, body_id), None) is not None
+        for atom in self.program.atom_ids():
+            ids = tuple(body_ids[body] for body in self.catalog.bodies_of(atom))
+            entries = (atom, *[-b for b in sorted(ids)])
+            violated |= attach(entries, ("s", atom, ids)) is not None
+        seen: set[tuple[int, int]] = set()
+        for rule in self.program.rules:
+            if rule.kind is RuleKind.CHOICE:
+                continue
+            for atom in rule.head:
+                for body in induced_bodies_of_rule(rule, atom):
+                    entries = (-atom, body_ids[body])
+                    if entries not in seen:
+                        seen.add(entries)
+                        violated |= attach(entries, ("c", entries[1], (atom,))) is not None
+        return violated
 
     # -- propagation ------------------------------------------------------------
 
@@ -282,7 +343,7 @@ class _Search:
                 return None
             atoms = sorted(component)
             bodies = external_bodies(self.program, self.catalog, component)
-            lam = loop_nogood(atoms[0], (self.registry.id_of(b) for b in bodies))
+            lam = loop_nogood(atoms[0], (self.body_ids[b] for b in bodies))
             if lam in self.loop_seen:
                 raise AssertionError("unfounded component recurred")
             self.loop_seen.add(lam)
@@ -305,7 +366,7 @@ class _Search:
         while changed:
             changed = False
             for atom in sorted(unmarked):
-                for _, body_id, pos in self.supports[atom]:
+                for body_id, pos in self.supports[atom]:
                     if val[body_id] is False or pos & unmarked:
                         continue
                     unmarked.discard(atom)
@@ -317,7 +378,7 @@ class _Search:
         # so a source SCC is one whose members need nothing outside it.
         needs: dict[int, set[int]] = {atom: set() for atom in unmarked}
         for atom in unmarked:
-            for _, body_id, pos in self.supports[atom]:
+            for body_id, pos in self.supports[atom]:
                 if val[body_id] is not False:
                     needs[atom].update(pos & unmarked)
         components = [frozenset(c) for c in strongly_connected_components(needs)]
@@ -404,10 +465,11 @@ class _Search:
                     self.emit(Step("a"))
                     return SolveResult(INCONSISTENT, proof=Proof(tuple(self.steps)))
                 learned, target = self.analyze(conflict, conflict_level)
-                self.emit(Step("a", lits=sorted_lits(learned)))
+                entries = sorted_lits(learned)
+                self.emit(Step("a", lits=entries))
                 self.conflicts += 1
                 self.backjump(target)
-                self.attach(learned, None, learned=True)
+                self.attach_sorted(entries, None, learned=True)
                 if restarts and self.conflicts % RESTART_INTERVAL == 0:
                     self.backjump(0)
                     self.forget_learned()
@@ -445,27 +507,7 @@ def solve(
             UNKNOWN, reason="weight rule expansion exceeds the body budget"
         )
 
-    for body_id, body in search.registry.public_items():
-        search.emit(Step("b", head=body_id, lits=sorted_lits(body)))
-
-    init_conflict: int | None = None
-
-    def attach_init(nogood: Nogood, tag: Step | None) -> None:
-        nonlocal init_conflict
-        conflict = search.attach(nogood, tag)
-        if init_conflict is None:
-            init_conflict = conflict
-
-    for body_id, body in search.registry.public_items():
-        for nogood in body_definition(body_id, body):
-            attach_init(nogood, None)
-    for atom, body_ids, nogood in forward_family(program, search.catalog, search.registry):
-        attach_init(nogood, Step("s", head=atom, lits=body_ids))
-    for nogood in backward_family(program, search.catalog, search.registry):
-        body_id = next(l for l in nogood if l > 0)
-        atom = next(-l for l in nogood if l < 0)
-        attach_init(nogood, Step("c", head=body_id, lits=(atom,)))
-    if init_conflict is not None:
+    if search.load_completion():
         search.emit(Step("a"))
         return SolveResult(INCONSISTENT, proof=Proof(tuple(search.steps)))
     return search.run(restarts)

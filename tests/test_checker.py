@@ -5,7 +5,9 @@ import random
 import pytest
 
 from aspcert.checker import CheckerState, ProofFormatError, check
+from aspcert.completion import INTERNAL_ID_BASE, body_catalog
 from aspcert.core import Program, basic_rule
+from aspcert.fuzz import random_program, random_rich_program
 from aspcert.oracle import enumerate_answer_sets
 from aspcert.proof import Proof, Step, parse_proof
 from aspcert.program_io import emit_program, parse_program
@@ -128,6 +130,17 @@ def _shifted(program):
     return Program(program.atom_names, rules)
 
 
+def _random_disjunctive_program(rng):
+    """Two to eight rules over two to four atoms, heads of one or two atoms."""
+    atoms = range(1, rng.randint(2, 4) + 1)
+    rules = []
+    for _ in range(rng.randint(2, 8)):
+        body = rng.sample(atoms, rng.randint(0, 2))
+        neg = {a for a in body if rng.random() < 0.3}
+        rules.append(basic_rule(rng.sample(atoms, rng.randint(1, 2)), set(body) - neg, neg))
+    return Program(tuple("abcd"[: len(atoms)]), tuple(rules))
+
+
 def test_shifted_proofs_never_refute_a_consistent_disjunctive_program():
     # Shifting a program that is not head-cycle-free can lose answer sets,
     # so the solver then refutes the shifted program of a consistent one;
@@ -135,18 +148,104 @@ def test_shifted_proofs_never_refute_a_consistent_disjunctive_program():
     rng = random.Random(3)
     refuted = 0
     for _ in range(1500):
-        atoms = range(1, rng.randint(2, 4) + 1)
-        rules = []
-        for _ in range(rng.randint(2, 8)):
-            body = rng.sample(atoms, rng.randint(0, 2))
-            neg = {a for a in body if rng.random() < 0.3}
-            rules.append(basic_rule(rng.sample(atoms, rng.randint(1, 2)), set(body) - neg, neg))
-        program = Program(tuple("abcd"[: len(atoms)]), tuple(rules))
+        program = _random_disjunctive_program(rng)
         result = solve(_shifted(program))
         if result.status == INCONSISTENT and enumerate_answer_sets(program, cap=1):
             refuted += 1
             assert not check(program, result.proof).ok, emit_program(program)
     assert refuted >= 5
+
+
+def _random_step_line(rng, program, bodies):
+    """One proof line of a random kind that parse_proof accepts.
+
+    Ids come from the atoms and the next few ids, with an occasional id
+    from the reserved internal range, so atoms, bodies and extension
+    variables collide often. Atom fields mostly name atoms, and b steps
+    mostly declare one of the program's induced bodies.
+    """
+    atoms = range(1, program.atom_count + 1)
+    ids = range(1, program.atom_count + len(bodies) + 3)
+
+    def var(atom=False):
+        if rng.random() < 0.05:
+            return INTERNAL_ID_BASE
+        return rng.choice(atoms if atom and rng.random() < 0.9 else ids)
+
+    def lits(most):
+        return [v if rng.random() < 0.5 else -v for v in (var() for _ in range(rng.randint(0, most)))]
+
+    def atom_set():
+        return list(dict.fromkeys(var(atom=True) for _ in range(rng.randint(1, 3))))
+
+    kind = rng.choice("acsedlub")
+    if kind in "ad":
+        payload = lits(3)
+    elif kind == "c":
+        payload = [var(), *(var(atom=True) for _ in range(1 if rng.random() < 0.9 else 2))]
+    elif kind == "s":
+        payload = [var(atom=True), *(var() for _ in range(rng.randint(0, 3)))]
+    elif kind == "e":
+        payload = [var()]
+    elif kind == "b":
+        if bodies and rng.random() < 0.7:
+            payload = [var(), *sorted(rng.choice(bodies), key=abs)]
+        else:
+            payload = [var(), *lits(3)]
+    elif kind == "l":
+        payload = atom_set()
+    else:
+        unfounded = atom_set()
+        payload = [len(unfounded), *unfounded, *lits(3)]
+    return " ".join(map(str, (kind, *payload, 0)))
+
+
+def test_random_step_sequences_never_refute_a_consistent_program():
+    """Grammar-drawn proofs over all eight step kinds must never check against
+    a program that has an answer set.
+
+    Each proof grows one drawn line at a time: the checker runs on the proof
+    so far plus the new line, and the line is kept when the checker gets
+    past it, so that proofs reach deep states. A line may fail or be
+    ill-formed (ProofFormatError); any other exception is a checker bug.
+    """
+    rng = random.Random(41)
+    generators = (random_program, random_rich_program, _random_disjunctive_program)
+    programs = []
+    while len(programs) < 60:
+        generate = generators[len(programs) % len(generators)]
+        if generate is _random_disjunctive_program:
+            program = generate(rng)
+        else:
+            program = generate(rng, max_atoms=4, max_rules=8)
+        if enumerate_answer_sets(program, cap=1):
+            programs.append(program)
+    kept = set()
+    for program in programs:
+        bodies = list(body_catalog(program).order)
+        # Half the proofs that are not preloaded start by declaring every
+        # consistent body the way the solver does, so that c and s lines
+        # name known bodies.
+        declared = [
+            " ".join(map(str, ("b", body_id, *sorted(body, key=abs), 0)))
+            for body_id, body in enumerate(bodies, program.atom_count + 1)
+            if all(-lit not in body for lit in body)
+        ]
+        for _ in range(8):
+            options = {"preloaded": rng.random() < 0.2, "strict_delete": rng.random() < 0.2}
+            lines = declared[:] if not options["preloaded"] and rng.random() < 0.5 else []
+            for _ in range(24):
+                line = "a 0" if rng.random() < 0.15 else _random_step_line(rng, program, bodies)
+                text = "".join(f"{kept_line}\n" for kept_line in (*lines, line))
+                try:
+                    result = check(program, parse_proof(text), **options)
+                except ProofFormatError:
+                    continue
+                assert not result.ok, emit_program(program) + text
+                if result.step is None:
+                    lines.append(line)
+                    kept.add(line[0])
+    assert kept == set("acsedlub")
 
 
 def test_extension_variable_must_be_fresh():

@@ -146,8 +146,33 @@ def test_fuzz_accepts_atom_bound(capsys):
     assert main(["fuzz", "--count", "5", "--atoms", "4", "--seed", "1"]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fuzz", "--atoms", "0"], "argument --atoms: must be at least 1, got 0"),
+        (["fuzz", "--atoms", "-3"], "argument --atoms: must be at least 1, got -3"),
+        (["fuzz", "--count", "-1"], "argument --count: must be at least 0, got -1"),
+        (["fuzz", "--count", "x"], "argument --count: invalid integer 'x'"),
+        (["oracle", "p.lp", "--max-models", "0"], "argument --max-models: must be at least 1, got 0"),
+    ],
+)
+def test_out_of_range_numbers_exit_2(argv, message, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
 def test_missing_file_exits_2(tmp_path):
     assert main(["solve", str(tmp_path / "absent.lp")]) == 2
+
+
+def test_parse_error_names_the_statement_line(write, capsys):
+    path = write("p.lp", "a.\nb :- .\n")
+    assert main(["solve", path]) == 2
+    assert capsys.readouterr().err.endswith(": line 2: rule body is empty\n")
 
 
 def test_parse_error_exits_2(write):

@@ -69,6 +69,27 @@ def test_parse_errors():
             parse_program(bad)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a.\nb :- .\n", "line 2: rule body is empty"),
+        ("a.\n\n  % note\n\n  b :- 1c.\n", "line 5: bad literal '1c'"),
+        ("a. b :-\n  c, d :- e.\n", "line 1: more than one ':-'"),
+        ("a.\n\n..\n", "line 3: empty statement"),
+        ("a.\nb :- c\n", "line 2: statement not terminated by '.'"),
+        ("a.\n\n\n", None),
+    ],
+)
+def test_parse_errors_name_the_statement_line(text, message):
+    """An error names the line where its statement starts, not the previous '.'."""
+    if message is None:
+        assert parse_program(text).atom_count == 1
+        return
+    with pytest.raises(ParseError) as caught:
+        parse_program(text)
+    assert str(caught.value) == message
+
+
 def test_empty_constraint_is_rejected_but_empty_program_ok():
     assert parse_program("").atom_count == 0
     assert parse_program("  \n% nothing\n").rules == ()

@@ -53,6 +53,12 @@ def test_sorted_lits_order():
     assert sorted_lits(()) == ()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=-9, max_value=9).filter(bool), max_size=12))
+def test_sorted_lits_matches_the_keyed_sort(lits):
+    assert sorted_lits(lits) == tuple(sorted(lits, key=lambda l: (abs(l), -l)))
+
+
 def test_serialize_frozen_lines():
     assert serialize_step(Step("s", head=1, lits=(10, 6))) == "s 1 10 6 0"
     assert serialize_step(Step("b", head=12, lits=(-1, -5))) == "b 12 -1 -5 0"

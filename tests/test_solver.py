@@ -8,10 +8,17 @@ import pytest
 
 import aspcert.solver as solver_module
 from aspcert.checker import check
-from aspcert.completion import DEFAULT_BODY_BUDGET
+from aspcert.completion import (
+    DEFAULT_BODY_BUDGET,
+    BodyRegistry,
+    backward_family,
+    body_definition,
+    forward_family,
+)
 from aspcert.fuzz import random_program, random_rich_program
 from aspcert.oracle import enumerate_answer_sets, is_answer_set
-from aspcert.proof import serialize_proof
+from aspcert.loops import cyclic_atoms, dependency_graph
+from aspcert.proof import Step, serialize_proof, sorted_lits
 from aspcert.program_io import parse_program
 from aspcert.solver import (
     CONSISTENT,
@@ -213,6 +220,51 @@ def test_search_and_proofs_are_pinned(monkeypatch):
                 answer = sorted(result.answer_set or ())
                 digest.update(f"{result.status} {answer}\n{sink.getvalue()}".encode())
     assert digest.hexdigest() == PINNED_DIGEST
+
+
+def _reference_setup(search):
+    """b lines and tagged completion nogoods as completion.py's families give them."""
+    program, catalog = search.program, search.catalog
+    registry = BodyRegistry(program.atom_count)
+    for body in catalog.order:
+        registry.intern(body)
+    bodies = registry.public_items()
+    steps = [Step("b", head=body_id, lits=sorted_lits(body)) for body_id, body in bodies]
+    nogoods = [
+        (nogood, None)
+        for body_id, body in bodies
+        for nogood in body_definition(body_id, body)
+    ]
+    nogoods += [
+        (nogood, ("s", atom, body_ids))
+        for atom, body_ids, nogood in forward_family(program, catalog, registry)
+    ]
+    for nogood in backward_family(program, catalog, registry):
+        (atom,) = (-lit for lit in nogood if lit < 0)
+        (body_id,) = (lit for lit in nogood if lit > 0)
+        nogoods.append((nogood, ("c", body_id, (atom,))))
+    return steps, [(sorted_lits(nogood), tag) for nogood, tag in nogoods]
+
+
+def test_setup_attaches_the_completion_families_in_order(ex1_program):
+    """The one-pass set-up logs the same b lines and attaches the same nogoods,
+    in the same order and with the same tags, as sorted_lits applied to
+    body_definition (bodies in id order), forward_family and backward_family."""
+    rng = random.Random(37)
+    programs = [ex1_program]
+    for index in range(300):
+        generate = random_rich_program if index % 2 else random_program
+        programs.append(generate(rng, max_atoms=8, max_rules=16))
+    for program in programs:
+        search = solver_module._Search(
+            program, "min-true", random.Random(0), None, DEFAULT_BODY_BUDGET,
+            cyclic_atoms(dependency_graph(program)),
+        )
+        search.load_completion()
+        steps, nogoods = _reference_setup(search)
+        # c and s steps of nogoods that fire as they are attached come after.
+        assert search.steps[: len(steps)] == steps
+        assert list(zip(search.nogoods, search.tags)) == nogoods
 
 
 def test_branch_picks_the_smallest_unassigned_variable(monkeypatch):
