@@ -27,7 +27,6 @@ from .completion import (
     body_catalog,
     body_definition,
     forward_nogood,
-    induced_bodies_of_rule,
 )
 from .core import Nogood, Program, Rule, RuleKind, is_consistent
 from .loops import dependency_graph, external_bodies, is_loop, is_unfounded_set, loop_nogood
@@ -90,10 +89,10 @@ class CheckerState:
         )
         self.backward_pairs = frozenset(
             (atom, body)
-            for rule in program.rules
+            for rule, per_atom in zip(program.rules, self.catalog.by_rule)
             if rule.kind is not RuleKind.CHOICE and rule not in self.catalog.deferred
-            for atom in rule.head
-            for body in induced_bodies_of_rule(rule, atom)
+            for atom, bodies in per_atom
+            for body in bodies
         )
         self.step_no = 0
         self.line: int | None = None

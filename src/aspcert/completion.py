@@ -80,13 +80,15 @@ class BodyCatalog:
     """All induced bodies of a program, in deterministic first-use order.
 
     shifted lists the disjunctive rules, whose bodies the catalog holds
-    shifted.
+    shifted. by_rule holds, per rule in program order, the (head atom,
+    induced bodies) pairs the rule contributes; a deferred rule has none.
     """
 
     ib: dict[int, tuple[frozenset[int], ...]]
     order: tuple[frozenset[int], ...]
     deferred: tuple[Rule, ...]
     shifted: tuple[Rule, ...]
+    by_rule: tuple[list[tuple[int, list[frozenset[int]]]], ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_index", frozenset(self.order))
@@ -113,6 +115,7 @@ def body_catalog(
     order: list[frozenset[int]] = []
     seen_global: set[frozenset[int]] = set()
     deferred: list[Rule] = []
+    by_rule: list[list[tuple[int, list[frozenset[int]]]]] = []
     for rule in program.rules:
         try:
             per_atom = [(a, induced_bodies_of_rule(rule, a, budget)) for a in rule.head]
@@ -120,7 +123,9 @@ def body_catalog(
             if not defer_over_budget:
                 raise
             deferred.append(rule)
+            by_rule.append([])
             continue
+        by_rule.append(per_atom)
         for atom, bodies in per_atom:
             for body in bodies:
                 if body not in per_atom_seen[atom]:
@@ -134,6 +139,7 @@ def body_catalog(
         tuple(order),
         tuple(deferred),
         tuple(rule for rule in program.rules if rule.is_disjunctive),
+        tuple(by_rule),
     )
 
 

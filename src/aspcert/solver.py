@@ -43,15 +43,31 @@ is logged with the first time it fires; an s line lists the bodies in
 catalog order. `attach` sorts learned and loop nogoods into the same order
 and hands them to the same `attach_sorted` core, which watches the first two
 entries of a nogood with no assigned literal.
+
+The unfounded-set check after each watch fixpoint is incremental. `clean` is
+a trail length at which the last check found no unfounded set; a check scans
+only the trail past it for a literal that makes a support body (a body of a
+cyclic atom) false, and when there is none it returns at once and moves the
+mark to the end of the trail. Otherwise it runs the full computation, so the
+component picked, and every l step, are those of a check from scratch. This
+is exact: the greatest unfounded set depends only on which cyclic atoms and
+which of their support bodies are false, a newly false atom can only shrink
+it, so a set that was empty stays empty until a support body falls. A
+backjump keeps the trail up to a decision, and a decision is only taken
+once the check has come back empty, so a backjump lowers the mark to its
+cut. The empty trail is not clean: a loop with no external body is unfounded
+before anything is assigned, so the mark starts at -1, and a check that
+finds a component leaves it where it was.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 from typing import IO
 
-from .completion import DEFAULT_BODY_BUDGET, body_catalog, induced_bodies_of_rule
+from .completion import DEFAULT_BODY_BUDGET, body_catalog
 from .core import Nogood, Program, RuleKind
 from .loops import (
     cyclic_atoms, dependency_graph, external_bodies, loop_nogood, strongly_connected_components,
@@ -126,6 +142,10 @@ class _Search:
             ]
             for atom in self.cyclic
         }
+        # The literals that make a support body false, and the trail length
+        # at which the last unfounded-set check found none (-1: not yet).
+        self.fallen = frozenset(-b for supports in self.supports.values() for b, _ in supports)
+        self.clean = -1
 
         size = 2 * self.var_count + 1
         self.val: list[bool | None] = [None] * size
@@ -191,6 +211,8 @@ class _Search:
         del self.trail_lim[target:]
         self.cursor = lowest
         self.qhead = cut
+        if cut < self.clean:
+            self.clean = cut
         self.dl = target
 
     # -- nogood store ------------------------------------------------------------
@@ -278,11 +300,11 @@ class _Search:
             entries = (atom, *[-b for b in sorted(ids)])
             violated |= attach(entries, ("s", atom, ids)) is not None
         seen: set[tuple[int, int]] = set()
-        for rule in self.program.rules:
+        for rule, per_atom in zip(self.program.rules, self.catalog.by_rule):
             if rule.kind is RuleKind.CHOICE:
                 continue
-            for atom in rule.head:
-                for body in induced_bodies_of_rule(rule, atom):
+            for atom, bodies in per_atom:
+                for body in bodies:
                     entries = (-atom, body_ids[body])
                     if entries not in seen:
                         seen.add(entries)
@@ -292,12 +314,18 @@ class _Search:
     # -- propagation ------------------------------------------------------------
 
     def propagate(self) -> int | None:
-        """Run the watch loop to fixpoint; returns a violated nogood's index."""
-        trail, val = self.trail, self.val
-        nogoods, watched, watches = self.nogoods, self.watched, self.watches
-        while self.qhead < len(trail):
-            lit = trail[self.qhead]
-            self.qhead += 1
+        """Run the watch loop to fixpoint; returns a violated nogood's index.
+
+        A nogood of two literals watches both, so it never looks for a
+        replacement watch; implied literals are assigned inline, as assign()
+        would.
+        """
+        trail, val, level, reason = self.trail, self.val, self.level, self.reason
+        nogoods, watched, watches, tags = self.nogoods, self.watched, self.watches, self.tags
+        dl, qhead = self.dl, self.qhead
+        while qhead < len(trail):
+            lit = trail[qhead]
+            qhead += 1
             idxs = watches[lit]
             if not idxs:
                 continue
@@ -310,26 +338,38 @@ class _Search:
                 w1, w2 = watched[idx]
                 if w2 == lit and w1 != lit:
                     w1, w2 = w2, w1
-                for cand in entries:
-                    if cand != w1 and cand != w2 and val[cand] is not True:
-                        watched[idx] = (cand, w2)
-                        watches[cand].append(idx)
-                        break
-                else:
-                    kept.append(idx)
-                    other = val[w2] if w2 != w1 else True
-                    if other is False:
+                if len(entries) > 2:
+                    for cand in entries:
+                        if cand != w1 and cand != w2 and val[cand] is not True:
+                            watched[idx] = (cand, w2)
+                            watches[cand].append(idx)
+                            break
+                    else:
+                        cand = 0  # no replacement: literal 0 never occurs
+                    if cand:
                         continue
+                kept.append(idx)
+                other = val[w2] if w2 != w1 else True
+                if other is False:
+                    continue
+                if tags[idx] is not None:
                     self.record(idx)
-                    if other is None:
-                        self.assign(-w2, idx)
-                        continue
-                    conflict = idx
-                    kept.extend(idxs[pos + 1 :])
-                    break
+                if other is None:
+                    val[w2] = False
+                    val[-w2] = True
+                    var = w2 if w2 > 0 else -w2
+                    level[var] = dl
+                    reason[var] = idx
+                    trail.append(-w2)
+                    continue
+                conflict = idx
+                kept.extend(idxs[pos + 1 :])
+                break
             watches[lit] = kept
             if conflict is not None:
+                self.qhead = qhead
                 return conflict
+        self.qhead = qhead
         return None
 
     def propagate_full(self) -> int | None:
@@ -353,6 +393,20 @@ class _Search:
                 return conflict
 
     def _unfounded_component(self) -> frozenset[int] | None:
+        """_greatest_unfounded_component, skipped while no support body fell.
+
+        See the module docstring for why the clean mark is exact.
+        """
+        trail = self.trail
+        if self.clean >= 0 and self.fallen.isdisjoint(islice(trail, self.clean, None)):
+            self.clean = len(trail)
+            return None
+        component = self._greatest_unfounded_component()
+        if component is None:
+            self.clean = len(trail)
+        return component
+
+    def _greatest_unfounded_component(self) -> frozenset[int] | None:
         """A source SCC of the support graph on the greatest unfounded set.
 
         Among several source SCCs the one whose least atom is smallest wins;

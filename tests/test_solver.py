@@ -222,6 +222,50 @@ def test_search_and_proofs_are_pinned(monkeypatch):
     assert digest.hexdigest() == PINNED_DIGEST
 
 
+def _random_graph(vertices, rng):
+    """Three distinct random successors per vertex."""
+    return {
+        u: sorted(rng.sample([v for v in range(1, vertices + 1) if v != u], 3))
+        for u in range(1, vertices + 1)
+    }
+
+
+def test_lazy_unfounded_check_matches_full_recomputation(monkeypatch):
+    """At every call the clean-mark check returns what the full computation from
+    an empty mark returns, and on a 10-vertex graph it mostly skips that work."""
+    monkeypatch.setattr(solver_module, "RESTART_INTERVAL", 8)
+    full = solver_module._Search._greatest_unfounded_component
+    lazy = solver_module._Search._unfounded_component
+    counts = {"calls": 0, "full": 0}
+
+    def counted_full(search):
+        counts["full"] += 1
+        return full(search)
+
+    def checked(search):
+        got = lazy(search)
+        assert got == full(search)
+        counts["calls"] += 1
+        return got
+
+    monkeypatch.setattr(solver_module._Search, "_greatest_unfounded_component", counted_full)
+    monkeypatch.setattr(solver_module._Search, "_unfounded_component", checked)
+    rng = random.Random(43)
+    for index in range(300):
+        generate = random_rich_program if index % 2 else random_program
+        program = generate(rng, max_atoms=8, max_rules=16)
+        for heuristic in HEURISTICS:
+            for restarts in (False, True):
+                solve(program, heuristic=heuristic, restarts=restarts, seed=index)
+    for graph in (_NO_PATH_GRAPH, _random_graph(8, random.Random(2))):
+        for heuristic in HEURISTICS:
+            solve(parse_program(_hampath_text(graph)), heuristic=heuristic, seed=1)
+    assert counts["calls"] > 1000
+    counts.update(calls=0, full=0)
+    solve(parse_program(_hampath_text(_random_graph(10, random.Random(5)))))
+    assert counts["calls"] > 100 and 2 * counts["full"] < counts["calls"]
+
+
 def _reference_setup(search):
     """b lines and tagged completion nogoods as completion.py's families give them."""
     program, catalog = search.program, search.catalog
