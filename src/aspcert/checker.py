@@ -9,6 +9,12 @@ keeps between tests; l and u steps are validated against
 the dependency graph and the unfounded-set conditions; d steps remove one
 instance. The proof succeeds when the empty nogood is present at the end.
 
+One BodyRegistry owns every variable id above the atoms: b steps declare
+bodies, e steps extension variables, and bodies a proof never names (l-step
+externals, the preloaded completion) take the lowest free id from a high
+base. An id names one body or one extension variable and keeps that
+meaning, so a b or e step that reuses an id is refused.
+
 Two error classes mirror the CLI exit codes: ProofFormatError means the proof
 is ill-formed relative to the program (unknown ids, redeclared bodies, ...),
 while a failed semantic condition yields an unsuccessful CheckResult naming
@@ -21,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .completion import (
-    INTERNAL_ID_BASE,
+    DEFAULT_BODY_BUDGET,
     BodyCatalog,
     BodyRegistry,
     body_catalog,
@@ -71,18 +77,15 @@ class CheckerState:
         *,
         preloaded: bool = False,
         strict_delete: bool = False,
-        budget: int | None = None,
+        budget: int = DEFAULT_BODY_BUDGET,
     ) -> None:
         self.program = program
         self.preloaded = preloaded
         self.strict_delete = strict_delete
-        self.catalog: BodyCatalog = body_catalog(
-            program, budget if budget is not None else 4096, defer_over_budget=True
-        )
+        self.catalog: BodyCatalog = body_catalog(program, budget)
         self.registry = BodyRegistry(program.atom_count)
         self.graph = dependency_graph(program)
         self.store = NogoodStore()
-        self.ext_vars: set[int] = set()
         self.propagators: list[WeightRulePropagator] = []
         self.deferred_heads = frozenset(
             a for rule in self.catalog.deferred for a in rule.head
@@ -132,16 +135,9 @@ class CheckerState:
 
     # -- variable vocabulary -------------------------------------------------
 
-    def _known_var(self, var: int) -> bool:
-        return (
-            1 <= var <= self.program.atom_count
-            or self.registry.has_id(var)
-            or var in self.ext_vars
-        )
-
     def _require_known(self, lits: tuple[int, ...]) -> None:
         for lit in lits:
-            if not self._known_var(abs(lit)):
+            if not self.registry.knows(abs(lit)):
                 raise ProofFormatError(
                     f"{self._where()}: unknown variable {abs(lit)}"
                 )
@@ -177,10 +173,6 @@ class CheckerState:
             raise ProofFormatError(
                 f"{self._where()}: literal set is not an induced body "
                 "of the program (or its expansion exceeds the budget)"
-            )
-        if step.head in self.ext_vars:
-            raise ProofFormatError(
-                f"{self._where()}: body id {step.head} is already an extension variable"
             )
         try:
             self.registry.declare(step.head, body)
@@ -227,13 +219,10 @@ class CheckerState:
 
     def _step_e(self, step: Step) -> None:
         self._require_known(step.lits)
-        if step.head >= INTERNAL_ID_BASE:
-            raise ProofFormatError(
-                f"{self._where()}: extension variable {step.head} lies in the reserved range"
-            )
-        if self._known_var(step.head):
-            raise _StepError("extension variable is not fresh")
-        self.ext_vars.add(step.head)
+        try:
+            self.registry.extend(step.head)
+        except ValueError:
+            raise _StepError("extension variable is not fresh") from None
         delta = frozenset(step.lits)
         self.store.insert(delta | {-step.head})
         for lit in step.lits:
@@ -272,7 +261,7 @@ class CheckerState:
             raise ProofFormatError(
                 f"{self._where()}: contradictory assignment literals"
             )
-        named = sorted({abs(lit) for lit in step.lits} & self.ext_vars)
+        named = sorted(abs(lit) for lit in step.lits if self.registry.is_extension(abs(lit)))
         if named:
             raise ProofFormatError(
                 f"{self._where()}: assignment names extension variable {named[0]}"
@@ -299,7 +288,7 @@ def check(
     *,
     preloaded: bool = False,
     strict_delete: bool = False,
-    budget: int | None = None,
+    budget: int = DEFAULT_BODY_BUDGET,
 ) -> CheckResult:
     """Check a proof of inconsistency for the program."""
     state = CheckerState(

@@ -10,14 +10,15 @@ Every body gets a variable of its own. The three nogood families are:
   ({F a, T B}).
 
 Disjunctive rules induce one shifted body per head atom (body plus the
-negations of the other head atoms); weight rules induce one body per
-subset-minimal set of weighted literals reaching the bound.
+negations of the other head atoms; none when another head atom is in the
+positive body, since that body could never hold); weight rules induce one
+body per subset-minimal set of weighted literals reaching the bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .core import Nogood, Program, Rule, RuleKind, basic_rule
 
@@ -71,7 +72,10 @@ def induced_bodies_of_rule(rule: Rule, atom: int, budget: int | None = None) -> 
         return minimal_weight_sets(dict(rule.weights), rule.bound, budget)
     body = rule.body_literals()
     if rule.is_disjunctive:
-        return [body | frozenset(-b for b in rule.head if b != atom)]
+        others = [b for b in rule.head if b != atom]
+        if any(b in rule.pos_body for b in others):
+            return []
+        return [body | frozenset(-b for b in others)]
     return [body]
 
 
@@ -100,15 +104,11 @@ class BodyCatalog:
         return body in self._index
 
 
-def body_catalog(
-    program: Program,
-    budget: int | None = DEFAULT_BODY_BUDGET,
-    defer_over_budget: bool = False,
-) -> BodyCatalog:
+def body_catalog(program: Program, budget: int | None = DEFAULT_BODY_BUDGET) -> BodyCatalog:
     """Collect induced bodies per atom; weight rules expand under the budget.
 
-    With defer_over_budget, rules whose expansion overruns the budget are
-    returned unexpanded in .deferred instead of raising.
+    Rules whose expansion overruns the budget are returned unexpanded in
+    .deferred.
     """
     ib: dict[int, list[frozenset[int]]] = {atom: [] for atom in program.atom_ids()}
     per_atom_seen: dict[int, set[frozenset[int]]] = {a: set() for a in program.atom_ids()}
@@ -120,8 +120,6 @@ def body_catalog(
         try:
             per_atom = [(a, induced_bodies_of_rule(rule, a, budget)) for a in rule.head]
         except BudgetError:
-            if not defer_over_budget:
-                raise
             deferred.append(rule)
             by_rule.append([])
             continue
@@ -144,28 +142,44 @@ def body_catalog(
 
 
 class BodyRegistry:
-    """Bijective map between body literal sets and body variable ids.
+    """The one owner of every variable id above the atoms.
 
-    Public ids live right above the atom ids and are either declared
-    explicitly (proof b lines) or interned in allocation order (solver).
-    Internal ids live in a reserved high range for bodies a proof never
-    names (preloaded completion, loop-step externals).
+    Each such id names exactly one body or one extension variable, and keeps
+    that meaning. Proof b lines declare bodies under the ids they give and e
+    lines add extension variables; intern gives a body the lowest free id
+    right above the atoms, and intern_internal the lowest free id from
+    INTERNAL_ID_BASE up, for bodies a proof never names (preloaded
+    completion, loop-step externals), so that they leave the low ids to the
+    proof. has_id, id_of and lits_of speak of bodies only.
     """
 
     def __init__(self, atom_count: int) -> None:
         self.atom_count = atom_count
         self._by_id: dict[int, frozenset[int]] = {}
         self._by_lits: dict[frozenset[int], int] = {}
-        self._next = atom_count + 1
-        self._next_internal = INTERNAL_ID_BASE
+        self._extensions: set[int] = set()
+        self._cursor: dict[int, int] = {}
+
+    def knows(self, var: int) -> bool:
+        """Is var an atom, a body or an extension variable?"""
+        return 1 <= var <= self.atom_count or var in self._by_id or var in self._extensions
+
+    def is_extension(self, var: int) -> bool:
+        return var in self._extensions
+
+    def _claim(self, var: int) -> None:
+        if var <= self.atom_count:
+            raise ValueError(f"id {var} collides with an atom id")
+        if var in self._by_id or var in self._extensions:
+            raise ValueError(f"id {var} is already defined")
+
+    def extend(self, var: int) -> None:
+        """Make var an extension variable; it must be a fresh id above the atoms."""
+        self._claim(var)
+        self._extensions.add(var)
 
     def declare(self, body_id: int, lits: frozenset[int]) -> None:
-        if body_id <= self.atom_count:
-            raise ValueError(f"body id {body_id} collides with an atom id")
-        if body_id >= INTERNAL_ID_BASE:
-            raise ValueError(f"body id {body_id} lies in the reserved range")
-        if body_id in self._by_id:
-            raise ValueError(f"body id {body_id} is already defined")
+        self._claim(body_id)
         if lits in self._by_lits:
             raise ValueError(
                 f"body {sorted(lits)} is already named by id {self._by_lits[lits]}"
@@ -173,25 +187,24 @@ class BodyRegistry:
         self._by_id[body_id] = lits
         self._by_lits[lits] = body_id
 
-    def intern(self, lits: frozenset[int]) -> int:
+    def _intern(self, lits: frozenset[int], start: int) -> int:
+        """The body's id; a new body takes the lowest free id from start up."""
         existing = self._by_lits.get(lits)
         if existing is not None:
             return existing
-        while self._next in self._by_id:
-            self._next += 1
-        self._by_id[self._next] = lits
-        self._by_lits[lits] = self._next
-        return self._next
-
-    def intern_internal(self, lits: frozenset[int]) -> int:
-        existing = self._by_lits.get(lits)
-        if existing is not None:
-            return existing
-        body_id = self._next_internal
-        self._next_internal += 1
+        body_id = self._cursor.get(start, start)
+        while self.knows(body_id):
+            body_id += 1
+        self._cursor[start] = body_id + 1
         self._by_id[body_id] = lits
         self._by_lits[lits] = body_id
         return body_id
+
+    def intern(self, lits: frozenset[int]) -> int:
+        return self._intern(lits, self.atom_count + 1)
+
+    def intern_internal(self, lits: frozenset[int]) -> int:
+        return self._intern(lits, INTERNAL_ID_BASE)
 
     def id_of(self, lits: frozenset[int]) -> int:
         return self._by_lits[lits]
@@ -204,9 +217,6 @@ class BodyRegistry:
 
     def has_lits(self, lits: frozenset[int]) -> bool:
         return lits in self._by_lits
-
-    def items(self) -> Iterator[tuple[int, frozenset[int]]]:
-        return iter(sorted(self._by_id.items()))
 
     def public_items(self) -> list[tuple[int, frozenset[int]]]:
         return [(i, b) for i, b in sorted(self._by_id.items()) if i < INTERNAL_ID_BASE]
@@ -224,11 +234,6 @@ def forward_nogood(atom: int, body_ids: Iterable[int]) -> Nogood:
     return frozenset({atom, *(-b for b in body_ids)})
 
 
-def backward_nogood(atom: int, body_id: int) -> Nogood:
-    """Rule-firing nogood: a true body forbids a false head atom."""
-    return frozenset({-atom, body_id})
-
-
 def forward_family(
     program: Program, catalog: BodyCatalog, registry: BodyRegistry
 ) -> list[tuple[int, tuple[int, ...], Nogood]]:
@@ -243,7 +248,7 @@ def forward_family(
 def backward_family(
     program: Program, catalog: BodyCatalog, registry: BodyRegistry
 ) -> list[Nogood]:
-    """Rule-firing nogoods for non-choice rules, deduplicated, rule order."""
+    """Rule-firing nogoods {F a, T B} for non-choice rules, deduplicated, rule order."""
     out: list[Nogood] = []
     seen: set[Nogood] = set()
     deferred = set(map(id, catalog.deferred))
@@ -252,27 +257,19 @@ def backward_family(
             continue
         for atom in rule.head:
             for body in induced_bodies_of_rule(rule, atom):
-                nogood = backward_nogood(atom, registry.id_of(body))
+                nogood = frozenset({-atom, registry.id_of(body)})
                 if nogood not in seen:
                     seen.add(nogood)
                     out.append(nogood)
     return out
 
 
-def is_short_body_form(program: Program, catalog: BodyCatalog | None = None) -> bool:
-    """Each atom has at most one body, or only bodies of at most one literal."""
-    catalog = catalog or body_catalog(program)
-    return all(
-        len(bodies) <= 1 or all(len(b) <= 1 for b in bodies)
-        for bodies in (catalog.bodies_of(a) for a in program.atom_ids())
-    )
-
-
 def normalize_short_body(program: Program) -> Program:
     """Name long bodies of multi-rule atoms with fresh auxiliary atoms.
 
     Only defined for normal programs. The result has the same answer sets
-    when projected to the original atoms and satisfies is_short_body_form.
+    when projected to the original atoms, and every atom has at most one
+    body or only bodies of at most one literal.
     """
     for rule in program.rules:
         if rule.kind is not RuleKind.BASIC or len(rule.head) != 1:

@@ -15,34 +15,11 @@ from typing import Iterable, Iterator, Mapping, Sequence
 Nogood = frozenset[int]
 Assignment = frozenset[int]
 
-EMPTY_NOGOOD: Nogood = frozenset()
-
-
-def complement(literal: int) -> int:
-    """Flip the sign of a signed variable."""
-    return -literal
-
-
-def variable(literal: int) -> int:
-    """Strip the sign of a signed variable."""
-    return abs(literal)
-
 
 def is_consistent(literals: Iterable[int]) -> bool:
     """Check that no variable occurs with both signs."""
     seen = set(literals)
     return not any(-lit in seen for lit in seen)
-
-
-def make_assignment(literals: Iterable[int]) -> Assignment:
-    """Build an assignment, rejecting contradictory literal sets."""
-    lits = frozenset(literals)
-    if 0 in lits:
-        raise ValueError("0 is not a signed variable")
-    if not is_consistent(lits):
-        clash = sorted(v for v in lits if -v in lits and v > 0)
-        raise ValueError(f"contradictory assignment on variables {clash}")
-    return lits
 
 
 class RuleKind(Enum):
@@ -166,16 +143,3 @@ class Program:
 
     def name(self, atom_id: int) -> str:
         return self.atom_names[atom_id - 1]
-
-    def literal_str(self, lit: int) -> str:
-        name = self.name(abs(lit)) if abs(lit) <= self.atom_count else str(abs(lit))
-        return name if lit > 0 else f"not {name}"
-
-
-def induced_assignment(program: Program, body_literals: Iterable[int]) -> Assignment:
-    """Map a body literal set to the assignment it requires of its atoms."""
-    lits = list(body_literals)
-    for lit in lits:
-        if not 1 <= abs(lit) <= program.atom_count:
-            raise ValueError(f"unknown atom id {abs(lit)}")
-    return make_assignment(lits)

@@ -201,19 +201,3 @@ def emit_program(program: Program) -> str:
         body = _body_text(program, rule)
         lines.append(f"{head} :- {body}." if body else f"{head}.")
     return "\n".join(lines) + "\n"
-
-
-def emit_dictionary(program: Program, bodies: dict[int, frozenset[int]] | None = None) -> str:
-    """Render the variable map, one `<id> <name>` line per atom, ascending.
-
-    Body variables (optional) follow the atoms; their "name" is the
-    comma-joined literal text in braces.
-    """
-    lines = [f"{i} {name}" for i, name in enumerate(program.atom_names, start=1)]
-    for body_id in sorted(bodies or {}):
-        lits = sorted(bodies[body_id], key=lambda l: (abs(l), -l))
-        text = ", ".join(_literal_text(program, lit) for lit in lits)
-        lines.append(f"{body_id} {{{text}}}")
-    if not lines:
-        return ""
-    return "\n".join(lines) + "\n"

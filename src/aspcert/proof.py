@@ -6,8 +6,8 @@ write true as +id and false as -id. Line forms:
     a <tv>... 0          add a nogood with the reverse-unit-propagation property
     c <body> <atom>... 0 add the rule-firing nogood {F atoms..., T body}
     s <atom> <body>... 0 add the support nogood {T atom, F bodies...}
-    e <var> 0            extension: a fresh var below the internal id range, fixed
-                         true by the nogood {F var}
+    e <var> 0            extension: a fresh var above the atoms that no body or
+                         extension variable holds, fixed true by the nogood {F var}
     d <tv>... 0          delete one instance of the nogood
     l <atom>... 0        add the loop nogood for the atom set (first atom kept)
     u <k> <atom>{k} <tv>... 0  unfounded set, then the excluded assignment
@@ -22,10 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
-
-from .completion import BodyCatalog, BodyRegistry
-from .core import Program
-from .loops import external_bodies
 
 STEP_KINDS = frozenset("acsedlub")
 
@@ -169,29 +165,3 @@ def sorted_lits(lits: Iterable[int]) -> tuple[int, ...]:
     """Canonical literal order for generated steps: by variable id, +v before -v."""
     # Sorting descending first leaves +v ahead of -v for the stable sort by id.
     return tuple(sorted(sorted(lits, reverse=True), key=abs))
-
-
-def declare_bodies(
-    proof: Proof, program: Program, catalog: BodyCatalog, registry: BodyRegistry
-) -> Proof:
-    """Prepend b steps for bodies the proof references but never declares.
-
-    Covers body ids named by c/s steps and the external bodies of l steps;
-    ids must already be known to the registry.
-    """
-    declared = {step.head for step in proof if step.kind == "b"}
-    referenced: set[int] = set()
-    for step in proof:
-        if step.kind == "c":
-            referenced.add(step.head)
-        elif step.kind == "s":
-            referenced.update(step.lits)
-        elif step.kind == "l":
-            for body in external_bodies(program, catalog, step.lits):
-                referenced.add(registry.id_of(body))
-    missing = sorted(referenced - declared)
-    prefix = tuple(
-        Step("b", head=body_id, lits=sorted_lits(registry.lits_of(body_id)))
-        for body_id in missing
-    )
-    return Proof(prefix + proof.steps)

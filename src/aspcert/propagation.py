@@ -461,8 +461,3 @@ class WeightRulePropagator:
                         if conflict is not None:
                             return conflict, []
         return None, derivations
-
-
-def weight_propagate(rule: Rule, assignment: Assignment) -> tuple[Nogood | None, list[Derivation]]:
-    """One propagation round for a weight rule taken as its head's only support."""
-    return WeightRulePropagator(rule)(assignment)

@@ -128,7 +128,7 @@ class _Search:
         self.sink = sink
         self.steps: list[Step] = []
 
-        self.catalog = body_catalog(program, budget, defer_over_budget=True)
+        self.catalog = body_catalog(program, budget)
         self.body_ids = {
             body: body_id
             for body_id, body in enumerate(self.catalog.order, program.atom_count + 1)

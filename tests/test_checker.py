@@ -8,6 +8,7 @@ from aspcert.checker import CheckerState, ProofFormatError, check
 from aspcert.completion import INTERNAL_ID_BASE, body_catalog
 from aspcert.core import Program, basic_rule
 from aspcert.fuzz import random_program, random_rich_program
+from aspcert.loops import dependency_graph, strongly_connected_components
 from aspcert.oracle import enumerate_answer_sets
 from aspcert.proof import Proof, Step, parse_proof
 from aspcert.program_io import emit_program, parse_program
@@ -141,27 +142,54 @@ def _random_disjunctive_program(rng):
     return Program(tuple("abcd"[: len(atoms)]), tuple(rules))
 
 
+def _head_cycle_free(program):
+    """No two head atoms of a disjunctive rule share a positive SCC."""
+    components = strongly_connected_components(dependency_graph(program))
+    scc_of = {atom: i for i, component in enumerate(components) for atom in component}
+    return all(
+        len({scc_of[a] for a in rule.head}) == len(rule.head)
+        for rule in program.rules
+        if rule.is_disjunctive
+    )
+
+
+def test_shifted_proof_of_a_rule_whose_head_meets_its_body_checks():
+    # a | b :- b. shifts to b :- b, not a. alone: the shifted a :- b, not b.
+    # never fires, so a has no support and the program is inconsistent.
+    program = parse_program("a | b :- b.\n:- not a.\n")
+    result = solve(_shifted(program))
+    assert result.status == INCONSISTENT
+    assert check(program, result.proof).ok
+
+
 def test_shifted_proofs_never_refute_a_consistent_disjunctive_program():
     # Shifting a program that is not head-cycle-free can lose answer sets,
     # so the solver then refutes the shifted program of a consistent one;
-    # that proof must fail against the disjunctive original.
+    # that proof must fail against the disjunctive original. Shifting a
+    # head-cycle-free program keeps its answer sets, and the proof of an
+    # inconsistent one must check against the original.
     rng = random.Random(3)
-    refuted = 0
+    refuted = hcf_refuted = 0
     for _ in range(1500):
         program = _random_disjunctive_program(rng)
         result = solve(_shifted(program))
-        if result.status == INCONSISTENT and enumerate_answer_sets(program, cap=1):
+        if result.status != INCONSISTENT:
+            continue
+        if _head_cycle_free(program):
+            hcf_refuted += 1
+            assert check(program, result.proof).ok, emit_program(program)
+        elif enumerate_answer_sets(program, cap=1):
             refuted += 1
             assert not check(program, result.proof).ok, emit_program(program)
-    assert refuted >= 5
+    assert refuted >= 5 and hcf_refuted >= 50
 
 
 def _random_step_line(rng, program, bodies):
     """One proof line of a random kind that parse_proof accepts.
 
-    Ids come from the atoms and the next few ids, with an occasional id
-    from the reserved internal range, so atoms, bodies and extension
-    variables collide often. Atom fields mostly name atoms, and b steps
+    Ids come from the atoms and the next few ids, with an occasional
+    INTERNAL_ID_BASE, the first id of the checker's unnamed bodies, so
+    atoms, bodies and extension variables collide often. Atom fields mostly name atoms, and b steps
     mostly declare one of the program's induced bodies.
     """
     atoms = range(1, program.atom_count + 1)
@@ -308,27 +336,45 @@ def test_format_violations_raise(proof_text, message):
 
 
 @pytest.mark.parametrize(
-    "program_text, proof_text, message",
+    "program_text, proof_text, refusal",
     [
         # {a} and {b} are answer sets; body ids 3 and 4 are first made
         # extension variables, forced true, then declared as bodies
         (
             "a :- not b.\nb :- not a.\n",
             "e 3 0\nb 3 -2 0\ne 4 0\nb 4 -1 0\nc 3 1 0\nc 4 2 0\na 1 0\na 0\n",
-            "already an extension variable",
+            "already defined",
         ),
         # {} is an answer set; the extension variable takes the first id the
-        # l step would give its internal external body {c}
+        # l step would give its internal external body {c}, which therefore
+        # gets the next free one, and the final a step fails
         (
             "a :- b.\nb :- a.\na :- c.\n{c}.\n:- c.\n",
             "e 1099511627776 0\nl 1 2 0\nb 5 3 -4 0\nc 5 4 0\ns 4 5 0\na 4 0\na 0\n",
-            "reserved range",
+            7,
         ),
     ],
 )
-def test_extension_variables_share_no_id_with_bodies(program_text, proof_text, message):
-    with pytest.raises(ProofFormatError, match=message):
-        _check_text(program_text, proof_text)
+def test_extension_variables_share_no_id_with_bodies(program_text, proof_text, refusal):
+    if isinstance(refusal, str):
+        with pytest.raises(ProofFormatError, match=refusal):
+            _check_text(program_text, proof_text)
+    else:
+        result = _check_text(program_text, proof_text)
+        assert (result.ok, result.step) == (False, refusal)
+
+
+@pytest.mark.parametrize(
+    "proof_text",
+    [
+        LOOP_PROOF.replace("a -1 0\n", f"e {INTERNAL_ID_BASE} 0\na -1 0\na -1 {INTERNAL_ID_BASE} 0\n"),
+        LOOP_PROOF.replace(" 6 ", f" {INTERNAL_ID_BASE} ").replace(" 6 0", f" {INTERNAL_ID_BASE} 0"),
+        f"e {INTERNAL_ID_BASE} 0\nl 1 2 0\n" + LOOP_PROOF,
+    ],
+)
+def test_fresh_ids_of_any_size_are_accepted(proof_text):
+    assert str(INTERNAL_ID_BASE) in proof_text
+    assert _check_text(LOOP_TEXT, proof_text).ok
 
 
 def test_support_step_must_match_induced_bodies():

@@ -8,16 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aspcert.completion import (
+    INTERNAL_ID_BASE,
     BodyRegistry,
     BudgetError,
     backward_family,
-    backward_nogood,
     body_catalog,
     body_definition,
     forward_family,
     forward_nogood,
     induced_bodies_of_rule,
-    is_short_body_form,
     minimal_weight_sets,
     normalize_short_body,
 )
@@ -36,6 +35,13 @@ def test_induced_bodies_disjunctive_shifts_other_heads():
     rule = basic_rule((1, 2), pos=(3,))
     assert induced_bodies_of_rule(rule, 1) == [frozenset({3, -2})]
     assert induced_bodies_of_rule(rule, 2) == [frozenset({3, -1})]
+
+
+def test_induced_bodies_disjunctive_drops_contradictory_shifts():
+    # a | b :- b. would shift to a :- b, not b, which never holds.
+    rule = basic_rule((1, 2), pos=(2,))
+    assert induced_bodies_of_rule(rule, 1) == []
+    assert induced_bodies_of_rule(rule, 2) == [frozenset({2, -1})]
 
 
 def test_induced_bodies_weight_rule():
@@ -103,7 +109,10 @@ def test_body_definition_examples():
 def test_forward_and_backward_nogood_shapes():
     assert forward_nogood(1, (10, 6)) == frozenset({1, -10, -6})
     assert forward_nogood(3, ()) == frozenset({3})
-    assert backward_nogood(3, 8) == frozenset({-3, 8})
+    program = parse_program("a :- b.")
+    registry = BodyRegistry(program.atom_count)
+    assert registry.intern(frozenset({2})) == 3
+    assert backward_family(program, body_catalog(program), registry) == [frozenset({-1, 3})]
 
 
 def test_catalog_on_example(ex1_program):
@@ -153,11 +162,9 @@ def test_choice_rules_have_no_backward_but_do_support():
 
 def test_catalog_budget_deferral():
     program = parse_program("a :- 6 <= {b=1,c=1,d=1,e=1,f=1,g=1,h=1,i=1,j=1,k=1,l=1,m=1}.")
-    catalog = body_catalog(program, budget=10, defer_over_budget=True)
+    catalog = body_catalog(program, budget=10)
     assert len(catalog.deferred) == 1
     assert catalog.bodies_of(1) == ()
-    with pytest.raises(BudgetError):
-        body_catalog(program, budget=10)
 
 
 def test_registry_declare_and_intern():
@@ -173,8 +180,33 @@ def test_registry_declare_and_intern():
         registry.declare(3, frozenset({1}))          # collides with atoms
     assert registry.intern(frozenset({-1})) == 7
     assert registry.intern(frozenset({-1})) == 7
-    internal = registry.intern_internal(frozenset({1, 2}))
-    assert internal >= 1 << 40
+    # an id names one body or one extension variable, never both
+    registry.extend(8)
+    assert registry.knows(8) and registry.is_extension(8) and not registry.has_id(8)
+    assert registry.knows(3) and not registry.is_extension(7) and not registry.knows(11)
+    with pytest.raises(ValueError, match="already defined"):
+        registry.declare(8, frozenset({3}))          # extension id as a body
+    with pytest.raises(ValueError, match="already defined"):
+        registry.extend(7)                            # body id as an extension
+    with pytest.raises(ValueError, match="collides"):
+        registry.extend(2)
+    # interning takes the lowest free id and skips ids already taken
+    registry.declare(9, frozenset({3}))
+    assert registry.intern(frozenset({-2})) == 10
+    registry.extend(INTERNAL_ID_BASE)
+    assert registry.intern_internal(frozenset({1, 2})) == INTERNAL_ID_BASE + 1
+    assert registry.intern_internal(frozenset({1, 3})) == INTERNAL_ID_BASE + 2
+    assert registry.intern_internal(frozenset({3})) == 9
+    assert [i for i, _ in registry.public_items()] == [6, 7, 9, 10]
+
+
+def is_short_body_form(program):
+    """Each atom has at most one body, or only bodies of at most one literal."""
+    catalog = body_catalog(program)
+    return all(
+        len(bodies) <= 1 or all(len(b) <= 1 for b in bodies)
+        for bodies in (catalog.bodies_of(a) for a in program.atom_ids())
+    )
 
 
 def test_normalize_short_body_example():

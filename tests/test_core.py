@@ -1,66 +1,20 @@
-"""Core value types: literals, assignments, rules, programs."""
+"""Core value types: literal consistency, rules, programs."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from aspcert.core import (
     Program,
     RuleKind,
     basic_rule,
     choice_rule,
-    complement,
-    induced_assignment,
     is_consistent,
-    make_assignment,
-    variable,
     weight_rule,
 )
-
-literals = st.integers(min_value=-50, max_value=50).filter(lambda x: x != 0)
-
-
-def test_complement_flips_sign_only():
-    assert complement(1) == -1
-    assert complement(-6) == 6
-    assert variable(complement(9)) == 9
-
-
-@given(literals)
-def test_complement_is_an_involution(lit):
-    assert complement(complement(lit)) == lit
-
-
-def test_make_assignment_rejects_contradiction():
-    with pytest.raises(ValueError):
-        make_assignment([1, -1])
 
 
 def test_is_consistent():
     assert is_consistent([1, 2, -3])
     assert not is_consistent([2, -2])
-
-
-@given(st.lists(literals))
-def test_make_assignment_never_holds_both_signs(lits):
-    if not is_consistent(lits):
-        with pytest.raises(ValueError):
-            make_assignment(lits)
-        return
-    assignment = make_assignment(lits)
-    assert not any(-lit in assignment for lit in assignment)
-
-
-def test_induced_assignment_examples(ex1_program):
-    # atoms a..e are 1..5
-    assert induced_assignment(ex1_program, [3, -5]) == frozenset({3, -5})
-    assert induced_assignment(ex1_program, []) == frozenset()
-    assert induced_assignment(ex1_program, [2, 4]) == frozenset({2, 4})
-
-
-def test_induced_assignment_rejects_unknown_atom(ex1_program):
-    with pytest.raises(ValueError):
-        induced_assignment(ex1_program, [6])
 
 
 def test_basic_rule_construction():
@@ -110,7 +64,6 @@ def test_program_atom_table():
     assert list(program.atom_ids()) == [1, 2]
     assert program.atom("q") == 2
     assert program.name(1) == "p"
-    assert program.literal_str(-2) == "not q"
 
 
 def test_program_rejects_out_of_range_rule_atoms():

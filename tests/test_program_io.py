@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from aspcert.core import RuleKind
 from aspcert.fuzz import random_program
-from aspcert.program_io import ParseError, emit_dictionary, emit_program, parse_program
+from aspcert.program_io import ParseError, emit_program, parse_program
 
 import random
 
@@ -93,18 +93,6 @@ def test_parse_errors_name_the_statement_line(text, message):
 def test_empty_constraint_is_rejected_but_empty_program_ok():
     assert parse_program("").atom_count == 0
     assert parse_program("  \n% nothing\n").rules == ()
-
-
-def test_emit_dictionary(ex1_program):
-    lines = emit_dictionary(ex1_program).splitlines()
-    assert lines[0] == "1 a"
-    assert lines[4] == "5 e"
-    assert emit_dictionary(parse_program("")) == ""
-
-
-def test_emit_dictionary_includes_generated_atoms():
-    program = parse_program(":- a.")
-    assert "__bot1" in emit_dictionary(program)
 
 
 def test_emit_parse_roundtrip_on_example(ex1_program):

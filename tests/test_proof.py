@@ -1,15 +1,13 @@
-"""Proof text parsing, serialization, and body declaration."""
+"""Proof text parsing and serialization."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aspcert.completion import BodyRegistry, body_catalog
 from aspcert.proof import (
     Proof,
     ProofSyntaxError,
     Step,
-    declare_bodies,
     parse_proof,
     serialize_proof,
     serialize_step,
@@ -140,34 +138,3 @@ step_strategy = st.one_of(
 def test_step_roundtrip(steps):
     proof = Proof(tuple(steps))
     assert parse_proof(serialize_proof(proof)) == proof
-
-
-def _fig1_registry(program, fig1_text):
-    registry = BodyRegistry(program.atom_count)
-    for step in parse_proof(fig1_text):
-        if step.kind == "b":
-            registry.declare(step.head, frozenset(step.lits))
-    return registry
-
-
-def test_declare_bodies_prepends_missing_declarations(ex1_program, fig1_text):
-    full = parse_proof(fig1_text)
-    bare = Proof(tuple(s for s in full if s.kind != "b"))
-    catalog = body_catalog(ex1_program)
-    registry = _fig1_registry(ex1_program, fig1_text)
-    assert declare_bodies(bare, ex1_program, catalog, registry) == full
-
-
-def test_declare_bodies_keeps_complete_proofs(ex1_program, fig1_text):
-    full = parse_proof(fig1_text)
-    catalog = body_catalog(ex1_program)
-    registry = _fig1_registry(ex1_program, fig1_text)
-    assert declare_bodies(full, ex1_program, catalog, registry) == full
-
-
-def test_declare_bodies_requires_known_ids(ex1_program):
-    proof = parse_proof("c 99 1 0\na 0\n")
-    catalog = body_catalog(ex1_program)
-    registry = BodyRegistry(ex1_program.atom_count)
-    with pytest.raises(KeyError):
-        declare_bodies(proof, ex1_program, catalog, registry)

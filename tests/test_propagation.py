@@ -16,7 +16,6 @@ from aspcert.propagation import (
     is_rup,
     rup_run,
     unit_propagate,
-    weight_propagate,
 )
 from aspcert.solver import solve
 
@@ -108,7 +107,7 @@ def test_rup_additions_are_entailed(nogoods, delta):
 
 def test_weight_propagate_head_from_satisfied_body():
     rule = weight_rule(1, 2, {2: 1, 3: 1, -4: 2})
-    conflict, derivations = weight_propagate(rule, frozenset({-4}))
+    conflict, derivations = WeightRulePropagator(rule)(frozenset({-4}))
     assert conflict is None
     assert [lit for lit, _ in derivations] == [1]
     literal, reason = derivations[0]
@@ -117,19 +116,19 @@ def test_weight_propagate_head_from_satisfied_body():
 
 def test_weight_propagate_body_literal_from_false_head():
     rule = weight_rule(1, 2, {2: 1, 3: 1, -4: 2})
-    conflict, derivations = weight_propagate(rule, frozenset({-1, 4, 2}))
+    conflict, derivations = WeightRulePropagator(rule)(frozenset({-1, 4, 2}))
     assert conflict is None
     assert [lit for lit, _ in derivations] == [-3]
 
 
 def test_weight_propagate_quiet_on_empty_assignment():
     rule = weight_rule(1, 2, {2: 1, 3: 1, -4: 2})
-    assert weight_propagate(rule, frozenset()) == (None, [])
+    assert WeightRulePropagator(rule)(frozenset()) == (None, [])
 
 
 def test_weight_propagate_conflict():
     rule = weight_rule(1, 2, {2: 1, 3: 1, -4: 2})
-    conflict, _ = weight_propagate(rule, frozenset({-1, -4}))
+    conflict, _ = WeightRulePropagator(rule)(frozenset({-1, -4}))
     assert conflict is not None
     assert conflict <= frozenset({-1, -4})
 
