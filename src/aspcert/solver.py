@@ -44,28 +44,26 @@ catalog order. `attach` sorts learned and loop nogoods into the same order
 and hands them to the same `attach_sorted` core, which watches the first two
 entries of a nogood with no assigned literal.
 
-The unfounded-set check after each watch fixpoint is incremental. `clean` is
-a trail length at which the last check found no unfounded set; a check scans
-only the trail past it for a literal that makes a support body (a body of a
-cyclic atom) false, and when there is none it returns at once and moves the
-mark to the end of the trail. Otherwise it runs the full computation, so the
-component picked, and every l step, are those of a check from scratch. This
-is exact: the greatest unfounded set depends only on which cyclic atoms and
-which of their support bodies are false, a newly false atom can only shrink
-it, so a set that was empty stays empty until a support body falls. A
-backjump keeps the trail up to a decision, and a decision is only taken
-once the check has come back empty, so a backjump lowers the mark to its
-cut. The empty trail is not clean: a loop with no external body is unfounded
-before anything is assigned, so the mark starts at -1, and a check that
-finds a component leaves it where it was.
+An atom whose every body contains its own negation is self-blocking: it is
+false in every answer set. Each integrity constraint's `__botK` atom is one.
+Set-up finds them in its support-nogood loop and, once the completion is
+attached, assigns each one false at level 0 through the unit nogood {a}, so
+search never branches on them. Their lines are written lazily: `pending`
+maps each such atom to its support nogood's index. Before an a line is
+written (a learned nogood, or the empty nogood of a refutation in search or
+set-up), `justify` walks back through the level-0 reasons of the level-0
+literals that line rests on, and for each pending atom it reaches writes the
+atom's s line and then `a <atom> 0`, which is RUP from that s nogood and the
+b-line definition nogoods {B, a}. The walk visits each level-0 variable at
+most once per search and stops once nothing is pending. Most constraints
+take no part in a refutation, so most of these lines are never written.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import islice
-from typing import IO
+from typing import IO, Iterable
 
 from .completion import DEFAULT_BODY_BUDGET, body_catalog
 from .core import Nogood, Program, RuleKind
@@ -142,10 +140,11 @@ class _Search:
             ]
             for atom in self.cyclic
         }
-        # The literals that make a support body false, and the trail length
-        # at which the last unfounded-set check found none (-1: not yet).
-        self.fallen = frozenset(-b for supports in self.supports.values() for b, _ in supports)
-        self.clean = -1
+        # Self-blocking atoms whose lines are not written yet, each mapped to
+        # its support nogood's index, and the level-0 variables justify() has
+        # visited.
+        self.pending: dict[int, int] = {}
+        self.justified: set[int] = set()
 
         size = 2 * self.var_count + 1
         self.val: list[bool | None] = [None] * size
@@ -211,8 +210,6 @@ class _Search:
         del self.trail_lim[target:]
         self.cursor = lowest
         self.qhead = cut
-        if cut < self.clean:
-            self.clean = cut
         self.dl = target
 
     # -- nogood store ------------------------------------------------------------
@@ -280,25 +277,30 @@ class _Search:
     def detach(self, idx: int) -> None:
         self.nogoods[idx] = None
 
-    def load_completion(self) -> bool:
-        """Log the b lines and attach the completion; True if a nogood is violated.
+    def load_completion(self) -> int | None:
+        """Log the b lines and attach the completion; returns a violated nogood's index.
 
         Body definitions come first, body by body, then one support nogood
         per atom, then the rule-firing nogoods, each built straight in
-        sorted_lits order (see the module docstring).
+        sorted_lits order (see the module docstring). Last, each self-blocking
+        atom is set false by the unit nogood {a}, its lines left pending.
         """
         attach, emit, body_ids = self.attach_sorted, self.emit, self.body_ids
-        violated = False
+        conflicts: list[int | None] = []
         for body_id, body in enumerate(self.catalog.order, self.program.atom_count + 1):
             lits = sorted_lits(body)
             emit(Step("b", head=body_id, lits=lits))
-            violated |= attach(lits + (-body_id,), None) is not None
+            conflicts.append(attach(lits + (-body_id,), None))
             for lit in lits:
-                violated |= attach((-lit, body_id), None) is not None
+                conflicts.append(attach((-lit, body_id), None))
+        pending = self.pending
         for atom in self.program.atom_ids():
-            ids = tuple(body_ids[body] for body in self.catalog.bodies_of(atom))
+            bodies = self.catalog.bodies_of(atom)
+            ids = tuple(body_ids[body] for body in bodies)
             entries = (atom, *[-b for b in sorted(ids)])
-            violated |= attach(entries, ("s", atom, ids)) is not None
+            if bodies and -atom in bodies[0] and all(-atom in body for body in bodies):
+                pending[atom] = len(self.nogoods)
+            conflicts.append(attach(entries, ("s", atom, ids)))
         seen: set[tuple[int, int]] = set()
         for rule, per_atom in zip(self.program.rules, self.catalog.by_rule):
             if rule.kind is RuleKind.CHOICE:
@@ -308,8 +310,10 @@ class _Search:
                     entries = (-atom, body_ids[body])
                     if entries not in seen:
                         seen.add(entries)
-                        violated |= attach(entries, ("c", entries[1], (atom,))) is not None
-        return violated
+                        conflicts.append(attach(entries, ("c", entries[1], (atom,))))
+        for atom in pending:
+            conflicts.append(attach((atom,), None))
+        return next((idx for idx in conflicts if idx is not None), None)
 
     # -- propagation ------------------------------------------------------------
 
@@ -393,20 +397,6 @@ class _Search:
                 return conflict
 
     def _unfounded_component(self) -> frozenset[int] | None:
-        """_greatest_unfounded_component, skipped while no support body fell.
-
-        See the module docstring for why the clean mark is exact.
-        """
-        trail = self.trail
-        if self.clean >= 0 and self.fallen.isdisjoint(islice(trail, self.clean, None)):
-            self.clean = len(trail)
-            return None
-        component = self._greatest_unfounded_component()
-        if component is None:
-            self.clean = len(trail)
-        return component
-
-    def _greatest_unfounded_component(self) -> frozenset[int] | None:
         """A source SCC of the support graph on the greatest unfounded set.
 
         Among several source SCCs the one whose least atom is smallest wins;
@@ -441,17 +431,47 @@ class _Search:
 
     # -- conflict analysis ---------------------------------------------------
 
+    def justify(self, lits: Iterable[int]) -> None:
+        """Write the lines of every pending self-blocking atom the level-0
+        literals `lits` rest on, walking back through their reasons."""
+        pending, visited = self.pending, self.justified
+        if not pending:
+            return
+        reason, nogoods = self.reason, self.nogoods
+        stack = [abs(l) for l in lits]
+        while stack:
+            var = stack.pop()
+            if var in visited:
+                continue
+            visited.add(var)
+            support = pending.pop(var, None)
+            if support is not None:
+                self.record(support)
+                self.emit(Step("a", lits=(var,)))
+                if not pending:
+                    return
+            idx = reason[var]
+            if idx is not None:
+                for l in nogoods[idx]:
+                    v = l if l > 0 else -l
+                    if v not in visited:
+                        stack.append(v)
+
     def analyze(self, conflict_idx: int, conflict_level: int) -> tuple[Nogood, int]:
         """First-UIP resolution; returns the learned nogood and backjump level."""
         seen: set[int] = set()
         below: list[int] = []
+        roots: list[int] = []
         pending = 0
 
         def merge(lit: int) -> None:
             nonlocal pending
             var = abs(lit)
             lv = self.level[var]
-            if var in seen or lv == 0:
+            if lv == 0:
+                roots.append(var)
+                return
+            if var in seen:
                 return
             seen.add(var)
             if lv == conflict_level:
@@ -477,6 +497,7 @@ class _Search:
                     merge(entry)
         if uip == 0:
             raise AssertionError("conflict analysis found no UIP")
+        self.justify(roots)
         learned = frozenset({uip, *below})
         target = max((self.level[abs(l)] for l in below), default=0)
         return learned, target
@@ -516,6 +537,7 @@ class _Search:
                 entries = self.nogoods[conflict] or ()
                 conflict_level = max((self.level[abs(l)] for l in entries), default=0)
                 if conflict_level == 0:
+                    self.justify(entries)
                     self.emit(Step("a"))
                     return SolveResult(INCONSISTENT, proof=Proof(tuple(self.steps)))
                 learned, target = self.analyze(conflict, conflict_level)
@@ -561,7 +583,9 @@ def solve(
             UNKNOWN, reason="weight rule expansion exceeds the body budget"
         )
 
-    if search.load_completion():
+    conflict = search.load_completion()
+    if conflict is not None:
+        search.justify(search.nogoods[conflict] or ())
         search.emit(Step("a"))
         return SolveResult(INCONSISTENT, proof=Proof(tuple(search.steps)))
     return search.run(restarts)

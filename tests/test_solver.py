@@ -12,13 +12,14 @@ from aspcert.completion import (
     DEFAULT_BODY_BUDGET,
     BodyRegistry,
     backward_family,
+    body_catalog,
     body_definition,
     forward_family,
 )
 from aspcert.fuzz import random_program, random_rich_program
 from aspcert.oracle import enumerate_answer_sets, is_answer_set
 from aspcert.loops import cyclic_atoms, dependency_graph
-from aspcert.proof import Step, serialize_proof, sorted_lits
+from aspcert.proof import Step, parse_proof, serialize_proof, sorted_lits
 from aspcert.program_io import parse_program
 from aspcert.solver import (
     CONSISTENT,
@@ -188,8 +189,9 @@ def _chain_text(length):
 
 
 # sha256 over every run of test_search_and_proofs_are_pinned, recorded when
-# the search state moved from dicts to flat lists without changing a byte.
-PINNED_DIGEST = "08c78ccfe7b653ce42fabb409065e2631f345ef4ac55e44eb62a933fee668867"
+# self-blocking atoms (integrity constraints' __botK) were set false before
+# search, their s and a lines written only when a lemma rests on them.
+PINNED_DIGEST = "0d0b9d1c0dcb1ed3d3bf3c7728cfc6486470eeb576a06914ff0846bb4e646b04"
 
 
 def test_search_and_proofs_are_pinned(monkeypatch):
@@ -222,50 +224,6 @@ def test_search_and_proofs_are_pinned(monkeypatch):
     assert digest.hexdigest() == PINNED_DIGEST
 
 
-def _random_graph(vertices, rng):
-    """Three distinct random successors per vertex."""
-    return {
-        u: sorted(rng.sample([v for v in range(1, vertices + 1) if v != u], 3))
-        for u in range(1, vertices + 1)
-    }
-
-
-def test_lazy_unfounded_check_matches_full_recomputation(monkeypatch):
-    """At every call the clean-mark check returns what the full computation from
-    an empty mark returns, and on a 10-vertex graph it mostly skips that work."""
-    monkeypatch.setattr(solver_module, "RESTART_INTERVAL", 8)
-    full = solver_module._Search._greatest_unfounded_component
-    lazy = solver_module._Search._unfounded_component
-    counts = {"calls": 0, "full": 0}
-
-    def counted_full(search):
-        counts["full"] += 1
-        return full(search)
-
-    def checked(search):
-        got = lazy(search)
-        assert got == full(search)
-        counts["calls"] += 1
-        return got
-
-    monkeypatch.setattr(solver_module._Search, "_greatest_unfounded_component", counted_full)
-    monkeypatch.setattr(solver_module._Search, "_unfounded_component", checked)
-    rng = random.Random(43)
-    for index in range(300):
-        generate = random_rich_program if index % 2 else random_program
-        program = generate(rng, max_atoms=8, max_rules=16)
-        for heuristic in HEURISTICS:
-            for restarts in (False, True):
-                solve(program, heuristic=heuristic, restarts=restarts, seed=index)
-    for graph in (_NO_PATH_GRAPH, _random_graph(8, random.Random(2))):
-        for heuristic in HEURISTICS:
-            solve(parse_program(_hampath_text(graph)), heuristic=heuristic, seed=1)
-    assert counts["calls"] > 1000
-    counts.update(calls=0, full=0)
-    solve(parse_program(_hampath_text(_random_graph(10, random.Random(5)))))
-    assert counts["calls"] > 100 and 2 * counts["full"] < counts["calls"]
-
-
 def _reference_setup(search):
     """b lines and tagged completion nogoods as completion.py's families give them."""
     program, catalog = search.program, search.catalog
@@ -290,10 +248,19 @@ def _reference_setup(search):
     return steps, [(sorted_lits(nogood), tag) for nogood, tag in nogoods]
 
 
+def _self_blocking(program, catalog):
+    """Atoms with at least one body, each of which contains the atom's negation."""
+    return [
+        atom for atom in program.atom_ids()
+        if catalog.bodies_of(atom) and all(-atom in body for body in catalog.bodies_of(atom))
+    ]
+
+
 def test_setup_attaches_the_completion_families_in_order(ex1_program):
     """The one-pass set-up logs the same b lines and attaches the same nogoods,
     in the same order and with the same tags, as sorted_lits applied to
-    body_definition (bodies in id order), forward_family and backward_family."""
+    body_definition (bodies in id order), forward_family and backward_family,
+    and then only the untagged unit nogoods {a} of the self-blocking atoms."""
     rng = random.Random(37)
     programs = [ex1_program]
     for index in range(300):
@@ -308,7 +275,10 @@ def test_setup_attaches_the_completion_families_in_order(ex1_program):
         steps, nogoods = _reference_setup(search)
         # c and s steps of nogoods that fire as they are attached come after.
         assert search.steps[: len(steps)] == steps
-        assert list(zip(search.nogoods, search.tags)) == nogoods
+        attached = list(zip(search.nogoods, search.tags))
+        assert attached[: len(nogoods)] == nogoods
+        units = [((atom,), None) for atom in _self_blocking(program, search.catalog)]
+        assert attached[len(nogoods):] == units
 
 
 def test_branch_picks_the_smallest_unassigned_variable(monkeypatch):
@@ -330,7 +300,7 @@ def test_branch_picks_the_smallest_unassigned_variable(monkeypatch):
 
     monkeypatch.setattr(solver_module._Search, "pick_branch", checked_pick)
     rng = random.Random(29)
-    for index in range(150):
+    for index in range(300):
         generate = random_rich_program if index % 2 else random_program
         program = generate(rng, max_atoms=8, max_rules=16)
         for heuristic in ("min-true", "min-false"):
@@ -386,9 +356,55 @@ def test_trail_stays_level_ordered_under_fuzzing(monkeypatch):
     monkeypatch.setattr(solver_module._Search, "backjump", checked_backjump)
     monkeypatch.setattr(solver_module._Search, "pick_branch", checked_pick)
     rng = random.Random(31)
-    for index in range(150):
+    for index in range(450):
         generate = random_rich_program if index % 2 else random_program
         program = generate(rng, max_atoms=8, max_rules=16)
         for heuristic in HEURISTICS:
             solve(program, heuristic=heuristic, restarts=True, seed=index)
     assert counts["backjumps"] > 100 and counts["decisions"] > 500
+
+
+def test_constraint_atoms_get_lines_only_when_the_refutation_needs_them():
+    """The two constraints on `a` refute the program, so only their atoms get
+    s and a lines; the constraint on `b` (atom __bot3) takes no part and gets none."""
+    program = parse_program("{a}. {b}. :- a. :- not a. :- b.\n")
+    result = solve(program)
+    assert result.status == INCONSISTENT
+    assert check(program, result.proof).ok
+    lines = serialize_proof(result.proof).splitlines()
+    assert lines[-6:] == ["c 9 5 0", "s 4 8 0", "a 4 0", "s 3 7 0", "a 3 0", "a 0"]
+    assert program.name(5) == "__bot3"
+    assert not [line for line in lines if line.split()[:2] in (["s", "5"], ["a", "5"])]
+
+
+def test_self_blocking_lines_come_in_order_and_at_most_once(monkeypatch):
+    """Under every heuristic, with and without restarts, a self-blocking atom's
+    a line follows its s line and is written at most once, and both the proof
+    and the streamed text check."""
+    monkeypatch.setattr(solver_module, "RESTART_INTERVAL", 8)
+    rng = random.Random(53)
+    refuted = justified = 0
+    for index in range(300):
+        generate = random_rich_program if index % 2 else random_program
+        program = generate(rng, max_atoms=8, max_rules=16)
+        blocking = set(_self_blocking(program, body_catalog(program, DEFAULT_BODY_BUDGET)))
+        for heuristic in HEURISTICS:
+            for restarts in (False, True):
+                sink = io.StringIO()
+                result = solve(program, heuristic=heuristic, restarts=restarts, seed=index,
+                               proof_sink=sink)
+                if result.status != INCONSISTENT:
+                    continue
+                refuted += 1
+                supported, asserted = set(), set()
+                for step in result.proof:
+                    if step.kind == "s" and step.head in blocking:
+                        supported.add(step.head)
+                    elif step.kind == "a" and len(step.lits) == 1 and step.lits[0] in blocking:
+                        assert step.lits[0] in supported
+                        assert step.lits[0] not in asserted
+                        asserted.add(step.lits[0])
+                justified += len(asserted)
+                assert check(program, result.proof).ok
+                assert check(program, parse_proof(sink.getvalue())).ok
+    assert refuted > 300 and justified > 300
