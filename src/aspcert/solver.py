@@ -2,11 +2,11 @@
 
 The solver assigns atoms and body variables under the program's completion
 nogoods, learns first-UIP nogoods from conflicts, and breaks unfounded
-positive recursion with loop nogoods. Every step the independent checker
-needs is logged: b lines name all bodies up front, completion nogoods get a
-c or s line the first time they fire, loop nogoods an l line when added,
-learned nogoods an a line, and an inconsistent run ends with the empty
-nogood once a conflict no longer depends on any decision.
+positive recursion with loop nogoods. Learned nogoods get an a line when
+they are learned, and an inconsistent run ends with the empty nogood once a
+conflict no longer depends on any decision. Every other attached nogood
+(completion, loop, and the unit lemmas below) keeps its lines pending until
+an a line rests on it; see "Lazy lines".
 
 Search state lives in flat lists. Variable ids are contiguous, atoms
 1..atom_count and then the bodies in catalog order, so `val` is indexed by
@@ -38,25 +38,34 @@ each literal l in the same order. Next comes one support nogood
 rule-firing nogoods (-a, B) in rule order, without duplicates or choice
 rules. This is the order, and the content, of sorted_lits applied to
 completion.py's body_definition, forward_family and backward_family, which
-the tests check. A support or rule-firing nogood carries the s or c line it
-is logged with the first time it fires; an s line lists the bodies in
-catalog order. `attach` sorts learned and loop nogoods into the same order
-and hands them to the same `attach_sorted` core, which watches the first two
-entries of a nogood with no assigned literal.
+the tests check. A support or rule-firing nogood is tagged with its s or c
+line; an s line lists the bodies in catalog order. `attach` sorts learned
+and loop nogoods into the same order and hands them to the same
+`attach_sorted` core, which watches the first two entries of a nogood with
+no assigned literal.
 
 An atom whose every body contains its own negation is self-blocking: it is
 false in every answer set. Each integrity constraint's `__botK` atom is one.
 Set-up finds them in its support-nogood loop and, once the completion is
 attached, assigns each one false at level 0 through the unit nogood {a}, so
-search never branches on them. Their lines are written lazily: `pending`
-maps each such atom to its support nogood's index. Before an a line is
-written (a learned nogood, or the empty nogood of a refutation in search or
-set-up), `justify` walks back through the level-0 reasons of the level-0
-literals that line rests on, and for each pending atom it reaches writes the
-atom's s line and then `a <atom> 0`, which is RUP from that s nogood and the
-b-line definition nogoods {B, a}. The walk visits each level-0 variable at
-most once per search and stops once nothing is pending. Most constraints
-take no part in a refutation, so most of these lines are never written.
+search never branches on them. Its line is the lemma `a <atom> 0`, which is
+RUP from the atom's support nogood and the definitions {B, a} of its bodies.
+
+Lazy lines. A first-UIP nogood follows by resolution from the conflict
+nogood and the reasons `analyze` resolved on, so it is RUP against those
+and the level-0 reasons behind their level-0 literals. Before each a line
+(a learned nogood or the final empty one), `write_needed` collects those
+nogoods, walking the level-0 reasons at most once per variable and search,
+adds the support nogood of each unit lemma among them, and writes the
+pending lines of the batch in nogood-index order. A nogood's lines are a
+b line for each body it mentions whose b line is still pending, then its
+own c, s, l or a line; a body definition has only its b line. So an s line
+follows the b lines of all its bodies, an l line those of its external
+bodies (the checker would otherwise name them itself and refuse a later b
+line for them), and an a line those of every body id it names. Extra
+nogoods never break a RUP test, so a line written late never breaks a later
+a line. A proof holds only the lines some lemma rests on, and a run that
+never refutes anything writes no line.
 """
 
 from __future__ import annotations
@@ -75,8 +84,9 @@ from .proof import Proof, Step, serialize_step, sorted_lits
 HEURISTICS = ("min-true", "min-false", "random")
 RESTART_INTERVAL = 100
 
-# The kind, head and literals of the step a completion nogood is logged with
-# the first time it fires; the Step is only built then.
+# The kind, head and literals of the line a nogood is written with once a
+# lemma rests on it; the Step is only built then. An a tag is a self-blocking
+# atom's unit lemma, and its head is the index of the support nogood it rests on.
 Tag = tuple[str, int, tuple[int, ...]]
 
 CONSISTENT = "CONSISTENT"
@@ -124,7 +134,7 @@ class _Search:
         self.heuristic = heuristic
         self.rng = rng
         self.sink = sink
-        self.steps: list[Step] = []
+        self.steps: list[Step] | None = [] if sink is None else None
 
         self.catalog = body_catalog(program, budget)
         self.body_ids = {
@@ -140,10 +150,11 @@ class _Search:
             ]
             for atom in self.cyclic
         }
-        # Self-blocking atoms whose lines are not written yet, each mapped to
-        # its support nogood's index, and the level-0 variables justify() has
-        # visited.
-        self.pending: dict[int, int] = {}
+        # Body ids whose b line is not written yet, with the line's literals;
+        # indices of attached nogoods whose lines are not written yet; and the
+        # level-0 variables whose reasons write_needed() has visited.
+        self.body_lines: dict[int, tuple[int, ...]] = {}
+        self.unwritten: set[int] = set()
         self.justified: set[int] = set()
 
         size = 2 * self.var_count + 1
@@ -160,7 +171,6 @@ class _Search:
         self.watched: list[tuple[int, int]] = []
         self.watches: list[list[int]] = [[] for _ in range(size)]
         self.tags: list[Tag | None] = []
-        self.recorded: set[int] = set()
         self.learned_idxs: list[int] = []
         self.loop_seen: set[Nogood] = set()
         self.conflicts = 0
@@ -168,16 +178,52 @@ class _Search:
     # -- proof emission ------------------------------------------------------
 
     def emit(self, step: Step) -> None:
-        self.steps.append(step)
-        if self.sink is not None:
+        if self.steps is None:
             self.sink.write(serialize_step(step) + "\n")
+        else:
+            self.steps.append(step)
 
-    def record(self, idx: int) -> None:
-        tag = self.tags[idx]
-        if tag is not None and idx not in self.recorded:
-            self.recorded.add(idx)
-            kind, head, lits = tag
-            self.emit(Step(kind, head=head, lits=lits))
+    def write_needed(self, idxs: Iterable[int], roots: Iterable[int]) -> None:
+        """Write the pending lines of nogoods `idxs` and of the level-0 reasons
+        behind the variables `roots`, walking back through those reasons."""
+        unwritten, tags = self.unwritten, self.tags
+        batch = {idx for idx in idxs if idx in unwritten}
+        reason, nogoods, visited = self.reason, self.nogoods, self.justified
+        stack = [abs(v) for v in roots if abs(v) not in visited]
+        while stack:
+            var = stack.pop()
+            if var in visited:
+                continue
+            visited.add(var)
+            idx = reason[var]
+            if idx in unwritten:
+                batch.add(idx)
+            for l in nogoods[idx]:
+                v = l if l > 0 else -l
+                if v not in visited:
+                    stack.append(v)
+        for idx in list(batch):
+            tag = tags[idx]
+            if tag is not None and tag[0] == "a" and tag[1] in unwritten:
+                batch.add(tag[1])
+        body_lines, emit = self.body_lines, self.emit
+        for idx in sorted(batch):
+            unwritten.discard(idx)
+            for l in nogoods[idx]:
+                body = l if l > 0 else -l
+                if body in body_lines:
+                    emit(Step("b", head=body, lits=body_lines.pop(body)))
+            tag = tags[idx]
+            if tag is not None:
+                kind, head, lits = tag
+                emit(Step(kind, head=0 if kind == "a" else head, lits=lits))
+
+    def refute(self, conflict: int) -> SolveResult:
+        """Write the lines a level-0 conflict rests on, then the empty nogood."""
+        self.write_needed((conflict,), self.nogoods[conflict])
+        self.emit(Step("a"))
+        steps = self.steps
+        return SolveResult(INCONSISTENT, proof=None if steps is None else Proof(tuple(steps)))
 
     # -- assignment ------------------------------------------------------------
 
@@ -227,6 +273,8 @@ class _Search:
         self.tags.append(tag)
         if learned:
             self.learned_idxs.append(idx)
+        else:
+            self.unwritten.add(idx)
 
         val = self.val
         for l in entries:
@@ -267,10 +315,8 @@ class _Search:
         if falses:
             return None
         if not frees:
-            self.record(idx)
             return idx
         if len(frees) == 1:
-            self.record(idx)
             self.assign(-frees[0], idx)
         return None
 
@@ -278,28 +324,27 @@ class _Search:
         self.nogoods[idx] = None
 
     def load_completion(self) -> int | None:
-        """Log the b lines and attach the completion; returns a violated nogood's index.
+        """Attach the completion, its lines pending; returns a violated nogood's index.
 
         Body definitions come first, body by body, then one support nogood
         per atom, then the rule-firing nogoods, each built straight in
         sorted_lits order (see the module docstring). Last, each self-blocking
-        atom is set false by the unit nogood {a}, its lines left pending.
+        atom is set false by the unit nogood {a}.
         """
-        attach, emit, body_ids = self.attach_sorted, self.emit, self.body_ids
+        attach, body_ids, body_lines = self.attach_sorted, self.body_ids, self.body_lines
         conflicts: list[int | None] = []
         for body_id, body in enumerate(self.catalog.order, self.program.atom_count + 1):
-            lits = sorted_lits(body)
-            emit(Step("b", head=body_id, lits=lits))
+            lits = body_lines[body_id] = sorted_lits(body)
             conflicts.append(attach(lits + (-body_id,), None))
             for lit in lits:
                 conflicts.append(attach((-lit, body_id), None))
-        pending = self.pending
+        blocking: list[tuple[int, int]] = []
         for atom in self.program.atom_ids():
             bodies = self.catalog.bodies_of(atom)
             ids = tuple(body_ids[body] for body in bodies)
             entries = (atom, *[-b for b in sorted(ids)])
             if bodies and -atom in bodies[0] and all(-atom in body for body in bodies):
-                pending[atom] = len(self.nogoods)
+                blocking.append((atom, len(self.nogoods)))
             conflicts.append(attach(entries, ("s", atom, ids)))
         seen: set[tuple[int, int]] = set()
         for rule, per_atom in zip(self.program.rules, self.catalog.by_rule):
@@ -311,8 +356,8 @@ class _Search:
                     if entries not in seen:
                         seen.add(entries)
                         conflicts.append(attach(entries, ("c", entries[1], (atom,))))
-        for atom in pending:
-            conflicts.append(attach((atom,), None))
+        for atom, support in blocking:
+            conflicts.append(attach((atom,), ("a", support, (atom,))))
         return next((idx for idx in conflicts if idx is not None), None)
 
     # -- propagation ------------------------------------------------------------
@@ -325,7 +370,7 @@ class _Search:
         would.
         """
         trail, val, level, reason = self.trail, self.val, self.level, self.reason
-        nogoods, watched, watches, tags = self.nogoods, self.watched, self.watches, self.tags
+        nogoods, watched, watches = self.nogoods, self.watched, self.watches
         dl, qhead = self.dl, self.qhead
         while qhead < len(trail):
             lit = trail[qhead]
@@ -356,8 +401,6 @@ class _Search:
                 other = val[w2] if w2 != w1 else True
                 if other is False:
                     continue
-                if tags[idx] is not None:
-                    self.record(idx)
                 if other is None:
                     val[w2] = False
                     val[-w2] = True
@@ -391,8 +434,7 @@ class _Search:
             if lam in self.loop_seen:
                 raise AssertionError("unfounded component recurred")
             self.loop_seen.add(lam)
-            self.emit(Step("l", lits=tuple(atoms)))
-            conflict = self.attach(lam, None)
+            conflict = self.attach(lam, ("l", 0, tuple(atoms)))
             if conflict is not None:
                 return conflict
 
@@ -431,37 +473,12 @@ class _Search:
 
     # -- conflict analysis ---------------------------------------------------
 
-    def justify(self, lits: Iterable[int]) -> None:
-        """Write the lines of every pending self-blocking atom the level-0
-        literals `lits` rest on, walking back through their reasons."""
-        pending, visited = self.pending, self.justified
-        if not pending:
-            return
-        reason, nogoods = self.reason, self.nogoods
-        stack = [abs(l) for l in lits]
-        while stack:
-            var = stack.pop()
-            if var in visited:
-                continue
-            visited.add(var)
-            support = pending.pop(var, None)
-            if support is not None:
-                self.record(support)
-                self.emit(Step("a", lits=(var,)))
-                if not pending:
-                    return
-            idx = reason[var]
-            if idx is not None:
-                for l in nogoods[idx]:
-                    v = l if l > 0 else -l
-                    if v not in visited:
-                        stack.append(v)
-
     def analyze(self, conflict_idx: int, conflict_level: int) -> tuple[Nogood, int]:
         """First-UIP resolution; returns the learned nogood and backjump level."""
         seen: set[int] = set()
         below: list[int] = []
         roots: list[int] = []
+        resolved = [conflict_idx]
         pending = 0
 
         def merge(lit: int) -> None:
@@ -492,12 +509,13 @@ class _Search:
                 uip = lit
                 break
             reason_idx = self.reason[var]
+            resolved.append(reason_idx)
             for entry in self.nogoods[reason_idx] or ():
                 if entry != -lit:
                     merge(entry)
         if uip == 0:
             raise AssertionError("conflict analysis found no UIP")
-        self.justify(roots)
+        self.write_needed(resolved, roots)
         learned = frozenset({uip, *below})
         target = max((self.level[abs(l)] for l in below), default=0)
         return learned, target
@@ -537,9 +555,7 @@ class _Search:
                 entries = self.nogoods[conflict] or ()
                 conflict_level = max((self.level[abs(l)] for l in entries), default=0)
                 if conflict_level == 0:
-                    self.justify(entries)
-                    self.emit(Step("a"))
-                    return SolveResult(INCONSISTENT, proof=Proof(tuple(self.steps)))
+                    return self.refute(conflict)
                 learned, target = self.analyze(conflict, conflict_level)
                 entries = sorted_lits(learned)
                 self.emit(Step("a", lits=entries))
@@ -569,7 +585,9 @@ def solve(
     """Solve a normal/choice/weight program, logging a checkable proof.
 
     Returns CONSISTENT with an answer set, INCONSISTENT with a proof, or
-    UNKNOWN when a weight rule's body expansion exceeds the budget.
+    UNKNOWN when a weight rule's body expansion exceeds the budget. Given a
+    proof_sink, the proof is written there line by line and not kept, so
+    the result's proof is None.
     """
     if heuristic not in HEURISTICS:
         raise SolveError(f"unknown heuristic {heuristic!r}")
@@ -585,7 +603,5 @@ def solve(
 
     conflict = search.load_completion()
     if conflict is not None:
-        search.justify(search.nogoods[conflict] or ())
-        search.emit(Step("a"))
-        return SolveResult(INCONSISTENT, proof=Proof(tuple(search.steps)))
+        return search.refute(conflict)
     return search.run(restarts)

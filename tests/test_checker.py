@@ -335,6 +335,16 @@ def test_format_violations_raise(proof_text, message):
         check(parse_program(LOOP_TEXT), parse_proof(proof_text))
 
 
+def test_b_line_after_an_l_line_that_named_its_body_is_refused():
+    """An l line names every external body no b line has named yet, so a later
+    b line for one of them is refused; a b line first and the l line after pass."""
+    text = "#atoms a b.\nb :- a, b.\na :- a, b.\nb :- a, not b.\na :- not b.\n"
+    rest = "a 1 -5 0\nb 4 1 -2 0\nc 4 2 0\na 1 0\nb 3 1 2 0\ns 2 3 4 0\nc 5 1 0\na 0\n"
+    assert _check_text(text, "b 5 -2 0\nl 1 2 0\n" + rest).ok
+    with pytest.raises(ProofFormatError, match="already named"):
+        _check_text(text, "l 1 2 0\nb 5 -2 0\n" + rest)
+
+
 @pytest.mark.parametrize(
     "program_text, proof_text, refusal",
     [

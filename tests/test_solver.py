@@ -19,7 +19,7 @@ from aspcert.completion import (
 from aspcert.fuzz import random_program, random_rich_program
 from aspcert.oracle import enumerate_answer_sets, is_answer_set
 from aspcert.loops import cyclic_atoms, dependency_graph
-from aspcert.proof import Step, parse_proof, serialize_proof, sorted_lits
+from aspcert.proof import parse_proof, serialize_proof, sorted_lits
 from aspcert.program_io import parse_program
 from aspcert.solver import (
     CONSISTENT,
@@ -88,9 +88,33 @@ def test_random_heuristic_is_seed_deterministic(ex1_program):
 
 
 def test_proof_sink_streams_serialized_steps(ex1_program):
+    """A sink gets the proof a sink-less solve returns, and the result keeps none."""
     sink = io.StringIO()
     result = solve(ex1_program, proof_sink=sink)
-    assert sink.getvalue() == serialize_proof(result.proof)
+    assert result.status == INCONSISTENT and result.proof is None
+    assert sink.getvalue() == serialize_proof(solve(ex1_program).proof)
+
+
+def test_consistent_program_without_conflicts_writes_no_line():
+    """No lemma rests on any completion, loop or constraint nogood, so the log stays empty."""
+    for text in ("a :- not b.\nb :- c.\n{c}.\n", "{a}. {b}.\n:- a, b.\n:- not a.\n",
+                 "a :- b.\nb :- a.\nb :- not c.\n"):
+        sink = io.StringIO()
+        result = solve(parse_program(text), proof_sink=sink)
+        assert result.status == CONSISTENT
+        assert sink.getvalue() == ""
+
+
+def test_loop_line_follows_the_b_line_of_its_external_body():
+    """The first learned nogood rests on the loop nogood of {a, b} and on no
+    other nogood that names the loop's external body {not b} (id 5), so that
+    body's b line is written just ahead of the l line, and the proof checks."""
+    program = parse_program("#atoms a b.\nb :- a, b.\na :- a, b.\nb :- a, not b.\na :- not b.\n")
+    result = solve(program)
+    assert result.status == INCONSISTENT
+    lines = serialize_proof(result.proof).splitlines()
+    assert lines[:3] == ["b 5 -2 0", "l 1 2 0", "a 1 -5 0"]
+    assert check(program, result.proof).ok
 
 
 def test_verdicts_and_witnesses_match_oracle():
@@ -189,9 +213,9 @@ def _chain_text(length):
 
 
 # sha256 over every run of test_search_and_proofs_are_pinned, recorded when
-# self-blocking atoms (integrity constraints' __botK) were set false before
-# search, their s and a lines written only when a lemma rests on them.
-PINNED_DIGEST = "0d0b9d1c0dcb1ed3d3bf3c7728cfc6486470eeb576a06914ff0846bb4e646b04"
+# every b, c, s and l line and every self-blocking atom's unit lemma came to be
+# written only once an a line rests on it, in nogood-index order per a line.
+PINNED_DIGEST = "6fb72b2139bcd9d0bdd06e8a8a575d27c26e5a14f819286d4e6b86255d08b312"
 
 
 def test_search_and_proofs_are_pinned(monkeypatch):
@@ -225,13 +249,14 @@ def test_search_and_proofs_are_pinned(monkeypatch):
 
 
 def _reference_setup(search):
-    """b lines and tagged completion nogoods as completion.py's families give them."""
+    """b-line literals by body id, and tagged completion nogoods, as
+    completion.py's families give them."""
     program, catalog = search.program, search.catalog
     registry = BodyRegistry(program.atom_count)
     for body in catalog.order:
         registry.intern(body)
     bodies = registry.public_items()
-    steps = [Step("b", head=body_id, lits=sorted_lits(body)) for body_id, body in bodies]
+    body_lines = {body_id: sorted_lits(body) for body_id, body in bodies}
     nogoods = [
         (nogood, None)
         for body_id, body in bodies
@@ -245,7 +270,7 @@ def _reference_setup(search):
         (atom,) = (-lit for lit in nogood if lit < 0)
         (body_id,) = (lit for lit in nogood if lit > 0)
         nogoods.append((nogood, ("c", body_id, (atom,))))
-    return steps, [(sorted_lits(nogood), tag) for nogood, tag in nogoods]
+    return body_lines, [(sorted_lits(nogood), tag) for nogood, tag in nogoods]
 
 
 def _self_blocking(program, catalog):
@@ -257,10 +282,12 @@ def _self_blocking(program, catalog):
 
 
 def test_setup_attaches_the_completion_families_in_order(ex1_program):
-    """The one-pass set-up logs the same b lines and attaches the same nogoods,
-    in the same order and with the same tags, as sorted_lits applied to
-    body_definition (bodies in id order), forward_family and backward_family,
-    and then only the untagged unit nogoods {a} of the self-blocking atoms."""
+    """The one-pass set-up keeps the same b lines pending and attaches the same
+    nogoods, in the same order and with the same tags, as sorted_lits applied
+    to body_definition (bodies in id order), forward_family and
+    backward_family, and then only the unit nogoods {a} of the self-blocking
+    atoms, each tagged with its a line and its support nogood's index. It
+    writes no line, and every nogood it attaches has its lines pending."""
     rng = random.Random(37)
     programs = [ex1_program]
     for index in range(300):
@@ -272,13 +299,18 @@ def test_setup_attaches_the_completion_families_in_order(ex1_program):
             cyclic_atoms(dependency_graph(program)),
         )
         search.load_completion()
-        steps, nogoods = _reference_setup(search)
-        # c and s steps of nogoods that fire as they are attached come after.
-        assert search.steps[: len(steps)] == steps
+        body_lines, nogoods = _reference_setup(search)
+        assert search.steps == []
+        assert search.body_lines == body_lines
         attached = list(zip(search.nogoods, search.tags))
         assert attached[: len(nogoods)] == nogoods
-        units = [((atom,), None) for atom in _self_blocking(program, search.catalog)]
+        supports = {tag[1]: idx for idx, (_, tag) in enumerate(nogoods) if tag and tag[0] == "s"}
+        units = [
+            ((atom,), ("a", supports[atom], (atom,)))
+            for atom in _self_blocking(program, search.catalog)
+        ]
         assert attached[len(nogoods):] == units
+        assert search.unwritten == set(range(len(attached)))
 
 
 def test_branch_picks_the_smallest_unassigned_variable(monkeypatch):
@@ -372,15 +404,18 @@ def test_constraint_atoms_get_lines_only_when_the_refutation_needs_them():
     assert result.status == INCONSISTENT
     assert check(program, result.proof).ok
     lines = serialize_proof(result.proof).splitlines()
-    assert lines[-6:] == ["c 9 5 0", "s 4 8 0", "a 4 0", "s 3 7 0", "a 3 0", "a 0"]
+    assert lines == [
+        "b 7 1 -3 0", "b 8 -1 -4 0", "s 3 7 0", "s 4 8 0", "c 7 3 0", "c 8 4 0",
+        "a 3 0", "a 4 0", "a 0",
+    ]
     assert program.name(5) == "__bot3"
     assert not [line for line in lines if line.split()[:2] in (["s", "5"], ["a", "5"])]
 
 
 def test_self_blocking_lines_come_in_order_and_at_most_once(monkeypatch):
     """Under every heuristic, with and without restarts, a self-blocking atom's
-    a line follows its s line and is written at most once, and both the proof
-    and the streamed text check."""
+    a line follows its s line and is written at most once, and the streamed
+    proof checks."""
     monkeypatch.setattr(solver_module, "RESTART_INTERVAL", 8)
     rng = random.Random(53)
     refuted = justified = 0
@@ -396,8 +431,9 @@ def test_self_blocking_lines_come_in_order_and_at_most_once(monkeypatch):
                 if result.status != INCONSISTENT:
                     continue
                 refuted += 1
+                proof = parse_proof(sink.getvalue())
                 supported, asserted = set(), set()
-                for step in result.proof:
+                for step in proof:
                     if step.kind == "s" and step.head in blocking:
                         supported.add(step.head)
                     elif step.kind == "a" and len(step.lits) == 1 and step.lits[0] in blocking:
@@ -405,6 +441,5 @@ def test_self_blocking_lines_come_in_order_and_at_most_once(monkeypatch):
                         assert step.lits[0] not in asserted
                         asserted.add(step.lits[0])
                 justified += len(asserted)
-                assert check(program, result.proof).ok
-                assert check(program, parse_proof(sink.getvalue())).ok
+                assert check(program, proof).ok
     assert refuted > 300 and justified > 300
