@@ -34,7 +34,7 @@ from .completion import (
     body_definition,
     forward_nogood,
 )
-from .core import Nogood, Program, Rule, RuleKind, is_consistent
+from .core import Program, Rule, RuleKind, is_consistent
 from .loops import dependency_graph, external_bodies, is_loop, is_unfounded_set, loop_nogood
 from .proof import Proof, Step
 from .propagation import NogoodStore, WeightRulePropagator, rup_run
@@ -101,11 +101,6 @@ class CheckerState:
         self.line: int | None = None
         if preloaded:
             self._preload()
-
-    # -- nogood multiset ---------------------------------------------------
-
-    def live_nogoods(self) -> list[Nogood]:
-        return self.store.live()
 
     # -- setup ---------------------------------------------------------------
 

@@ -96,23 +96,6 @@ def has_loops(program: Program) -> bool:
     return bool(cyclic_atoms(dependency_graph(program)))
 
 
-def all_loops(program: Program) -> list[frozenset[int]]:
-    """Enumerate every loop; loops live inside one strongly connected component."""
-    graph = dependency_graph(program)
-    loops: list[frozenset[int]] = []
-    total = 0
-    for component in strongly_connected_components(graph):
-        members = sorted(component)
-        total += 1 << len(members)
-        if total > MAX_LOOP_ENUMERATION:
-            raise ValueError("loop enumeration limit exceeded")
-        for size in range(1, len(members) + 1):
-            for subset in combinations(members, size):
-                if is_loop(graph, subset):
-                    loops.append(frozenset(subset))
-    return loops
-
-
 def external_bodies(
     program: Program, catalog: BodyCatalog, atoms: Collection[int]
 ) -> list[frozenset[int]]:
@@ -167,11 +150,24 @@ def loop_nogood(atom: int, external_body_ids: Iterable[int]) -> Nogood:
 def all_loop_nogoods(
     program: Program, catalog: BodyCatalog, registry: BodyRegistry
 ) -> list[Nogood]:
-    """Every loop nogood of the program (one per loop atom per loop)."""
+    """Every loop nogood of the program (one per loop atom per loop).
+
+    Loops lie inside one strongly connected component, so each component's
+    subsets are enumerated, up to MAX_LOOP_ENUMERATION subsets in all.
+    """
+    graph = dependency_graph(program)
     out: list[Nogood] = []
-    for loop in all_loops(program):
-        ids = [registry.id_of(b) for b in external_bodies(program, catalog, loop)]
-        out.extend(loop_nogood(atom, ids) for atom in sorted(loop))
+    total = 0
+    for component in strongly_connected_components(graph):
+        members = sorted(component)
+        total += 1 << len(members)
+        if total > MAX_LOOP_ENUMERATION:
+            raise ValueError("loop enumeration limit exceeded")
+        for size in range(1, len(members) + 1):
+            for loop in combinations(members, size):
+                if is_loop(graph, loop):
+                    ids = [registry.id_of(b) for b in external_bodies(program, catalog, loop)]
+                    out.extend(loop_nogood(atom, ids) for atom in loop)
     return out
 
 

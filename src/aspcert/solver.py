@@ -19,14 +19,10 @@ lowers it to the smallest variable it unassigns.
 The trail is level-ordered: every literal, decision or implied, is assigned
 at the current decision level, and `trail_lim` holds the trail length at
 each decision, so a backjump pops a suffix of the trail and propagation
-resumes at its new end without rescanning the kept part. One corner case
-follows. A nogood attached while a false entry above its highest true entry
-satisfies it is watched on that false entry; after a later backjump unassigns
-that entry, the nogood can stay unit without being noticed until its free
-watch turns true, when it is found as a conflict. Conflict detection and
-soundness are unaffected. A search that rescanned the kept trail would
-propagate such a nogood at once, so proofs match that search only as far as
-compared corpora, such as the one behind the pinned hash in the tests, show.
+resumes at its new end without rescanning the kept part. A restart is a
+backjump to level 0 every RESTART_INTERVAL conflicts; it keeps every learned
+nogood, so no nogood is ever deleted, the search terminates, and the solver
+writes no d line.
 
 Set-up (`load_completion`) makes one pass over the body catalog and builds
 every completion nogood directly as a tuple in `sorted_lits` order: by
@@ -39,10 +35,14 @@ rule-firing nogoods (-a, B) in rule order, without duplicates or choice
 rules. This is the order, and the content, of sorted_lits applied to
 completion.py's body_definition, forward_family and backward_family, which
 the tests check. A support or rule-firing nogood is tagged with its s or c
-line; an s line lists the bodies in catalog order. `attach` sorts learned
-and loop nogoods into the same order and hands them to the same
-`attach_sorted` core, which watches the first two entries of a nogood with
-no assigned literal.
+line; an s line lists the bodies in catalog order. Learned and loop nogoods
+are sorted into the same order before `attach`, which watches the first two
+entries of a nogood with no assigned literal. A nogood with a false entry
+is not watched: that happens only during set-up, at level 0, so the nogood
+stays satisfied for good. Otherwise it has at most one free entry (a learned
+nogood exactly one), and `attach` watches it and the true entry of the
+highest level, then implies the free entry's complement; with no free entry
+it watches the two highest true entries and reports a conflict.
 
 An atom whose every body contains its own negation is self-blocking: it is
 false in every answer set. Each integrity constraint's `__botK` atom is one.
@@ -167,11 +167,10 @@ class _Search:
         self.qhead = 0
         self.dl = 0
 
-        self.nogoods: list[tuple[int, ...] | None] = []
+        self.nogoods: list[tuple[int, ...]] = []
         self.watched: list[tuple[int, int]] = []
         self.watches: list[list[int]] = [[] for _ in range(size)]
         self.tags: list[Tag | None] = []
-        self.learned_idxs: list[int] = []
         self.loop_seen: set[Nogood] = set()
         self.conflicts = 0
 
@@ -260,20 +259,15 @@ class _Search:
 
     # -- nogood store ------------------------------------------------------------
 
-    def attach(self, lits: Nogood, tag: Tag | None, learned: bool = False) -> int | None:
-        """Add a nogood; returns its index as a conflict if currently violated."""
-        return self.attach_sorted(sorted_lits(lits), tag, learned)
-
-    def attach_sorted(
+    def attach(
         self, entries: tuple[int, ...], tag: Tag | None, learned: bool = False
     ) -> int | None:
-        """attach() for a nogood already in sorted_lits order."""
+        """Add a nogood given in sorted_lits order; returns its index as a
+        conflict if currently violated."""
         idx = len(self.nogoods)
         self.nogoods.append(entries)
         self.tags.append(tag)
-        if learned:
-            self.learned_idxs.append(idx)
-        else:
+        if not learned:
             self.unwritten.add(idx)
 
         val = self.val
@@ -287,7 +281,6 @@ class _Search:
                 self.watches[first].append(idx)
                 self.watches[second].append(idx)
                 return None
-        falses: list[int] = []
         frees: list[int] = []
         trues: list[int] = []
         for l in entries:
@@ -297,31 +290,20 @@ class _Search:
             elif v:
                 trues.append(l)
             else:
-                falses.append(l)
+                self.watched.append((0, 0))
+                return None
         if len(trues) > 1:
             level = self.level
             trues.sort(key=lambda l: -level[abs(l)])
-        if falses:
-            pool = falses + frees + trues
-        elif len(frees) >= 2:
-            pool = frees
-        else:
-            pool = frees + trues
+        pool = frees + trues
         pair = (pool[0], pool[1] if len(pool) > 1 else pool[0])
         self.watched.append(pair)
         for lit in set(pair):
             self.watches[lit].append(idx)
-
-        if falses:
-            return None
         if not frees:
             return idx
-        if len(frees) == 1:
-            self.assign(-frees[0], idx)
+        self.assign(-frees[0], idx)
         return None
-
-    def detach(self, idx: int) -> None:
-        self.nogoods[idx] = None
 
     def load_completion(self) -> int | None:
         """Attach the completion, its lines pending; returns a violated nogood's index.
@@ -331,7 +313,7 @@ class _Search:
         sorted_lits order (see the module docstring). Last, each self-blocking
         atom is set false by the unit nogood {a}.
         """
-        attach, body_ids, body_lines = self.attach_sorted, self.body_ids, self.body_lines
+        attach, body_ids, body_lines = self.attach, self.body_ids, self.body_lines
         conflicts: list[int | None] = []
         for body_id, body in enumerate(self.catalog.order, self.program.atom_count + 1):
             lits = body_lines[body_id] = sorted_lits(body)
@@ -382,8 +364,6 @@ class _Search:
             conflict = None
             for pos, idx in enumerate(idxs):
                 entries = nogoods[idx]
-                if entries is None:
-                    continue
                 w1, w2 = watched[idx]
                 if w2 == lit and w1 != lit:
                     w1, w2 = w2, w1
@@ -434,7 +414,7 @@ class _Search:
             if lam in self.loop_seen:
                 raise AssertionError("unfounded component recurred")
             self.loop_seen.add(lam)
-            conflict = self.attach(lam, ("l", 0, tuple(atoms)))
+            conflict = self.attach(sorted_lits(lam), ("l", 0, tuple(atoms)))
             if conflict is not None:
                 return conflict
 
@@ -496,7 +476,7 @@ class _Search:
             else:
                 below.append(lit)
 
-        for lit in self.nogoods[conflict_idx] or ():
+        for lit in self.nogoods[conflict_idx]:
             merge(lit)
         uip = 0
         for i in range(len(self.trail) - 1, -1, -1):
@@ -510,7 +490,7 @@ class _Search:
                 break
             reason_idx = self.reason[var]
             resolved.append(reason_idx)
-            for entry in self.nogoods[reason_idx] or ():
+            for entry in self.nogoods[reason_idx]:
                 if entry != -lit:
                     merge(entry)
         if uip == 0:
@@ -535,24 +515,11 @@ class _Search:
             return var if self.rng.random() < 0.5 else -var
         return cursor if self.heuristic == "min-true" else -cursor
 
-    def forget_learned(self) -> None:
-        protected = {self.reason[abs(lit)] for lit in self.trail}
-        kept = []
-        for idx in self.learned_idxs:
-            if self.nogoods[idx] is None:
-                continue
-            if idx in protected:
-                kept.append(idx)
-                continue
-            self.emit(Step("d", lits=self.nogoods[idx]))
-            self.detach(idx)
-        self.learned_idxs = kept
-
     def run(self, restarts: bool) -> SolveResult:
         while True:
             conflict = self.propagate_full()
             if conflict is not None:
-                entries = self.nogoods[conflict] or ()
+                entries = self.nogoods[conflict]
                 conflict_level = max((self.level[abs(l)] for l in entries), default=0)
                 if conflict_level == 0:
                     return self.refute(conflict)
@@ -561,10 +528,9 @@ class _Search:
                 self.emit(Step("a", lits=entries))
                 self.conflicts += 1
                 self.backjump(target)
-                self.attach_sorted(entries, None, learned=True)
+                self.attach(entries, None, learned=True)
                 if restarts and self.conflicts % RESTART_INTERVAL == 0:
                     self.backjump(0)
-                    self.forget_learned()
                 continue
             branch = self.pick_branch()
             if branch is None:

@@ -96,7 +96,7 @@ def test_golden_step_rup_derivation(ex1_program, fig1_text):
     state = CheckerState(ex1_program)
     for step in steps:
         state.step(step)
-    store = state.live_nogoods()
+    store = state.store.live()
     delta = frozenset({-6, 1})     # F {c}, T a
     assert is_rup(store, delta)
     run = rup_run(store, delta)
@@ -175,7 +175,7 @@ def test_store_entailment_at_every_prefix():
         state = CheckerState(program)
         for step in proof:
             state.step(step)
-            assert entails(premises, state.live_nogoods())
+            assert entails(premises, state.store.live())
 
 
 def test_tight_completion_equivalence():

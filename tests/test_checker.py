@@ -436,9 +436,9 @@ def test_preloaded_rejects_two_deferred_rules_per_head():
 def test_checker_state_incremental_interface():
     state = CheckerState(parse_program(LOOP_TEXT))
     state.step(Step("u", lits=(1,), unfounded=(1, 2)))
-    assert state.live_nogoods() == [frozenset({1})]
+    assert state.store.live() == [frozenset({1})]
     pending = state.result()
     assert not pending.ok
     assert pending.step is None
     state.step(Step("a", lits=(1, 2)))
-    assert frozenset({1, 2}) in state.live_nogoods()
+    assert frozenset({1, 2}) in state.store.live()

@@ -232,7 +232,7 @@ def test_nogood_store_reuses_its_top_level_across_rup_tests():
     from_scratch = 0
     for step in proof:
         if step.kind == "a":
-            from_scratch += len(rup_run(state.live_nogoods(), frozenset(step.lits)).derived)
+            from_scratch += len(rup_run(state.store.live(), frozenset(step.lits)).derived)
         state.step(step)
     assert state.result().ok
     assert state.store.assigned < from_scratch / 2

@@ -132,20 +132,37 @@ def test_verdicts_and_witnesses_match_oracle():
             assert check(program, result.proof).ok
 
 
+def _count_restarts(monkeypatch):
+    """Spy on backjumps; a restart is a second backjump after the same conflict."""
+    backjump = solver_module._Search.backjump
+    counts = {"restarts": 0, "last": None}
+
+    def counted_backjump(search, target):
+        if counts["last"] == (search, search.conflicts):
+            assert target == 0
+            counts["restarts"] += 1
+        counts["last"] = (search, search.conflicts)
+        backjump(search, target)
+
+    monkeypatch.setattr(solver_module._Search, "backjump", counted_backjump)
+    return counts
+
+
 def test_restarts_preserve_verdicts_and_proofs(monkeypatch):
+    """Restarts happen, keep the verdict, and forget nothing: no proof has a d step."""
     monkeypatch.setattr(solver_module, "RESTART_INTERVAL", 2)
+    counts = _count_restarts(monkeypatch)
     rng = random.Random(19)
-    restarted = 0
+    refuted = 0
     for _ in range(80):
         program = random_program(rng, max_atoms=7, max_rules=14)
         result = solve(program, restarts=True)
-        baseline = solve(program)
-        assert result.status == baseline.status
+        assert result.status == solve(program).status
         if result.status == INCONSISTENT:
+            refuted += 1
             assert check(program, result.proof).ok
-            if any(step.kind == "d" for step in result.proof):
-                restarted += 1
-    assert restarted > 0
+            assert not [step for step in result.proof if step.kind == "d"]
+    assert refuted > 0 and counts["restarts"] > 0
 
 
 def test_rejects_disjunctive_programs():
@@ -228,9 +245,9 @@ def test_search_and_proofs_are_pinned(monkeypatch):
     that alters search order, learning or proof emission on purpose
     updates PINNED_DIGEST and says so in CHANGES.md.
     """
-    # Short enough that PHP and the graph restart (d steps occur); at 2 or 4
-    # the deterministic heuristics repeat the same conflicts after every
-    # restart and never finish.
+    # No run of this corpus reaches eight conflicts (PHP takes at most six,
+    # the graph and the chain none), so none restarts and no run writes a
+    # d step; test_restarts_finish_on_pigeonhole covers restarts.
     monkeypatch.setattr(solver_module, "RESTART_INTERVAL", 8)
     texts = [_php_text(4, 3, random.Random(1)), _hampath_text(_NO_PATH_GRAPH), _chain_text(300)]
     rng = random.Random(23)
@@ -246,6 +263,22 @@ def test_search_and_proofs_are_pinned(monkeypatch):
                 answer = sorted(result.answer_set or ())
                 digest.update(f"{result.status} {answer}\n{sink.getvalue()}".encode())
     assert digest.hexdigest() == PINNED_DIGEST
+
+
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+@pytest.mark.parametrize("pigeons, interval", [(7, 100), (4, 2)])
+def test_restarts_finish_on_pigeonhole(monkeypatch, heuristic, pigeons, interval):
+    """PHP(7,6) at the default interval and PHP(4,3) at interval 2 did not
+    finish while each restart dropped the learned nogoods; now each is
+    refuted with restarts, its proof checks and has no d step."""
+    monkeypatch.setattr(solver_module, "RESTART_INTERVAL", interval)
+    counts = _count_restarts(monkeypatch)
+    program = parse_program(_php_text(pigeons, pigeons - 1, random.Random(1)))
+    result = solve(program, heuristic=heuristic, restarts=True)
+    assert result.status == INCONSISTENT
+    assert counts["restarts"] > 0
+    assert not [step for step in result.proof if step.kind == "d"]
+    assert check(program, result.proof).ok
 
 
 def _reference_setup(search):
@@ -347,7 +380,7 @@ def test_backjump_pops_a_suffix():
         program, "min-true", random.Random(0), None, DEFAULT_BODY_BUDGET, frozenset()
     )
     for atom in (1, 2, 3):
-        assert search.attach(frozenset({atom, atom + 3}), None) is None
+        assert search.attach((atom, atom + 3), None) is None
     for _ in range(3):
         search.decide(search.pick_branch())
         assert search.propagate() is None
@@ -394,6 +427,44 @@ def test_trail_stays_level_ordered_under_fuzzing(monkeypatch):
         for heuristic in HEURISTICS:
             solve(program, heuristic=heuristic, restarts=True, seed=index)
     assert counts["backjumps"] > 100 and counts["decisions"] > 500
+
+
+def test_attach_sees_false_entries_only_at_set_up(monkeypatch):
+    """Every entry false when a nogood is attached was assigned at level 0,
+    during set-up; a learned nogood has exactly one free entry, and a loop
+    nogood, like any nogood with an assigned entry and no false one, at most
+    one. That is what lets attach leave a nogood with a false entry unwatched
+    and watch a free entry beside the highest true one."""
+    monkeypatch.setattr(solver_module, "RESTART_INTERVAL", 8)
+    attach = solver_module._Search.attach
+    counts = {"false": 0, "learned": 0, "loop": 0}
+
+    def checked_attach(search, entries, tag, learned=False):
+        values = [search.val[l] for l in entries]
+        for l, value in zip(entries, values):
+            if value is False:
+                assert search.dl == 0 and search.level[abs(l)] == 0
+                counts["false"] += 1
+        if False not in values and (True in values or tag and tag[0] == "l"):
+            assert values.count(None) <= 1
+        if learned:
+            assert values.count(None) == 1
+            counts["learned"] += 1
+        counts["loop"] += bool(tag and tag[0] == "l")
+        return attach(search, entries, tag, learned)
+
+    monkeypatch.setattr(solver_module._Search, "attach", checked_attach)
+    rng = random.Random(61)
+    programs = [parse_program(_hampath_text(_NO_PATH_GRAPH)),
+                parse_program(_php_text(5, 4, random.Random(2)))]
+    for index in range(300):
+        generate = random_rich_program if index % 2 else random_program
+        programs.append(generate(rng, max_atoms=8, max_rules=16))
+    for index, program in enumerate(programs):
+        for heuristic in HEURISTICS:
+            for restarts in (False, True):
+                solve(program, heuristic=heuristic, restarts=restarts, seed=index)
+    assert counts["false"] > 1000 and counts["learned"] > 300 and counts["loop"] > 100
 
 
 def test_constraint_atoms_get_lines_only_when_the_refutation_needs_them():
