@@ -24,54 +24,63 @@ backjump to level 0 every RESTART_INTERVAL conflicts; it keeps every learned
 nogood, so no nogood is ever deleted, the search terminates, and the solver
 writes no d line.
 
-Set-up (`load_completion`) makes one pass over the body catalog and builds
-every completion nogood directly as a tuple in `sorted_lits` order: by
-variable id, +v before -v. For each body B, in id order, the literals are
-sorted once; that tuple is B's b line, the definition nogood is the tuple
-followed by -B (a body id is above every atom id), and (-l, B) follows for
-each literal l in the same order. Next comes one support nogood
-(a, -B1, ..., -Bk), body ids ascending, per atom in atom order, and last the
-rule-firing nogoods (-a, B) in rule order, without duplicates or choice
-rules. This is the order, and the content, of sorted_lits applied to
-completion.py's body_definition, forward_family and backward_family, which
-the tests check. A support or rule-firing nogood is tagged with its s or c
-line; an s line lists the bodies in catalog order. Learned and loop nogoods
-are sorted into the same order before `attach`, which watches the first two
-entries of a nogood with no assigned literal. A nogood with a false entry
-is not watched: that happens only during set-up, at level 0, so the nogood
-stays satisfied for good. Otherwise it has at most one free entry (a learned
-nogood exactly one), and `attach` watches it and the true entry of the
-highest level, then implies the free entry's complement; with no free entry
-it watches the two highest true entries and reports a conflict.
+Set-up (`load_completion`) builds each completion nogood directly as a tuple
+in `sorted_lits` order: by variable id, +v before -v. A pass over the rules
+lists the rule-firing nogoods (-a, B), in rule order without duplicates or
+choice rules, and finds the constraint atoms (below). Then each body B, in id
+order, gets its sorted literals as its b line, the definition nogood (those
+literals, then -B: a body id is above every atom id) and (-l, B) per literal
+l. One support nogood (a, -B1, ..., -Bk), body ids ascending, follows per atom
+in atom order, and then the rule-firing nogoods; each of these is tagged with
+its s or c line (an s line lists the bodies in catalog order). Apart from the
+constraint atoms, this is sorted_lits applied to completion.py's
+body_definition, forward_family and backward_family, in order, as the tests
+check. Learned and loop nogoods are sorted the same way. `attach` watches the
+first two entries of a nogood with no assigned literal, and none of a nogood
+with a false entry: that happens only during set-up, at level 0, so it stays
+satisfied for good. Otherwise a nogood has at most one free entry (a learned
+one exactly one); `attach` watches it and the true entry of the highest level
+and implies its complement, or with no free entry watches the two highest true
+entries and reports a conflict.
 
 An atom whose every body contains its own negation is self-blocking: it is
-false in every answer set. Each integrity constraint's `__botK` atom is one.
-Set-up finds them in its support-nogood loop and, once the completion is
-attached, assigns each one false at level 0 through the unit nogood {a}, so
-search never branches on them. Its line is the lemma `a <atom> 0`, which is
-RUP from the atom's support nogood and the definitions {B, a} of its bodies.
+false in every answer set. A constraint atom a occurs in exactly one rule,
+a non-choice basic rule `a :- B', not a` with B' non-empty, as the parser
+writes `:- B'.` over a fresh `__botK`. With a false, the completion of a
+and of its body B says only that B is false and B' not all true. So set-up
+sets a and B false at level 0, with no reason, and attaches the nogood B'
+(tag k) in place of B's definition; no nogood names a or B. A one-literal
+B' waits for the unit nogoods at the end, so that no attach meets a true
+entry beside two free ones. Once a lemma rests on B', the tag writes the
+lines the checker derives B' from: B's b line, `s a B`, `c B a`, `a a 0`.
+Any other self-blocking atom (a choice head, which no rule forces; one named
+in a second rule, which a walk of reasons could reach; `a :- not a.`) gets
+the unit nogood {a}, attached last. Its line `a <atom> 0` is RUP from the
+atom's support nogood and the definitions {B, a} of its bodies.
 
-Lazy lines. A first-UIP nogood follows by resolution from the conflict
-nogood and the reasons `analyze` resolved on, so it is RUP against those
-and the level-0 reasons behind their level-0 literals. Before each a line
-(a learned nogood or the final empty one), `write_needed` collects those
-nogoods, walking the level-0 reasons at most once per variable and search,
-adds the support nogood of each unit lemma among them, and writes the
-pending lines of the batch in nogood-index order. A nogood's lines are a
-b line for each body it mentions whose b line is still pending, then its
-own c, s, l or a line; a body definition has only its b line. So an s line
-follows the b lines of all its bodies, an l line those of its external
-bodies (the checker would otherwise name them itself and refuse a later b
-line for them), and an a line those of every body id it names. Extra
-nogoods never break a RUP test, so a line written late never breaks a later
-a line. A proof holds only the lines some lemma rests on, and a run that
-never refutes anything writes no line.
+Lazy lines. A first-UIP nogood follows by resolution from the conflict nogood
+and the reasons `analyze` resolved on, so it is RUP against those and the
+level-0 reasons behind their level-0 literals. Before each a line (a learned
+nogood or the final empty one), `write_needed` collects those nogoods, walking
+the level-0 reasons at most once per variable and search, adds the support
+nogood of each unit lemma among them, and writes the pending lines of the batch
+in nogood-index order. A nogood's lines are a b line for each body it mentions
+whose b line is still pending, then its own c, s, l or a line (a k tag's four
+lines); a body definition has only its b line. So an s line follows the b lines
+of all its bodies, an l line those of its external bodies (the checker would
+otherwise name them itself and refuse a later b line for them), and an a line
+those of every body id it names. Extra nogoods never break a RUP test, so a
+line written late never breaks a later a line. A proof holds only the lines
+some lemma rests on, and a run that never refutes anything writes no line.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import IO, Iterable
 
 from .completion import DEFAULT_BODY_BUDGET, body_catalog
@@ -84,9 +93,9 @@ from .proof import Proof, Step, serialize_step, sorted_lits
 HEURISTICS = ("min-true", "min-false", "random")
 RESTART_INTERVAL = 100
 
-# The kind, head and literals of the line a nogood is written with once a
-# lemma rests on it; the Step is only built then. An a tag is a self-blocking
-# atom's unit lemma, and its head is the index of the support nogood it rests on.
+# The kind, head and literals of the line a nogood is written with once a lemma
+# rests on it. A unit lemma's a tag has the index of its support nogood as head;
+# a constraint's k tag ("k", a, (B,)) stands for the lines b B, s a B, c B a, a a.
 Tag = tuple[str, int, tuple[int, ...]]
 
 CONSISTENT = "CONSISTENT"
@@ -121,15 +130,8 @@ def _check_scope(program: Program, components: list[list[int]]) -> None:
 class _Search:
     """Two-watch engine plus CDNL state over atoms and body variables."""
 
-    def __init__(
-        self,
-        program: Program,
-        heuristic: str,
-        rng: random.Random,
-        sink: IO[str] | None,
-        budget: int,
-        cyclic: frozenset[int],
-    ) -> None:
+    def __init__(self, program: Program, heuristic: str, rng: random.Random | None,
+                 sink: IO[str] | None, budget: int, cyclic: frozenset[int]) -> None:
         self.program = program
         self.heuristic = heuristic
         self.rng = rng
@@ -213,9 +215,16 @@ class _Search:
                 if body in body_lines:
                     emit(Step("b", head=body, lits=body_lines.pop(body)))
             tag = tags[idx]
-            if tag is not None:
-                kind, head, lits = tag
-                emit(Step(kind, head=0 if kind == "a" else head, lits=lits))
+            if tag is None:
+                continue
+            kind, head, lits = tag
+            if kind == "k":
+                (body,) = lits
+                emit(Step("b", head=body, lits=body_lines.pop(body)))
+                emit(Step("s", head=head, lits=lits))
+                emit(Step("c", head=body, lits=(head,)))
+                kind, lits = "a", (head,)
+            emit(Step(kind, head=0 if kind == "a" else head, lits=lits))
 
     def refute(self, conflict: int) -> SolveResult:
         """Write the lines a level-0 conflict rests on, then the empty nogood."""
@@ -306,40 +315,58 @@ class _Search:
         return None
 
     def load_completion(self) -> int | None:
-        """Attach the completion, its lines pending; returns a violated nogood's index.
-
-        Body definitions come first, body by body, then one support nogood
-        per atom, then the rule-firing nogoods, each built straight in
-        sorted_lits order (see the module docstring). Last, each self-blocking
-        atom is set false by the unit nogood {a}.
-        """
+        """Attach the completion, its lines pending, in the order the module
+        docstring gives; returns a violated nogood's index."""
+        program, catalog = self.program, self.catalog
         attach, body_ids, body_lines = self.attach, self.body_ids, self.body_lines
-        conflicts: list[int | None] = []
-        for body_id, body in enumerate(self.catalog.order, self.program.atom_count + 1):
-            lits = body_lines[body_id] = sorted_lits(body)
-            conflicts.append(attach(lits + (-body_id,), None))
-            for lit in lits:
-                conflicts.append(attach((-lit, body_id), None))
-        blocking: list[tuple[int, int]] = []
-        for atom in self.program.atom_ids():
-            bodies = self.catalog.bodies_of(atom)
-            ids = tuple(body_ids[body] for body in bodies)
-            entries = (atom, *[-b for b in sorted(ids)])
-            if bodies and -atom in bodies[0] and all(-atom in body for body in bodies):
-                blocking.append((atom, len(self.nogoods)))
-            conflicts.append(attach(entries, ("s", atom, ids)))
-        seen: set[tuple[int, int]] = set()
-        for rule, per_atom in zip(self.program.rules, self.catalog.by_rule):
+        # Rule-firing nogoods (an ordered set); body id -> atom of each constraint.
+        firing: dict[tuple[int, int], None] = {}
+        constraints: dict[int, int] = {}
+        for rule, per_atom in zip(program.rules, catalog.by_rule):
             if rule.kind is RuleKind.CHOICE:
                 continue
             for atom, bodies in per_atom:
                 for body in bodies:
-                    entries = (-atom, body_ids[body])
-                    if entries not in seen:
-                        seen.add(entries)
-                        conflicts.append(attach(entries, ("c", entries[1], (atom,))))
-        for atom, support in blocking:
-            conflicts.append(attach((atom,), ("a", support, (atom,))))
+                    firing[-atom, body_ids[body]] = None
+                    if -atom in body and len(body) > 1 and rule.kind is RuleKind.BASIC:
+                        constraints[body_ids[body]] = atom
+        if constraints:
+            mentions = Counter(chain.from_iterable(chain.from_iterable(
+                map(attrgetter("head", "pos_body", "neg_body"), program.rules))))
+            constraints = {b: a for b, a in constraints.items() if mentions[a] == 2}
+
+        conflicts: list[int | None] = []
+        units: list[tuple[tuple[int, ...], Tag]] = []
+        for body_id, body in enumerate(catalog.order, program.atom_count + 1):
+            lits = body_lines[body_id] = sorted_lits(body)
+            atom = constraints.get(body_id)
+            if atom is None:
+                conflicts.append(attach(lits + (-body_id,), None))
+                for lit in lits:
+                    conflicts.append(attach((-lit, body_id), None))
+                continue
+            self.assign(-atom, None)
+            self.assign(-body_id, None)
+            cut = lits.index(-atom)
+            entries = lits[:cut] + lits[cut + 1 :]
+            tag = ("k", atom, (body_id,))
+            if len(entries) > 1:
+                conflicts.append(attach(entries, tag))
+            else:
+                units.append((entries, tag))
+        for atom in program.atom_ids():
+            bodies = catalog.bodies_of(atom)
+            ids = tuple(body_ids[body] for body in bodies)
+            if bodies and -atom in bodies[0] and all(-atom in body for body in bodies):
+                if ids[0] in constraints:
+                    continue
+                units.append(((atom,), ("a", len(self.nogoods), (atom,))))
+            conflicts.append(attach((atom, *[-b for b in sorted(ids)]), ("s", atom, ids)))
+        for entries in firing:
+            if entries[1] not in constraints:
+                conflicts.append(attach(entries, ("c", entries[1], (-entries[0],))))
+        for entries, tag in units:
+            conflicts.append(attach(entries, tag))
         return next((idx for idx in conflicts if idx is not None), None)
 
     # -- propagation ------------------------------------------------------------
@@ -561,7 +588,8 @@ def solve(
     components = strongly_connected_components(graph)
     _check_scope(program, components)
     cyclic = cyclic_atoms(graph, components)
-    search = _Search(program, heuristic, random.Random(seed), proof_sink, budget, cyclic)
+    rng = random.Random(seed) if heuristic == "random" else None
+    search = _Search(program, heuristic, rng, proof_sink, budget, cyclic)
     if search.catalog.deferred:
         return SolveResult(
             UNKNOWN, reason="weight rule expansion exceeds the body budget"

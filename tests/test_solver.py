@@ -3,11 +3,13 @@
 import hashlib
 import io
 import random
+from collections import Counter
 
 import pytest
 
 import aspcert.solver as solver_module
 from aspcert.checker import check
+from aspcert.core import RuleKind
 from aspcert.completion import (
     DEFAULT_BODY_BUDGET,
     BodyRegistry,
@@ -133,14 +135,16 @@ def test_verdicts_and_witnesses_match_oracle():
 
 
 def _count_restarts(monkeypatch):
-    """Spy on backjumps; a restart is a second backjump after the same conflict."""
+    """Spy on backjumps; a restart is a second backjump after the same conflict.
+    It undoes decisions when the search is above level 0 then."""
     backjump = solver_module._Search.backjump
-    counts = {"restarts": 0, "last": None}
+    counts = {"restarts": 0, "undoing": 0, "last": None}
 
     def counted_backjump(search, target):
         if counts["last"] == (search, search.conflicts):
             assert target == 0
             counts["restarts"] += 1
+            counts["undoing"] += search.dl > 0
         counts["last"] = (search, search.conflicts)
         backjump(search, target)
 
@@ -230,26 +234,27 @@ def _chain_text(length):
 
 
 # sha256 over every run of test_search_and_proofs_are_pinned, recorded when
-# every b, c, s and l line and every self-blocking atom's unit lemma came to be
-# written only once an a line rests on it, in nogood-index order per a line.
-PINNED_DIGEST = "6fb72b2139bcd9d0bdd06e8a8a575d27c26e5a14f819286d4e6b86255d08b312"
+# each constraint became one nogood whose b, s, c and a lines are written
+# together, and the corpus gained PHP(5,4) and restarts every two conflicts.
+PINNED_DIGEST = "bdf6cf5ea53e10ef309a8c36001671acabe3457c437e700363ffb47769f7d02f"
 
 
 def test_search_and_proofs_are_pinned(monkeypatch):
     """Status, answer set and proof text of a fixed corpus match a recorded hash.
 
-    The corpus is a shuffled PHP(4,3), an 8-vertex Hamiltonian-path program
-    without a path (so l steps occur), a 300-atom chain, and 200 random
-    normal programs under every heuristic, with and without restarts.
-    A change that speeds up search must leave this hash alone. A change
-    that alters search order, learning or proof emission on purpose
-    updates PINNED_DIGEST and says so in CHANGES.md.
+    The corpus is a shuffled PHP(4,3) and PHP(5,4), an 8-vertex
+    Hamiltonian-path program without a path (so l steps occur), a 300-atom
+    chain, and 200 random normal programs under every heuristic, with and
+    without restarts at an interval of two conflicts. PHP(5,4) restarts
+    under every heuristic, and under the random one its text depends on
+    where the restarts fall. A change that speeds up search must leave this
+    hash alone. A change that alters search order, learning, restarts or
+    proof emission on purpose updates PINNED_DIGEST and says so in CHANGES.md.
     """
-    # No run of this corpus reaches eight conflicts (PHP takes at most six,
-    # the graph and the chain none), so none restarts and no run writes a
-    # d step; test_restarts_finish_on_pigeonhole covers restarts.
-    monkeypatch.setattr(solver_module, "RESTART_INTERVAL", 8)
-    texts = [_php_text(4, 3, random.Random(1)), _hampath_text(_NO_PATH_GRAPH), _chain_text(300)]
+    monkeypatch.setattr(solver_module, "RESTART_INTERVAL", 2)
+    counts = _count_restarts(monkeypatch)
+    texts = [_php_text(4, 3, random.Random(1)), _php_text(5, 4, random.Random(1)),
+             _hampath_text(_NO_PATH_GRAPH), _chain_text(300)]
     rng = random.Random(23)
     programs = [parse_program(text) for text in texts]
     programs += [random_program(rng, max_atoms=7, max_rules=14) for _ in range(200)]
@@ -262,6 +267,7 @@ def test_search_and_proofs_are_pinned(monkeypatch):
                                proof_sink=sink)
                 answer = sorted(result.answer_set or ())
                 digest.update(f"{result.status} {answer}\n{sink.getvalue()}".encode())
+    assert counts["undoing"] > 0
     assert digest.hexdigest() == PINNED_DIGEST
 
 
@@ -281,29 +287,18 @@ def test_restarts_finish_on_pigeonhole(monkeypatch, heuristic, pigeons, interval
     assert check(program, result.proof).ok
 
 
-def _reference_setup(search):
-    """b-line literals by body id, and tagged completion nogoods, as
-    completion.py's families give them."""
-    program, catalog = search.program, search.catalog
-    registry = BodyRegistry(program.atom_count)
-    for body in catalog.order:
-        registry.intern(body)
-    bodies = registry.public_items()
-    body_lines = {body_id: sorted_lits(body) for body_id, body in bodies}
-    nogoods = [
-        (nogood, None)
-        for body_id, body in bodies
-        for nogood in body_definition(body_id, body)
-    ]
-    nogoods += [
-        (nogood, ("s", atom, body_ids))
-        for atom, body_ids, nogood in forward_family(program, catalog, registry)
-    ]
-    for nogood in backward_family(program, catalog, registry):
-        (atom,) = (-lit for lit in nogood if lit < 0)
-        (body_id,) = (lit for lit in nogood if lit > 0)
-        nogoods.append((nogood, ("c", body_id, (atom,))))
-    return body_lines, [(sorted_lits(nogood), tag) for nogood, tag in nogoods]
+def _constraint_atoms(program):
+    """Body by atom of each rule `a :- B', not a` with B' non-empty whose
+    atom occurs in no other rule."""
+    mentions = Counter(
+        atom for rule in program.rules for part in (rule.head, rule.pos_body, rule.neg_body)
+        for atom in part
+    )
+    return {
+        rule.head[0]: rule.body_literals() for rule in program.rules
+        if rule.kind is RuleKind.BASIC and len(rule.head) == 1 and rule.head[0] in rule.neg_body
+        and len(rule.body_literals()) > 1 and mentions[rule.head[0]] == 2
+    }
 
 
 def _self_blocking(program, catalog):
@@ -314,36 +309,77 @@ def _self_blocking(program, catalog):
     ]
 
 
+def _reference_setup(search):
+    """b-line literals by body id, and the tagged nogoods set-up should
+    attach, built from completion.py's families: a constraint's nogood B' in
+    place of its body's definition (with the unit nogoods if B' has one
+    literal), no support or rule-firing nogood for a constraint atom, and
+    last the unit nogoods {a} of the other self-blocking atoms."""
+    program, catalog = search.program, search.catalog
+    constraints = _constraint_atoms(program)
+    registry = BodyRegistry(program.atom_count)
+    for body in catalog.order:
+        registry.intern(body)
+    bodies = registry.public_items()
+    body_lines = {body_id: sorted_lits(body) for body_id, body in bodies}
+    constraint_of = {registry.id_of(body): atom for atom, body in constraints.items()}
+    nogoods, units = [], []
+    for body_id, body in bodies:
+        atom = constraint_of.get(body_id)
+        if atom is None:
+            nogoods += [(nogood, None) for nogood in body_definition(body_id, body)]
+            continue
+        rest = (body - {-atom}, ("k", atom, (body_id,)))
+        (nogoods if len(rest[0]) > 1 else units).append(rest)
+    supports = {}
+    for atom, body_ids, nogood in forward_family(program, catalog, registry):
+        if atom not in constraints:
+            supports[atom] = len(nogoods)
+            nogoods.append((nogood, ("s", atom, body_ids)))
+    for nogood in backward_family(program, catalog, registry):
+        (atom,) = (-lit for lit in nogood if lit < 0)
+        (body_id,) = (lit for lit in nogood if lit > 0)
+        if atom not in constraints:
+            nogoods.append((nogood, ("c", body_id, (atom,))))
+    units += [
+        ({atom}, ("a", supports[atom], (atom,)))
+        for atom in _self_blocking(program, catalog) if atom not in constraints
+    ]
+    return body_lines, [(sorted_lits(nogood), tag) for nogood, tag in nogoods + units]
+
+
 def test_setup_attaches_the_completion_families_in_order(ex1_program):
     """The one-pass set-up keeps the same b lines pending and attaches the same
     nogoods, in the same order and with the same tags, as sorted_lits applied
     to body_definition (bodies in id order), forward_family and
-    backward_family, and then only the unit nogoods {a} of the self-blocking
-    atoms, each tagged with its a line and its support nogood's index. It
-    writes no line, and every nogood it attaches has its lines pending."""
+    backward_family, with each constraint atom's nogoods replaced by the one
+    nogood of its constraint, and then only the unit nogoods. It writes no
+    line, every nogood it attaches has its lines pending, and each constraint
+    atom and its body are false at level 0 and named by no nogood."""
     rng = random.Random(37)
-    programs = [ex1_program]
+    programs = [ex1_program, parse_program("{a}. {b}. :- a. :- not a, b. :- b, c.\nc :- not a.\n")]
     for index in range(300):
         generate = random_rich_program if index % 2 else random_program
         programs.append(generate(rng, max_atoms=8, max_rules=16))
+    collapsed = 0
     for program in programs:
         search = solver_module._Search(
-            program, "min-true", random.Random(0), None, DEFAULT_BODY_BUDGET,
+            program, "min-true", None, None, DEFAULT_BODY_BUDGET,
             cyclic_atoms(dependency_graph(program)),
         )
         search.load_completion()
         body_lines, nogoods = _reference_setup(search)
         assert search.steps == []
         assert search.body_lines == body_lines
-        attached = list(zip(search.nogoods, search.tags))
-        assert attached[: len(nogoods)] == nogoods
-        supports = {tag[1]: idx for idx, (_, tag) in enumerate(nogoods) if tag and tag[0] == "s"}
-        units = [
-            ((atom,), ("a", supports[atom], (atom,)))
-            for atom in _self_blocking(program, search.catalog)
-        ]
-        assert attached[len(nogoods):] == units
-        assert search.unwritten == set(range(len(attached)))
+        assert list(zip(search.nogoods, search.tags)) == nogoods
+        assert search.unwritten == set(range(len(nogoods)))
+        named = {abs(l) for entries in search.nogoods for l in entries}
+        for atom, body in _constraint_atoms(program).items():
+            for var in (atom, search.body_ids[body]):
+                assert search.val[var] is False and search.level[var] == 0
+                assert var not in named
+            collapsed += 1
+    assert collapsed > 50
 
 
 def test_branch_picks_the_smallest_unassigned_variable(monkeypatch):
@@ -377,7 +413,7 @@ def test_backjump_pops_a_suffix():
     """A backjump keeps the trail up to the first undone decision, and only that."""
     program = parse_program("#atoms a b c d e f.\n")
     search = solver_module._Search(
-        program, "min-true", random.Random(0), None, DEFAULT_BODY_BUDGET, frozenset()
+        program, "min-true", None, None, DEFAULT_BODY_BUDGET, frozenset()
     )
     for atom in (1, 2, 3):
         assert search.attach((atom, atom + 3), None) is None
@@ -434,10 +470,12 @@ def test_attach_sees_false_entries_only_at_set_up(monkeypatch):
     during set-up; a learned nogood has exactly one free entry, and a loop
     nogood, like any nogood with an assigned entry and no false one, at most
     one. That is what lets attach leave a nogood with a false entry unwatched
-    and watch a free entry beside the highest true one."""
+    and watch a free entry beside the highest true one. A constraint's
+    nogood of two or more entries is attached among the body definitions,
+    while every atom is free; one of a single entry, with the unit nogoods."""
     monkeypatch.setattr(solver_module, "RESTART_INTERVAL", 8)
     attach = solver_module._Search.attach
-    counts = {"false": 0, "learned": 0, "loop": 0}
+    counts = {"false": 0, "learned": 0, "loop": 0, "constraint": 0}
 
     def checked_attach(search, entries, tag, learned=False):
         values = [search.val[l] for l in entries]
@@ -451,6 +489,9 @@ def test_attach_sees_false_entries_only_at_set_up(monkeypatch):
             assert values.count(None) == 1
             counts["learned"] += 1
         counts["loop"] += bool(tag and tag[0] == "l")
+        if tag and tag[0] == "k" and len(entries) > 1:
+            assert values.count(None) == len(entries)
+            counts["constraint"] += 1
         return attach(search, entries, tag, learned)
 
     monkeypatch.setattr(solver_module._Search, "attach", checked_attach)
@@ -465,19 +506,21 @@ def test_attach_sees_false_entries_only_at_set_up(monkeypatch):
             for restarts in (False, True):
                 solve(program, heuristic=heuristic, restarts=restarts, seed=index)
     assert counts["false"] > 1000 and counts["learned"] > 300 and counts["loop"] > 100
+    assert counts["constraint"] > 500
 
 
 def test_constraint_atoms_get_lines_only_when_the_refutation_needs_them():
     """The two constraints on `a` refute the program, so only their atoms get
-    s and a lines; the constraint on `b` (atom __bot3) takes no part and gets none."""
+    lines: each one's b, s, c and a lines, together. The constraint on `b`
+    (atom __bot3) takes no part and gets none."""
     program = parse_program("{a}. {b}. :- a. :- not a. :- b.\n")
     result = solve(program)
     assert result.status == INCONSISTENT
     assert check(program, result.proof).ok
     lines = serialize_proof(result.proof).splitlines()
     assert lines == [
-        "b 7 1 -3 0", "b 8 -1 -4 0", "s 3 7 0", "s 4 8 0", "c 7 3 0", "c 8 4 0",
-        "a 3 0", "a 4 0", "a 0",
+        "b 7 1 -3 0", "s 3 7 0", "c 7 3 0", "a 3 0",
+        "b 8 -1 -4 0", "s 4 8 0", "c 8 4 0", "a 4 0", "a 0",
     ]
     assert program.name(5) == "__bot3"
     assert not [line for line in lines if line.split()[:2] in (["s", "5"], ["a", "5"])]
@@ -514,3 +557,82 @@ def test_self_blocking_lines_come_in_order_and_at_most_once(monkeypatch):
                 justified += len(asserted)
                 assert check(program, proof).ok
     assert refuted > 300 and justified > 300
+
+
+def _attached(monkeypatch):
+    """Spy on attach; lists (search, entries, tag) for every nogood attached."""
+    attach = solver_module._Search.attach
+    seen = []
+
+    def recorded_attach(search, entries, tag, learned=False):
+        seen.append((search, entries, tag))
+        return attach(search, entries, tag, learned)
+
+    monkeypatch.setattr(solver_module._Search, "attach", recorded_attach)
+    return seen
+
+
+@pytest.mark.parametrize("snippet", [
+    "{a} :- c, not a, not b.",
+    "a :- b, not a.\nc :- a.",
+    "a :- b, not a.\na :- c, not a.",
+    "a :- not a.",
+])
+def test_self_blocking_atoms_that_are_not_constraints_keep_their_completion(monkeypatch, snippet):
+    """A choice head, an atom named in a second rule, and an empty B' are
+    self-blocking but not constraint atoms: `a` keeps its support nogood and
+    unit lemma, and gets no constraint nogood. Collapsing the choice rule
+    would refute `{a} :- c, not a, not b. c.`, which has an answer set.
+    Verdicts match the oracle under every heuristic, with and without
+    restarts, witnesses are answer sets and every proof checks."""
+    monkeypatch.setattr(solver_module, "RESTART_INTERVAL", 2)
+    attached = _attached(monkeypatch)
+    contexts = ["", "b.", "c.", "b.\nc.", "{b}.\n{c}.", "{b; c}.\n:- not b.", "{c}.\n:- not c.",
+                "{b}.\nc :- not b.", "{c}.\nb :- c.\n:- b, not c.", "c.\n:- not a."]
+    refuted = 0
+    for context in contexts:
+        program = parse_program(f"#atoms a b c.\n{snippet}\n{context}\n")
+        consistent = bool(enumerate_answer_sets(program, cap=1))
+        for heuristic in HEURISTICS:
+            for restarts in (False, True):
+                del attached[:]
+                result = solve(program, heuristic=heuristic, restarts=restarts, seed=3)
+                tags = [tag for _, _, tag in attached if tag]
+                assert [tag for tag in tags if tag[0] == "a" and tag[2] == (1,)]
+                assert not [tag for tag in tags if tag[0] == "k" and tag[1] == 1]
+                if consistent:
+                    assert result.status == CONSISTENT
+                    assert is_answer_set(program, result.answer_set)
+                else:
+                    assert result.status == INCONSISTENT
+                    assert check(program, result.proof).ok
+                    refuted += 1
+    assert refuted > 0
+
+
+def test_each_constraint_is_one_nogood_that_names_neither_its_atom_nor_its_body(monkeypatch):
+    """Solving PHP(5,4) attaches exactly one nogood per constraint, tagged
+    with its __botK atom, and no other nogood, learned ones included, names a
+    __botK atom or the body of its constraint."""
+    attached = _attached(monkeypatch)
+    program = parse_program(_php_text(5, 4, random.Random(2)))
+    bots = [atom for atom in program.atom_ids() if program.name(atom).startswith("__bot")]
+    assert len(bots) == 45
+    for heuristic in HEURISTICS:
+        for restarts in (False, True):
+            del attached[:]
+            result = solve(program, heuristic=heuristic, restarts=restarts)
+            assert result.status == INCONSISTENT
+            assert check(program, result.proof).ok
+            search = attached[0][0]
+            hidden = set(bots) | {
+                search.body_ids[body] for body in search.catalog.order
+                if any(-bot in body for bot in bots)
+            }
+            assert len(hidden) == 2 * len(bots)
+            named = [tag[1] for _, _, tag in attached if tag and tag[0] == "k"]
+            assert sorted(named) == bots
+            for _, entries, tag in attached:
+                assert not hidden & {abs(l) for l in entries}
+                assert not tag or tag[0] == "k" or tag[1] not in hidden
+
