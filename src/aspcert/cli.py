@@ -108,9 +108,11 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    discrepancies = differential_run(
-        args.count, max_atoms=args.atoms, seed=args.seed
-    )
+    try:
+        discrepancies = differential_run(args.count, max_atoms=args.atoms, seed=args.seed)
+    except OracleError as exc:
+        # Each integrity constraint of a draw adds an atom to the --atoms drawn.
+        raise _InputError(f"--atoms {args.atoms}: {exc}") from None
     print(f"{args.count} instances, {len(discrepancies)} discrepancies")
     for item in discrepancies:
         print(f"instance {item.index}: {item.detail}")

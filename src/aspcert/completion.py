@@ -117,12 +117,16 @@ def body_catalog(program: Program, budget: int | None = DEFAULT_BODY_BUDGET) -> 
     deferred: list[Rule] = []
     by_rule: list[list[tuple[int, list[frozenset[int]]]]] = []
     for rule in program.rules:
-        try:
-            per_atom = [(a, induced_bodies_of_rule(rule, a, budget)) for a in rule.head]
-        except BudgetError:
-            deferred.append(rule)
-            by_rule.append([])
-            continue
+        if rule.kind is not RuleKind.WEIGHT and not rule.is_disjunctive:
+            body = [rule.body_literals()]
+            per_atom = [(a, body) for a in rule.head]
+        else:
+            try:
+                per_atom = [(a, induced_bodies_of_rule(rule, a, budget)) for a in rule.head]
+            except BudgetError:
+                deferred.append(rule)
+                by_rule.append([])
+                continue
         by_rule.append(per_atom)
         for atom, bodies in per_atom:
             for body in bodies:

@@ -44,6 +44,7 @@ class Rule:
     neg_body: frozenset[int] = frozenset()
     bound: int = 0
     weights: tuple[tuple[int, int], ...] = ()
+    _body: frozenset[int] = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         if not self.head:
@@ -62,10 +63,14 @@ class Rule:
                 raise ValueError("weight literals must be distinct and consistent")
             if any(w <= 0 for _, w in self.weights):
                 raise ValueError("weights are positive")
+            body = frozenset(lits)
         elif self.weights or self.bound:
             raise ValueError("only weight rules carry weights and a bound")
+        else:
+            body = frozenset(self.pos_body) | frozenset(-a for a in self.neg_body)
         if self.pos_body & self.neg_body:
             raise ValueError("atom occurs positively and negatively in one body")
+        object.__setattr__(self, "_body", body)
 
     @property
     def is_disjunctive(self) -> bool:
@@ -73,9 +78,7 @@ class Rule:
 
     def body_literals(self) -> frozenset[int]:
         """The rule body as signed atom ids (weight rules: the weight domain)."""
-        if self.kind is RuleKind.WEIGHT:
-            return frozenset(lit for lit, _ in self.weights)
-        return frozenset(self.pos_body) | frozenset(-a for a in self.neg_body)
+        return self._body
 
     def weight_of(self, lit: int) -> int:
         for candidate, w in self.weights:

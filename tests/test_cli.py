@@ -146,6 +146,14 @@ def test_fuzz_accepts_atom_bound(capsys):
     assert main(["fuzz", "--count", "5", "--atoms", "4", "--seed", "1"]) == 0
 
 
+def test_fuzz_past_the_oracle_guard_exits_2(capsys):
+    # The seventh draw at this seed has 21 atoms, one above the oracle's guard.
+    assert main(["fuzz", "--count", "10", "--atoms", "20", "--seed", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --atoms 20: 21 atoms exceed the enumeration guard 20\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -41,9 +41,16 @@ def test_random_tight_program_has_no_loops():
 def test_random_rich_program_draws_every_construct():
     rng = random.Random(8)
     kinds = set()
+    several_constraints = 0
     for _ in range(200):
         program = random_rich_program(rng)
         cyclic = cyclic_atoms(dependency_graph(program))
+        bots = [name for name in program.atom_names if name.startswith("__bot")]
+        # The k-th constraint's atom __botk, after every other atom.
+        assert program.atom_names[program.atom_count - len(bots):] == tuple(
+            f"__bot{k}" for k in range(1, len(bots) + 1)
+        )
+        several_constraints += len(bots) >= 2
         for rule in program.rules:
             if rule.kind is RuleKind.WEIGHT:
                 assert rule.head[0] not in cyclic
@@ -51,13 +58,15 @@ def test_random_rich_program_draws_every_construct():
                 kinds.add("weight")
             elif rule.kind is RuleKind.CHOICE:
                 kinds.add("choice")
-            elif program.name(rule.head[0]) == "__bot1":
+            elif program.name(rule.head[0]).startswith("__bot"):
                 assert rule.head[0] in rule.neg_body
+                assert [r.head for r in program.rules].count(rule.head) == 1
                 kinds.add("constraint")
             else:
                 kinds.add("basic")
         assert parse_program(emit_program(program)) == program
     assert kinds == {"basic", "choice", "weight", "constraint"}
+    assert several_constraints > 0
 
 
 def test_differential_run_covers_choice_weight_and_constraints():

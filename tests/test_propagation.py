@@ -10,14 +10,9 @@ from aspcert.checker import CheckerState
 from aspcert.core import weight_rule
 from aspcert.oracle import entails
 from aspcert.program_io import parse_program
-from aspcert.propagation import (
-    NogoodStore,
-    WeightRulePropagator,
-    is_rup,
-    rup_run,
-    unit_propagate,
-)
+from aspcert.propagation import NogoodStore, WeightRulePropagator, rup_run
 from aspcert.solver import solve
+from reference import is_rup, reference_rup_run, unit_propagate
 
 
 def test_unit_propagate_chain():
@@ -48,7 +43,7 @@ def test_unit_propagate_stable_under_no_units():
 def test_rup_member_nogood():
     nogoods = [frozenset({1, -2}), frozenset({2, 3})]
     assert is_rup(nogoods, frozenset({1, -2}))
-    assert rup_run(nogoods, frozenset({1, -2})).is_conflict
+    assert reference_rup_run(nogoods, frozenset({1, -2})).is_conflict
 
 
 def test_rup_fresh_variable_is_not_rup():
@@ -194,7 +189,7 @@ def test_nogood_store_matches_reference_propagation(operations, rule):
                 reference.remove(nogood)
         else:
             watched = rup_run(store, nogood, propagators)
-            naive = rup_run(reference, nogood, propagators)
+            naive = reference_rup_run(reference, nogood, propagators)
             assert watched.is_conflict == naive.is_conflict
             if not naive.is_conflict:
                 assert watched.assignment == naive.assignment
@@ -232,7 +227,7 @@ def test_nogood_store_reuses_its_top_level_across_rup_tests():
     from_scratch = 0
     for step in proof:
         if step.kind == "a":
-            from_scratch += len(rup_run(state.store.live(), frozenset(step.lits)).derived)
+            from_scratch += len(reference_rup_run(state.store.live(), frozenset(step.lits)).derived)
         state.step(step)
     assert state.result().ok
     assert state.store.assigned < from_scratch / 2
@@ -249,3 +244,39 @@ def test_nogood_store_takes_ids_of_any_size():
     assert store.remove(frozenset({-(10**30)}))
     assert not rup_run(store, frozenset({1})).is_conflict
     assert len(store) == 4
+
+
+def test_nogood_store_stops_visiting_nogoods_the_top_level_satisfies():
+    # The units {k} make each -k true at the top level, so each {1, k} is
+    # satisfied there: the first test that assumes 1 visits them, and later
+    # ones find 1's watch list empty.
+    store = NogoodStore()
+    for k in range(2, 7):
+        store.insert(frozenset({1, k}))
+        store.insert(frozenset({k}))
+    assert not rup_run(store, frozenset({1})).is_conflict
+    assert store.visits == 5
+    for _ in range(3):
+        result = rup_run(store, frozenset({1}))
+        assert not result.is_conflict
+        assert result.assignment == {1, -2, -3, -4, -5, -6}
+    assert store.visits == 5
+
+
+def test_nogood_store_restores_dropped_watches_when_it_rebuilds_the_top_level():
+    # Under 1, {1, 2} forces -2, and under 5, -2 makes {-2, 3, 5} and
+    # {-2, -3, 5} force -3 and 3. No other nogood forces -2, and without -2
+    # none of them forces 2, 3 or -3, so only {1, 2} leads to the conflict.
+    store = NogoodStore()
+    for nogood in ({1, 2}, {-2, 3, 5}, {-2, -3, 5}, {2}):
+        store.insert(frozenset(nogood))
+    # -2 holds at the top level, so this test drops {1, 2} from 1's list.
+    assert not rup_run(store, frozenset({1})).is_conflict
+    visits = store.visits
+    assert not rup_run(store, frozenset({1})).is_conflict
+    assert store.visits == visits
+    # Deleting the reason of -2 rebuilds the top level, which must put
+    # {1, 2} back on 1's list: it is the only route to the conflict.
+    assert store.remove(frozenset({2}))
+    assert rup_run(store, frozenset({1, 5})).is_conflict
+    assert rup_run(store, frozenset({1})).derived == (-2,)
