@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Nogood = frozenset[int]
 Assignment = frozenset[int]
@@ -47,14 +47,15 @@ class Rule:
     _body: frozenset[int] = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
-        if not self.head:
+        head = self.head
+        if not head:
             raise ValueError("rule needs at least one head atom")
-        if any(a <= 0 for a in self.head):
+        if min(head) <= 0:
             raise ValueError("head atoms are positive ids")
-        if len(set(self.head)) != len(self.head):
+        if len(head) > 1 and len(set(head)) != len(head):
             raise ValueError("duplicate head atom")
         if self.kind is RuleKind.WEIGHT:
-            if len(self.head) != 1:
+            if len(head) != 1:
                 raise ValueError("weight rule has exactly one head atom")
             if self.bound < 0:
                 raise ValueError("weight bound is non-negative")
@@ -67,8 +68,8 @@ class Rule:
         elif self.weights or self.bound:
             raise ValueError("only weight rules carry weights and a bound")
         else:
-            body = frozenset(self.pos_body) | frozenset(-a for a in self.neg_body)
-        if self.pos_body & self.neg_body:
+            body = frozenset(self.pos_body).union([-a for a in self.neg_body])
+        if not self.pos_body.isdisjoint(self.neg_body):
             raise ValueError("atom occurs positively and negatively in one body")
         object.__setattr__(self, "_body", body)
 
@@ -123,16 +124,13 @@ class Program:
         if len(ids) != len(self.atom_names):
             raise ValueError("duplicate atom name")
         object.__setattr__(self, "_ids", ids)
+        used: set[int] = set()
         for rule in self.rules:
-            for atom in self.atoms_of(rule):
-                if not 1 <= atom <= len(self.atom_names):
-                    raise ValueError(f"rule uses unknown atom id {atom}")
-
-    @staticmethod
-    def atoms_of(rule: Rule) -> Iterator[int]:
-        yield from rule.head
-        yield from rule.pos_body
-        yield from rule.neg_body
+            used.update(rule.head, rule.pos_body, rule.neg_body)
+        if used and not 1 <= min(used) <= max(used) <= len(ids):
+            order = [a for r in self.rules for a in (*r.head, *r.pos_body, *r.neg_body)]
+            unknown = next(a for a in order if not 1 <= a <= len(ids))
+            raise ValueError(f"rule uses unknown atom id {unknown}")
 
     @property
     def atom_count(self) -> int:

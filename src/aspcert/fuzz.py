@@ -5,10 +5,11 @@ rule count up to the configured maxima, bodies of up to three distinct
 atoms, each negated with probability one half. `random_rich_program` mixes
 in every other construct the solver accepts: choice rules, weight rules and
 integrity constraints. Every instance is reproducible from the top-level
-seed. The differential loop draws rich programs and cross-checks three
-things per instance: the solver's verdict against brute-force enumeration,
-every inconsistency proof against the checker, and every reported answer
-set against the stability test.
+seed. The differential loop draws rich programs and cross-checks four
+things per instance: the program parsed back from its emitted text against
+the draw, the solver's verdict against brute-force enumeration, every
+inconsistency proof against the checker, and every reported answer set
+against the stability test.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .checker import check
 from .core import Program, Rule, RuleKind, basic_rule, choice_rule, weight_rule
 from .loops import cyclic_atoms, dependency_graph, has_loops
 from .oracle import enumerate_answer_sets, is_answer_set
-from .program_io import emit_program
+from .program_io import ParseError, emit_program, parse_program
 from .solver import CONSISTENT, HEURISTICS, INCONSISTENT, solve
 
 
@@ -118,6 +119,15 @@ def random_rich_program(
             return program
 
 
+def _round_trip(program: Program, text: str) -> str | None:
+    """Parse the emitted text back; a disagreement if it is not the same program."""
+    try:
+        parsed = parse_program(text)
+    except ParseError as exc:
+        return f"emitted text does not parse: {exc}"
+    return None if parsed == program else "emitted text parses to another program"
+
+
 def _cross_check(program: Program, heuristic: str, seed: int) -> str | None:
     """Solve once and test the outcome; returns the first disagreement found.
 
@@ -146,12 +156,15 @@ def differential_run(
     max_rules: int = 10,
     seed: int = 0,
 ) -> list[Discrepancy]:
-    """Cross-check solver, checker, and oracle on `count` random rich programs."""
+    """Cross-check parser, solver, checker, and oracle on `count` random rich programs."""
     rng = random.Random(seed)
     found: list[Discrepancy] = []
     for index in range(count):
         program = random_rich_program(rng, max_atoms=max_atoms, max_rules=max_rules)
-        detail = _cross_check(program, HEURISTICS[index % len(HEURISTICS)], index)
+        text = emit_program(program)
+        detail = _round_trip(program, text) or _cross_check(
+            program, HEURISTICS[index % len(HEURISTICS)], index
+        )
         if detail is not None:
-            found.append(Discrepancy(index, emit_program(program), detail))
+            found.append(Discrepancy(index, text, detail))
     return found

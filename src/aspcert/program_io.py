@@ -19,10 +19,10 @@ a fresh __botK atom numbered after the constraint's body atoms.
 from __future__ import annotations
 
 import re
-from typing import Iterator
 
-from .core import Program, Rule, RuleKind, basic_rule, choice_rule, weight_rule
+from .core import Program, Rule, RuleKind, weight_rule
 
+_COMMENT = re.compile(r"%[^\n]*")
 _NAME = re.compile(r"[A-Za-z_]\w*\Z")
 _LITERAL = re.compile(r"(not\s+|~\s*)?([A-Za-z_]\w*)\Z")
 _WEIGHT_BODY = re.compile(r"(\d+)\s*<=\s*\{(.*)\}\Z", re.DOTALL)
@@ -33,144 +33,160 @@ class ParseError(ValueError):
     """Raised on malformed program or proof text."""
 
 
-def _statements(text: str) -> Iterator[tuple[int, str]]:
-    """Yield (line, statement) pairs, splitting on '.' outside comments.
-
-    A statement's line is that of its first non-blank character, or of its
-    '.' when it is empty.
-    """
-    *chunks, rest = re.sub(r"%[^\n]*", "", text).split(".")
-    line = 1
-    for chunk in chunks:
-        stmt = chunk.lstrip()
-        yield line + chunk.count("\n", 0, len(chunk) - len(stmt)), stmt.rstrip()
-        line += chunk.count("\n")
-    stmt = rest.lstrip()
-    if stmt:
-        start = line + rest.count("\n", 0, len(rest) - len(stmt))
-        raise ParseError(f"line {start}: statement not terminated by '.'")
-
-
 class _Builder:
+    """Atom table and rules of one parse; its errors carry no line number."""
+
     def __init__(self) -> None:
         self.names: list[str] = []
         self.ids: dict[str, int] = {}
+        # Every body or weight-item token seen so far, spaces included, and its literal.
+        self.literals: dict[str, int] = {}
         self.rules: list[Rule] = []
         self.bot_count = 0
 
-    def atom(self, name: str, line: int) -> int:
-        if not _NAME.match(name):
-            raise ParseError(f"line {line}: bad atom name {name!r}")
-        if name not in self.ids:
-            self.names.append(name)
-            self.ids[name] = len(self.names)
-        return self.ids[name]
+    def add(self, name: str) -> int:
+        self.names.append(name)
+        atom = self.ids[name] = len(self.names)
+        return atom
+
+    def atom(self, name: str) -> int:
+        atom = self.ids.get(name)
+        if atom is None:
+            if not _NAME.match(name):
+                raise ParseError(f"bad atom name {name!r}")
+            atom = self.add(name)
+        return atom
 
     def fresh_bot(self) -> int:
         while True:
             self.bot_count += 1
             name = f"__bot{self.bot_count}"
             if name not in self.ids:
-                self.names.append(name)
-                self.ids[name] = len(self.names)
-                return self.ids[name]
+                return self.add(name)
 
-    def literal(self, token: str, line: int) -> int:
-        match = _LITERAL.match(token.strip())
-        if not match:
-            raise ParseError(f"line {line}: bad literal {token.strip()!r}")
-        atom = self.atom(match.group(2), line)
-        return -atom if match.group(1) else atom
+    def literal(self, token: str) -> int:
+        lit = self.literals.get(token)
+        if lit is None:
+            match = _LITERAL.match(token.strip())
+            if not match:
+                raise ParseError(f"bad literal {token.strip()!r}")
+            negated, name = match.groups()
+            lit = self.ids.get(name) or self.add(name)
+            self.literals[token] = lit = -lit if negated else lit
+        return lit
 
+    def body(self, text: str) -> tuple[frozenset[int], frozenset[int]]:
+        """Positive and negative atoms of a comma-separated body."""
+        tokens = text.split(",")
+        lits = [self.literals.get(token) for token in tokens]
+        if None in lits:
+            if "" in map(str.strip, tokens):
+                raise ParseError("empty body literal")
+            lits = [self.literal(token) for token in tokens]
+        pos = frozenset([lit for lit in lits if lit > 0])
+        neg = frozenset([-lit for lit in lits if lit < 0])
+        if not pos.isdisjoint(neg):
+            raise ParseError("atom occurs positively and negatively in body")
+        return pos, neg
 
-def _split_body(body: str, line: int) -> list[str]:
-    parts = [part.strip() for part in body.split(",")]
-    if any(not part for part in parts):
-        raise ParseError(f"line {line}: empty body literal")
-    return parts
+    def directive(self, stmt: str) -> None:
+        if not stmt.startswith("#atoms"):
+            raise ParseError(f"unknown directive {stmt.split()[0]!r}")
+        if self.rules:
+            raise ParseError("#atoms must precede all rules")
+        names = stmt[len("#atoms") :].split()
+        if not names:
+            raise ParseError("#atoms lists no names")
+        for name in names:
+            if name in self.ids:
+                raise ParseError(f"atom {name!r} declared twice")
+            self.atom(name)
 
 
 def parse_program(text: str) -> Program:
-    """Parse program text; raises ParseError on malformed input."""
+    """Parse program text; raises ParseError on malformed input.
+
+    The error names the line where its statement starts, or that of the
+    statement's '.' when the statement is empty.
+    """
+    if "%" in text:
+        text = _COMMENT.sub("", text)
+    chunks = text.split(".")
     builder = _Builder()
-    for line, stmt in _statements(text):
-        if not stmt:
-            raise ParseError(f"line {line}: empty statement")
-        if stmt.startswith("#atoms"):
-            if builder.rules:
-                raise ParseError(f"line {line}: #atoms must precede all rules")
-            names = stmt[len("#atoms") :].split()
-            if not names:
-                raise ParseError(f"line {line}: #atoms lists no names")
-            for name in names:
-                if name in builder.ids:
-                    raise ParseError(f"line {line}: atom {name!r} declared twice")
-                builder.atom(name, line)
-            continue
-        if stmt.startswith("#"):
-            raise ParseError(f"line {line}: unknown directive {stmt.split()[0]!r}")
-        builder.rules.append(_parse_rule(builder, stmt, line))
+    index = 0
+    try:
+        for index in range(len(chunks) - 1):
+            stmt = chunks[index].strip()
+            if not stmt:
+                raise ParseError("empty statement")
+            if stmt[0] == "#":
+                builder.directive(stmt)
+            else:
+                builder.rules.append(_parse_rule(builder, stmt))
+        index = len(chunks) - 1
+        if chunks[index].strip():
+            raise ParseError("statement not terminated by '.'")
+    except ParseError as exc:
+        before = ".".join(chunks[: index + 1])
+        line = before.count("\n", 0, len(before) - len(chunks[index].lstrip())) + 1
+        raise ParseError(f"line {line}: {exc}") from None
     return Program(tuple(builder.names), tuple(builder.rules))
 
 
-def _parse_rule(builder: _Builder, stmt: str, line: int) -> Rule:
+def _parse_rule(builder: _Builder, stmt: str) -> Rule:
     head_text, sep, body_text = stmt.partition(":-")
     head_text = head_text.strip()
     body_text = body_text.strip()
     if sep and not body_text:
-        raise ParseError(f"line {line}: rule body is empty")
+        raise ParseError("rule body is empty")
     if ":-" in body_text:
-        raise ParseError(f"line {line}: more than one ':-'")
+        raise ParseError("more than one ':-'")
 
     if not head_text:
         if not sep:
-            raise ParseError(f"line {line}: empty rule")
-        body = [builder.literal(tok, line) for tok in _split_body(body_text, line)]
+            raise ParseError("empty rule")
+        pos, neg = builder.body(body_text)
         bot = builder.fresh_bot()
-        pos = frozenset(l for l in body if l > 0)
-        neg = frozenset(-l for l in body if l < 0) | {bot}
-        return Rule(RuleKind.BASIC, (bot,), pos, neg)
+        return Rule(RuleKind.BASIC, (bot,), pos, neg | {bot})
 
-    weight_match = _WEIGHT_BODY.match(body_text) if sep else None
+    weight_match = _WEIGHT_BODY.match(body_text) if "<=" in body_text else None
     if weight_match:
-        if head_text.startswith("{") or "|" in head_text:
-            raise ParseError(f"line {line}: weight rule needs a single head atom")
-        head = builder.atom(head_text, line)
+        if head_text[0] == "{" or "|" in head_text:
+            raise ParseError("weight rule needs a single head atom")
+        head = builder.atom(head_text)
         bound = int(weight_match.group(1))
         weights: dict[int, int] = {}
         inner = weight_match.group(2).strip()
         for item in [p.strip() for p in inner.split(",")] if inner else []:
             item_match = _WEIGHT_ITEM.match(item)
             if not item_match:
-                raise ParseError(f"line {line}: bad weight item {item!r}")
-            lit = builder.literal(item_match.group(1), line)
+                raise ParseError(f"bad weight item {item!r}")
+            lit = builder.literal(item_match.group(1))
             if lit in weights or -lit in weights:
-                raise ParseError(f"line {line}: repeated weight literal")
+                raise ParseError("repeated weight literal")
             weights[lit] = int(item_match.group(2))
         if any(w <= 0 for w in weights.values()):
-            raise ParseError(f"line {line}: weights must be positive")
+            raise ParseError("weights must be positive")
         return weight_rule(head, bound, weights)
 
-    if head_text.startswith("{"):
+    if head_text[0] == "{":
+        kind = RuleKind.CHOICE
         if not head_text.endswith("}"):
-            raise ParseError(f"line {line}: unterminated choice head")
+            raise ParseError("unterminated choice head")
         inner = head_text[1:-1].strip()
         if not inner:
-            raise ParseError(f"line {line}: empty choice head")
-        head = [builder.atom(tok.strip(), line) for tok in inner.split(";")]
+            raise ParseError("empty choice head")
+        head = tuple([builder.atom(tok.strip()) for tok in inner.split(";")])
     else:
-        head = [builder.atom(tok.strip(), line) for tok in head_text.split("|")]
-    if len(set(head)) != len(head):
-        raise ParseError(f"line {line}: duplicate head atom")
-
-    body = [builder.literal(tok, line) for tok in _split_body(body_text, line)] if sep else []
-    pos = frozenset(l for l in body if l > 0)
-    neg = frozenset(-l for l in body if l < 0)
-    if pos & neg:
-        raise ParseError(f"line {line}: atom occurs positively and negatively in body")
-    if head_text.startswith("{"):
-        return choice_rule(head, pos, neg)
-    return basic_rule(head, pos, neg)
+        kind = RuleKind.BASIC
+        if "|" in head_text:
+            head = tuple([builder.atom(tok.strip()) for tok in head_text.split("|")])
+        else:
+            head = (builder.atom(head_text),)
+    if len(head) > 1 and len(set(head)) != len(head):
+        raise ParseError("duplicate head atom")
+    pos, neg = builder.body(body_text) if sep else (frozenset(), frozenset())
+    return Rule(kind, head, pos, neg)
 
 
 def _literal_text(program: Program, lit: int) -> str:

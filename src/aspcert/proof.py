@@ -64,14 +64,9 @@ class Proof:
         return len(self.steps)
 
 
-def _ints(tokens: list[str], line: int) -> list[int]:
-    try:
-        return [int(tok) for tok in tokens]
-    except ValueError:
-        raise ProofSyntaxError(f"line {line}: non-integer token") from None
-
-
 def _parse_step(kind: str, payload: list[int], line: int) -> Step:
+    """A c, s, e, b, l or u step from its integers, the closing 0 dropped."""
+
     def positive(values: Iterable[int], what: str) -> tuple[int, ...]:
         out = tuple(values)
         if any(v <= 0 for v in out):
@@ -81,8 +76,6 @@ def _parse_step(kind: str, payload: list[int], line: int) -> Step:
     def signed(values: Iterable[int]) -> tuple[int, ...]:
         return tuple(values)
 
-    if kind in ("a", "d"):
-        return Step(kind, lits=signed(payload))
     if kind == "c":
         if len(payload) < 2:
             raise ProofSyntaxError(f"line {line}: c needs a body id and atom ids")
@@ -128,19 +121,24 @@ def parse_proof(text: str) -> Proof:
     steps: list[Step] = []
     lines: list[int] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
         tokens = raw.split()
+        if not tokens:
+            continue
         kind = tokens[0]
         if kind not in STEP_KINDS:
             raise ProofSyntaxError(f"line {line_no}: unknown step kind {kind!r}")
-        payload = _ints(tokens[1:], line_no)
-        if not payload or payload[-1] != 0:
+        try:
+            payload = list(map(int, tokens[1:]))
+        except ValueError:
+            raise ProofSyntaxError(f"line {line_no}: non-integer token") from None
+        if not payload or payload.pop() != 0:
             raise ProofSyntaxError(f"line {line_no}: missing 0 terminator")
-        payload = payload[:-1]
         if 0 in payload:
             raise ProofSyntaxError(f"line {line_no}: stray 0 before terminator")
-        steps.append(_parse_step(kind, payload, line_no))
+        if kind == "a" or kind == "d":
+            steps.append(Step(kind, 0, tuple(payload)))
+        else:
+            steps.append(_parse_step(kind, payload, line_no))
         lines.append(line_no)
     return Proof(tuple(steps), tuple(lines))
 

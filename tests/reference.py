@@ -1,15 +1,21 @@
-"""Slow reference propagation that the tests compare NogoodStore against.
+"""Slow references that the tests compare the program against.
 
 unit_propagate works on any iterable of nogoods: it starts from nothing,
 scans the list in order and repeats until a full pass derives nothing, so
-its derivation order is a deterministic function of list order.
+its derivation order is a deterministic function of list order; the tests
+compare NogoodStore against it. reference_parse_program is a plain
+statement-by-statement parser of the program text format, with a regular
+expression per literal and the line number passed to every helper; the
+tests compare parse_program against it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import re
+from typing import Iterable, Iterator, Sequence
 
-from aspcert.core import Nogood
+from aspcert.core import Nogood, Program, Rule, RuleKind, basic_rule, choice_rule, weight_rule
+from aspcert.program_io import ParseError
 from aspcert.propagation import PropagationResult, Propagator
 
 
@@ -82,3 +88,151 @@ def is_rup(
 ) -> bool:
     """Check that asserting delta propagates to a conflict (reverse unit propagation)."""
     return reference_rup_run(nogoods, delta, propagators).is_conflict
+
+
+_NAME = re.compile(r"[A-Za-z_]\w*\Z")
+_LITERAL = re.compile(r"(not\s+|~\s*)?([A-Za-z_]\w*)\Z")
+_WEIGHT_BODY = re.compile(r"(\d+)\s*<=\s*\{(.*)\}\Z", re.DOTALL)
+_WEIGHT_ITEM = re.compile(r"((?:not\s+|~\s*)?[A-Za-z_]\w*)\s*=\s*(\d+)\Z")
+
+
+def _statements(text: str) -> Iterator[tuple[int, str]]:
+    """Yield (line, statement) pairs, splitting on '.' outside comments.
+
+    A statement's line is that of its first non-blank character, or of its
+    '.' when it is empty.
+    """
+    *chunks, rest = re.sub(r"%[^\n]*", "", text).split(".")
+    line = 1
+    for chunk in chunks:
+        stmt = chunk.lstrip()
+        yield line + chunk.count("\n", 0, len(chunk) - len(stmt)), stmt.rstrip()
+        line += chunk.count("\n")
+    stmt = rest.lstrip()
+    if stmt:
+        start = line + rest.count("\n", 0, len(rest) - len(stmt))
+        raise ParseError(f"line {start}: statement not terminated by '.'")
+
+
+class _Builder:
+    def __init__(self) -> None:
+        self.names: list[str] = []
+        self.ids: dict[str, int] = {}
+        self.rules: list[Rule] = []
+        self.bot_count = 0
+
+    def atom(self, name: str, line: int) -> int:
+        if not _NAME.match(name):
+            raise ParseError(f"line {line}: bad atom name {name!r}")
+        if name not in self.ids:
+            self.names.append(name)
+            self.ids[name] = len(self.names)
+        return self.ids[name]
+
+    def fresh_bot(self) -> int:
+        while True:
+            self.bot_count += 1
+            name = f"__bot{self.bot_count}"
+            if name not in self.ids:
+                self.names.append(name)
+                self.ids[name] = len(self.names)
+                return self.ids[name]
+
+    def literal(self, token: str, line: int) -> int:
+        match = _LITERAL.match(token.strip())
+        if not match:
+            raise ParseError(f"line {line}: bad literal {token.strip()!r}")
+        atom = self.atom(match.group(2), line)
+        return -atom if match.group(1) else atom
+
+
+def _split_body(body: str, line: int) -> list[str]:
+    parts = [part.strip() for part in body.split(",")]
+    if any(not part for part in parts):
+        raise ParseError(f"line {line}: empty body literal")
+    return parts
+
+
+def reference_parse_program(text: str) -> Program:
+    """The line-by-line parser that parse_program must agree with."""
+    builder = _Builder()
+    for line, stmt in _statements(text):
+        if not stmt:
+            raise ParseError(f"line {line}: empty statement")
+        if stmt.startswith("#atoms"):
+            if builder.rules:
+                raise ParseError(f"line {line}: #atoms must precede all rules")
+            names = stmt[len("#atoms") :].split()
+            if not names:
+                raise ParseError(f"line {line}: #atoms lists no names")
+            for name in names:
+                if name in builder.ids:
+                    raise ParseError(f"line {line}: atom {name!r} declared twice")
+                builder.atom(name, line)
+            continue
+        if stmt.startswith("#"):
+            raise ParseError(f"line {line}: unknown directive {stmt.split()[0]!r}")
+        builder.rules.append(_parse_rule(builder, stmt, line))
+    return Program(tuple(builder.names), tuple(builder.rules))
+
+
+def _parse_rule(builder: _Builder, stmt: str, line: int) -> Rule:
+    head_text, sep, body_text = stmt.partition(":-")
+    head_text = head_text.strip()
+    body_text = body_text.strip()
+    if sep and not body_text:
+        raise ParseError(f"line {line}: rule body is empty")
+    if ":-" in body_text:
+        raise ParseError(f"line {line}: more than one ':-'")
+
+    if not head_text:
+        if not sep:
+            raise ParseError(f"line {line}: empty rule")
+        body = [builder.literal(tok, line) for tok in _split_body(body_text, line)]
+        bot = builder.fresh_bot()
+        pos = frozenset(l for l in body if l > 0)
+        neg = frozenset(-l for l in body if l < 0)
+        if pos & neg:
+            raise ParseError(f"line {line}: atom occurs positively and negatively in body")
+        return Rule(RuleKind.BASIC, (bot,), pos, neg | {bot})
+
+    weight_match = _WEIGHT_BODY.match(body_text) if sep else None
+    if weight_match:
+        if head_text.startswith("{") or "|" in head_text:
+            raise ParseError(f"line {line}: weight rule needs a single head atom")
+        head = builder.atom(head_text, line)
+        bound = int(weight_match.group(1))
+        weights: dict[int, int] = {}
+        inner = weight_match.group(2).strip()
+        for item in [p.strip() for p in inner.split(",")] if inner else []:
+            item_match = _WEIGHT_ITEM.match(item)
+            if not item_match:
+                raise ParseError(f"line {line}: bad weight item {item!r}")
+            lit = builder.literal(item_match.group(1), line)
+            if lit in weights or -lit in weights:
+                raise ParseError(f"line {line}: repeated weight literal")
+            weights[lit] = int(item_match.group(2))
+        if any(w <= 0 for w in weights.values()):
+            raise ParseError(f"line {line}: weights must be positive")
+        return weight_rule(head, bound, weights)
+
+    if head_text.startswith("{"):
+        if not head_text.endswith("}"):
+            raise ParseError(f"line {line}: unterminated choice head")
+        inner = head_text[1:-1].strip()
+        if not inner:
+            raise ParseError(f"line {line}: empty choice head")
+        head = [builder.atom(tok.strip(), line) for tok in inner.split(";")]
+    else:
+        head = [builder.atom(tok.strip(), line) for tok in head_text.split("|")]
+    if len(set(head)) != len(head):
+        raise ParseError(f"line {line}: duplicate head atom")
+
+    body = [builder.literal(tok, line) for tok in _split_body(body_text, line)] if sep else []
+    pos = frozenset(l for l in body if l > 0)
+    neg = frozenset(-l for l in body if l < 0)
+    if pos & neg:
+        raise ParseError(f"line {line}: atom occurs positively and negatively in body")
+    if head_text.startswith("{"):
+        return choice_rule(head, pos, neg)
+    return basic_rule(head, pos, neg)

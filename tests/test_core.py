@@ -67,8 +67,14 @@ def test_program_atom_table():
 
 
 def test_program_rejects_out_of_range_rule_atoms():
-    with pytest.raises(ValueError):
-        Program(("p",), (basic_rule((2,)),))
+    """The message names the first unknown id in rule order."""
+    for rules, unknown in (
+        ((basic_rule((2,)),), 2),
+        ((basic_rule((1,)), basic_rule((1,), pos=(3,)), basic_rule((4,))), 3),
+        ((basic_rule((1,), neg=(0,)),), 0),
+    ):
+        with pytest.raises(ValueError, match=rf"^rule uses unknown atom id {unknown}$"):
+            Program(("p",), rules)
 
 
 def test_program_rejects_duplicate_names():

@@ -2,7 +2,8 @@
 
 import random
 
-from aspcert.core import RuleKind
+from aspcert import fuzz
+from aspcert.core import Program, RuleKind
 from aspcert.fuzz import (
     differential_run,
     random_program,
@@ -80,3 +81,17 @@ def test_differential_run_is_clean_and_deterministic():
 
 def test_differential_run_reports_nothing_on_zero_instances():
     assert differential_run(0) == []
+
+
+def test_differential_run_reports_a_program_the_parser_does_not_give_back(monkeypatch):
+    monkeypatch.setattr(fuzz, "parse_program", lambda text: Program((), ()))
+    found = differential_run(5, seed=3)
+    assert [d.index for d in found] == list(range(5))
+    assert {d.detail for d in found} == {"emitted text parses to another program"}
+
+    monkeypatch.undo()
+    monkeypatch.setattr(fuzz, "emit_program", lambda program: "a :- .\n")
+    found = differential_run(2, seed=3)
+    assert [(d.program_text, d.detail) for d in found] == [
+        ("a :- .\n", "emitted text does not parse: line 1: rule body is empty")
+    ] * 2

@@ -1,14 +1,17 @@
 """LP-lite parsing, canonical emission, and the dictionary format."""
 
+import random
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aspcert.core import RuleKind
-from aspcert.fuzz import random_program
+from aspcert.fuzz import random_program, random_rich_program
 from aspcert.program_io import ParseError, emit_program, parse_program
 
-import random
+from reference import reference_parse_program
 
 
 def test_first_occurrence_numbering():
@@ -77,6 +80,7 @@ def test_parse_errors():
         ("a. b :-\n  c, d :- e.\n", "line 1: more than one ':-'"),
         ("a.\n\n..\n", "line 3: empty statement"),
         ("a.\nb :- c\n", "line 2: statement not terminated by '.'"),
+        ("a.\n:- b,\n  not b.\n", "line 2: atom occurs positively and negatively in body"),
         ("a.\n\n\n", None),
     ],
 )
@@ -104,11 +108,58 @@ def test_emit_is_idempotent(ex1_program):
     assert emit_program(parse_program(once)) == once
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_parse_emit_identity_on_random_programs(seed):
-    program = random_program(random.Random(seed))
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([random_program, random_rich_program]),
+)
+def test_parse_emit_identity_on_random_programs(seed, draw):
+    program = draw(random.Random(seed))
     assert parse_program(emit_program(program)) == program
+
+
+def _respell(text: str, rng: random.Random) -> str:
+    """The same statements with other blanks, `%` comments, `~` and several to a line."""
+    text = re.sub(r"not ", lambda _: rng.choice(["not ", "not  ", "not\n", "~", "~ "]), text)
+    text = re.sub(r" ", lambda _: rng.choice([" ", "  ", "\t", "\n", " \n "]), text)
+    text = re.sub(r"\n", lambda _: rng.choice(["\n", "\n\n", " ", "  % a. b :- c, {d}\n"]), text)
+    return rng.choice(["", "% head.\n", "\n  "]) + text
+
+
+def _edit(text: str, rng: random.Random) -> str:
+    """Insert one of the format's separators anywhere, or delete one occurrence of it."""
+    token = rng.choice([".", ",", ":-", "{", "}", "|", "%", "\n"])
+    spots = [m.start() for m in re.finditer(re.escape(token), text)]
+    if spots and rng.random() < 0.5:
+        at = rng.choice(spots)
+        return text[:at] + text[at + len(token) :]
+    at = rng.randint(0, len(text))
+    return text[:at] + token + text[at:]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([random_program, random_rich_program]),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2),
+)
+def test_parse_program_matches_the_reference_parser(seed, draw, respell, edits):
+    """Same program, or the same error text and line, as the line-by-line parser."""
+    rng = random.Random(seed)
+    text = emit_program(draw(rng))
+    if respell:
+        text = _respell(text, rng)
+    for _ in range(edits):
+        text = _edit(text, rng)
+    try:
+        expected = reference_parse_program(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as caught:
+            parse_program(text)
+        assert str(caught.value) == str(exc)
+    else:
+        assert parse_program(text) == expected
 
 
 def test_mixed_construct_roundtrip():
