@@ -8,10 +8,8 @@ from .completion import (
     BodyCatalog,
     BodyRegistry,
     BudgetError,
-    backward_family,
     body_catalog,
     body_definition,
-    forward_family,
     forward_nogood,
     induced_bodies_of_rule,
     minimal_weight_sets,
@@ -27,18 +25,16 @@ from .core import (
     choice_rule,
     weight_rule,
 )
-from .fuzz import Discrepancy, differential_run, random_program, random_tight_program
+from .fuzz import Discrepancy, differential_run, random_program
 from .loops import (
-    all_loop_nogoods,
     cyclic_atoms,
     dependency_graph,
     external_bodies,
-    has_loops,
     is_loop,
     is_unfounded_set,
     loop_nogood,
 )
-from .oracle import OracleError, entails, enumerate_answer_sets, is_answer_set
+from .oracle import OracleError, enumerate_answer_sets, is_answer_set
 from .program_io import ParseError, emit_program, parse_program
 from .proof import (
     Proof,
@@ -89,8 +85,6 @@ __all__ = [
     "Step",
     "UNKNOWN",
     "WeightRulePropagator",
-    "all_loop_nogoods",
-    "backward_family",
     "basic_rule",
     "body_catalog",
     "body_definition",
@@ -100,12 +94,9 @@ __all__ = [
     "dependency_graph",
     "differential_run",
     "emit_program",
-    "entails",
     "enumerate_answer_sets",
     "external_bodies",
-    "forward_family",
     "forward_nogood",
-    "has_loops",
     "induced_bodies_of_rule",
     "is_answer_set",
     "is_loop",
@@ -116,7 +107,6 @@ __all__ = [
     "parse_program",
     "parse_proof",
     "random_program",
-    "random_tight_program",
     "rup_run",
     "serialize_proof",
     "serialize_step",

@@ -222,9 +222,6 @@ class BodyRegistry:
     def has_lits(self, lits: frozenset[int]) -> bool:
         return lits in self._by_lits
 
-    def public_items(self) -> list[tuple[int, frozenset[int]]]:
-        return [(i, b) for i, b in sorted(self._by_id.items()) if i < INTERNAL_ID_BASE]
-
 
 def body_definition(body_id: int, lits: frozenset[int]) -> tuple[Nogood, ...]:
     """Nogoods tying a body variable to its literals (definition first)."""
@@ -236,36 +233,6 @@ def body_definition(body_id: int, lits: frozenset[int]) -> tuple[Nogood, ...]:
 def forward_nogood(atom: int, body_ids: Iterable[int]) -> Nogood:
     """Support nogood: the atom cannot be true with all its bodies false."""
     return frozenset({atom, *(-b for b in body_ids)})
-
-
-def forward_family(
-    program: Program, catalog: BodyCatalog, registry: BodyRegistry
-) -> list[tuple[int, tuple[int, ...], Nogood]]:
-    """One (atom, body ids, support nogood) triple per atom, in atom order."""
-    out = []
-    for atom in program.atom_ids():
-        body_ids = tuple(registry.id_of(b) for b in catalog.bodies_of(atom))
-        out.append((atom, body_ids, forward_nogood(atom, body_ids)))
-    return out
-
-
-def backward_family(
-    program: Program, catalog: BodyCatalog, registry: BodyRegistry
-) -> list[Nogood]:
-    """Rule-firing nogoods {F a, T B} for non-choice rules, deduplicated, rule order."""
-    out: list[Nogood] = []
-    seen: set[Nogood] = set()
-    deferred = set(map(id, catalog.deferred))
-    for rule in program.rules:
-        if rule.kind is RuleKind.CHOICE or id(rule) in deferred:
-            continue
-        for atom in rule.head:
-            for body in induced_bodies_of_rule(rule, atom):
-                nogood = frozenset({-atom, registry.id_of(body)})
-                if nogood not in seen:
-                    seen.add(nogood)
-                    out.append(nogood)
-    return out
 
 
 def normalize_short_body(program: Program) -> Program:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .checker import check
 from .core import Program, Rule, RuleKind, basic_rule, choice_rule, weight_rule
-from .loops import cyclic_atoms, dependency_graph, has_loops
+from .loops import cyclic_atoms, dependency_graph
 from .oracle import enumerate_answer_sets, is_answer_set
 from .program_io import ParseError, emit_program, parse_program
 from .solver import CONSISTENT, HEURISTICS, INCONSISTENT, solve
@@ -62,16 +62,6 @@ def random_program(
         pos, neg = _random_body(rng, atom_count, 0)
         rules.append(basic_rule((head,), pos, neg))
     return Program(_atom_names(atom_count), tuple(rules))
-
-
-def random_tight_program(
-    rng: random.Random, *, max_atoms: int = 6, max_rules: int = 10
-) -> Program:
-    """Rejection-sample random_program until the dependency digraph is acyclic."""
-    while True:
-        program = random_program(rng, max_atoms=max_atoms, max_rules=max_rules)
-        if not has_loops(program):
-            return program
 
 
 def random_rich_program(

@@ -10,13 +10,10 @@ singletons need a self-edge.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Collection, Iterable
 
 from .core import Nogood, Program, Rule, RuleKind
 from .completion import BodyCatalog, BodyRegistry, induced_bodies_of_rule
-
-MAX_LOOP_ENUMERATION = 1 << 16
 
 Graph = dict[int, set[int]]
 
@@ -92,10 +89,6 @@ def cyclic_atoms(graph: Graph, components: list[list[int]] | None = None) -> fro
     )
 
 
-def has_loops(program: Program) -> bool:
-    return bool(cyclic_atoms(dependency_graph(program)))
-
-
 def external_bodies(
     program: Program, catalog: BodyCatalog, atoms: Collection[int]
 ) -> list[frozenset[int]]:
@@ -145,30 +138,6 @@ def external_bodies(
 def loop_nogood(atom: int, external_body_ids: Iterable[int]) -> Nogood:
     """A loop atom cannot be true with every external body false."""
     return frozenset({atom, *(-b for b in external_body_ids)})
-
-
-def all_loop_nogoods(
-    program: Program, catalog: BodyCatalog, registry: BodyRegistry
-) -> list[Nogood]:
-    """Every loop nogood of the program (one per loop atom per loop).
-
-    Loops lie inside one strongly connected component, so each component's
-    subsets are enumerated, up to MAX_LOOP_ENUMERATION subsets in all.
-    """
-    graph = dependency_graph(program)
-    out: list[Nogood] = []
-    total = 0
-    for component in strongly_connected_components(graph):
-        members = sorted(component)
-        total += 1 << len(members)
-        if total > MAX_LOOP_ENUMERATION:
-            raise ValueError("loop enumeration limit exceeded")
-        for size in range(1, len(members) + 1):
-            for loop in combinations(members, size):
-                if is_loop(graph, loop):
-                    ids = [registry.id_of(b) for b in external_bodies(program, catalog, loop)]
-                    out.extend(loop_nogood(atom, ids) for atom in loop)
-    return out
 
 
 def _atomized(program: Program, assignment: Iterable[int], registry: BodyRegistry | None) -> set[int]:

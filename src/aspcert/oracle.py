@@ -10,11 +10,10 @@ module exists to certify the others, not to perform.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterable
 
 from .completion import induced_bodies_of_rule
-from .core import Nogood, Program, RuleKind
+from .core import Program, RuleKind
 
 ATOM_GUARD = 20
 
@@ -119,27 +118,3 @@ def enumerate_answer_sets(
             if cap is not None and len(found) >= cap:
                 break
     return found
-
-
-def entails(premises: Iterable[Nogood], conclusions: Iterable[Nogood]) -> bool:
-    """Does every total assignment satisfying all premises satisfy Γ too?
-
-    A nogood is satisfied by an assignment when it is not a subset of it;
-    enumeration runs over all total assignments of the mentioned variables.
-    """
-    delta = [frozenset(d) for d in premises]
-    gamma = [frozenset(g) for g in conclusions]
-    variables = sorted({abs(l) for ng in chain(delta, gamma) for l in ng})
-    if len(variables) > ATOM_GUARD:
-        raise OracleError(
-            f"{len(variables)} variables exceed the enumeration guard {ATOM_GUARD}"
-        )
-    for mask in range(1 << len(variables)):
-        assignment = frozenset(
-            v if mask >> i & 1 else -v for i, v in enumerate(variables)
-        )
-        if any(d <= assignment for d in delta):
-            continue
-        if any(g <= assignment for g in gamma):
-            return False
-    return True

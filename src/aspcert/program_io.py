@@ -154,7 +154,7 @@ def _parse_rule(builder: _Builder, stmt: str) -> Rule:
         if head_text[0] == "{" or "|" in head_text:
             raise ParseError("weight rule needs a single head atom")
         head = builder.atom(head_text)
-        bound = int(weight_match.group(1))
+        bound = _number(weight_match.group(1))
         weights: dict[int, int] = {}
         inner = weight_match.group(2).strip()
         for item in [p.strip() for p in inner.split(",")] if inner else []:
@@ -164,7 +164,7 @@ def _parse_rule(builder: _Builder, stmt: str) -> Rule:
             lit = builder.literal(item_match.group(1))
             if lit in weights or -lit in weights:
                 raise ParseError("repeated weight literal")
-            weights[lit] = int(item_match.group(2))
+            weights[lit] = _number(item_match.group(2))
         if any(w <= 0 for w in weights.values()):
             raise ParseError("weights must be positive")
         return weight_rule(head, bound, weights)
@@ -187,6 +187,14 @@ def _parse_rule(builder: _Builder, stmt: str) -> Rule:
         raise ParseError("duplicate head atom")
     pos, neg = builder.body(body_text) if sep else (frozenset(), frozenset())
     return Rule(kind, head, pos, neg)
+
+
+def _number(digits: str) -> int:
+    """A weight rule's bound or weight; int() refuses too many digits."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"number of {len(digits)} digits is too long") from None
 
 
 def _literal_text(program: Program, lit: int) -> str:

@@ -2,11 +2,10 @@
 
 The solver assigns atoms and body variables under the program's completion
 nogoods, learns first-UIP nogoods from conflicts, and breaks unfounded
-positive recursion with loop nogoods. Learned nogoods get an a line when
-they are learned, and an inconsistent run ends with the empty nogood once a
-conflict no longer depends on any decision. Every other attached nogood
-(completion, loop, and the unit lemmas below) keeps its lines pending until
-an a line rests on it; see "Lazy lines".
+positive recursion with loop nogoods. An inconsistent run ends once a
+conflict no longer depends on any decision. Only then does the solver write
+the proof: the lines of the nogoods the refutation rests on, learned ones
+included, and the empty nogood; see "Lazy lines".
 
 Search state lives in flat lists. Variable ids are contiguous, atoms
 1..atom_count and then the bodies in catalog order, so `val` is indexed by
@@ -33,15 +32,15 @@ literals, then -B: a body id is above every atom id) and (-l, B) per literal
 l. One support nogood (a, -B1, ..., -Bk), body ids ascending, follows per atom
 in atom order, and then the rule-firing nogoods; each of these is tagged with
 its s or c line (an s line lists the bodies in catalog order). Apart from the
-constraint atoms, this is sorted_lits applied to completion.py's
-body_definition, forward_family and backward_family, in order, as the tests
-check. Learned and loop nogoods are sorted the same way. `attach` watches the
-first two entries of a nogood with no assigned literal, and none of a nogood
-with a false entry: that happens only during set-up, at level 0, so it stays
-satisfied for good. Otherwise a nogood has at most one free entry (a learned
-one exactly one); `attach` watches it and the true entry of the highest level
-and implies its complement, or with no free entry watches the two highest true
-entries and reports a conflict.
+constraint atoms, these are the completion's body definitions, support
+nogoods and rule-firing nogoods in sorted_lits order, as the tests check
+against a reference built from the rules. Learned and loop nogoods are sorted
+the same way. `attach` watches the first two entries of a nogood with no
+assigned literal, and none of a nogood with a false entry: that happens only
+during set-up, at level 0, so it stays satisfied for good. Otherwise a nogood
+has at most one free entry (a learned one exactly one); `attach` watches it
+and the true entry of the highest level and implies its complement, or with
+no free entry watches the two highest true entries and reports a conflict.
 
 An atom whose every body contains its own negation is self-blocking: it is
 false in every answer set. A constraint atom a occurs in exactly one rule,
@@ -60,18 +59,21 @@ atom's support nogood and the definitions {B, a} of its bodies.
 
 Lazy lines. A first-UIP nogood follows by resolution from the conflict nogood
 and the reasons `analyze` resolved on, so it is RUP against those and the
-level-0 reasons behind their level-0 literals. Before each a line (a learned
-nogood or the final empty one), `write_needed` collects those nogoods, walking
-the level-0 reasons at most once per variable and search, adds the support
-nogood of each unit lemma among them, and writes the pending lines of the batch
-in nogood-index order. A nogood's lines are a b line for each body it mentions
-whose b line is still pending, then its own c, s, l or a line (a k tag's four
-lines); a body definition has only its b line. So an s line follows the b lines
-of all its bodies, an l line those of its external bodies (the checker would
+level-0 reasons behind their level-0 literals. `run` keeps both with the
+learned nogood as its antecedents and writes nothing. Once a conflict at
+level 0 is found, `write_needed` walks back from it once: through the level-0
+reason of each variable it meets, the antecedents of each learned nogood and
+the support nogood of each unit lemma. It writes the pending lines of the
+nogoods it reached in nogood-index order, then the empty nogood follows. A
+learned nogood rests only on nogoods attached before it, and level-0
+assignments survive every restart, so that order puts every line after those
+it rests on. A nogood's lines are a b line for each body it mentions whose b
+line is still pending, then its own c, s, l or a line (a k tag's four lines);
+a body definition has only its b line. So an s line follows the b lines of all
+its bodies, an l line those of its external bodies (the checker would
 otherwise name them itself and refuse a later b line for them), and an a line
-those of every body id it names. Extra nogoods never break a RUP test, so a
-line written late never breaks a later a line. A proof holds only the lines
-some lemma rests on, and a run that never refutes anything writes no line.
+those of every body id it names. A proof holds only the lines the refutation
+rests on, and a run that never refutes anything writes no line.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
-from typing import IO, Iterable
+from typing import IO
 
 from .completion import DEFAULT_BODY_BUDGET, body_catalog
 from .core import Nogood, Program, RuleKind
@@ -93,10 +95,14 @@ from .proof import Proof, Step, serialize_step, sorted_lits
 HEURISTICS = ("min-true", "min-false", "random")
 RESTART_INTERVAL = 100
 
-# The kind, head and literals of the line a nogood is written with once a lemma
-# rests on it. A unit lemma's a tag has the index of its support nogood as head;
-# a constraint's k tag ("k", a, (B,)) stands for the lines b B, s a B, c B a, a a.
+# The kind, head and literals of the line a nogood is written with once the
+# refutation rests on it. A learned nogood's a tag has head 0, a unit lemma's
+# the index of its support nogood; a constraint's k tag ("k", a, (B,)) stands
+# for the lines b B, s a B, c B a, a a.
 Tag = tuple[str, int, tuple[int, ...]]
+# What a learned nogood was derived from: the conflict and the reasons analyze()
+# resolved on, and the level-0 variables they name.
+Antecedents = tuple[tuple[int, ...], tuple[int, ...]]
 
 CONSISTENT = "CONSISTENT"
 INCONSISTENT = "INCONSISTENT"
@@ -154,10 +160,10 @@ class _Search:
         }
         # Body ids whose b line is not written yet, with the line's literals;
         # indices of attached nogoods whose lines are not written yet; and the
-        # level-0 variables whose reasons write_needed() has visited.
+        # antecedents of each learned nogood, by index.
         self.body_lines: dict[int, tuple[int, ...]] = {}
         self.unwritten: set[int] = set()
-        self.justified: set[int] = set()
+        self.antecedents: dict[int, Antecedents] = {}
 
         size = 2 * self.var_count + 1
         self.val: list[bool | None] = [None] * size
@@ -184,32 +190,40 @@ class _Search:
         else:
             self.steps.append(step)
 
-    def write_needed(self, idxs: Iterable[int], roots: Iterable[int]) -> None:
-        """Write the pending lines of nogoods `idxs` and of the level-0 reasons
-        behind the variables `roots`, walking back through those reasons."""
-        unwritten, tags = self.unwritten, self.tags
-        batch = {idx for idx in idxs if idx in unwritten}
-        reason, nogoods, visited = self.reason, self.nogoods, self.justified
-        stack = [abs(v) for v in roots if abs(v) not in visited]
-        while stack:
-            var = stack.pop()
-            if var in visited:
+    def write_needed(self, conflict: int) -> None:
+        """Write the pending lines of the nogoods a level-0 conflict rests on.
+
+        From the conflict, the walk follows the level-0 reason of each
+        variable it meets, the recorded antecedents of each learned nogood
+        and the support nogood of each unit lemma.
+        """
+        unwritten, tags, reason, nogoods = self.unwritten, self.tags, self.reason, self.nogoods
+        antecedents = self.antecedents
+        batch: list[int] = []
+        justified: set[int] = set()
+        idxs, roots = [conflict], list(nogoods[conflict])
+        while idxs or roots:
+            if roots:
+                var = abs(roots.pop())
+                if var in justified:
+                    continue
+                justified.add(var)
+                idx = reason[var]
+                roots.extend(nogoods[idx])
+            else:
+                idx = idxs.pop()
+            if idx not in unwritten:
                 continue
-            visited.add(var)
-            idx = reason[var]
-            if idx in unwritten:
-                batch.add(idx)
-            for l in nogoods[idx]:
-                v = l if l > 0 else -l
-                if v not in visited:
-                    stack.append(v)
-        for idx in list(batch):
-            tag = tags[idx]
-            if tag is not None and tag[0] == "a" and tag[1] in unwritten:
-                batch.add(tag[1])
+            unwritten.discard(idx)
+            batch.append(idx)
+            if idx in antecedents:
+                resolved, lemma_roots = antecedents[idx]
+                idxs.extend(resolved)
+                roots.extend(lemma_roots)
+            elif tags[idx] is not None and tags[idx][0] == "a":
+                idxs.append(tags[idx][1])
         body_lines, emit = self.body_lines, self.emit
         for idx in sorted(batch):
-            unwritten.discard(idx)
             for l in nogoods[idx]:
                 body = l if l > 0 else -l
                 if body in body_lines:
@@ -228,7 +242,7 @@ class _Search:
 
     def refute(self, conflict: int) -> SolveResult:
         """Write the lines a level-0 conflict rests on, then the empty nogood."""
-        self.write_needed((conflict,), self.nogoods[conflict])
+        self.write_needed(conflict)
         self.emit(Step("a"))
         steps = self.steps
         return SolveResult(INCONSISTENT, proof=None if steps is None else Proof(tuple(steps)))
@@ -268,16 +282,13 @@ class _Search:
 
     # -- nogood store ------------------------------------------------------------
 
-    def attach(
-        self, entries: tuple[int, ...], tag: Tag | None, learned: bool = False
-    ) -> int | None:
-        """Add a nogood given in sorted_lits order; returns its index as a
-        conflict if currently violated."""
+    def attach(self, entries: tuple[int, ...], tag: Tag | None) -> int | None:
+        """Add a nogood given in sorted_lits order, its lines pending; returns
+        its index as a conflict if currently violated."""
         idx = len(self.nogoods)
         self.nogoods.append(entries)
         self.tags.append(tag)
-        if not learned:
-            self.unwritten.add(idx)
+        self.unwritten.add(idx)
 
         val = self.val
         for l in entries:
@@ -480,8 +491,9 @@ class _Search:
 
     # -- conflict analysis ---------------------------------------------------
 
-    def analyze(self, conflict_idx: int, conflict_level: int) -> tuple[Nogood, int]:
-        """First-UIP resolution; returns the learned nogood and backjump level."""
+    def analyze(self, conflict_idx: int, conflict_level: int) -> tuple[Nogood, int, Antecedents]:
+        """First-UIP resolution; returns the learned nogood, the backjump
+        level and the nogood's antecedents."""
         seen: set[int] = set()
         below: list[int] = []
         roots: list[int] = []
@@ -491,14 +503,13 @@ class _Search:
         def merge(lit: int) -> None:
             nonlocal pending
             var = abs(lit)
-            lv = self.level[var]
-            if lv == 0:
-                roots.append(var)
-                return
             if var in seen:
                 return
             seen.add(var)
-            if lv == conflict_level:
+            lv = self.level[var]
+            if lv == 0:
+                roots.append(var)
+            elif lv == conflict_level:
                 pending += 1
             else:
                 below.append(lit)
@@ -522,10 +533,9 @@ class _Search:
                     merge(entry)
         if uip == 0:
             raise AssertionError("conflict analysis found no UIP")
-        self.write_needed(resolved, roots)
         learned = frozenset({uip, *below})
         target = max((self.level[abs(l)] for l in below), default=0)
-        return learned, target
+        return learned, target, (tuple(resolved), tuple(roots))
 
     # -- search ---------------------------------------------------------------
 
@@ -550,12 +560,12 @@ class _Search:
                 conflict_level = max((self.level[abs(l)] for l in entries), default=0)
                 if conflict_level == 0:
                     return self.refute(conflict)
-                learned, target = self.analyze(conflict, conflict_level)
+                learned, target, antecedents = self.analyze(conflict, conflict_level)
                 entries = sorted_lits(learned)
-                self.emit(Step("a", lits=entries))
                 self.conflicts += 1
                 self.backjump(target)
-                self.attach(entries, None, learned=True)
+                self.antecedents[len(self.nogoods)] = antecedents
+                self.attach(entries, ("a", 0, entries))
                 if restarts and self.conflicts % RESTART_INTERVAL == 0:
                     self.backjump(0)
                 continue

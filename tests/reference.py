@@ -7,16 +7,35 @@ compare NogoodStore against it. reference_parse_program is a plain
 statement-by-statement parser of the program text format, with a regular
 expression per literal and the line number passed to every helper; the
 tests compare parse_program against it.
+
+The completion's support and rule-firing families, every loop nogood by
+enumeration, and brute-force entailment between nogood sets are the
+references for the solver's set-up, the checker's store and the loop
+formulas. random_tight_program draws loop-free programs for the tests that
+need them.
 """
 
 from __future__ import annotations
 
+import random
 import re
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
+from aspcert.completion import (
+    INTERNAL_ID_BASE, BodyCatalog, BodyRegistry, forward_nogood, induced_bodies_of_rule,
+)
 from aspcert.core import Nogood, Program, Rule, RuleKind, basic_rule, choice_rule, weight_rule
+from aspcert.fuzz import random_program
+from aspcert.loops import (
+    cyclic_atoms, dependency_graph, external_bodies, is_loop, loop_nogood,
+    strongly_connected_components,
+)
+from aspcert.oracle import ATOM_GUARD, OracleError
 from aspcert.program_io import ParseError
 from aspcert.propagation import PropagationResult, Propagator
+
+MAX_LOOP_ENUMERATION = 1 << 16
 
 
 def unit_propagate(
@@ -236,3 +255,100 @@ def _parse_rule(builder: _Builder, stmt: str, line: int) -> Rule:
     if head_text.startswith("{"):
         return choice_rule(head, pos, neg)
     return basic_rule(head, pos, neg)
+
+
+def forward_family(
+    program: Program, catalog: BodyCatalog, registry: BodyRegistry
+) -> list[tuple[int, tuple[int, ...], Nogood]]:
+    """One (atom, body ids, support nogood) triple per atom, in atom order."""
+    out = []
+    for atom in program.atom_ids():
+        body_ids = tuple(registry.id_of(b) for b in catalog.bodies_of(atom))
+        out.append((atom, body_ids, forward_nogood(atom, body_ids)))
+    return out
+
+
+def backward_family(
+    program: Program, catalog: BodyCatalog, registry: BodyRegistry
+) -> list[Nogood]:
+    """Rule-firing nogoods {F a, T B} for non-choice rules, deduplicated, rule order."""
+    out: list[Nogood] = []
+    seen: set[Nogood] = set()
+    deferred = set(map(id, catalog.deferred))
+    for rule in program.rules:
+        if rule.kind is RuleKind.CHOICE or id(rule) in deferred:
+            continue
+        for atom in rule.head:
+            for body in induced_bodies_of_rule(rule, atom):
+                nogood = frozenset({-atom, registry.id_of(body)})
+                if nogood not in seen:
+                    seen.add(nogood)
+                    out.append(nogood)
+    return out
+
+
+def public_items(registry: BodyRegistry) -> list[tuple[int, frozenset[int]]]:
+    """The registry's bodies below INTERNAL_ID_BASE, by id."""
+    return [(i, b) for i, b in sorted(registry._by_id.items()) if i < INTERNAL_ID_BASE]
+
+
+def all_loop_nogoods(
+    program: Program, catalog: BodyCatalog, registry: BodyRegistry
+) -> list[Nogood]:
+    """Every loop nogood of the program (one per loop atom per loop).
+
+    Loops lie inside one strongly connected component, so each component's
+    subsets are enumerated, up to MAX_LOOP_ENUMERATION subsets in all.
+    """
+    graph = dependency_graph(program)
+    out: list[Nogood] = []
+    total = 0
+    for component in strongly_connected_components(graph):
+        members = sorted(component)
+        total += 1 << len(members)
+        if total > MAX_LOOP_ENUMERATION:
+            raise ValueError("loop enumeration limit exceeded")
+        for size in range(1, len(members) + 1):
+            for loop in combinations(members, size):
+                if is_loop(graph, loop):
+                    ids = [registry.id_of(b) for b in external_bodies(program, catalog, loop)]
+                    out.extend(loop_nogood(atom, ids) for atom in loop)
+    return out
+
+
+def entails(premises: Iterable[Nogood], conclusions: Iterable[Nogood]) -> bool:
+    """Does every total assignment satisfying all premises satisfy Γ too?
+
+    A nogood is satisfied by an assignment when it is not a subset of it;
+    enumeration runs over all total assignments of the mentioned variables.
+    """
+    delta = [frozenset(d) for d in premises]
+    gamma = [frozenset(g) for g in conclusions]
+    variables = sorted({abs(l) for ng in chain(delta, gamma) for l in ng})
+    if len(variables) > ATOM_GUARD:
+        raise OracleError(
+            f"{len(variables)} variables exceed the enumeration guard {ATOM_GUARD}"
+        )
+    for mask in range(1 << len(variables)):
+        assignment = frozenset(
+            v if mask >> i & 1 else -v for i, v in enumerate(variables)
+        )
+        if any(d <= assignment for d in delta):
+            continue
+        if any(g <= assignment for g in gamma):
+            return False
+    return True
+
+
+def has_loops(program: Program) -> bool:
+    return bool(cyclic_atoms(dependency_graph(program)))
+
+
+def random_tight_program(
+    rng: random.Random, *, max_atoms: int = 6, max_rules: int = 10
+) -> Program:
+    """Rejection-sample random_program until the dependency digraph is acyclic."""
+    while True:
+        program = random_program(rng, max_atoms=max_atoms, max_rules=max_rules)
+        if not has_loops(program):
+            return program

@@ -10,22 +10,19 @@ import random
 import time
 
 from aspcert.checker import CheckerState, check
-from aspcert.completion import (
-    BodyRegistry,
-    backward_family,
-    body_catalog,
-    body_definition,
-    forward_family,
-)
+from aspcert.completion import BodyRegistry, body_catalog, body_definition
 from aspcert.core import Program, weight_rule
-from aspcert.fuzz import differential_run, random_program, random_tight_program
-from aspcert.loops import all_loop_nogoods, dependency_graph, is_loop
-from aspcert.oracle import entails, enumerate_answer_sets
+from aspcert.fuzz import differential_run, random_program
+from aspcert.loops import dependency_graph, is_loop
+from aspcert.oracle import enumerate_answer_sets
 from aspcert.program_io import parse_program
 from aspcert.propagation import WeightRulePropagator
 from aspcert.proof import Proof, parse_proof, serialize_proof
 from aspcert.solver import INCONSISTENT, solve
-from reference import is_rup, reference_rup_run, unit_propagate
+from reference import (
+    all_loop_nogoods, backward_family, entails, forward_family, is_rup, public_items,
+    random_tight_program, reference_rup_run, unit_propagate,
+)
 
 
 def _completion_nogoods(program, with_loops):
@@ -34,7 +31,7 @@ def _completion_nogoods(program, with_loops):
     for body in catalog.order:
         registry.intern(body)
     nogoods = []
-    for body_id, body in registry.public_items():
+    for body_id, body in public_items(registry):
         nogoods.extend(body_definition(body_id, body))
     nogoods.extend(n for _, _, n in forward_family(program, catalog, registry))
     nogoods.extend(backward_family(program, catalog, registry))
@@ -52,7 +49,7 @@ def _completion_models(program):
             a if mask >> (a - 1) & 1 else -a
             for a in range(1, program.atom_count + 1)
         }
-        for body_id, body in registry.public_items():
+        for body_id, body in public_items(registry):
             holds = all(l in assignment for l in body)
             assignment.add(body_id if holds else -body_id)
         if not any(n <= assignment for n in nogoods):
@@ -213,7 +210,7 @@ def _assert_propagator_matches_expansion(rule):
         registry.intern(body)
     # the rule's own expansion: body definitions plus the head's two families
     nogoods = []
-    for body_id, body in registry.public_items():
+    for body_id, body in public_items(registry):
         nogoods.extend(body_definition(body_id, body))
     nogoods.extend(
         n for atom, _, n in forward_family(program, catalog, registry) if atom == 1

@@ -183,6 +183,13 @@ def test_parse_error_names_the_statement_line(write, capsys):
     assert capsys.readouterr().err.endswith(": line 2: rule body is empty\n")
 
 
+def test_weight_rule_number_past_the_digit_limit_exits_2(write, capsys):
+    """A bound of 5,000 digits is past int()'s limit; the error names its line."""
+    path = write("p.lp", "a :- " + "9" * 5000 + " <= {b=1}.\n")
+    assert main(["solve", path]) == 2
+    assert capsys.readouterr().err.endswith(": line 1: number of 5000 digits is too long\n")
+
+
 def test_parse_error_exits_2(write):
     path = write("p.lp", "a :-\n")
     assert main(["solve", path]) == 2

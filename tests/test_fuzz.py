@@ -8,10 +8,10 @@ from aspcert.fuzz import (
     differential_run,
     random_program,
     random_rich_program,
-    random_tight_program,
 )
-from aspcert.loops import cyclic_atoms, dependency_graph, has_loops
+from aspcert.loops import cyclic_atoms, dependency_graph
 from aspcert.program_io import emit_program, parse_program
+from reference import has_loops, random_tight_program
 
 
 def test_random_program_is_seed_deterministic():

@@ -11,20 +11,12 @@ import aspcert
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aspcert.completion import (
-    BodyRegistry,
-    backward_family,
-    body_catalog,
-    body_definition,
-    forward_family,
-)
+from aspcert.completion import BodyRegistry, body_catalog, body_definition
 from aspcert.fuzz import random_program
 from aspcert.loops import (
-    all_loop_nogoods,
     cyclic_atoms,
     dependency_graph,
     external_bodies,
-    has_loops,
     is_loop,
     is_unfounded_set,
     loop_nogood,
@@ -33,6 +25,7 @@ from aspcert.loops import (
 from aspcert.oracle import enumerate_answer_sets
 from aspcert.program_io import parse_program
 from aspcert.solver import CONSISTENT, solve
+from reference import all_loop_nogoods, backward_family, forward_family, has_loops, public_items
 
 
 def _edges(graph):
@@ -239,7 +232,7 @@ def _completion_and_loop_models(program):
     for body in catalog.order:
         registry.intern(body)
     nogoods = []
-    for body_id, body in registry.public_items():
+    for body_id, body in public_items(registry):
         nogoods.extend(body_definition(body_id, body))
     nogoods.extend(n for _, _, n in forward_family(program, catalog, registry))
     nogoods.extend(backward_family(program, catalog, registry))
@@ -249,7 +242,7 @@ def _completion_and_loop_models(program):
     for mask in range(1 << program.atom_count):
         true_atoms = {a for a in atoms if mask >> (a - 1) & 1}
         assignment = {a if a in true_atoms else -a for a in atoms}
-        for body_id, body in registry.public_items():
+        for body_id, body in public_items(registry):
             holds = all(l in assignment for l in body)
             assignment.add(body_id if holds else -body_id)
         if not any(n <= assignment for n in nogoods):

