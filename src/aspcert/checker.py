@@ -2,7 +2,8 @@
 
 The checker keeps a multiset of nogoods in a NogoodStore. b steps name
 program bodies and attach their definitions; c and s steps may only add
-nogoods that belong to the program's completion; a steps must have the
+nogoods that belong to the program's completion (a c step with no atoms,
+{T B}, only for an integrity constraint's body B); a steps must have the
 reverse-unit-propagation property against the current multiset, tested
 through the store's watch lists from the top-level assignment the store
 keeps between tests; l and u steps are validated against
@@ -127,6 +128,9 @@ class CheckerState:
                 self.store.insert(forward_nogood(atom, body_ids))
         for atom, body in sorted(self.backward_pairs, key=lambda p: (p[0], sorted(p[1]))):
             self.store.insert(frozenset({-atom, self.registry.id_of(body)}))
+        for body in self.catalog.order:
+            if body in self.catalog.constraints:
+                self.store.insert(frozenset({self.registry.id_of(body)}))
 
     # -- variable vocabulary -------------------------------------------------
 
@@ -188,7 +192,11 @@ class CheckerState:
             raise ProofFormatError(f"{self._where()}: unknown body id {step.head}")
         self._require_atoms(step.lits)
         body = self.registry.lits_of(step.head)
-        if len(step.lits) != 1 or (step.lits[0], body) not in self.backward_pairs:
+        if step.lits:
+            firing = len(step.lits) == 1 and (step.lits[0], body) in self.backward_pairs
+        else:
+            firing = body in self.catalog.constraints
+        if not firing:
             raise _StepError("not a rule-firing nogood of the program")
         self.store.insert(frozenset({step.head, *(-a for a in step.lits)}))
 

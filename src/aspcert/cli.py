@@ -111,7 +111,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     try:
         discrepancies = differential_run(args.count, max_atoms=args.atoms, seed=args.seed)
     except OracleError as exc:
-        # Each integrity constraint of a draw adds an atom to the --atoms drawn.
         raise _InputError(f"--atoms {args.atoms}: {exc}") from None
     print(f"{args.count} instances, {len(discrepancies)} discrepancies")
     for item in discrepancies:

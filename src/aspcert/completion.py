@@ -7,7 +7,8 @@ Every body gets a variable of its own. The three nogood families are:
 * forward (support): a true atom needs one of its bodies true
   ({T a} + {F B} per body of a);
 * backward (rule firing): a true body forces a non-choice rule's head
-  ({F a, T B}).
+  ({F a, T B}); an integrity constraint, a rule with no head, has the body
+  of its rule false ({T B}).
 
 Disjunctive rules induce one shifted body per head atom (body plus the
 negations of the other head atoms; none when another head atom is in the
@@ -85,7 +86,10 @@ class BodyCatalog:
 
     shifted lists the disjunctive rules, whose bodies the catalog holds
     shifted. by_rule holds, per rule in program order, the (head atom,
-    induced bodies) pairs the rule contributes; a deferred rule has none.
+    induced bodies) pairs the rule contributes; a deferred rule and an
+    integrity constraint have none. constraints holds the bodies of the
+    integrity constraints; each is in order too, from its first use on, but
+    in no atom's ib unless another rule induces it.
     """
 
     ib: dict[int, tuple[frozenset[int], ...]]
@@ -93,6 +97,7 @@ class BodyCatalog:
     deferred: tuple[Rule, ...]
     shifted: tuple[Rule, ...]
     by_rule: tuple[list[tuple[int, list[frozenset[int]]]], ...]
+    constraints: frozenset[frozenset[int]]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_index", frozenset(self.order))
@@ -116,7 +121,16 @@ def body_catalog(program: Program, budget: int | None = DEFAULT_BODY_BUDGET) -> 
     seen_global: set[frozenset[int]] = set()
     deferred: list[Rule] = []
     by_rule: list[list[tuple[int, list[frozenset[int]]]]] = []
+    constraints: set[frozenset[int]] = set()
     for rule in program.rules:
+        if not rule.head:
+            body = rule.body_literals()
+            constraints.add(body)
+            by_rule.append([])
+            if body not in seen_global:
+                seen_global.add(body)
+                order.append(body)
+            continue
         if rule.kind is not RuleKind.WEIGHT and not rule.is_disjunctive:
             body = [rule.body_literals()]
             per_atom = [(a, body) for a in rule.head]
@@ -142,6 +156,7 @@ def body_catalog(program: Program, budget: int | None = DEFAULT_BODY_BUDGET) -> 
         tuple(deferred),
         tuple(rule for rule in program.rules if rule.is_disjunctive),
         tuple(by_rule),
+        frozenset(constraints),
     )
 
 
@@ -238,16 +253,18 @@ def forward_nogood(atom: int, body_ids: Iterable[int]) -> Nogood:
 def normalize_short_body(program: Program) -> Program:
     """Name long bodies of multi-rule atoms with fresh auxiliary atoms.
 
-    Only defined for normal programs. The result has the same answer sets
-    when projected to the original atoms, and every atom has at most one
-    body or only bodies of at most one literal.
+    Only defined for normal programs, integrity constraints included, which
+    pass through unchanged. The result has the same answer sets when
+    projected to the original atoms, and every atom has at most one body or
+    only bodies of at most one literal.
     """
     for rule in program.rules:
-        if rule.kind is not RuleKind.BASIC or len(rule.head) != 1:
+        if rule.kind is not RuleKind.BASIC or len(rule.head) > 1:
             raise ValueError("short-body normalization expects a normal program")
     rule_count: dict[int, int] = {}
     for rule in program.rules:
-        rule_count[rule.head[0]] = rule_count.get(rule.head[0], 0) + 1
+        if rule.head:
+            rule_count[rule.head[0]] = rule_count.get(rule.head[0], 0) + 1
 
     names = list(program.atom_names)
     taken = set(names)
@@ -270,7 +287,7 @@ def normalize_short_body(program: Program) -> Program:
 
     for rule in program.rules:
         body = rule.body_literals()
-        if rule_count[rule.head[0]] >= 2 and len(body) >= 2:
+        if rule.head and rule_count[rule.head[0]] >= 2 and len(body) >= 2:
             aux = aux_ids.get(body)
             if aux is None:
                 aux = aux_for(body)

@@ -32,10 +32,11 @@ class RuleKind(Enum):
 class Rule:
     """One ground rule; heads and bodies hold signed atom ids.
 
-    BASIC covers normal rules (one head atom) and disjunctive rules (several).
-    CHOICE rules make their head atoms free when the body holds. WEIGHT rules
-    have a single head, a bound, and weighted signed literals instead of a
-    plain body; pos_body/neg_body are derived from the weight domain.
+    BASIC covers normal rules (one head atom), disjunctive rules (several)
+    and integrity constraints (none, and a non-empty body). CHOICE rules
+    make their head atoms free when the body holds. WEIGHT rules have a
+    single head, a bound, and weighted signed literals instead of a plain
+    body; pos_body/neg_body are derived from the weight domain.
     """
 
     kind: RuleKind
@@ -49,8 +50,11 @@ class Rule:
     def __post_init__(self) -> None:
         head = self.head
         if not head:
-            raise ValueError("rule needs at least one head atom")
-        if min(head) <= 0:
+            if self.kind is not RuleKind.BASIC:
+                raise ValueError("only a basic rule may have an empty head")
+            if not self.pos_body and not self.neg_body:
+                raise ValueError("a rule with an empty head needs a body")
+        elif min(head) <= 0:
             raise ValueError("head atoms are positive ids")
         if len(head) > 1 and len(set(head)) != len(head):
             raise ValueError("duplicate head atom")
@@ -89,7 +93,7 @@ class Rule:
 
 
 def basic_rule(head: Sequence[int], pos: Iterable[int] = (), neg: Iterable[int] = ()) -> Rule:
-    """Build a normal or disjunctive rule."""
+    """Build a normal or disjunctive rule, or with no head an integrity constraint."""
     return Rule(RuleKind.BASIC, tuple(head), frozenset(pos), frozenset(neg))
 
 

@@ -70,16 +70,13 @@ def random_rich_program(
     """A random program of basic, choice and weight rules and integrity constraints.
 
     Weight rules get one to four signed literals with weights 1-3 and a
-    bound from 0 to one above their total weight. The k-th integrity
-    constraint gets an atom `__botk` of its own, numbered after the other
-    atoms and written `__botk :- body, not __botk.` as the parser desugars
-    `:- body.`; the oracle's enumeration grows by one atom per constraint.
-    The solver rejects weight rules inside a positive cycle, so a draw with
+    bound from 0 to one above their total weight; an integrity constraint is
+    a basic rule with an empty head and a body of one to three atoms. The
+    solver rejects weight rules inside a positive cycle, so a draw with
     a cyclic weight-rule head is drawn again.
     """
     while True:
         atom_count = rng.randint(1, max_atoms)
-        bots = 0
         rules: list[Rule] = []
         for _ in range(rng.randint(1, max_rules)):
             kind = rng.random()
@@ -98,12 +95,8 @@ def random_rich_program(
                 bound = rng.randint(0, sum(weights.values()) + 1)
                 rules.append(weight_rule(rng.randint(1, atom_count), bound, weights))
             else:
-                pos, neg = _random_body(rng, atom_count, 1)
-                bots += 1
-                bot = atom_count + bots
-                rules.append(basic_rule((bot,), pos, neg | {bot}))
-        names = _atom_names(atom_count) + tuple(f"__bot{k}" for k in range(1, bots + 1))
-        program = Program(names, tuple(rules))
+                rules.append(basic_rule((), *_random_body(rng, atom_count, 1)))
+        program = Program(_atom_names(atom_count), tuple(rules))
         cyclic = cyclic_atoms(dependency_graph(program))
         if not any(r.kind is RuleKind.WEIGHT and r.head[0] in cyclic for r in rules):
             return program

@@ -3,9 +3,10 @@
 Answer sets are found by candidate testing: choice rules are translated to
 normal rules with fresh complement atoms, weight rules are expanded to the
 normal rules over their induced bodies, and a candidate is accepted when it
-is a minimal model of the reduct (the least model, when no rule is
-disjunctive). An atom-count guard keeps enumeration at desk scale; this
-module exists to certify the others, not to perform.
+satisfies no integrity constraint's body and is a minimal model of the
+reduct of the other rules (the least model, when no rule is disjunctive).
+An atom-count guard keeps enumeration at desk scale; this module exists to
+certify the others, not to perform.
 """
 
 from __future__ import annotations
@@ -25,7 +26,10 @@ class OracleError(ValueError):
 
 
 def _translate(program: Program) -> tuple[list[TranslatedRule], list[tuple[int, int]]]:
-    """Rewrite choice and weight rules; returns (heads, pos, neg) triples."""
+    """Rewrite choice and weight rules; returns (heads, pos, neg) triples.
+
+    An integrity constraint keeps its empty heads.
+    """
     rules: list[TranslatedRule] = []
     aux_pairs: list[tuple[int, int]] = []
     next_var = program.atom_count
@@ -75,7 +79,15 @@ def _is_model(
 def _stable(
     rules: list[TranslatedRule], model: frozenset[int], disjunctive: bool
 ) -> bool:
-    reduct = [(heads, pos) for heads, pos, neg in rules if not neg & model]
+    reduct: list[tuple[frozenset[int], frozenset[int]]] = []
+    for heads, pos, neg in rules:
+        if neg & model:
+            continue
+        if not heads:
+            if pos <= model:
+                return False
+            continue
+        reduct.append((heads, pos))
     if not disjunctive:
         return _least_model(reduct) == model
     if not _is_model(reduct, model):

@@ -12,8 +12,7 @@ Statements end with '.', '%' starts a comment. Supported forms:
 
 '~' is accepted as a synonym for 'not'. Atom ids are assigned by any #atoms
 directives (which must precede all rules) and then by first occurrence in text
-order; an integrity constraint desugars to `__botK :- body, not __botK.` with
-a fresh __botK atom numbered after the constraint's body atoms.
+order. An integrity constraint is a basic rule with an empty head.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ class _Builder:
         # Every body or weight-item token seen so far, spaces included, and its literal.
         self.literals: dict[str, int] = {}
         self.rules: list[Rule] = []
-        self.bot_count = 0
 
     def add(self, name: str) -> int:
         self.names.append(name)
@@ -56,13 +54,6 @@ class _Builder:
                 raise ParseError(f"bad atom name {name!r}")
             atom = self.add(name)
         return atom
-
-    def fresh_bot(self) -> int:
-        while True:
-            self.bot_count += 1
-            name = f"__bot{self.bot_count}"
-            if name not in self.ids:
-                return self.add(name)
 
     def literal(self, token: str) -> int:
         lit = self.literals.get(token)
@@ -146,8 +137,7 @@ def _parse_rule(builder: _Builder, stmt: str) -> Rule:
         if not sep:
             raise ParseError("empty rule")
         pos, neg = builder.body(body_text)
-        bot = builder.fresh_bot()
-        return Rule(RuleKind.BASIC, (bot,), pos, neg | {bot})
+        return Rule(RuleKind.BASIC, (), pos, neg)
 
     weight_match = _WEIGHT_BODY.match(body_text) if "<=" in body_text else None
     if weight_match:
@@ -223,5 +213,8 @@ def emit_program(program: Program) -> str:
         else:
             head = " | ".join(program.name(a) for a in rule.head)
         body = _body_text(program, rule)
-        lines.append(f"{head} :- {body}." if body else f"{head}.")
+        if not body:
+            lines.append(f"{head}.")
+        else:
+            lines.append(f"{head} :- {body}." if head else f":- {body}.")
     return "\n".join(lines) + "\n"

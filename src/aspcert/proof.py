@@ -4,7 +4,8 @@ One step per line, integer tokens, each line closed by 0. Signed variables
 write true as +id and false as -id. Line forms:
 
     a <tv>... 0          add a nogood with the reverse-unit-propagation property
-    c <body> <atom>... 0 add the rule-firing nogood {F atoms..., T body}
+    c <body> <atom>... 0 add the rule-firing nogood {F atoms..., T body}; with
+                         no atoms, {T body} for an integrity constraint's body
     s <atom> <body>... 0 add the support nogood {T atom, F bodies...}
     e <var> 0            extension: a fresh var above the atoms that no body or
                          extension variable holds, fixed true by the nogood {F var}
@@ -77,8 +78,8 @@ def _parse_step(kind: str, payload: list[int], line: int) -> Step:
         return tuple(values)
 
     if kind == "c":
-        if len(payload) < 2:
-            raise ProofSyntaxError(f"line {line}: c needs a body id and atom ids")
+        if not payload:
+            raise ProofSyntaxError(f"line {line}: c needs a body id")
         (body,) = positive(payload[:1], "body id")
         return Step(kind, head=body, lits=positive(payload[1:], "atom ids"))
     if kind == "s":

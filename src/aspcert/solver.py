@@ -26,36 +26,36 @@ writes no d line.
 Set-up (`load_completion`) builds each completion nogood directly as a tuple
 in `sorted_lits` order: by variable id, +v before -v. A pass over the rules
 lists the rule-firing nogoods (-a, B), in rule order without duplicates or
-choice rules, and finds the constraint atoms (below). Then each body B, in id
-order, gets its sorted literals as its b line, the definition nogood (those
-literals, then -B: a body id is above every atom id) and (-l, B) per literal
-l. One support nogood (a, -B1, ..., -Bk), body ids ascending, follows per atom
-in atom order, and then the rule-firing nogoods; each of these is tagged with
-its s or c line (an s line lists the bodies in catalog order). Apart from the
-constraint atoms, these are the completion's body definitions, support
-nogoods and rule-firing nogoods in sorted_lits order, as the tests check
-against a reference built from the rules. Learned and loop nogoods are sorted
-the same way. `attach` watches the first two entries of a nogood with no
-assigned literal, and none of a nogood with a false entry: that happens only
-during set-up, at level 0, so it stays satisfied for good. Otherwise a nogood
-has at most one free entry (a learned one exactly one); `attach` watches it
-and the true entry of the highest level and implies its complement, or with
-no free entry watches the two highest true entries and reports a conflict.
+choice rules. Then each body B, in id order, gets its sorted literals as its
+b line, the definition nogood (those literals, then -B: a body id is above
+every atom id) and (-l, B) per literal l, and then, if B is an integrity
+constraint's body, the constraint's nogood (below). One support nogood (a,
+-B1, ..., -Bk), body ids ascending, follows per atom in atom order, and then
+the rule-firing nogoods; each of these is tagged with its s or c line (an s
+line lists the bodies in catalog order). Apart from the constraints, these
+are the completion's body definitions, support nogoods and rule-firing
+nogoods in sorted_lits order, as the tests check against a reference built
+from the rules. Learned and loop nogoods are sorted the same way. `attach`
+watches the first two entries of a nogood with no assigned literal, and none
+of a nogood with a false entry: that happens only during set-up, at level 0,
+so it stays satisfied for good. Otherwise a nogood has at most one free
+entry (a learned one exactly one); `attach` watches it and the true entry of
+the highest level and implies its complement, or with no free entry watches
+the two highest true entries and reports a conflict.
 
-An atom whose every body contains its own negation is self-blocking: it is
-false in every answer set. A constraint atom a occurs in exactly one rule,
-a non-choice basic rule `a :- B', not a` with B' non-empty, as the parser
-writes `:- B'.` over a fresh `__botK`. With a false, the completion of a
-and of its body B says only that B is false and B' not all true. So set-up
-sets a and B false at level 0, with no reason, and attaches the nogood B'
-(tag k) in place of B's definition; no nogood names a or B. A one-literal
-B' waits for the unit nogoods at the end, so that no attach meets a true
-entry beside two free ones. Once a lemma rests on B', the tag writes the
-lines the checker derives B' from: B's b line, `s a B`, `c B a`, `a a 0`.
-Any other self-blocking atom (a choice head, which no rule forces; one named
-in a second rule, which a walk of reasons could reach; `a :- not a.`) gets
-the unit nogood {a}, attached last. Its line `a <atom> 0` is RUP from the
-atom's support nogood and the definitions {B, a} of its bodies.
+An integrity constraint `:- B'.` is a rule with an empty head; its body B
+(the literals B') must be false, the rule-firing nogood {T B}. Set-up
+attaches the nogood B' itself, the body's literals, tagged with the line
+`c B 0`. When no other rule induces B, nothing else needs B: set-up sets B
+false at level 0, with no reason, and attaches no definition of B, so no
+nogood names it. A one-literal B' waits for the unit nogoods at the end, so
+that no attach meets a true entry beside two free ones. Once a lemma rests
+on B', the tag writes B's b line, if it is still pending, and `c B 0`, from
+which the checker derives B'. An atom whose every body contains its own
+negation (a rule `a :- B', not a.`, a choice head `{a} :- B', not a.`) is
+self-blocking: it is false in every answer set. It gets the unit nogood {a},
+attached last. Its line `a <atom> 0` is RUP from the atom's support nogood
+and the definitions {B, a} of its bodies.
 
 Lazy lines. A first-UIP nogood follows by resolution from the conflict nogood
 and the reasons `analyze` resolved on, so it is RUP against those and the
@@ -68,21 +68,19 @@ nogoods it reached in nogood-index order, then the empty nogood follows. A
 learned nogood rests only on nogoods attached before it, and level-0
 assignments survive every restart, so that order puts every line after those
 it rests on. A nogood's lines are a b line for each body it mentions whose b
-line is still pending, then its own c, s, l or a line (a k tag's four lines);
-a body definition has only its b line. So an s line follows the b lines of all
-its bodies, an l line those of its external bodies (the checker would
-otherwise name them itself and refuse a later b line for them), and an a line
-those of every body id it names. A proof holds only the lines the refutation
+line is still pending, then its own c, s, l or a line (a constraint's c line
+after its body's b line); a body definition has only its b line. So an s line
+follows the b lines of all its bodies, an l line those of its external bodies
+(the checker would otherwise name them itself and refuse a later b line for
+them), and an a line those of every body id it names. A proof holds only the lines the refutation
 rests on, and a run that never refutes anything writes no line.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter
 from typing import IO
 
 from .completion import DEFAULT_BODY_BUDGET, body_catalog
@@ -97,8 +95,8 @@ RESTART_INTERVAL = 100
 
 # The kind, head and literals of the line a nogood is written with once the
 # refutation rests on it. A learned nogood's a tag has head 0, a unit lemma's
-# the index of its support nogood; a constraint's k tag ("k", a, (B,)) stands
-# for the lines b B, s a B, c B a, a a.
+# the index of its support nogood; a constraint's c tag ("c", B, ()) has no
+# atoms.
 Tag = tuple[str, int, tuple[int, ...]]
 # What a learned nogood was derived from: the conflict and the reasons analyze()
 # resolved on, and the level-0 variables they name.
@@ -125,9 +123,10 @@ def _check_scope(program: Program, components: list[list[int]]) -> None:
     """Reject disjunctions and weight rules inside a positive SCC."""
     if any(rule.is_disjunctive for rule in program.rules):
         raise SolveError("disjunctive rules are not supported by the solver")
-    scc_of = {atom: i for i, component in enumerate(components) for atom in component}
-    for rule in program.rules:
-        if rule.kind is RuleKind.WEIGHT:
+    weight_rules = [rule for rule in program.rules if rule.kind is RuleKind.WEIGHT]
+    if weight_rules:
+        scc_of = {atom: i for i, component in enumerate(components) for atom in component}
+        for rule in weight_rules:
             head = rule.head[0]
             if any(lit > 0 and scc_of[lit] == scc_of[head] for lit, _ in rule.weights):
                 raise SolveError("recursive weight rules are not supported")
@@ -158,11 +157,9 @@ class _Search:
             ]
             for atom in self.cyclic
         }
-        # Body ids whose b line is not written yet, with the line's literals;
-        # indices of attached nogoods whose lines are not written yet; and the
-        # antecedents of each learned nogood, by index.
+        # Body ids whose b line is not written yet, with the line's literals,
+        # and the antecedents of each learned nogood, by index.
         self.body_lines: dict[int, tuple[int, ...]] = {}
-        self.unwritten: set[int] = set()
         self.antecedents: dict[int, Antecedents] = {}
 
         size = 2 * self.var_count + 1
@@ -197,9 +194,9 @@ class _Search:
         variable it meets, the recorded antecedents of each learned nogood
         and the support nogood of each unit lemma.
         """
-        unwritten, tags, reason, nogoods = self.unwritten, self.tags, self.reason, self.nogoods
-        antecedents = self.antecedents
+        tags, reason, nogoods, antecedents = self.tags, self.reason, self.nogoods, self.antecedents
         batch: list[int] = []
+        reached: set[int] = set()
         justified: set[int] = set()
         idxs, roots = [conflict], list(nogoods[conflict])
         while idxs or roots:
@@ -212,9 +209,9 @@ class _Search:
                 roots.extend(nogoods[idx])
             else:
                 idx = idxs.pop()
-            if idx not in unwritten:
+            if idx in reached:
                 continue
-            unwritten.discard(idx)
+            reached.add(idx)
             batch.append(idx)
             if idx in antecedents:
                 resolved, lemma_roots = antecedents[idx]
@@ -232,12 +229,9 @@ class _Search:
             if tag is None:
                 continue
             kind, head, lits = tag
-            if kind == "k":
-                (body,) = lits
-                emit(Step("b", head=body, lits=body_lines.pop(body)))
-                emit(Step("s", head=head, lits=lits))
-                emit(Step("c", head=body, lits=(head,)))
-                kind, lits = "a", (head,)
+            if kind == "c" and head in body_lines:
+                # A constraint's nogood names no body, so its c line needs this b line.
+                emit(Step("b", head=head, lits=body_lines.pop(head)))
             emit(Step(kind, head=0 if kind == "a" else head, lits=lits))
 
     def refute(self, conflict: int) -> SolveResult:
@@ -288,7 +282,6 @@ class _Search:
         idx = len(self.nogoods)
         self.nogoods.append(entries)
         self.tags.append(tag)
-        self.unwritten.add(idx)
 
         val = self.val
         for l in entries:
@@ -330,52 +323,42 @@ class _Search:
         docstring gives; returns a violated nogood's index."""
         program, catalog = self.program, self.catalog
         attach, body_ids, body_lines = self.attach, self.body_ids, self.body_lines
-        # Rule-firing nogoods (an ordered set); body id -> atom of each constraint.
-        firing: dict[tuple[int, int], None] = {}
-        constraints: dict[int, int] = {}
-        for rule, per_atom in zip(program.rules, catalog.by_rule):
-            if rule.kind is RuleKind.CHOICE:
-                continue
-            for atom, bodies in per_atom:
-                for body in bodies:
-                    firing[-atom, body_ids[body]] = None
-                    if -atom in body and len(body) > 1 and rule.kind is RuleKind.BASIC:
-                        constraints[body_ids[body]] = atom
-        if constraints:
-            mentions = Counter(chain.from_iterable(chain.from_iterable(
-                map(attrgetter("head", "pos_body", "neg_body"), program.rules))))
-            constraints = {b: a for b, a in constraints.items() if mentions[a] == 2}
+        # Rule-firing nogoods, an ordered set.
+        firing = dict.fromkeys(
+            (-atom, body_ids[body])
+            for rule, per_atom in zip(program.rules, catalog.by_rule)
+            if rule.kind is not RuleKind.CHOICE
+            for atom, bodies in per_atom
+            for body in bodies
+        )
+        constraints = catalog.constraints
+        # Constraint bodies no rule induces: only their constraint's nogood uses them.
+        lone = constraints.difference(chain.from_iterable(catalog.ib.values()))
 
         conflicts: list[int | None] = []
         units: list[tuple[tuple[int, ...], Tag]] = []
         for body_id, body in enumerate(catalog.order, program.atom_count + 1):
             lits = body_lines[body_id] = sorted_lits(body)
-            atom = constraints.get(body_id)
-            if atom is None:
+            if body in lone:
+                self.assign(-body_id, None)
+            else:
                 conflicts.append(attach(lits + (-body_id,), None))
                 for lit in lits:
                     conflicts.append(attach((-lit, body_id), None))
-                continue
-            self.assign(-atom, None)
-            self.assign(-body_id, None)
-            cut = lits.index(-atom)
-            entries = lits[:cut] + lits[cut + 1 :]
-            tag = ("k", atom, (body_id,))
-            if len(entries) > 1:
-                conflicts.append(attach(entries, tag))
-            else:
-                units.append((entries, tag))
+            if body in constraints:
+                tag = ("c", body_id, ())
+                if len(lits) > 1:
+                    conflicts.append(attach(lits, tag))
+                else:
+                    units.append((lits, tag))
         for atom in program.atom_ids():
             bodies = catalog.bodies_of(atom)
             ids = tuple(body_ids[body] for body in bodies)
             if bodies and -atom in bodies[0] and all(-atom in body for body in bodies):
-                if ids[0] in constraints:
-                    continue
                 units.append(((atom,), ("a", len(self.nogoods), (atom,))))
             conflicts.append(attach((atom, *[-b for b in sorted(ids)]), ("s", atom, ids)))
         for entries in firing:
-            if entries[1] not in constraints:
-                conflicts.append(attach(entries, ("c", entries[1], (-entries[0],))))
+            conflicts.append(attach(entries, ("c", entries[1], (-entries[0],))))
         for entries, tag in units:
             conflicts.append(attach(entries, tag))
         return next((idx for idx in conflicts if idx is not None), None)

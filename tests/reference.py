@@ -138,7 +138,6 @@ class _Builder:
         self.names: list[str] = []
         self.ids: dict[str, int] = {}
         self.rules: list[Rule] = []
-        self.bot_count = 0
 
     def atom(self, name: str, line: int) -> int:
         if not _NAME.match(name):
@@ -147,15 +146,6 @@ class _Builder:
             self.names.append(name)
             self.ids[name] = len(self.names)
         return self.ids[name]
-
-    def fresh_bot(self) -> int:
-        while True:
-            self.bot_count += 1
-            name = f"__bot{self.bot_count}"
-            if name not in self.ids:
-                self.names.append(name)
-                self.ids[name] = len(self.names)
-                return self.ids[name]
 
     def literal(self, token: str, line: int) -> int:
         match = _LITERAL.match(token.strip())
@@ -208,12 +198,11 @@ def _parse_rule(builder: _Builder, stmt: str, line: int) -> Rule:
         if not sep:
             raise ParseError(f"line {line}: empty rule")
         body = [builder.literal(tok, line) for tok in _split_body(body_text, line)]
-        bot = builder.fresh_bot()
         pos = frozenset(l for l in body if l > 0)
         neg = frozenset(-l for l in body if l < 0)
         if pos & neg:
             raise ParseError(f"line {line}: atom occurs positively and negatively in body")
-        return Rule(RuleKind.BASIC, (bot,), pos, neg | {bot})
+        return Rule(RuleKind.BASIC, (), pos, neg)
 
     weight_match = _WEIGHT_BODY.match(body_text) if sep else None
     if weight_match:

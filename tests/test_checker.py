@@ -14,7 +14,9 @@ from aspcert.proof import Proof, Step, parse_proof
 from aspcert.program_io import emit_program, parse_program
 from aspcert.solver import INCONSISTENT, solve
 
-LOOP_TEXT = "a :- b.\nb :- a.\n:- not a.\n"
+# The last rule excludes every answer set without a, as `:- not a.` would,
+# but over an atom of its own, x (id 3), which the hand-written proofs name.
+LOOP_TEXT = "a :- b.\nb :- a.\nx :- not a, not x.\n"
 
 LOOP_PROOF = (
     "b 4 2 0\n"
@@ -92,13 +94,11 @@ def test_u_step_needs_a_true_unfounded_atom():
 
 
 def test_disjunctive_proof_is_accepted():
+    # The constraints' bodies {not a} and {not b} are also the shifted bodies
+    # of b and of a.
     result = _check_text(
         "a | b.\n:- not a.\n:- not b.\n",
-        "b 5 -2 0\nb 6 -1 0\nb 7 -1 -3 0\nb 8 -2 -4 0\n"
-        "c 7 3 0\ns 3 7 0\nc 8 4 0\ns 4 8 0\n"
-        "a -1 -3 0\na -1 3 0\na -1 0\n"
-        "a -2 -4 0\na -2 4 0\na -2 0\n"
-        "s 1 5 0\na 0\n",
+        "b 3 -2 0\nb 4 -1 0\nc 3 0\nc 4 0\ns 1 3 0\na 0\n",
     )
     assert result.ok
 
@@ -127,7 +127,7 @@ def _shifted(program):
         for rule in program.rules
         for atom in rule.head
         if not (others := set(rule.head) - {atom}) & rule.pos_body
-    )
+    ) + tuple(rule for rule in program.rules if not rule.head)
     return Program(program.atom_names, rules)
 
 
@@ -210,7 +210,7 @@ def _random_step_line(rng, program, bodies):
     if kind in "ad":
         payload = lits(3)
     elif kind == "c":
-        payload = [var(), *(var(atom=True) for _ in range(1 if rng.random() < 0.9 else 2))]
+        payload = [var(), *(var(atom=True) for _ in range(rng.choice((0, 1, 1, 1, 2))))]
     elif kind == "s":
         payload = [var(atom=True), *(var() for _ in range(rng.randint(0, 3)))]
     elif kind == "e":
@@ -272,8 +272,8 @@ def test_random_step_sequences_never_refute_a_consistent_program():
                 assert not result.ok, emit_program(program) + text
                 if result.step is None:
                     lines.append(line)
-                    kept.add(line[0])
-    assert kept == set("acsedlub")
+                    kept.add(line[0] if len(line.split()) != 3 or line[0] != "c" else "constraint")
+    assert kept == set("acsedlub") | {"constraint"}
 
 
 def test_extension_variable_must_be_fresh():
@@ -357,11 +357,12 @@ def test_b_line_after_an_l_line_that_named_its_body_is_refused():
         ),
         # {} is an answer set; the extension variable takes the first id the
         # l step would give its internal external body {c}, which therefore
-        # gets the next free one, and the final a step fails
+        # gets the next free one, which the constraint `:- c.` then names;
+        # the final a step fails
         (
             "a :- b.\nb :- a.\na :- c.\n{c}.\n:- c.\n",
-            "e 1099511627776 0\nl 1 2 0\nb 5 3 -4 0\nc 5 4 0\ns 4 5 0\na 4 0\na 0\n",
-            7,
+            "e 1099511627776 0\nl 1 2 0\nc 1099511627777 0\na 0\n",
+            4,
         ),
     ],
 )
@@ -402,6 +403,33 @@ def test_rule_firing_step_must_match_a_rule():
     assert "rule-firing" in result.reason
 
 
+def test_c_step_without_atoms_adds_a_constraint_body_nogood():
+    # `:- a.` and `:- not a.` refute `{a}.`; body 3 is also a rule's body.
+    program = "{a}.\n:- a.\n:- not a.\nb :- not a.\n"
+    assert _check_text(program, "b 3 1 0\nc 3 0\nb 4 -1 0\nc 4 0\na 0\n").ok
+    assert _check_text(program, "b 3 1 0\nc 3 0\nb 4 -1 0\nc 4 2 0\na 0\n").step == 5
+
+
+@pytest.mark.parametrize("body", ["", "1", "-1 -3", "-1 -2"])
+def test_c_step_without_atoms_is_refused_for_other_bodies(body):
+    """The choice body {}, the rule body {a} and the shifted bodies of
+    `b | c :- not a.` are no constraint's body, so no c line without atoms
+    may name them; the constraint's body {b, c} may."""
+    program = "#atoms a b c.\n{a}.\nd :- a.\nb | c :- not a.\n:- b, c.\n"
+    assert _check_text(program, "b 5 2 3 0\nc 5 0\n").step is None
+    result = _check_text(program, f"b 5 {body} 0\nc 5 0\n".replace("  ", " "))
+    assert (result.ok, result.step) == (False, 2)
+    assert "rule-firing" in result.reason
+
+
+def test_preloaded_constraints_alone_refute():
+    # The preloaded {T B} of both constraints leave a no value.
+    program = parse_program("{a}.\n:- a.\n:- not a.\n")
+    assert check(program, parse_proof("a 1 0\na 0\n"), preloaded=True).ok
+    consistent = parse_program("{a}.\n:- a.\n")
+    assert check(consistent, parse_proof("a 1 0\na 0\n"), preloaded=True).step == 2
+
+
 def test_preloaded_two_line_proof():
     program = parse_program("a :- not a.\n")
     assert check(program, parse_proof("a 1 0\na 0\n"), preloaded=True).ok
@@ -416,12 +444,11 @@ def test_preloaded_rejects_declaration_steps():
 
 
 def test_preloaded_weight_rule_uses_bound_propagation():
-    program = parse_program(
-        "a :- 2 <= {b=1, c=1, d=1}.\n:- not a.\nb.\nc.\n:- b, c.\n"
-    )
-    result = check(
-        program, parse_proof("a -1 0\na 6 0\na 0\n"), preloaded=True, budget=2
-    )
+    # Only the bound propagator of the deferred weight rule derives a from b
+    # and c, so only it makes `a -1 0` RUP; the preloaded constraint then
+    # refutes a.
+    program = parse_program("a :- 2 <= {b=1, c=1, d=1}.\nb.\nc.\n:- a.\n")
+    result = check(program, parse_proof("a -1 0\na 0\n"), preloaded=True, budget=2)
     assert result.ok
 
 

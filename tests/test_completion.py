@@ -159,6 +159,17 @@ def test_choice_rules_have_no_backward_but_do_support():
     assert forwards[1] == frozenset({1, -registry.id_of(frozenset({2}))})
 
 
+def test_catalog_orders_constraint_bodies_but_gives_them_to_no_atom():
+    program = parse_program("#atoms a b c.\n:- a, b.\nc :- a.\n:- not c.\nc :- not c.\n:- a.\n")
+    catalog = body_catalog(program)
+    assert catalog.order == (frozenset({1, 2}), frozenset({1}), frozenset({-3}))
+    assert catalog.constraints == {frozenset({1, 2}), frozenset({1}), frozenset({-3})}
+    assert [catalog.bodies_of(atom) for atom in (1, 2, 3)] == [
+        (), (), (frozenset({1}), frozenset({-3})),
+    ]
+    assert catalog.by_rule[0] == catalog.by_rule[2] == catalog.by_rule[4] == []
+
+
 def test_catalog_budget_deferral():
     program = parse_program("a :- 6 <= {b=1,c=1,d=1,e=1,f=1,g=1,h=1,i=1,j=1,k=1,l=1,m=1}.")
     catalog = body_catalog(program, budget=10)
@@ -217,6 +228,14 @@ def test_normalize_short_body_example():
         "a :- __aux1.\n"
         "a :- c.\n"
     )
+    assert is_short_body_form(normalized)
+
+
+def test_normalize_passes_constraints_through():
+    program = parse_program("a :- b, d.\na :- c.\n:- a, b.\n:- not c.\n")
+    normalized = normalize_short_body(program)
+    assert normalized.rules[-2:] == program.rules[-2:]
+    assert emit_program(normalized).endswith(":- a, b.\n:- not c.\n")
     assert is_short_body_form(normalized)
 
 

@@ -32,8 +32,16 @@ def test_disjunctive_flag():
     assert not choice_rule((1, 2)).is_disjunctive
 
 
+def test_integrity_constraint_is_a_basic_rule_without_head():
+    rule = basic_rule((), pos=(1,), neg=(2,))
+    assert rule.head == () and not rule.is_disjunctive
+    assert rule.body_literals() == frozenset({1, -2})
+    with pytest.raises(ValueError, match="only a basic rule"):
+        choice_rule((), pos=(1,))
+
+
 def test_rule_rejects_empty_or_contradictory_parts():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs a body"):
         basic_rule(())
     with pytest.raises(ValueError):
         basic_rule((1, 1))

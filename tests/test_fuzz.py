@@ -46,12 +46,9 @@ def test_random_rich_program_draws_every_construct():
     for _ in range(200):
         program = random_rich_program(rng)
         cyclic = cyclic_atoms(dependency_graph(program))
-        bots = [name for name in program.atom_names if name.startswith("__bot")]
-        # The k-th constraint's atom __botk, after every other atom.
-        assert program.atom_names[program.atom_count - len(bots):] == tuple(
-            f"__bot{k}" for k in range(1, len(bots) + 1)
-        )
-        several_constraints += len(bots) >= 2
+        # Constraints add no atoms: every atom is one of the letters drawn.
+        assert program.atom_names == tuple("abcdef"[: program.atom_count])
+        several_constraints += sum(not rule.head for rule in program.rules) >= 2
         for rule in program.rules:
             if rule.kind is RuleKind.WEIGHT:
                 assert rule.head[0] not in cyclic
@@ -59,9 +56,8 @@ def test_random_rich_program_draws_every_construct():
                 kinds.add("weight")
             elif rule.kind is RuleKind.CHOICE:
                 kinds.add("choice")
-            elif program.name(rule.head[0]).startswith("__bot"):
-                assert rule.head[0] in rule.neg_body
-                assert [r.head for r in program.rules].count(rule.head) == 1
+            elif not rule.head:
+                assert 1 <= len(rule.body_literals()) <= 3
                 kinds.add("constraint")
             else:
                 kinds.add("basic")

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from aspcert.core import Program, basic_rule
 from aspcert.fuzz import random_program
 from aspcert.oracle import (
     ATOM_GUARD,
@@ -65,6 +66,56 @@ def test_disjunction_is_minimal():
 def test_disjunction_with_closure_keeps_both():
     program = parse_program("a | b.\na :- b.\nb :- a.\n")
     assert enumerate_answer_sets(program) == [frozenset({1, 2})]
+
+
+@pytest.mark.parametrize(
+    "text, models",
+    [
+        ("{a}.\n{b}.\n:- a, not b.\n", [set(), {2}, {1, 2}]),
+        ("a :- not b.\nb :- not a.\n:- a.\n", [{2}]),
+        ("a.\n:- a.\n", []),
+        ("a | b.\n:- a.\n", [{2}]),
+        ("a | b.\nc :- a.\n:- not c.\n", [{1, 3}]),
+        ("a | b.\na :- b.\nb :- a.\n:- a.\n", []),
+    ],
+)
+def test_constraints_remove_the_candidates_that_satisfy_their_body(text, models):
+    """A constraint is no rule of the reduct: it only removes candidates, in
+    normal and in disjunctive programs."""
+    program = parse_program(text)
+    assert sorted(map(sorted, enumerate_answer_sets(program))) == sorted(map(sorted, models))
+
+
+def test_constraints_agree_with_self_blocking_atoms():
+    """Each constraint `:- B.` acts as `x :- B, not x.` over an atom x of its
+    own, projected away, in random normal and disjunctive programs; in some
+    of either kind the constraints remove answer sets."""
+    rng = random.Random(7)
+    removed = {False: 0, True: 0}
+    for index in range(300):
+        atoms = rng.randint(1, 5)
+        rules = []
+        for _ in range(rng.randint(1, 7)):
+            body = rng.sample(range(1, atoms + 1), rng.randint(0, min(2, atoms)))
+            neg = {a for a in body if rng.random() < 0.4}
+            heads = rng.randint(1, min(2, atoms))
+            head = () if rng.random() < 0.3 else rng.sample(range(1, atoms + 1), heads)
+            if head or body:
+                rules.append(basic_rule(head, set(body) - neg, neg))
+        names = tuple(f"x{i}" for i in range(1, atoms + 1))
+        program = Program(names, tuple(rules))
+        blocked, extra = [], list(names)
+        for rule in rules:
+            if not rule.head:
+                extra.append(f"bot{len(extra)}")
+                rule = basic_rule((len(extra),), rule.pos_body, rule.neg_body | {len(extra)})
+            blocked.append(rule)
+        expected = enumerate_answer_sets(Program(tuple(extra), tuple(blocked)))
+        assert enumerate_answer_sets(program) == expected, index
+        unconstrained = Program(names, tuple(rule for rule in rules if rule.head))
+        if len(expected) < len(enumerate_answer_sets(unconstrained)):
+            removed[any(rule.is_disjunctive for rule in rules)] += 1
+    assert removed[False] > 10 and removed[True] > 10
 
 
 def test_enumeration_cap():

@@ -44,12 +44,14 @@ def test_choice_and_disjunctive_parse():
     assert disj.is_disjunctive and disj.neg_body == frozenset({3})
 
 
-def test_integrity_constraint_desugars_to_bot_rule():
-    program = parse_program("a.\n:- a.")
-    bot = program.rules[1]
-    assert program.name(bot.head[0]) == "__bot1"
-    assert bot.pos_body == frozenset({1})
-    assert bot.neg_body == frozenset({bot.head[0]})
+def test_integrity_constraint_is_a_basic_rule_with_an_empty_head():
+    program = parse_program("a.\n:- a, not b.")
+    constraint = program.rules[1]
+    assert program.atom_names == ("a", "b")
+    assert constraint.kind is RuleKind.BASIC and constraint.head == ()
+    assert constraint.pos_body == frozenset({1})
+    assert constraint.neg_body == frozenset({2})
+    assert emit_program(program) == "#atoms a b.\na.\n:- a, not b.\n"
 
 
 def test_facts_and_comments_and_tilde():

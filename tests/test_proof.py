@@ -88,7 +88,7 @@ def test_parse_records_each_step_line():
         "a -6 1",        # missing terminator
         "a 0 0",         # stray zero
         "q 1 0",         # unknown kind
-        "c 8 0",         # c without an atom
+        "c 0",           # c without a body id
         "c -8 3 0",      # negative body id
         "s 0",           # s without an atom
         "s -1 0",        # negative atom

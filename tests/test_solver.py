@@ -3,13 +3,12 @@
 import hashlib
 import io
 import random
-from collections import Counter
 
 import pytest
 
 import aspcert.solver as solver_module
 from aspcert.checker import check
-from aspcert.core import RuleKind
+from aspcert.core import Program, basic_rule
 from aspcert.completion import DEFAULT_BODY_BUDGET, BodyRegistry, body_catalog, body_definition
 from aspcert.fuzz import random_program, random_rich_program
 from aspcert.oracle import enumerate_answer_sets, is_answer_set
@@ -231,9 +230,10 @@ def _chain_text(length):
 
 
 # sha256 over every run of test_search_and_proofs_are_pinned, recorded when
-# learned nogoods got their a lines only if the refutation rests on them,
-# all written once the empty nogood is derived, in nogood-index order.
-PINNED_DIGEST = "24e743f331ec4aeb9bb2270c72dfa9de424935aeaa913705bd21347143acb7d9"
+# integrity constraints became rules with an empty head, each written as its
+# body's b line and `c B 0`, and self-blocking rules `a :- B, not a.` kept
+# their completion.
+PINNED_DIGEST = "d0fb9f991bea03087ada42bc857ef20dffe7ce906f33a8434c210b444afc1920"
 
 
 def test_search_and_proofs_are_pinned(monkeypatch):
@@ -247,6 +247,7 @@ def test_search_and_proofs_are_pinned(monkeypatch):
     where the restarts fall. A change that speeds up search must leave this
     hash alone. A change that alters search order, learning, restarts or
     proof emission on purpose updates PINNED_DIGEST and says so in CHANGES.md.
+    Every refutation in the corpus checks.
     """
     monkeypatch.setattr(solver_module, "RESTART_INTERVAL", 2)
     counts = _count_restarts(monkeypatch)
@@ -256,6 +257,7 @@ def test_search_and_proofs_are_pinned(monkeypatch):
     programs = [parse_program(text) for text in texts]
     programs += [random_program(rng, max_atoms=7, max_rules=14) for _ in range(200)]
     digest = hashlib.sha256()
+    refuted = 0
     for program in programs:
         for heuristic in HEURISTICS:
             for restarts in (False, True):
@@ -264,7 +266,10 @@ def test_search_and_proofs_are_pinned(monkeypatch):
                                proof_sink=sink)
                 answer = sorted(result.answer_set or ())
                 digest.update(f"{result.status} {answer}\n{sink.getvalue()}".encode())
-    assert counts["undoing"] > 0
+                if result.status == INCONSISTENT:
+                    assert check(program, parse_proof(sink.getvalue())).ok
+                    refuted += 1
+    assert counts["undoing"] > 0 and refuted > 200
     assert digest.hexdigest() == PINNED_DIGEST
 
 
@@ -284,18 +289,10 @@ def test_restarts_finish_on_pigeonhole(monkeypatch, heuristic, pigeons, interval
     assert check(program, result.proof).ok
 
 
-def _constraint_atoms(program):
-    """Body by atom of each rule `a :- B', not a` with B' non-empty whose
-    atom occurs in no other rule."""
-    mentions = Counter(
-        atom for rule in program.rules for part in (rule.head, rule.pos_body, rule.neg_body)
-        for atom in part
-    )
-    return {
-        rule.head[0]: rule.body_literals() for rule in program.rules
-        if rule.kind is RuleKind.BASIC and len(rule.head) == 1 and rule.head[0] in rule.neg_body
-        and len(rule.body_literals()) > 1 and mentions[rule.head[0]] == 2
-    }
+def _lone_constraint_bodies(catalog):
+    """Constraint bodies that no atom's catalog entry holds."""
+    induced = {body for atom_bodies in catalog.ib.values() for body in atom_bodies}
+    return catalog.constraints - induced
 
 
 def _self_blocking(program, catalog):
@@ -308,57 +305,49 @@ def _self_blocking(program, catalog):
 
 def _reference_setup(search):
     """b-line literals by body id, and the tagged nogoods set-up should
-    attach, built from completion.py's families: a constraint's nogood B' in
-    place of its body's definition (with the unit nogoods if B' has one
-    literal), no support or rule-firing nogood for a constraint atom, and
-    last the unit nogoods {a} of the other self-blocking atoms."""
+    attach, built from completion.py's families: after each body's
+    definition, or in its place if no rule induces the body, a constraint's
+    nogood B (with the unit nogoods if B has one literal), and last the unit
+    nogoods {a} of the self-blocking atoms."""
     program, catalog = search.program, search.catalog
-    constraints = _constraint_atoms(program)
+    lone = _lone_constraint_bodies(catalog)
     registry = BodyRegistry(program.atom_count)
     for body in catalog.order:
         registry.intern(body)
     bodies = public_items(registry)
     body_lines = {body_id: sorted_lits(body) for body_id, body in bodies}
-    constraint_of = {registry.id_of(body): atom for atom, body in constraints.items()}
     nogoods, units = [], []
     for body_id, body in bodies:
-        atom = constraint_of.get(body_id)
-        if atom is None:
+        if body not in lone:
             nogoods += [(nogood, None) for nogood in body_definition(body_id, body)]
-            continue
-        rest = (body - {-atom}, ("k", atom, (body_id,)))
-        (nogoods if len(rest[0]) > 1 else units).append(rest)
+        if body in catalog.constraints:
+            (nogoods if len(body) > 1 else units).append((body, ("c", body_id, ())))
     supports = {}
     for atom, body_ids, nogood in forward_family(program, catalog, registry):
-        if atom not in constraints:
-            supports[atom] = len(nogoods)
-            nogoods.append((nogood, ("s", atom, body_ids)))
+        supports[atom] = len(nogoods)
+        nogoods.append((nogood, ("s", atom, body_ids)))
     for nogood in backward_family(program, catalog, registry):
         (atom,) = (-lit for lit in nogood if lit < 0)
         (body_id,) = (lit for lit in nogood if lit > 0)
-        if atom not in constraints:
-            nogoods.append((nogood, ("c", body_id, (atom,))))
-    units += [
-        ({atom}, ("a", supports[atom], (atom,)))
-        for atom in _self_blocking(program, catalog) if atom not in constraints
-    ]
+        nogoods.append((nogood, ("c", body_id, (atom,))))
+    units += [({atom}, ("a", supports[atom], (atom,))) for atom in _self_blocking(program, catalog)]
     return body_lines, [(sorted_lits(nogood), tag) for nogood, tag in nogoods + units]
 
 
 def test_setup_attaches_the_completion_families_in_order(ex1_program):
     """The one-pass set-up keeps the same b lines pending and attaches the same
     nogoods, in the same order and with the same tags, as sorted_lits applied
-    to body_definition (bodies in id order), forward_family and
-    backward_family, with each constraint atom's nogoods replaced by the one
-    nogood of its constraint, and then only the unit nogoods. It writes no
-    line, every nogood it attaches has its lines pending, and each constraint
-    atom and its body are false at level 0 and named by no nogood."""
+    to body_definition (bodies in id order, each constraint's nogood after
+    its body), forward_family and backward_family, and then only the unit
+    nogoods. It writes no line, and the body of each constraint that no rule
+    induces is false at level 0 and named by no nogood."""
     rng = random.Random(37)
-    programs = [ex1_program, parse_program("{a}. {b}. :- a. :- not a, b. :- b, c.\nc :- not a.\n")]
+    programs = [ex1_program, parse_program("{a}. {b}. :- a. :- not a, b. :- b, c.\nc :- not a.\n"),
+                parse_program("{a}. {b}. c :- a, b. :- a, b. :- b, a. :- not c.\n")]
     for index in range(300):
         generate = random_rich_program if index % 2 else random_program
         programs.append(generate(rng, max_atoms=8, max_rules=16))
-    collapsed = 0
+    lone = shared = 0
     for program in programs:
         search = solver_module._Search(
             program, "min-true", None, None, DEFAULT_BODY_BUDGET,
@@ -369,14 +358,15 @@ def test_setup_attaches_the_completion_families_in_order(ex1_program):
         assert search.steps == []
         assert search.body_lines == body_lines
         assert list(zip(search.nogoods, search.tags)) == nogoods
-        assert search.unwritten == set(range(len(nogoods)))
         named = {abs(l) for entries in search.nogoods for l in entries}
-        for atom, body in _constraint_atoms(program).items():
-            for var in (atom, search.body_ids[body]):
-                assert search.val[var] is False and search.level[var] == 0
-                assert var not in named
-            collapsed += 1
-    assert collapsed > 50
+        lone_bodies = _lone_constraint_bodies(search.catalog)
+        for body in lone_bodies:
+            var = search.body_ids[body]
+            assert search.val[var] is False and search.level[var] == 0
+            assert var not in named
+        lone += len(lone_bodies)
+        shared += len(search.catalog.constraints - lone_bodies)
+    assert lone > 50 and shared > 0
 
 
 def test_branch_picks_the_smallest_unassigned_variable(monkeypatch):
@@ -469,8 +459,9 @@ def test_attach_sees_false_entries_only_at_set_up(monkeypatch):
     nogood, like any nogood with an assigned entry and no false one, at most
     one. That is what lets attach leave a nogood with a false entry unwatched
     and watch a free entry beside the highest true one. A constraint's
-    nogood of two or more entries is attached among the body definitions,
-    while every atom is free; one of a single entry, with the unit nogoods."""
+    nogood (a c tag without atoms) of two or more entries is attached among
+    the body definitions, while every atom is free; one of a single entry,
+    with the unit nogoods."""
     monkeypatch.setattr(solver_module, "RESTART_INTERVAL", 8)
     attach = solver_module._Search.attach
     counts = {"false": 0, "learned": 0, "loop": 0, "constraint": 0}
@@ -488,7 +479,7 @@ def test_attach_sees_false_entries_only_at_set_up(monkeypatch):
             assert values.count(None) == 1
             counts["learned"] += 1
         counts["loop"] += bool(tag and tag[0] == "l")
-        if tag and tag[0] == "k" and len(entries) > 1:
+        if tag and tag[0] == "c" and not tag[2] and len(entries) > 1:
             assert values.count(None) == len(entries)
             counts["constraint"] += 1
         return attach(search, entries, tag)
@@ -562,9 +553,8 @@ def test_written_lemmas_are_those_the_refutation_rests_on(monkeypatch):
                 if result.status != INCONSISTENT:
                     continue
                 ((search, conflict),) = final
-                # The a lines of unit lemmas and of constraints' atoms.
-                units = {(tag[1],) if tag[0] == "k" else tag[2]
-                         for tag in search.tags if tag and tag[0] in "ak" and tag[1]}
+                # The a lines of unit lemmas.
+                units = {tag[2] for tag in search.tags if tag and tag[0] == "a" and tag[1]}
                 written = [step.lits for step in result.proof
                            if step.kind == "a" and step.lits and step.lits not in units]
                 rested_on = _rested_on(search, conflict)
@@ -576,33 +566,41 @@ def test_written_lemmas_are_those_the_refutation_rests_on(monkeypatch):
     assert refuted > 200 and learned > 200 and left_out > 10
 
 
-def test_constraint_atoms_get_lines_only_when_the_refutation_needs_them():
-    """The two constraints on `a` refute the program, so only their atoms get
-    lines: each one's b, s, c and a lines, together. The constraint on `b`
-    (atom __bot3) takes no part and gets none."""
+def test_constraints_get_lines_only_when_the_refutation_needs_them():
+    """The two constraints on `a` refute the program, so only they get lines:
+    each one's body's b line and its c line with no atoms, together. The
+    constraint on `b` (body 6) takes no part and gets none."""
     program = parse_program("{a}. {b}. :- a. :- not a. :- b.\n")
     result = solve(program)
     assert result.status == INCONSISTENT
     assert check(program, result.proof).ok
     lines = serialize_proof(result.proof).splitlines()
-    assert lines == [
-        "b 7 1 -3 0", "s 3 7 0", "c 7 3 0", "a 3 0",
-        "b 8 -1 -4 0", "s 4 8 0", "c 8 4 0", "a 4 0", "a 0",
-    ]
-    assert program.name(5) == "__bot3"
-    assert not [line for line in lines if line.split()[:2] in (["s", "5"], ["a", "5"])]
+    assert lines == ["b 4 1 0", "c 4 0", "b 5 -1 0", "c 5 0", "a 0"]
+
+
+def _blocking_for_constraints(program):
+    """The program with each constraint `:- B.` written `x :- B, not x.` over
+    an atom x of its own, numbered after the others: a self-blocking atom."""
+    names, rules = list(program.atom_names), []
+    for rule in program.rules:
+        if not rule.head:
+            names.append(f"blocked{len(names) + 1}")
+            rule = basic_rule((len(names),), rule.pos_body, rule.neg_body | {len(names)})
+        rules.append(rule)
+    return Program(tuple(names), tuple(rules))
 
 
 def test_self_blocking_lines_come_in_order_and_at_most_once(monkeypatch):
     """Under every heuristic, with and without restarts, a self-blocking atom's
     a line follows its s line and is written at most once, and the streamed
-    proof checks."""
+    proof checks. The rich programs' constraints are written as self-blocking
+    atoms."""
     monkeypatch.setattr(solver_module, "RESTART_INTERVAL", 8)
     rng = random.Random(53)
     refuted = justified = 0
     for index in range(300):
         generate = random_rich_program if index % 2 else random_program
-        program = generate(rng, max_atoms=8, max_rules=16)
+        program = _blocking_for_constraints(generate(rng, max_atoms=8, max_rules=16))
         blocking = set(_self_blocking(program, body_catalog(program, DEFAULT_BODY_BUDGET)))
         for heuristic in HEURISTICS:
             for restarts in (False, True):
@@ -644,14 +642,16 @@ def _attached(monkeypatch):
     "a :- b, not a.\nc :- a.",
     "a :- b, not a.\na :- c, not a.",
     "a :- not a.",
+    "a :- b, not a.",
 ])
 def test_self_blocking_atoms_that_are_not_constraints_keep_their_completion(monkeypatch, snippet):
-    """A choice head, an atom named in a second rule, and an empty B' are
-    self-blocking but not constraint atoms: `a` keeps its support nogood and
-    unit lemma, and gets no constraint nogood. Collapsing the choice rule
-    would refute `{a} :- c, not a, not b. c.`, which has an answer set.
-    Verdicts match the oracle under every heuristic, with and without
-    restarts, witnesses are answer sets and every proof checks."""
+    """A self-blocking atom `a` keeps its support nogood and unit lemma,
+    whether it heads a choice rule, is named in a second rule, has an empty
+    B' or is named nowhere else, as in the rule `a :- b, not a.` that the
+    constraint `:- b.` behaves like. Treating the choice rule as a
+    constraint would refute `{a} :- c, not a, not b. c.`, which has an
+    answer set. Verdicts match the oracle under every heuristic, with and
+    without restarts, witnesses are answer sets and every proof checks."""
     monkeypatch.setattr(solver_module, "RESTART_INTERVAL", 2)
     attached = _attached(monkeypatch)
     contexts = ["", "b.", "c.", "b.\nc.", "{b}.\n{c}.", "{b; c}.\n:- not b.", "{c}.\n:- not c.",
@@ -666,7 +666,7 @@ def test_self_blocking_atoms_that_are_not_constraints_keep_their_completion(monk
                 result = solve(program, heuristic=heuristic, restarts=restarts, seed=3)
                 tags = [tag for _, _, tag in attached if tag]
                 assert [tag for tag in tags if tag[0] == "a" and tag[2] == (1,)]
-                assert not [tag for tag in tags if tag[0] == "k" and tag[1] == 1]
+                assert [tag for tag in tags if tag[0] == "s" and tag[1] == 1]
                 if consistent:
                     assert result.status == CONSISTENT
                     assert is_answer_set(program, result.answer_set)
@@ -677,14 +677,14 @@ def test_self_blocking_atoms_that_are_not_constraints_keep_their_completion(monk
     assert refuted > 0
 
 
-def test_each_constraint_is_one_nogood_that_names_neither_its_atom_nor_its_body(monkeypatch):
-    """Solving PHP(5,4) attaches exactly one nogood per constraint, tagged
-    with its __botK atom, and no other nogood, learned ones included, names a
-    __botK atom or the body of its constraint."""
+def test_each_constraint_is_one_nogood_and_no_other_names_its_body(monkeypatch):
+    """Solving PHP(5,4) attaches exactly one nogood per constraint, the
+    body's literals tagged with its c line, and no other nogood, learned
+    ones included, names a constraint's body, which no rule induces."""
     attached = _attached(monkeypatch)
     program = parse_program(_php_text(5, 4, random.Random(2)))
-    bots = [atom for atom in program.atom_ids() if program.name(atom).startswith("__bot")]
-    assert len(bots) == 45
+    constraints = [rule.body_literals() for rule in program.rules if not rule.head]
+    assert len(constraints) == len(set(constraints)) == 45
     for heuristic in HEURISTICS:
         for restarts in (False, True):
             del attached[:]
@@ -692,14 +692,13 @@ def test_each_constraint_is_one_nogood_that_names_neither_its_atom_nor_its_body(
             assert result.status == INCONSISTENT
             assert check(program, result.proof).ok
             search = attached[0][0]
-            hidden = set(bots) | {
-                search.body_ids[body] for body in search.catalog.order
-                if any(-bot in body for bot in bots)
-            }
-            assert len(hidden) == 2 * len(bots)
-            named = [tag[1] for _, _, tag in attached if tag and tag[0] == "k"]
-            assert sorted(named) == bots
+            hidden = {search.body_ids[body] for body in constraints}
+            assert _lone_constraint_bodies(search.catalog) == set(constraints)
+            tagged = [(entries, tag) for _, entries, tag in attached
+                      if tag and tag[0] == "c" and not tag[2]]
+            assert sorted(tag[1] for _, tag in tagged) == sorted(hidden)
+            assert all(entries == sorted_lits(search.catalog.order[tag[1] - program.atom_count - 1])
+                       for entries, tag in tagged)
             for _, entries, tag in attached:
                 assert not hidden & {abs(l) for l in entries}
-                assert not tag or tag[0] == "k" or tag[1] not in hidden
-
+                assert not (tag and tag[0] == "c" and tag[1] in hidden and tag[2])
