@@ -10,7 +10,6 @@ from .completion import (
     BudgetError,
     body_catalog,
     body_definition,
-    forward_nogood,
     induced_bodies_of_rule,
     minimal_weight_sets,
     normalize_short_body,
@@ -96,7 +95,6 @@ __all__ = [
     "emit_program",
     "enumerate_answer_sets",
     "external_bodies",
-    "forward_nogood",
     "induced_bodies_of_rule",
     "is_answer_set",
     "is_loop",

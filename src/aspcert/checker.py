@@ -14,7 +14,10 @@ One BodyRegistry owns every variable id above the atoms: b steps declare
 bodies, e steps extension variables, and bodies a proof never names (l-step
 externals, the preloaded completion) take the lowest free id from a high
 base. An id names one body or one extension variable and keeps that
-meaning, so a b or e step that reuses an id is refused.
+meaning, so a b or e step that reuses an id is refused. The program's body
+catalog is the checker's one index of the completion: which literal sets are
+bodies, which (atom, body) pairs fire, and which rules are deferred because
+their expansion exceeds the fixed body budget.
 
 Two error classes mirror the CLI exit codes: ProofFormatError means the proof
 is ill-formed relative to the program (unknown ids, redeclared bodies, ...),
@@ -27,15 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .completion import (
-    DEFAULT_BODY_BUDGET,
-    BodyCatalog,
-    BodyRegistry,
-    body_catalog,
-    body_definition,
-    forward_nogood,
-)
-from .core import Program, Rule, RuleKind, is_consistent
+from .completion import BodyCatalog, BodyRegistry, body_catalog, body_definition
+from .core import Program, Rule, is_consistent
 from .loops import dependency_graph, external_bodies, is_loop, is_unfounded_set, loop_nogood
 from .proof import Proof, Step
 from .propagation import NogoodStore, WeightRulePropagator, rup_run
@@ -78,12 +74,11 @@ class CheckerState:
         *,
         preloaded: bool = False,
         strict_delete: bool = False,
-        budget: int = DEFAULT_BODY_BUDGET,
     ) -> None:
         self.program = program
         self.preloaded = preloaded
         self.strict_delete = strict_delete
-        self.catalog: BodyCatalog = body_catalog(program, budget)
+        self.catalog: BodyCatalog = body_catalog(program)
         self.registry = BodyRegistry(program.atom_count)
         self.graph = dependency_graph(program)
         self.store = NogoodStore()
@@ -91,13 +86,7 @@ class CheckerState:
         self.deferred_heads = frozenset(
             a for rule in self.catalog.deferred for a in rule.head
         )
-        self.backward_pairs = frozenset(
-            (atom, body)
-            for rule, per_atom in zip(program.rules, self.catalog.by_rule)
-            if rule.kind is not RuleKind.CHOICE and rule not in self.catalog.deferred
-            for atom, bodies in per_atom
-            for body in bodies
-        )
+        self.backward_pairs = frozenset(self.catalog.firing)
         self.step_no = 0
         self.line: int | None = None
         if preloaded:
@@ -106,10 +95,12 @@ class CheckerState:
     # -- setup ---------------------------------------------------------------
 
     def _preload(self) -> None:
-        for body in self.catalog.order:
+        for body in self.catalog.ids:
             body_id = self.registry.intern_internal(body)
             for nogood in body_definition(body_id, body):
                 self.store.insert(nogood)
+            if body in self.catalog.constraints:
+                self.store.insert(frozenset({body_id}))
         by_head: dict[int, list[Rule]] = {}
         for rule in self.catalog.deferred:
             by_head.setdefault(rule.head[0], []).append(rule)
@@ -125,12 +116,9 @@ class CheckerState:
                 for rule in by_head[atom]:
                     self.propagators.append(WeightRulePropagator(rule, body_ids))
             else:
-                self.store.insert(forward_nogood(atom, body_ids))
-        for atom, body in sorted(self.backward_pairs, key=lambda p: (p[0], sorted(p[1]))):
+                self.store.insert(loop_nogood(atom, body_ids))
+        for atom, body in self.catalog.firing:
             self.store.insert(frozenset({-atom, self.registry.id_of(body)}))
-        for body in self.catalog.order:
-            if body in self.catalog.constraints:
-                self.store.insert(frozenset({self.registry.id_of(body)}))
 
     # -- variable vocabulary -------------------------------------------------
 
@@ -168,7 +156,7 @@ class CheckerState:
         if not is_consistent(step.lits):
             raise ProofFormatError(f"{self._where()}: contradictory body literals")
         body = frozenset(step.lits)
-        if body not in self.catalog:
+        if body not in self.catalog.ids:
             raise ProofFormatError(
                 f"{self._where()}: literal set is not an induced body "
                 "of the program (or its expansion exceeds the budget)"
@@ -218,7 +206,7 @@ class CheckerState:
             bodies.append(self.registry.lits_of(body_id))
         if set(bodies) != set(self.catalog.bodies_of(step.head)):
             raise _StepError("body list does not match the atom's induced bodies")
-        self.store.insert(forward_nogood(step.head, step.lits))
+        self.store.insert(loop_nogood(step.head, step.lits))
 
     def _step_e(self, step: Step) -> None:
         self._require_known(step.lits)
@@ -291,12 +279,9 @@ def check(
     *,
     preloaded: bool = False,
     strict_delete: bool = False,
-    budget: int = DEFAULT_BODY_BUDGET,
 ) -> CheckResult:
     """Check a proof of inconsistency for the program."""
-    state = CheckerState(
-        program, preloaded=preloaded, strict_delete=strict_delete, budget=budget
-    )
+    state = CheckerState(program, preloaded=preloaded, strict_delete=strict_delete)
     lines = proof.lines or (None,) * len(proof)
     for index, (step, line) in enumerate(zip(proof.steps, lines), start=1):
         state.line = line

@@ -5,7 +5,8 @@ Every body gets a variable of its own. The three nogood families are:
 * body definitions: a body variable is equivalent to the conjunction of its
   literals ({F B} + literals, and {T B, complement(l)} per literal l);
 * forward (support): a true atom needs one of its bodies true
-  ({T a} + {F B} per body of a);
+  ({T a} + {F B} per body of a), the shape of a loop nogood, so
+  loops.loop_nogood builds both;
 * backward (rule firing): a true body forces a non-choice rule's head
   ({F a, T B}); an integrity constraint, a rule with no head, has the body
   of its rule false ({T B}).
@@ -19,7 +20,7 @@ body per subset-minimal set of weighted literals reaching the bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .core import Nogood, Program, Rule, RuleKind, basic_rule
 
@@ -82,80 +83,72 @@ def induced_bodies_of_rule(rule: Rule, atom: int, budget: int | None = None) -> 
 
 @dataclass(frozen=True, eq=False)
 class BodyCatalog:
-    """All induced bodies of a program, in deterministic first-use order.
+    """All induced bodies of a program, numbered: the one index of them.
 
-    shifted lists the disjunctive rules, whose bodies the catalog holds
-    shifted. by_rule holds, per rule in program order, the (head atom,
-    induced bodies) pairs the rule contributes; a deferred rule and an
-    integrity constraint have none. constraints holds the bodies of the
-    integrity constraints; each is in order too, from its first use on, but
-    in no atom's ib unless another rule induces it.
+    ids maps each body, in first-use order, to its variable id, counting up
+    from atom_count + 1; these are the ids the solver's b lines declare. ib
+    lists each atom's induced bodies. firing holds the (head atom, body)
+    pairs of the rule-firing nogoods {F a, T B}: those of every rule that is
+    not a choice rule, a deferred rule or an integrity constraint, in rule
+    order, without repeats. deferred holds, unexpanded, the weight rules
+    whose expansion exceeds DEFAULT_BODY_BUDGET bodies, and shifted the
+    disjunctive rules, whose bodies the catalog holds shifted. constraints
+    holds the bodies of the integrity constraints; each is in ids too, from
+    its first use on, but in no atom's ib unless another rule induces it.
     """
 
     ib: dict[int, tuple[frozenset[int], ...]]
-    order: tuple[frozenset[int], ...]
+    ids: dict[frozenset[int], int]
     deferred: tuple[Rule, ...]
     shifted: tuple[Rule, ...]
-    by_rule: tuple[list[tuple[int, list[frozenset[int]]]], ...]
+    firing: tuple[tuple[int, frozenset[int]], ...]
     constraints: frozenset[frozenset[int]]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_index", frozenset(self.order))
 
     def bodies_of(self, atom: int) -> tuple[frozenset[int], ...]:
         return self.ib.get(atom, ())
 
-    def __contains__(self, body: frozenset[int]) -> bool:
-        return body in self._index
 
-
-def body_catalog(program: Program, budget: int | None = DEFAULT_BODY_BUDGET) -> BodyCatalog:
+def body_catalog(program: Program) -> BodyCatalog:
     """Collect induced bodies per atom; weight rules expand under the budget.
 
-    Rules whose expansion overruns the budget are returned unexpanded in
-    .deferred.
+    Rules whose expansion overruns DEFAULT_BODY_BUDGET are returned
+    unexpanded in .deferred.
     """
-    ib: dict[int, list[frozenset[int]]] = {atom: [] for atom in program.atom_ids()}
-    per_atom_seen: dict[int, set[frozenset[int]]] = {a: set() for a in program.atom_ids()}
-    order: list[frozenset[int]] = []
-    seen_global: set[frozenset[int]] = set()
+    # Dicts with None values serve as insertion-ordered sets.
+    ib: dict[int, dict[frozenset[int], None]] = {atom: {} for atom in program.atom_ids()}
+    ids: dict[frozenset[int], int] = {}
     deferred: list[Rule] = []
-    by_rule: list[list[tuple[int, list[frozenset[int]]]]] = []
+    firing: dict[tuple[int, frozenset[int]], None] = {}
     constraints: set[frozenset[int]] = set()
     for rule in program.rules:
         if not rule.head:
             body = rule.body_literals()
             constraints.add(body)
-            by_rule.append([])
-            if body not in seen_global:
-                seen_global.add(body)
-                order.append(body)
+            ids.setdefault(body, program.atom_count + 1 + len(ids))
             continue
         if rule.kind is not RuleKind.WEIGHT and not rule.is_disjunctive:
             body = [rule.body_literals()]
             per_atom = [(a, body) for a in rule.head]
         else:
             try:
-                per_atom = [(a, induced_bodies_of_rule(rule, a, budget)) for a in rule.head]
+                per_atom = [
+                    (a, induced_bodies_of_rule(rule, a, DEFAULT_BODY_BUDGET)) for a in rule.head
+                ]
             except BudgetError:
                 deferred.append(rule)
-                by_rule.append([])
                 continue
-        by_rule.append(per_atom)
         for atom, bodies in per_atom:
             for body in bodies:
-                if body not in per_atom_seen[atom]:
-                    per_atom_seen[atom].add(body)
-                    ib[atom].append(body)
-                if body not in seen_global:
-                    seen_global.add(body)
-                    order.append(body)
+                ib[atom][body] = None
+                ids.setdefault(body, program.atom_count + 1 + len(ids))
+                if rule.kind is not RuleKind.CHOICE:
+                    firing[atom, body] = None
     return BodyCatalog(
         {atom: tuple(bodies) for atom, bodies in ib.items()},
-        tuple(order),
+        ids,
         tuple(deferred),
         tuple(rule for rule in program.rules if rule.is_disjunctive),
-        tuple(by_rule),
+        tuple(firing),
         frozenset(constraints),
     )
 
@@ -165,11 +158,10 @@ class BodyRegistry:
 
     Each such id names exactly one body or one extension variable, and keeps
     that meaning. Proof b lines declare bodies under the ids they give and e
-    lines add extension variables; intern gives a body the lowest free id
-    right above the atoms, and intern_internal the lowest free id from
-    INTERNAL_ID_BASE up, for bodies a proof never names (preloaded
-    completion, loop-step externals), so that they leave the low ids to the
-    proof. has_id, id_of and lits_of speak of bodies only.
+    lines add extension variables; intern_internal gives the lowest free id
+    from INTERNAL_ID_BASE up to a body a proof never names (preloaded
+    completion, loop-step externals), so that such bodies leave the low ids
+    to the proof. has_id, id_of and lits_of speak of bodies only.
     """
 
     def __init__(self, atom_count: int) -> None:
@@ -177,7 +169,7 @@ class BodyRegistry:
         self._by_id: dict[int, frozenset[int]] = {}
         self._by_lits: dict[frozenset[int], int] = {}
         self._extensions: set[int] = set()
-        self._cursor: dict[int, int] = {}
+        self._cursor = INTERNAL_ID_BASE
 
     def knows(self, var: int) -> bool:
         """Is var an atom, a body or an extension variable?"""
@@ -206,24 +198,18 @@ class BodyRegistry:
         self._by_id[body_id] = lits
         self._by_lits[lits] = body_id
 
-    def _intern(self, lits: frozenset[int], start: int) -> int:
-        """The body's id; a new body takes the lowest free id from start up."""
+    def intern_internal(self, lits: frozenset[int]) -> int:
+        """The body's id; a new body takes the lowest free id from INTERNAL_ID_BASE up."""
         existing = self._by_lits.get(lits)
         if existing is not None:
             return existing
-        body_id = self._cursor.get(start, start)
+        body_id = self._cursor
         while self.knows(body_id):
             body_id += 1
-        self._cursor[start] = body_id + 1
+        self._cursor = body_id + 1
         self._by_id[body_id] = lits
         self._by_lits[lits] = body_id
         return body_id
-
-    def intern(self, lits: frozenset[int]) -> int:
-        return self._intern(lits, self.atom_count + 1)
-
-    def intern_internal(self, lits: frozenset[int]) -> int:
-        return self._intern(lits, INTERNAL_ID_BASE)
 
     def id_of(self, lits: frozenset[int]) -> int:
         return self._by_lits[lits]
@@ -243,11 +229,6 @@ def body_definition(body_id: int, lits: frozenset[int]) -> tuple[Nogood, ...]:
     ordered = sorted(lits, key=lambda l: (abs(l), -l))
     main = frozenset({-body_id, *ordered})
     return (main, *(frozenset({body_id, -lit}) for lit in ordered))
-
-
-def forward_nogood(atom: int, body_ids: Iterable[int]) -> Nogood:
-    """Support nogood: the atom cannot be true with all its bodies false."""
-    return frozenset({atom, *(-b for b in body_ids)})
 
 
 def normalize_short_body(program: Program) -> Program:

@@ -135,9 +135,13 @@ def external_bodies(
     return out
 
 
-def loop_nogood(atom: int, external_body_ids: Iterable[int]) -> Nogood:
-    """A loop atom cannot be true with every external body false."""
-    return frozenset({atom, *(-b for b in external_body_ids)})
+def loop_nogood(atom: int, body_ids: Iterable[int]) -> Nogood:
+    """The atom cannot be true with every listed body false.
+
+    With a loop's external bodies this is a loop nogood (an l line); with
+    all of the atom's induced bodies, its support nogood (an s line).
+    """
+    return frozenset({atom, *(-b for b in body_ids)})
 
 
 def _atomized(program: Program, assignment: Iterable[int], registry: BodyRegistry | None) -> set[int]:

@@ -24,15 +24,16 @@ nogood, so no nogood is ever deleted, the search terminates, and the solver
 writes no d line.
 
 Set-up (`load_completion`) builds each completion nogood directly as a tuple
-in `sorted_lits` order: by variable id, +v before -v. A pass over the rules
-lists the rule-firing nogoods (-a, B), in rule order without duplicates or
-choice rules. Then each body B, in id order, gets its sorted literals as its
+in `sorted_lits` order: by variable id, +v before -v. The body catalog
+numbers the bodies and lists the rule-firing pairs; the solver keeps no
+index of its own. Each body B, in id order, gets its sorted literals as its
 b line, the definition nogood (those literals, then -B: a body id is above
 every atom id) and (-l, B) per literal l, and then, if B is an integrity
 constraint's body, the constraint's nogood (below). One support nogood (a,
 -B1, ..., -Bk), body ids ascending, follows per atom in atom order, and then
-the rule-firing nogoods; each of these is tagged with its s or c line (an s
-line lists the bodies in catalog order). Apart from the constraints, these
+the rule-firing nogoods (-a, B) in the catalog's firing order; each of these
+is tagged with its s or c line (an s line lists the bodies in catalog
+order). Apart from the constraints, these
 are the completion's body definitions, support nogoods and rule-firing
 nogoods in sorted_lits order, as the tests check against a reference built
 from the rules. Learned and loop nogoods are sorted the same way. `attach`
@@ -73,22 +74,25 @@ after its body's b line); a body definition has only its b line. So an s line
 follows the b lines of all its bodies, an l line those of its external bodies
 (the checker would otherwise name them itself and refuse a later b line for
 them), and an a line those of every body id it names. A proof holds only the lines the refutation
-rests on, and a run that never refutes anything writes no line.
+rests on, and a run that never refutes anything writes no line. Lines go to
+a sink; `solve` without one writes to a string and parses it into the
+returned proof.
 """
 
 from __future__ import annotations
 
+import io
 import random
 from dataclasses import dataclass
 from itertools import chain
 from typing import IO
 
-from .completion import DEFAULT_BODY_BUDGET, body_catalog
+from .completion import body_catalog
 from .core import Nogood, Program, RuleKind
 from .loops import (
     cyclic_atoms, dependency_graph, external_bodies, loop_nogood, strongly_connected_components,
 )
-from .proof import Proof, Step, serialize_step, sorted_lits
+from .proof import Proof, Step, parse_proof, serialize_step, sorted_lits
 
 HEURISTICS = ("min-true", "min-false", "random")
 RESTART_INTERVAL = 100
@@ -136,23 +140,18 @@ class _Search:
     """Two-watch engine plus CDNL state over atoms and body variables."""
 
     def __init__(self, program: Program, heuristic: str, rng: random.Random | None,
-                 sink: IO[str] | None, budget: int, cyclic: frozenset[int]) -> None:
+                 sink: IO[str], cyclic: frozenset[int]) -> None:
         self.program = program
         self.heuristic = heuristic
         self.rng = rng
         self.sink = sink
-        self.steps: list[Step] | None = [] if sink is None else None
 
-        self.catalog = body_catalog(program, budget)
-        self.body_ids = {
-            body: body_id
-            for body_id, body in enumerate(self.catalog.order, program.atom_count + 1)
-        }
-        self.var_count = program.atom_count + len(self.catalog.order)
+        self.catalog = body_catalog(program)
+        self.var_count = program.atom_count + len(self.catalog.ids)
         self.cyclic = cyclic
         self.supports: dict[int, list[tuple[int, frozenset[int]]]] = {
             atom: [
-                (self.body_ids[body], frozenset(l for l in body if l > 0))
+                (self.catalog.ids[body], frozenset(l for l in body if l > 0))
                 for body in self.catalog.bodies_of(atom)
             ]
             for atom in self.cyclic
@@ -182,10 +181,7 @@ class _Search:
     # -- proof emission ------------------------------------------------------
 
     def emit(self, step: Step) -> None:
-        if self.steps is None:
-            self.sink.write(serialize_step(step) + "\n")
-        else:
-            self.steps.append(step)
+        self.sink.write(serialize_step(step) + "\n")
 
     def write_needed(self, conflict: int) -> None:
         """Write the pending lines of the nogoods a level-0 conflict rests on.
@@ -238,8 +234,7 @@ class _Search:
         """Write the lines a level-0 conflict rests on, then the empty nogood."""
         self.write_needed(conflict)
         self.emit(Step("a"))
-        steps = self.steps
-        return SolveResult(INCONSISTENT, proof=None if steps is None else Proof(tuple(steps)))
+        return SolveResult(INCONSISTENT)
 
     # -- assignment ------------------------------------------------------------
 
@@ -322,22 +317,14 @@ class _Search:
         """Attach the completion, its lines pending, in the order the module
         docstring gives; returns a violated nogood's index."""
         program, catalog = self.program, self.catalog
-        attach, body_ids, body_lines = self.attach, self.body_ids, self.body_lines
-        # Rule-firing nogoods, an ordered set.
-        firing = dict.fromkeys(
-            (-atom, body_ids[body])
-            for rule, per_atom in zip(program.rules, catalog.by_rule)
-            if rule.kind is not RuleKind.CHOICE
-            for atom, bodies in per_atom
-            for body in bodies
-        )
+        attach, body_ids, body_lines = self.attach, catalog.ids, self.body_lines
         constraints = catalog.constraints
         # Constraint bodies no rule induces: only their constraint's nogood uses them.
         lone = constraints.difference(chain.from_iterable(catalog.ib.values()))
 
         conflicts: list[int | None] = []
         units: list[tuple[tuple[int, ...], Tag]] = []
-        for body_id, body in enumerate(catalog.order, program.atom_count + 1):
+        for body, body_id in body_ids.items():
             lits = body_lines[body_id] = sorted_lits(body)
             if body in lone:
                 self.assign(-body_id, None)
@@ -357,8 +344,8 @@ class _Search:
             if bodies and -atom in bodies[0] and all(-atom in body for body in bodies):
                 units.append(((atom,), ("a", len(self.nogoods), (atom,))))
             conflicts.append(attach((atom, *[-b for b in sorted(ids)]), ("s", atom, ids)))
-        for entries in firing:
-            conflicts.append(attach(entries, ("c", entries[1], (-entries[0],))))
+        for atom, body in catalog.firing:
+            conflicts.append(attach((-atom, body_ids[body]), ("c", body_ids[body], (atom,))))
         for entries, tag in units:
             conflicts.append(attach(entries, tag))
         return next((idx for idx in conflicts if idx is not None), None)
@@ -431,7 +418,7 @@ class _Search:
                 return None
             atoms = sorted(component)
             bodies = external_bodies(self.program, self.catalog, component)
-            lam = loop_nogood(atoms[0], (self.body_ids[b] for b in bodies))
+            lam = loop_nogood(atoms[0], (self.catalog.ids[b] for b in bodies))
             if lam in self.loop_seen:
                 raise AssertionError("unfounded component recurred")
             self.loop_seen.add(lam)
@@ -566,14 +553,15 @@ def solve(
     restarts: bool = False,
     seed: int = 0,
     proof_sink: IO[str] | None = None,
-    budget: int = DEFAULT_BODY_BUDGET,
 ) -> SolveResult:
     """Solve a normal/choice/weight program, logging a checkable proof.
 
     Returns CONSISTENT with an answer set, INCONSISTENT with a proof, or
-    UNKNOWN when a weight rule's body expansion exceeds the budget. Given a
-    proof_sink, the proof is written there line by line and not kept, so
-    the result's proof is None.
+    UNKNOWN when a weight rule's body expansion exceeds the fixed budget
+    (completion.DEFAULT_BODY_BUDGET). Given a proof_sink, the proof is
+    written there line by line and not kept, so the result's proof is None;
+    without one, the proof is parsed back from its text and so carries the
+    line numbers.
     """
     if heuristic not in HEURISTICS:
         raise SolveError(f"unknown heuristic {heuristic!r}")
@@ -582,13 +570,15 @@ def solve(
     _check_scope(program, components)
     cyclic = cyclic_atoms(graph, components)
     rng = random.Random(seed) if heuristic == "random" else None
-    search = _Search(program, heuristic, rng, proof_sink, budget, cyclic)
+    sink = io.StringIO() if proof_sink is None else proof_sink
+    search = _Search(program, heuristic, rng, sink, cyclic)
     if search.catalog.deferred:
         return SolveResult(
             UNKNOWN, reason="weight rule expansion exceeds the body budget"
         )
 
     conflict = search.load_completion()
-    if conflict is not None:
-        return search.refute(conflict)
-    return search.run(restarts)
+    result = search.run(restarts) if conflict is None else search.refute(conflict)
+    if proof_sink is None and result.status == INCONSISTENT:
+        return SolveResult(INCONSISTENT, proof=parse_proof(sink.getvalue()))
+    return result

@@ -1,4 +1,5 @@
-"""Shared fixtures: the running example program and its golden proof."""
+"""Shared fixtures: the running example program and its golden proof, and a
+weight rule past the body budget."""
 
 import pytest
 
@@ -18,6 +19,10 @@ d :- not c.
 e :- c, not e.
 e :- not a, not e.
 """
+
+# `7 <= {b0=1, ..., b14=1}` has C(15, 7) = 6,435 minimal bodies, more than
+# the catalog's fixed budget of 4,096, so this rule's expansion is deferred.
+OVER_BUDGET_RULE = "a :- 7 <= {" + ", ".join(f"b{i}=1" for i in range(15)) + "}.\n"
 
 # Golden 26-line proof for EX1_TEXT. Body numbering per its b lines:
 # 6={c} 7={not c} 8={not d} 9={a,d} 10={b,d} 11={c,d} 12={not a,not e}
@@ -60,3 +65,8 @@ def ex1_program():
 @pytest.fixture
 def fig1_text():
     return FIG1_TEXT
+
+
+@pytest.fixture
+def over_budget_rule():
+    return OVER_BUDGET_RULE

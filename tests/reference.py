@@ -23,7 +23,7 @@ from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
 from aspcert.completion import (
-    INTERNAL_ID_BASE, BodyCatalog, BodyRegistry, forward_nogood, induced_bodies_of_rule,
+    INTERNAL_ID_BASE, BodyCatalog, BodyRegistry, induced_bodies_of_rule,
 )
 from aspcert.core import Nogood, Program, Rule, RuleKind, basic_rule, choice_rule, weight_rule
 from aspcert.fuzz import random_program
@@ -253,7 +253,7 @@ def forward_family(
     out = []
     for atom in program.atom_ids():
         body_ids = tuple(registry.id_of(b) for b in catalog.bodies_of(atom))
-        out.append((atom, body_ids, forward_nogood(atom, body_ids)))
+        out.append((atom, body_ids, frozenset({atom, *(-b for b in body_ids)})))
     return out
 
 
@@ -274,6 +274,15 @@ def backward_family(
                     seen.add(nogood)
                     out.append(nogood)
     return out
+
+
+def declared_registry(program: Program, catalog: BodyCatalog) -> BodyRegistry:
+    """A registry holding the catalog's bodies under their catalog ids, as
+    the b lines of a solver proof declare them."""
+    registry = BodyRegistry(program.atom_count)
+    for body, body_id in catalog.ids.items():
+        registry.declare(body_id, body)
+    return registry
 
 
 def public_items(registry: BodyRegistry) -> list[tuple[int, frozenset[int]]]:

@@ -10,7 +10,7 @@ import random
 import time
 
 from aspcert.checker import CheckerState, check
-from aspcert.completion import BodyRegistry, body_catalog, body_definition
+from aspcert.completion import body_catalog, body_definition
 from aspcert.core import Program, weight_rule
 from aspcert.fuzz import differential_run, random_program
 from aspcert.loops import dependency_graph, is_loop
@@ -20,16 +20,14 @@ from aspcert.propagation import WeightRulePropagator
 from aspcert.proof import Proof, parse_proof, serialize_proof
 from aspcert.solver import INCONSISTENT, solve
 from reference import (
-    all_loop_nogoods, backward_family, entails, forward_family, is_rup, public_items,
-    random_tight_program, reference_rup_run, unit_propagate,
+    all_loop_nogoods, backward_family, declared_registry, entails, forward_family, is_rup,
+    public_items, random_tight_program, reference_rup_run, unit_propagate,
 )
 
 
 def _completion_nogoods(program, with_loops):
     catalog = body_catalog(program)
-    registry = BodyRegistry(program.atom_count)
-    for body in catalog.order:
-        registry.intern(body)
+    registry = declared_registry(program, catalog)
     nogoods = []
     for body_id, body in public_items(registry):
         nogoods.extend(body_definition(body_id, body))
@@ -158,7 +156,7 @@ def test_store_entailment_at_every_prefix():
         assert index < 20_000, "small refuted programs are too rare"
         program = random_program(random.Random(50_000 + index), max_atoms=4, max_rules=6)
         catalog = body_catalog(program)
-        if program.atom_count + len(catalog.order) <= 8:
+        if program.atom_count + len(catalog.ids) <= 8:
             result = solve(program)
             if result.status == INCONSISTENT:
                 collected.append((program, result.proof))
@@ -205,9 +203,7 @@ def _assert_propagator_matches_expansion(rule):
     names = tuple(f"x{i}" for i in range(1, max(variables) + 1))
     program = Program(atom_names=names, rules=(rule,))
     catalog = body_catalog(program)
-    registry = BodyRegistry(program.atom_count)
-    for body in catalog.order:
-        registry.intern(body)
+    registry = declared_registry(program, catalog)
     # the rule's own expansion: body definitions plus the head's two families
     nogoods = []
     for body_id, body in public_items(registry):

@@ -250,7 +250,7 @@ def test_random_step_sequences_never_refute_a_consistent_program():
             programs.append(program)
     kept = set()
     for program in programs:
-        bodies = list(body_catalog(program).order)
+        bodies = list(body_catalog(program).ids)
         # Half the proofs that are not preloaded start by declaring every
         # consistent body the way the solver does, so that c and s lines
         # name known bodies.
@@ -443,21 +443,35 @@ def test_preloaded_rejects_declaration_steps():
             check(program, parse_proof(line + "a 0\n"), preloaded=True)
 
 
-def test_preloaded_weight_rule_uses_bound_propagation():
-    # Only the bound propagator of the deferred weight rule derives a from b
-    # and c, so only it makes `a -1 0` RUP; the preloaded constraint then
-    # refutes a.
-    program = parse_program("a :- 2 <= {b=1, c=1, d=1}.\nb.\nc.\n:- a.\n")
-    result = check(program, parse_proof("a -1 0\na 0\n"), preloaded=True, budget=2)
-    assert result.ok
+def test_preloaded_weight_rule_uses_bound_propagation(over_budget_rule):
+    # Only the bound propagator of the deferred weight rule derives a from
+    # b0, ..., b6, so only it makes `a -1 0` RUP; the preloaded constraint
+    # then refutes a.
+    facts = "".join(f"b{i}.\n" for i in range(7))
+    program = parse_program(over_budget_rule + facts + ":- a.\n")
+    state = CheckerState(program, preloaded=True)
+    assert len(state.propagators) == 1
+    assert check(program, parse_proof("a -1 0\na 0\n"), preloaded=True).ok
+    # With six of the facts the bound is out of reach, and `a -1 0` is not RUP.
+    fewer = parse_program(over_budget_rule + "".join(f"b{i}.\n" for i in range(6)) + ":- a.\n")
+    assert not check(fewer, parse_proof("a -1 0\na 0\n"), preloaded=True).ok
 
 
-def test_preloaded_rejects_two_deferred_rules_per_head():
-    program = parse_program(
-        "a :- 2 <= {b=1, c=1, d=1}.\na :- 2 <= {c=1, d=1, e=1}.\n"
-    )
+def test_preloaded_rejects_two_deferred_rules_per_head(over_budget_rule):
+    program = parse_program(over_budget_rule + over_budget_rule.replace("b0=1", "c=1"))
     with pytest.raises(ProofFormatError, match="at most one"):
-        CheckerState(program, preloaded=True, budget=2)
+        CheckerState(program, preloaded=True)
+
+
+def test_s_line_for_a_deferred_head_is_refused(over_budget_rule):
+    """No s line can list the bodies of a head whose weight rule is past the
+    body budget, and no b line can declare one of them."""
+    program = parse_program(over_budget_rule)
+    with pytest.raises(ProofFormatError, match="exceed the expansion budget"):
+        check(program, parse_proof("s 1 0\na 0\n"))
+    body = " ".join(str(i) for i in range(2, 9))
+    with pytest.raises(ProofFormatError, match="not an induced body"):
+        check(program, parse_proof(f"b 17 {body} 0\na 0\n"))
 
 
 def test_checker_state_incremental_interface():

@@ -2,6 +2,7 @@
 
 import pytest
 
+import aspcert.cli as cli_module
 from aspcert.checker import check
 from aspcert.cli import main
 from aspcert.proof import parse_proof
@@ -146,12 +147,19 @@ def test_fuzz_accepts_atom_bound(capsys):
     assert main(["fuzz", "--count", "5", "--atoms", "4", "--seed", "1"]) == 0
 
 
-def test_fuzz_past_the_oracle_guard_exits_2(capsys):
-    # The second draw at this seed has 21 atoms, one above the oracle's guard.
-    assert main(["fuzz", "--count", "10", "--atoms", "21", "--seed", "8"]) == 2
-    assert capsys.readouterr().err == (
-        "error: --atoms 21: 21 atoms exceed the enumeration guard 20\n"
-    )
+def test_fuzz_past_the_oracle_guard_exits_2(capsys, monkeypatch):
+    # Every draw goes to the oracle, whose guard is 20 atoms, so 21 is
+    # refused before any draw is made.
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a draw was made")
+
+    monkeypatch.setattr(cli_module, "differential_run", no_draws)
+    with pytest.raises(SystemExit) as stop:
+        main(["fuzz", "--count", "10", "--atoms", "21", "--seed", "8"])
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --atoms: must be at most 20, got 21" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(

@@ -8,21 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aspcert.completion import (
+    DEFAULT_BODY_BUDGET,
     INTERNAL_ID_BASE,
     BodyRegistry,
     BudgetError,
     body_catalog,
     body_definition,
-    forward_nogood,
     induced_bodies_of_rule,
     minimal_weight_sets,
     normalize_short_body,
 )
-from aspcert.core import basic_rule, choice_rule, weight_rule
-from aspcert.fuzz import random_program
+from aspcert.core import Program, basic_rule, choice_rule, weight_rule
+from aspcert.fuzz import random_program, random_rich_program
+from aspcert.loops import loop_nogood
 from aspcert.oracle import enumerate_answer_sets
 from aspcert.program_io import emit_program, parse_program
-from reference import backward_family, forward_family, public_items
+from reference import backward_family, declared_registry, forward_family, public_items
 
 
 def test_induced_bodies_basic_rule():
@@ -106,36 +107,36 @@ def test_body_definition_examples():
 
 
 def test_forward_and_backward_nogood_shapes():
-    assert forward_nogood(1, (10, 6)) == frozenset({1, -10, -6})
-    assert forward_nogood(3, ()) == frozenset({3})
+    # loop_nogood builds the support nogood too, from all of an atom's bodies.
+    assert loop_nogood(1, (10, 6)) == frozenset({1, -10, -6})
+    assert loop_nogood(3, ()) == frozenset({3})
     program = parse_program("a :- b.")
-    registry = BodyRegistry(program.atom_count)
-    assert registry.intern(frozenset({2})) == 3
-    assert backward_family(program, body_catalog(program), registry) == [frozenset({-1, 3})]
+    catalog = body_catalog(program)
+    assert catalog.ids == {frozenset({2}): 3}
+    registry = declared_registry(program, catalog)
+    assert backward_family(program, catalog, registry) == [frozenset({-1, 3})]
 
 
 def test_catalog_on_example(ex1_program):
     catalog = body_catalog(ex1_program)
     assert catalog.bodies_of(1) == (frozenset({2, 4}), frozenset({3}))
     assert catalog.bodies_of(5) == (frozenset({3, -5}), frozenset({-1, -5}))
-    # first-occurrence interning order over the eight rule bodies
-    assert catalog.order == (
-        frozenset({2, 4}),
-        frozenset({1, 4}),
-        frozenset({3}),
-        frozenset({3, 4}),
-        frozenset({-4}),
-        frozenset({-3}),
-        frozenset({3, -5}),
-        frozenset({-1, -5}),
-    )
+    # the eight rule bodies in first-use order, numbered from atom_count + 1
+    assert list(catalog.ids.items()) == [
+        (frozenset({2, 4}), 6),
+        (frozenset({1, 4}), 7),
+        (frozenset({3}), 8),
+        (frozenset({3, 4}), 9),
+        (frozenset({-4}), 10),
+        (frozenset({-3}), 11),
+        (frozenset({3, -5}), 12),
+        (frozenset({-1, -5}), 13),
+    ]
 
 
 def test_families_on_example(ex1_program):
     catalog = body_catalog(ex1_program)
-    registry = BodyRegistry(ex1_program.atom_count)
-    for body in catalog.order:
-        registry.intern(body)
+    registry = declared_registry(ex1_program, catalog)
     forwards = {atom: nogood for atom, _, nogood in forward_family(ex1_program, catalog, registry)}
     bid = registry.id_of
     assert forwards[1] == frozenset({1, -bid(frozenset({2, 4})), -bid(frozenset({3}))})
@@ -151,9 +152,8 @@ def test_families_on_example(ex1_program):
 def test_choice_rules_have_no_backward_but_do_support():
     program = parse_program("{a} :- c.")
     catalog = body_catalog(program)
-    registry = BodyRegistry(program.atom_count)
-    for body in catalog.order:
-        registry.intern(body)
+    registry = declared_registry(program, catalog)
+    assert catalog.firing == ()
     assert backward_family(program, catalog, registry) == []
     forwards = {atom: nogood for atom, _, nogood in forward_family(program, catalog, registry)}
     assert forwards[1] == frozenset({1, -registry.id_of(frozenset({2}))})
@@ -162,19 +162,68 @@ def test_choice_rules_have_no_backward_but_do_support():
 def test_catalog_orders_constraint_bodies_but_gives_them_to_no_atom():
     program = parse_program("#atoms a b c.\n:- a, b.\nc :- a.\n:- not c.\nc :- not c.\n:- a.\n")
     catalog = body_catalog(program)
-    assert catalog.order == (frozenset({1, 2}), frozenset({1}), frozenset({-3}))
+    assert catalog.ids == {frozenset({1, 2}): 4, frozenset({1}): 5, frozenset({-3}): 6}
     assert catalog.constraints == {frozenset({1, 2}), frozenset({1}), frozenset({-3})}
     assert [catalog.bodies_of(atom) for atom in (1, 2, 3)] == [
         (), (), (frozenset({1}), frozenset({-3})),
     ]
-    assert catalog.by_rule[0] == catalog.by_rule[2] == catalog.by_rule[4] == []
+    # the constraints contribute no firing pair
+    assert catalog.firing == ((3, frozenset({1})), (3, frozenset({-3})))
 
 
-def test_catalog_budget_deferral():
-    program = parse_program("a :- 6 <= {b=1,c=1,d=1,e=1,f=1,g=1,h=1,i=1,j=1,k=1,l=1,m=1}.")
-    catalog = body_catalog(program, budget=10)
-    assert len(catalog.deferred) == 1
+def test_catalog_budget_deferral(over_budget_rule):
+    program = parse_program(over_budget_rule)
+    catalog = body_catalog(program)
+    assert catalog.deferred == program.rules
     assert catalog.bodies_of(1) == ()
+    assert catalog.ids == {} and catalog.firing == ()
+    # one body fewer in the rule and its expansion fits the budget
+    smaller = body_catalog(parse_program("a :- 7 <= {" + ", ".join(
+        f"b{i}=1" for i in range(14)) + "}.\n"))
+    assert not smaller.deferred and len(smaller.ids) == 3432 <= DEFAULT_BODY_BUDGET
+
+
+def _with_disjunctions_and_a_deferred_rule(rng, program):
+    """The program plus one to three disjunctive rules, and a weight rule
+    past the body budget over fifteen new atoms, placed at a random spot."""
+    atoms = range(1, program.atom_count + 1)
+    rules = list(program.rules)
+    for _ in range(rng.randint(1, 3)):
+        head = rng.sample(atoms, min(len(atoms), rng.randint(2, 3)))
+        body = rng.sample(atoms, rng.randint(0, min(2, len(atoms))))
+        neg = {a for a in body if rng.random() < 0.5}
+        rules.insert(rng.randint(0, len(rules)), basic_rule(head, set(body) - neg, neg))
+    extra = range(program.atom_count + 1, program.atom_count + 16)
+    deferred = weight_rule(rng.choice(atoms), 7, {atom: 1 for atom in extra})
+    rules.insert(rng.randint(0, len(rules)), deferred)
+    names = program.atom_names + tuple(f"w{i}" for i in range(15))
+    return Program(names, tuple(rules))
+
+
+def test_firing_matches_the_reference_rule_firing_family():
+    """catalog.firing lists the pairs of backward_family, which is built from
+    the rules, in its order, on rich draws with choice rules, constraints,
+    disjunctive rules and a deferred weight rule; ids count up from
+    atom_count + 1 and hold every body of ib and every constraint body."""
+    rng = random.Random(61)
+    kinds = set()
+    for _ in range(150):
+        program = _with_disjunctions_and_a_deferred_rule(
+            rng, random_rich_program(rng, max_atoms=6, max_rules=12))
+        catalog = body_catalog(program)
+        assert len(catalog.deferred) == 1
+        assert list(catalog.ids.values()) == list(
+            range(program.atom_count + 1, program.atom_count + 1 + len(catalog.ids)))
+        induced = {body for bodies in catalog.ib.values() for body in bodies}
+        assert set(catalog.ids) == induced | catalog.constraints
+        registry = declared_registry(program, catalog)
+        pairs = [(-min(nogood), registry.lits_of(max(nogood)))
+                 for nogood in backward_family(program, catalog, registry)]
+        assert list(catalog.firing) == pairs
+        kinds.update(rule.kind.name for rule in program.rules if rule.head)
+        kinds.update("constraint" for rule in program.rules if not rule.head)
+        kinds.update("disjunctive" for rule in program.rules if rule.is_disjunctive)
+    assert kinds == {"BASIC", "CHOICE", "WEIGHT", "constraint", "disjunctive"}
 
 
 def test_registry_declare_and_intern():
@@ -188,8 +237,7 @@ def test_registry_declare_and_intern():
         registry.declare(8, frozenset({2, 4}))       # set reuse
     with pytest.raises(ValueError):
         registry.declare(3, frozenset({1}))          # collides with atoms
-    assert registry.intern(frozenset({-1})) == 7
-    assert registry.intern(frozenset({-1})) == 7
+    registry.declare(7, frozenset({-1}))
     # an id names one body or one extension variable, never both
     registry.extend(8)
     assert registry.knows(8) and registry.is_extension(8) and not registry.has_id(8)
@@ -200,9 +248,9 @@ def test_registry_declare_and_intern():
         registry.extend(7)                            # body id as an extension
     with pytest.raises(ValueError, match="collides"):
         registry.extend(2)
-    # interning takes the lowest free id and skips ids already taken
     registry.declare(9, frozenset({3}))
-    assert registry.intern(frozenset({-2})) == 10
+    registry.declare(10, frozenset({-2}))
+    # internal interning takes the lowest free id from the base and skips ids already taken
     registry.extend(INTERNAL_ID_BASE)
     assert registry.intern_internal(frozenset({1, 2})) == INTERNAL_ID_BASE + 1
     assert registry.intern_internal(frozenset({1, 3})) == INTERNAL_ID_BASE + 2

@@ -11,7 +11,7 @@ import aspcert
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aspcert.completion import BodyRegistry, body_catalog, body_definition
+from aspcert.completion import body_catalog, body_definition
 from aspcert.fuzz import random_program
 from aspcert.loops import (
     cyclic_atoms,
@@ -25,7 +25,9 @@ from aspcert.loops import (
 from aspcert.oracle import enumerate_answer_sets
 from aspcert.program_io import parse_program
 from aspcert.solver import CONSISTENT, solve
-from reference import all_loop_nogoods, backward_family, forward_family, has_loops, public_items
+from reference import (
+    all_loop_nogoods, backward_family, declared_registry, forward_family, has_loops, public_items,
+)
 
 
 def _edges(graph):
@@ -160,9 +162,7 @@ def test_loop_nogood_shape():
 
 def test_all_loop_nogoods_on_example(ex1_program):
     catalog = body_catalog(ex1_program)
-    registry = BodyRegistry(ex1_program.atom_count)
-    for body in catalog.order:
-        registry.intern(body)
+    registry = declared_registry(ex1_program, catalog)
     external_ids = (
         registry.id_of(frozenset({3})),
         registry.id_of(frozenset({3, 4})),
@@ -175,18 +175,14 @@ def test_all_loop_nogoods_on_example(ex1_program):
 def test_all_loop_nogoods_empty_for_tight_program():
     program = parse_program("a :- not b.\nb :- c.")
     catalog = body_catalog(program)
-    registry = BodyRegistry(program.atom_count)
-    for body in catalog.order:
-        registry.intern(body)
+    registry = declared_registry(program, catalog)
     assert all_loop_nogoods(program, catalog, registry) == []
 
 
 def test_self_supporting_atom_nogood():
     program = parse_program("a :- a.")
     catalog = body_catalog(program)
-    registry = BodyRegistry(program.atom_count)
-    for body in catalog.order:
-        registry.intern(body)
+    registry = declared_registry(program, catalog)
     assert all_loop_nogoods(program, catalog, registry) == [frozenset({1})]
 
 
@@ -228,9 +224,7 @@ def test_loops_with_false_external_bodies_are_unfounded(seed):
 def _completion_and_loop_models(program):
     """Brute-force the models of the completion plus all loop nogoods."""
     catalog = body_catalog(program)
-    registry = BodyRegistry(program.atom_count)
-    for body in catalog.order:
-        registry.intern(body)
+    registry = declared_registry(program, catalog)
     nogoods = []
     for body_id, body in public_items(registry):
         nogoods.extend(body_definition(body_id, body))

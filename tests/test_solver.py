@@ -9,7 +9,7 @@ import pytest
 import aspcert.solver as solver_module
 from aspcert.checker import check
 from aspcert.core import Program, basic_rule
-from aspcert.completion import DEFAULT_BODY_BUDGET, BodyRegistry, body_catalog, body_definition
+from aspcert.completion import body_catalog, body_definition
 from aspcert.fuzz import random_program, random_rich_program
 from aspcert.oracle import enumerate_answer_sets, is_answer_set
 from aspcert.loops import cyclic_atoms, dependency_graph
@@ -23,7 +23,7 @@ from aspcert.solver import (
     SolveError,
     solve,
 )
-from reference import backward_family, forward_family, public_items
+from reference import backward_family, declared_registry, forward_family, public_items
 
 
 def test_consistent_program():
@@ -83,11 +83,14 @@ def test_random_heuristic_is_seed_deterministic(ex1_program):
 
 
 def test_proof_sink_streams_serialized_steps(ex1_program):
-    """A sink gets the proof a sink-less solve returns, and the result keeps none."""
+    """A sink gets the proof a sink-less solve returns, and the result keeps
+    none; the sink-less proof is that text parsed, line numbers included."""
     sink = io.StringIO()
     result = solve(ex1_program, proof_sink=sink)
     assert result.status == INCONSISTENT and result.proof is None
-    assert sink.getvalue() == serialize_proof(solve(ex1_program).proof)
+    proof = solve(ex1_program).proof
+    assert sink.getvalue() == serialize_proof(proof)
+    assert proof.lines == tuple(range(1, len(proof) + 1))
 
 
 def test_consistent_program_without_conflicts_writes_no_line():
@@ -180,8 +183,8 @@ def test_rejects_unknown_heuristic():
         solve(parse_program("a.\n"), heuristic="bogus")
 
 
-def test_unknown_when_expansion_exceeds_budget():
-    result = solve(parse_program("a :- 2 <= {b=1, c=1, d=1}.\n"), budget=2)
+def test_unknown_when_expansion_exceeds_budget(over_budget_rule):
+    result = solve(parse_program(over_budget_rule))
     assert result.status == UNKNOWN
     assert "budget" in result.reason
     assert result.proof is None and result.answer_set is None
@@ -311,9 +314,7 @@ def _reference_setup(search):
     nogoods {a} of the self-blocking atoms."""
     program, catalog = search.program, search.catalog
     lone = _lone_constraint_bodies(catalog)
-    registry = BodyRegistry(program.atom_count)
-    for body in catalog.order:
-        registry.intern(body)
+    registry = declared_registry(program, catalog)
     bodies = public_items(registry)
     body_lines = {body_id: sorted_lits(body) for body_id, body in bodies}
     nogoods, units = [], []
@@ -349,24 +350,47 @@ def test_setup_attaches_the_completion_families_in_order(ex1_program):
         programs.append(generate(rng, max_atoms=8, max_rules=16))
     lone = shared = 0
     for program in programs:
+        sink = io.StringIO()
         search = solver_module._Search(
-            program, "min-true", None, None, DEFAULT_BODY_BUDGET,
-            cyclic_atoms(dependency_graph(program)),
+            program, "min-true", None, sink, cyclic_atoms(dependency_graph(program)),
         )
         search.load_completion()
         body_lines, nogoods = _reference_setup(search)
-        assert search.steps == []
+        assert sink.getvalue() == ""
         assert search.body_lines == body_lines
         assert list(zip(search.nogoods, search.tags)) == nogoods
         named = {abs(l) for entries in search.nogoods for l in entries}
         lone_bodies = _lone_constraint_bodies(search.catalog)
         for body in lone_bodies:
-            var = search.body_ids[body]
+            var = search.catalog.ids[body]
             assert search.val[var] is False and search.level[var] == 0
             assert var not in named
         lone += len(lone_bodies)
         shared += len(search.catalog.constraints - lone_bodies)
     assert lone > 50 and shared > 0
+
+
+def test_b_lines_declare_the_catalog_ids(ex1_program):
+    """Every b line the solver writes declares a body under its catalog id,
+    under every heuristic, with and without restarts."""
+    rng = random.Random(43)
+    programs = [ex1_program, parse_program(_php_text(4, 3, random.Random(1)))]
+    for index in range(200):
+        generate = random_rich_program if index % 2 else random_program
+        programs.append(generate(rng, max_atoms=8, max_rules=16))
+    declared = 0
+    for program in programs:
+        ids = body_catalog(program).ids
+        for heuristic in HEURISTICS:
+            for restarts in (False, True):
+                result = solve(program, heuristic=heuristic, restarts=restarts, seed=3)
+                if result.status != INCONSISTENT:
+                    continue
+                for step in result.proof:
+                    if step.kind == "b":
+                        assert ids[frozenset(step.lits)] == step.head
+                        declared += 1
+    assert declared > 1000
 
 
 def test_branch_picks_the_smallest_unassigned_variable(monkeypatch):
@@ -399,9 +423,7 @@ def test_branch_picks_the_smallest_unassigned_variable(monkeypatch):
 def test_backjump_pops_a_suffix():
     """A backjump keeps the trail up to the first undone decision, and only that."""
     program = parse_program("#atoms a b c d e f.\n")
-    search = solver_module._Search(
-        program, "min-true", None, None, DEFAULT_BODY_BUDGET, frozenset()
-    )
+    search = solver_module._Search(program, "min-true", None, io.StringIO(), frozenset())
     for atom in (1, 2, 3):
         assert search.attach((atom, atom + 3), None) is None
     for _ in range(3):
@@ -601,7 +623,7 @@ def test_self_blocking_lines_come_in_order_and_at_most_once(monkeypatch):
     for index in range(300):
         generate = random_rich_program if index % 2 else random_program
         program = _blocking_for_constraints(generate(rng, max_atoms=8, max_rules=16))
-        blocking = set(_self_blocking(program, body_catalog(program, DEFAULT_BODY_BUDGET)))
+        blocking = set(_self_blocking(program, body_catalog(program)))
         for heuristic in HEURISTICS:
             for restarts in (False, True):
                 sink = io.StringIO()
@@ -692,13 +714,13 @@ def test_each_constraint_is_one_nogood_and_no_other_names_its_body(monkeypatch):
             assert result.status == INCONSISTENT
             assert check(program, result.proof).ok
             search = attached[0][0]
-            hidden = {search.body_ids[body] for body in constraints}
+            hidden = {search.catalog.ids[body] for body in constraints}
             assert _lone_constraint_bodies(search.catalog) == set(constraints)
             tagged = [(entries, tag) for _, entries, tag in attached
                       if tag and tag[0] == "c" and not tag[2]]
             assert sorted(tag[1] for _, tag in tagged) == sorted(hidden)
-            assert all(entries == sorted_lits(search.catalog.order[tag[1] - program.atom_count - 1])
-                       for entries, tag in tagged)
+            body_of = {body_id: body for body, body_id in search.catalog.ids.items()}
+            assert all(entries == sorted_lits(body_of[tag[1]]) for entries, tag in tagged)
             for _, entries, tag in attached:
                 assert not hidden & {abs(l) for l in entries}
                 assert not (tag and tag[0] == "c" and tag[1] in hidden and tag[2])
