@@ -8,7 +8,8 @@ reverse-unit-propagation property against the current multiset, tested
 through the store's watch lists from the top-level assignment the store
 keeps between tests; l and u steps are validated against
 the dependency graph and the unfounded-set conditions; d steps remove one
-instance. The proof succeeds when the empty nogood is present at the end.
+instance, and the dependency graph is built at the first l step, the only
+reader. The proof succeeds when the empty nogood is present at the end.
 
 One BodyRegistry owns every variable id above the atoms: b steps declare
 bodies, e steps extension variables, and bodies a proof never names (l-step
@@ -29,10 +30,11 @@ the proof was parsed from text, since blank lines make the two counts differ.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .completion import BodyCatalog, BodyRegistry, body_catalog, body_definition
 from .core import Program, Rule, is_consistent
-from .loops import dependency_graph, external_bodies, is_loop, is_unfounded_set, loop_nogood
+from .loops import Graph, dependency_graph, external_bodies, is_loop, is_unfounded_set, loop_nogood
 from .proof import Proof, Step
 from .propagation import NogoodStore, WeightRulePropagator, rup_run
 
@@ -80,7 +82,6 @@ class CheckerState:
         self.strict_delete = strict_delete
         self.catalog: BodyCatalog = body_catalog(program)
         self.registry = BodyRegistry(program.atom_count)
-        self.graph = dependency_graph(program)
         self.store = NogoodStore()
         self.propagators: list[WeightRulePropagator] = []
         self.deferred_heads = frozenset(
@@ -93,6 +94,11 @@ class CheckerState:
             self._preload()
 
     # -- setup ---------------------------------------------------------------
+
+    @cached_property
+    def graph(self) -> Graph:
+        """The positive dependency graph, built at the first l step that reads it."""
+        return dependency_graph(self.program)
 
     def _preload(self) -> None:
         for body in self.catalog.ids:
@@ -152,11 +158,12 @@ class CheckerState:
         getattr(self, f"_step_{step.kind}")(step)
 
     def _step_b(self, step: Step) -> None:
-        self._require_atoms(tuple(abs(l) for l in step.lits))
-        if not is_consistent(step.lits):
-            raise ProofFormatError(f"{self._where()}: contradictory body literals")
         body = frozenset(step.lits)
         if body not in self.catalog.ids:
+            # Catalog bodies are consistent and name only atoms: check on a miss.
+            self._require_atoms(tuple(abs(l) for l in step.lits))
+            if not is_consistent(step.lits):
+                raise ProofFormatError(f"{self._where()}: contradictory body literals")
             raise ProofFormatError(
                 f"{self._where()}: literal set is not an induced body "
                 "of the program (or its expansion exceeds the budget)"

@@ -226,9 +226,9 @@ class BodyRegistry:
 
 def body_definition(body_id: int, lits: frozenset[int]) -> tuple[Nogood, ...]:
     """Nogoods tying a body variable to its literals (definition first)."""
-    ordered = sorted(lits, key=lambda l: (abs(l), -l))
-    main = frozenset({-body_id, *ordered})
-    return (main, *(frozenset({body_id, -lit}) for lit in ordered))
+    # Two stable sorts order by (abs(l), -l) without a key tuple per literal.
+    ordered = sorted(sorted(lits, reverse=True), key=abs)
+    return (lits | {-body_id}, *(frozenset({body_id, -lit}) for lit in ordered))
 
 
 def normalize_short_body(program: Program) -> Program:

@@ -5,15 +5,15 @@ normal rules with fresh complement atoms, weight rules are expanded to the
 normal rules over their induced bodies, and a candidate is accepted when it
 satisfies no integrity constraint's body and is a minimal model of the
 reduct of the other rules (the least model, when no rule is disjunctive).
-An atom-count guard keeps enumeration at desk scale; this module exists to
-certify the others, not to perform.
+An atom-count guard and the body budget keep enumeration at desk scale;
+this module exists to certify the others, not to perform.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .completion import induced_bodies_of_rule
+from .completion import DEFAULT_BODY_BUDGET, induced_bodies_of_rule
 from .core import Program, RuleKind
 
 ATOM_GUARD = 20
@@ -25,10 +25,13 @@ class OracleError(ValueError):
     """Raised when an input exceeds the brute-force guards."""
 
 
-def _translate(program: Program) -> tuple[list[TranslatedRule], list[tuple[int, int]]]:
+def _translate(
+    program: Program, budget: int | None = None
+) -> tuple[list[TranslatedRule], list[tuple[int, int]]]:
     """Rewrite choice and weight rules; returns (heads, pos, neg) triples.
 
-    An integrity constraint keeps its empty heads.
+    An integrity constraint keeps its empty heads. A weight rule that induces
+    more than budget bodies (if given) raises BudgetError.
     """
     rules: list[TranslatedRule] = []
     aux_pairs: list[tuple[int, int]] = []
@@ -45,7 +48,7 @@ def _translate(program: Program) -> tuple[list[TranslatedRule], list[tuple[int, 
                 rules.append((frozenset({comp}), frozenset(), frozenset({atom})))
         elif rule.kind is RuleKind.WEIGHT:
             head = frozenset(rule.head)
-            for body in induced_bodies_of_rule(rule, rule.head[0]):
+            for body in induced_bodies_of_rule(rule, rule.head[0], budget):
                 pos = frozenset(l for l in body if l > 0)
                 neg = frozenset(-l for l in body if l < 0)
                 rules.append((head, pos, neg))
@@ -119,7 +122,7 @@ def enumerate_answer_sets(
         raise OracleError(
             f"{program.atom_count} atoms exceed the enumeration guard {ATOM_GUARD}"
         )
-    rules, aux_pairs = _translate(program)
+    rules, aux_pairs = _translate(program, DEFAULT_BODY_BUDGET)
     disjunctive = any(len(heads) > 1 for heads, _, _ in rules)
     atoms = list(program.atom_ids())
     found: list[frozenset[int]] = []

@@ -25,13 +25,15 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 STEP_KINDS = frozenset("acsedlub")
+# What the first integer of a b or c line names.
+_HEAD_ID = {"b": "variable id", "c": "body id"}
 
 
 class ProofSyntaxError(ValueError):
     """Raised on malformed proof text."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Step:
     """One proof line; field use depends on kind (see module docstring)."""
 
@@ -66,7 +68,7 @@ class Proof:
 
 
 def _parse_step(kind: str, payload: list[int], line: int) -> Step:
-    """A c, s, e, b, l or u step from its integers, the closing 0 dropped."""
+    """An s, e, l or u step from its integers, the closing 0 dropped."""
 
     def positive(values: Iterable[int], what: str) -> tuple[int, ...]:
         out = tuple(values)
@@ -74,14 +76,6 @@ def _parse_step(kind: str, payload: list[int], line: int) -> Step:
             raise ProofSyntaxError(f"line {line}: {what} must be positive ids")
         return out
 
-    def signed(values: Iterable[int]) -> tuple[int, ...]:
-        return tuple(values)
-
-    if kind == "c":
-        if not payload:
-            raise ProofSyntaxError(f"line {line}: c needs a body id")
-        (body,) = positive(payload[:1], "body id")
-        return Step(kind, head=body, lits=positive(payload[1:], "atom ids"))
     if kind == "s":
         if not payload:
             raise ProofSyntaxError(f"line {line}: s needs an atom id")
@@ -92,11 +86,6 @@ def _parse_step(kind: str, payload: list[int], line: int) -> Step:
             raise ProofSyntaxError(f"line {line}: e takes exactly one variable id")
         (var,) = positive(payload, "variable id")
         return Step(kind, head=var)
-    if kind == "b":
-        if not payload:
-            raise ProofSyntaxError(f"line {line}: b needs a variable id")
-        (var,) = positive(payload[:1], "variable id")
-        return Step(kind, head=var, lits=signed(payload[1:]))
     if kind == "l":
         atoms = positive(payload, "loop atoms")
         if not atoms:
@@ -113,7 +102,7 @@ def _parse_step(kind: str, payload: list[int], line: int) -> Step:
         atoms = positive(payload[1 : 1 + size], "unfounded atoms")
         if len(set(atoms)) != len(atoms):
             raise ProofSyntaxError(f"line {line}: repeated unfounded atom")
-        return Step(kind, lits=signed(payload[1 + size :]), unfounded=atoms)
+        return Step(kind, lits=tuple(payload[1 + size :]), unfounded=atoms)
     raise ProofSyntaxError(f"line {line}: unknown step kind {kind!r}")
 
 
@@ -136,8 +125,18 @@ def parse_proof(text: str) -> Proof:
             raise ProofSyntaxError(f"line {line_no}: missing 0 terminator")
         if 0 in payload:
             raise ProofSyntaxError(f"line {line_no}: stray 0 before terminator")
+        # The four most frequent kinds are parsed inline, the rest in _parse_step.
         if kind == "a" or kind == "d":
             steps.append(Step(kind, 0, tuple(payload)))
+        elif kind == "b" or kind == "c":
+            if not payload:
+                raise ProofSyntaxError(f"line {line_no}: {kind} needs a {_HEAD_ID[kind]}")
+            if payload[0] < 0:
+                raise ProofSyntaxError(f"line {line_no}: {_HEAD_ID[kind]} must be positive ids")
+            lits = tuple(payload[1:])
+            if kind == "c" and lits and min(lits) < 0:
+                raise ProofSyntaxError(f"line {line_no}: atom ids must be positive ids")
+            steps.append(Step(kind, payload[0], lits))
         else:
             steps.append(_parse_step(kind, payload, line_no))
         lines.append(line_no)

@@ -109,7 +109,8 @@ class NogoodStore:
 
     def __init__(self) -> None:
         self._slots: list[Nogood | None] = []
-        self._copies: dict[Nogood, list[int]] = {}
+        # The slots of each nogood's live copies, built at the first remove().
+        self._copies: dict[Nogood, list[int]] | None = None
         # The watched literals of slot i are _watched[2 * i] and _watched[2 * i + 1].
         self._watched: list[int] = []
         self._watchers: dict[int, list[int]] = {}
@@ -151,7 +152,8 @@ class NogoodStore:
     def insert(self, nogood: Nogood) -> None:
         slot = len(self._slots)
         self._slots.append(nogood)
-        self._copies.setdefault(nogood, []).append(slot)
+        if self._copies is not None:
+            self._copies.setdefault(nogood, []).append(slot)
         if len(nogood) < 2:
             self._watched += (0, 0)
             if not nogood:
@@ -199,6 +201,10 @@ class NogoodStore:
 
     def remove(self, nogood: Nogood) -> bool:
         """Delete the latest live copy of the nogood; False if none is present."""
+        if self._copies is None:
+            self._copies = {}
+            for slot, kept in enumerate(self._slots):  # none emptied yet
+                self._copies.setdefault(kept, []).append(slot)
         copies = self._copies.get(nogood)
         if not copies:
             return False

@@ -1,9 +1,12 @@
 """Proof checking: step validation, deletion, and preloaded mode."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
+import aspcert.checker as checker_module
 from aspcert.checker import CheckerState, ProofFormatError, check
 from aspcert.completion import INTERNAL_ID_BASE, body_catalog
 from aspcert.core import Program, basic_rule
@@ -328,6 +331,8 @@ def test_deleted_nogood_no_longer_supports_additions():
         ("b 4 1 2 3 0\n", "not an induced body"),
         ("u 2 1 2 1 -1 0\n", "contradictory"),
         ("a 99 0\n", "unknown"),
+        ("b 4 99 0\n", ": unknown atom 99$"),
+        ("b 4 1 -1 0\n", ": contradictory body literals$"),
     ],
 )
 def test_format_violations_raise(proof_text, message):
@@ -483,3 +488,60 @@ def test_checker_state_incremental_interface():
     assert pending.step is None
     state.step(Step("a", lits=(1, 2)))
     assert frozenset({1, 2}) in state.store.live()
+
+
+# A 300-atom implication chain whose last atom is forbidden, and PHP(4, 3) as
+# choice rules and constraints: both are refuted with no l line.
+CHAIN_TEXT = "x1.\n" + "".join(f"x{i} :- x{i - 1}.\n" for i in range(2, 301)) + ":- x300.\n"
+PHP_TEXT = "".join(
+    "{" + "; ".join(f"p{i}_{j}" for j in (1, 2, 3)) + "}.\n"
+    + ":- " + ", ".join(f"not p{i}_{j}" for j in (1, 2, 3)) + ".\n"
+    + "".join(f":- p{i}_{j}, p{k}_{j}.\n" for j in (1, 2, 3) for k in range(i + 1, 5))
+    for i in range(1, 5)
+)
+
+
+def _refutation(text):
+    program = parse_program(text)
+    result = solve(program)
+    assert result.status == INCONSISTENT
+    return program, result.proof
+
+
+def test_dependency_graph_is_built_at_the_first_l_step(monkeypatch, ex1_program, fig1_text):
+    """Only l steps read the dependency graph, so proofs without one check
+    without building it; the golden proof's l line does build it."""
+    proofs = [_refutation(CHAIN_TEXT), _refutation(PHP_TEXT)]
+
+    def refuse(program):
+        raise RuntimeError("dependency graph built")
+
+    monkeypatch.setattr(checker_module, "dependency_graph", refuse)
+    for program, proof in proofs:
+        assert all(step.kind != "l" for step in proof)
+        assert check(program, proof).ok
+    with pytest.raises(RuntimeError, match="graph built"):
+        check(ex1_program, parse_proof(fig1_text))
+    monkeypatch.undo()
+    assert check(ex1_program, parse_proof(fig1_text)).ok
+
+
+def test_checker_state_is_freed_without_the_cycle_collector(ex1_program, fig1_text):
+    """A checker state holds no reference cycle, so dropping it frees it and
+    its store at once. With a cycle, every store would wait for the cyclic
+    collector, and peak memory and solve time would grow with them."""
+    cases = [_refutation(CHAIN_TEXT), (ex1_program, parse_proof(fig1_text))]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for program, proof in cases:
+            state = CheckerState(program)
+            for step in proof:
+                state.step(step)
+            assert state.result().ok
+            freed = weakref.ref(state)
+            del state
+            assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -125,6 +125,14 @@ def test_oracle_silent_on_inconsistency(write, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_oracle_refuses_a_rule_past_the_body_budget(write, capsys, over_budget_rule):
+    """Enumeration would test 2^16 candidates against 6,435 bodies; the rule is
+    refused at once with the budget message instead."""
+    path = write("p.lp", over_budget_rule)
+    assert main(["oracle", path]) == 2
+    assert capsys.readouterr().err == "error: weight rule induces more than 4096 bodies\n"
+
+
 def test_normalize_prints_rewritten_program(write, capsys):
     path = write("p.lp", "a :- b, d.\na :- c.\n")
     assert main(["normalize", path]) == 0

@@ -18,7 +18,7 @@ from aspcert.completion import (
     minimal_weight_sets,
     normalize_short_body,
 )
-from aspcert.core import Program, basic_rule, choice_rule, weight_rule
+from aspcert.core import Program, basic_rule, choice_rule, is_consistent, weight_rule
 from aspcert.fuzz import random_program, random_rich_program
 from aspcert.loops import loop_nogood
 from aspcert.oracle import enumerate_answer_sets
@@ -204,7 +204,9 @@ def test_firing_matches_the_reference_rule_firing_family():
     """catalog.firing lists the pairs of backward_family, which is built from
     the rules, in its order, on rich draws with choice rules, constraints,
     disjunctive rules and a deferred weight rule; ids count up from
-    atom_count + 1 and hold every body of ib and every constraint body."""
+    atom_count + 1 and hold every body of ib and every constraint body, each
+    consistent and over program atoms only (the checker's b step relies on
+    that to skip both checks for a body it finds)."""
     rng = random.Random(61)
     kinds = set()
     for _ in range(150):
@@ -216,6 +218,9 @@ def test_firing_matches_the_reference_rule_firing_family():
             range(program.atom_count + 1, program.atom_count + 1 + len(catalog.ids)))
         induced = {body for bodies in catalog.ib.values() for body in bodies}
         assert set(catalog.ids) == induced | catalog.constraints
+        for body in catalog.ids:
+            assert is_consistent(body)
+            assert all(1 <= abs(lit) <= program.atom_count for lit in body)
         registry = declared_registry(program, catalog)
         pairs = [(-min(nogood), registry.lits_of(max(nogood)))
                  for nogood in backward_family(program, catalog, registry)]

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from aspcert.completion import BudgetError
 from aspcert.core import Program, basic_rule
 from aspcert.fuzz import random_program
 from aspcert.oracle import (
@@ -137,6 +138,17 @@ def test_is_answer_set_examples(ex1_program):
 def test_is_answer_set_rejects_foreign_atoms():
     with pytest.raises(ValueError):
         is_answer_set(parse_program("a.\n"), frozenset({9}))
+
+
+def test_only_enumeration_refuses_a_rule_past_the_body_budget(over_budget_rule):
+    """Enumeration would test every candidate against the rule's 6,435 bodies;
+    one is_answer_set test passes over them once, so it stays exact."""
+    program = parse_program(over_budget_rule + "".join(f"b{i}.\n" for i in range(7)))
+    with pytest.raises(BudgetError, match="more than 4096 bodies"):
+        enumerate_answer_sets(program)
+    facts = frozenset(program.atom(f"b{i}") for i in range(7))
+    assert is_answer_set(program, facts | {program.atom("a")})
+    assert not is_answer_set(program, facts)
 
 
 def test_atom_guard():

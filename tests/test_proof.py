@@ -95,6 +95,9 @@ def test_parse_records_each_step_line():
         "e 0",           # e without a variable
         "e 3 4 0",       # e with extra payload
         "b 0",           # b without a variable
+        "b 0 1 0",       # b with a zero variable
+        "b -4 1 0",      # negative variable
+        "c 3 -1 0",      # negative atom
         "l 0",           # empty loop
         "l 1 1 0",       # repeated loop atom
         "u 1 0",         # count exceeds payload
@@ -105,6 +108,22 @@ def test_parse_records_each_step_line():
 def test_parse_rejects_malformed_lines(text):
     with pytest.raises(ProofSyntaxError):
         parse_proof(text + "\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("b 0", "b needs a variable id"),
+        ("b 0 1 0", "stray 0 before terminator"),
+        ("b -4 1 0", "variable id must be positive ids"),
+        ("c 0", "c needs a body id"),
+        ("c -8 3 0", "body id must be positive ids"),
+        ("c 3 -1 0", "atom ids must be positive ids"),
+    ],
+)
+def test_parse_messages_for_b_and_c_lines(text, message):
+    with pytest.raises(ProofSyntaxError, match=f"^line 2: {message}$"):
+        parse_proof("a 1 0\n" + text + "\n")
 
 
 def test_parse_reports_line_numbers():
