@@ -58,13 +58,15 @@ class CheckResult:
             return "Success"
         if self.step is None:
             return f"Error: {self.reason}"
-        where = f" (line {self.line})" if self.line is not None else ""
-        return f"Error at step {self.step}{where}: {self.reason}"
+        return f"Error at {_where(self.step, self.line)}: {self.reason}"
+
+
+def _where(step: int, line: int | None) -> str:
+    return f"step {step}" if line is None else f"step {step} (line {line})"
 
 
 class _StepError(Exception):
-    def __init__(self, reason: str) -> None:
-        self.reason = reason
+    """A failed semantic condition; its one argument is the reason."""
 
 
 class CheckerState:
@@ -87,7 +89,6 @@ class CheckerState:
         self.deferred_heads = frozenset(
             a for rule in self.catalog.deferred for a in rule.head
         )
-        self.backward_pairs = frozenset(self.catalog.firing)
         self.step_no = 0
         self.line: int | None = None
         if preloaded:
@@ -118,9 +119,8 @@ class CheckerState:
                 )
         for atom in self.program.atom_ids():
             body_ids = tuple(self.registry.id_of(b) for b in self.catalog.bodies_of(atom))
-            if atom in self.deferred_heads:
-                for rule in by_head[atom]:
-                    self.propagators.append(WeightRulePropagator(rule, body_ids))
+            if atom in by_head:  # one rule, as checked above
+                self.propagators.append(WeightRulePropagator(by_head[atom][0], body_ids))
             else:
                 self.store.insert(loop_nogood(atom, body_ids))
         for atom, body in self.catalog.firing:
@@ -131,31 +131,26 @@ class CheckerState:
     def _require_known(self, lits: tuple[int, ...]) -> None:
         for lit in lits:
             if not self.registry.knows(abs(lit)):
-                raise ProofFormatError(
-                    f"{self._where()}: unknown variable {abs(lit)}"
-                )
+                raise ProofFormatError(f"unknown variable {abs(lit)}")
 
     def _require_atoms(self, atoms: tuple[int, ...]) -> None:
         for atom in atoms:
             if not 1 <= atom <= self.program.atom_count:
-                raise ProofFormatError(f"{self._where()}: unknown atom {atom}")
+                raise ProofFormatError(f"unknown atom {atom}")
 
     # -- steps -----------------------------------------------------------------
 
-    def _where(self) -> str:
-        """The current step for error messages, with its proof-file line if known."""
-        line = f" (line {self.line})" if self.line is not None else ""
-        return f"step {self.step_no}{line}"
-
     def step(self, step: Step) -> None:
-        """Apply one proof step; raises _StepError via check() on bad semantics."""
+        """Apply one proof step: _StepError on bad semantics; a ProofFormatError names the step."""
         self.step_no += 1
-        if self.preloaded and step.kind in ("b", "c", "s"):
-            raise ProofFormatError(
-                f"{self._where()}: {step.kind} steps are not allowed "
-                "with a preloaded completion"
-            )
-        getattr(self, f"_step_{step.kind}")(step)
+        try:
+            if self.preloaded and step.kind in ("b", "c", "s"):
+                raise ProofFormatError(
+                    f"{step.kind} steps are not allowed with a preloaded completion"
+                )
+            getattr(self, f"_step_{step.kind}")(step)
+        except ProofFormatError as exc:
+            raise ProofFormatError(f"{_where(self.step_no, self.line)}: {exc}") from None
 
     def _step_b(self, step: Step) -> None:
         body = frozenset(step.lits)
@@ -163,15 +158,15 @@ class CheckerState:
             # Catalog bodies are consistent and name only atoms: check on a miss.
             self._require_atoms(tuple(abs(l) for l in step.lits))
             if not is_consistent(step.lits):
-                raise ProofFormatError(f"{self._where()}: contradictory body literals")
+                raise ProofFormatError("contradictory body literals")
             raise ProofFormatError(
-                f"{self._where()}: literal set is not an induced body "
+                "literal set is not an induced body "
                 "of the program (or its expansion exceeds the budget)"
             )
         try:
             self.registry.declare(step.head, body)
         except ValueError as exc:
-            raise ProofFormatError(f"{self._where()}: {exc}") from None
+            raise ProofFormatError(str(exc)) from None
         for nogood in body_definition(step.head, body):
             self.store.insert(nogood)
 
@@ -183,12 +178,12 @@ class CheckerState:
         self.store.insert(delta)
 
     def _step_c(self, step: Step) -> None:
-        if not self.registry.has_id(step.head):
-            raise ProofFormatError(f"{self._where()}: unknown body id {step.head}")
-        self._require_atoms(step.lits)
         body = self.registry.lits_of(step.head)
+        if body is None:
+            raise ProofFormatError(f"unknown body id {step.head}")
+        self._require_atoms(step.lits)
         if step.lits:
-            firing = len(step.lits) == 1 and (step.lits[0], body) in self.backward_pairs
+            firing = len(step.lits) == 1 and (step.lits[0], body) in self.catalog.firing
         else:
             firing = body in self.catalog.constraints
         if not firing:
@@ -199,32 +194,28 @@ class CheckerState:
         self._require_atoms((step.head,))
         if step.head in self.deferred_heads:
             raise ProofFormatError(
-                f"{self._where()}: induced bodies of atom {step.head} "
-                "exceed the expansion budget"
+                f"induced bodies of atom {step.head} exceed the expansion budget"
             )
         if len(set(step.lits)) != len(step.lits):
             raise _StepError("repeated body id")
         bodies = []
         for body_id in step.lits:
-            if not self.registry.has_id(body_id):
-                raise ProofFormatError(
-                    f"{self._where()}: unknown body id {body_id}"
-                )
-            bodies.append(self.registry.lits_of(body_id))
+            body = self.registry.lits_of(body_id)
+            if body is None:
+                raise ProofFormatError(f"unknown body id {body_id}")
+            bodies.append(body)
         if set(bodies) != set(self.catalog.bodies_of(step.head)):
             raise _StepError("body list does not match the atom's induced bodies")
         self.store.insert(loop_nogood(step.head, step.lits))
 
     def _step_e(self, step: Step) -> None:
-        self._require_known(step.lits)
+        if step.lits:
+            raise ProofFormatError("an e step carries no literals")
         try:
             self.registry.extend(step.head)
         except ValueError:
             raise _StepError("extension variable is not fresh") from None
-        delta = frozenset(step.lits)
-        self.store.insert(delta | {-step.head})
-        for lit in step.lits:
-            self.store.insert(frozenset({step.head, -lit}))
+        self.store.insert(frozenset({-step.head}))
 
     def _step_d(self, step: Step) -> None:
         self._require_known(step.lits)
@@ -236,34 +227,28 @@ class CheckerState:
         atoms = frozenset(step.lits)
         if atoms & self.deferred_heads:
             raise ProofFormatError(
-                f"{self._where()}: loop atoms supported by a weight rule "
-                "beyond the expansion budget"
+                "loop atoms supported by a weight rule beyond the expansion budget"
             )
         if not is_loop(self.graph, atoms):
             raise _StepError("atom set is not a loop of the program")
         body_ids = []
         for body in external_bodies(self.program, self.catalog, atoms):
-            if self.registry.has_lits(body):
-                body_ids.append(self.registry.id_of(body))
-            else:
+            body_id = self.registry.id_of(body)
+            if body_id is None:
                 body_id = self.registry.intern_internal(body)
                 for nogood in body_definition(body_id, body):
                     self.store.insert(nogood)
-                body_ids.append(body_id)
+            body_ids.append(body_id)
         self.store.insert(loop_nogood(step.lits[0], body_ids))
 
     def _step_u(self, step: Step) -> None:
         self._require_atoms(step.unfounded)
         self._require_known(step.lits)
         if not is_consistent(step.lits):
-            raise ProofFormatError(
-                f"{self._where()}: contradictory assignment literals"
-            )
+            raise ProofFormatError("contradictory assignment literals")
         named = sorted(abs(lit) for lit in step.lits if self.registry.is_extension(abs(lit)))
         if named:
-            raise ProofFormatError(
-                f"{self._where()}: assignment names extension variable {named[0]}"
-            )
+            raise ProofFormatError(f"assignment names extension variable {named[0]}")
         unfounded = frozenset(step.unfounded)
         assignment = frozenset(step.lits)
         if not any(a in assignment for a in unfounded):
@@ -289,11 +274,10 @@ def check(
 ) -> CheckResult:
     """Check a proof of inconsistency for the program."""
     state = CheckerState(program, preloaded=preloaded, strict_delete=strict_delete)
-    lines = proof.lines or (None,) * len(proof)
-    for index, (step, line) in enumerate(zip(proof.steps, lines), start=1):
+    for step, line in zip(proof.steps, proof.lines or (None,) * len(proof)):
         state.line = line
         try:
             state.step(step)
         except _StepError as exc:
-            return CheckResult(False, index, exc.reason, line)
+            return CheckResult(False, state.step_no, str(exc), line)
     return state.result()

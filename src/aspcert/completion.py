@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .core import Nogood, Program, Rule, RuleKind, basic_rule
+from .proof import sorted_lits
 
 DEFAULT_BODY_BUDGET = 4096
 INTERNAL_ID_BASE = 1 << 40
@@ -39,31 +40,33 @@ def minimal_weight_sets(
 
     Positive weights make the co-singleton test sufficient for minimality:
     a candidate is minimal iff dropping any one element falls below the bound.
+    The search runs depth first, literals by falling weight, on an explicit
+    path rather than the call stack, so that a rule of any length is enumerated.
     """
     domain = sorted(weights, key=lambda lit: (-weights[lit], abs(lit), -lit))
     suffix = [0] * (len(domain) + 1)
     for i in range(len(domain) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + weights[domain[i]]
     found: list[frozenset[int]] = []
-
-    def extend(start: int, picked: list[int], total: int) -> None:
+    path: list[int] = []  # the picked literals' indices into domain, ascending
+    total = start = 0
+    while True:
         if total >= bound:
-            if all(total - weights[lit] < bound for lit in picked):
-                found.append(frozenset(picked))
+            if all(total - weights[domain[i]] < bound for i in path):
+                found.append(frozenset(domain[i] for i in path))
                 if budget is not None and len(found) > budget:
-                    raise BudgetError(
-                        f"weight rule induces more than {budget} bodies"
-                    )
-            return
-        if total + suffix[start] < bound:
-            return
-        for i in range(start, len(domain)):
-            picked.append(domain[i])
-            extend(i + 1, picked, total + weights[domain[i]])
-            picked.pop()
-
-    extend(0, [], 0)
-    return found
+                    raise BudgetError(f"weight rule induces more than {budget} bodies")
+        elif total + suffix[start] >= bound:
+            path.append(start)
+            total += weights[domain[start]]
+            start += 1
+            continue
+        if not path:
+            return found
+        # Back up: drop the last pick and try the literal after it instead.
+        start = path.pop()
+        total -= weights[domain[start]]
+        start += 1
 
 
 def induced_bodies_of_rule(rule: Rule, atom: int, budget: int | None = None) -> list[frozenset[int]]:
@@ -89,9 +92,9 @@ class BodyCatalog:
     from atom_count + 1; these are the ids the solver's b lines declare. ib
     lists each atom's induced bodies. firing holds the (head atom, body)
     pairs of the rule-firing nogoods {F a, T B}: those of every rule that is
-    not a choice rule, a deferred rule or an integrity constraint, in rule
-    order, without repeats. deferred holds, unexpanded, the weight rules
-    whose expansion exceeds DEFAULT_BODY_BUDGET bodies, and shifted the
+    not a choice rule, a deferred rule or an integrity constraint, as the
+    keys of a dict in rule order. deferred holds, unexpanded, the weight
+    rules whose expansion exceeds DEFAULT_BODY_BUDGET bodies, and shifted the
     disjunctive rules, whose bodies the catalog holds shifted. constraints
     holds the bodies of the integrity constraints; each is in ids too, from
     its first use on, but in no atom's ib unless another rule induces it.
@@ -101,7 +104,7 @@ class BodyCatalog:
     ids: dict[frozenset[int], int]
     deferred: tuple[Rule, ...]
     shifted: tuple[Rule, ...]
-    firing: tuple[tuple[int, frozenset[int]], ...]
+    firing: dict[tuple[int, frozenset[int]], None]
     constraints: frozenset[frozenset[int]]
 
     def bodies_of(self, atom: int) -> tuple[frozenset[int], ...]:
@@ -148,7 +151,7 @@ def body_catalog(program: Program) -> BodyCatalog:
         ids,
         tuple(deferred),
         tuple(rule for rule in program.rules if rule.is_disjunctive),
-        tuple(firing),
+        firing,
         frozenset(constraints),
     )
 
@@ -161,7 +164,8 @@ class BodyRegistry:
     lines add extension variables; intern_internal gives the lowest free id
     from INTERNAL_ID_BASE up to a body a proof never names (preloaded
     completion, loop-step externals), so that such bodies leave the low ids
-    to the proof. has_id, id_of and lits_of speak of bodies only.
+    to the proof. id_of and lits_of speak of bodies only, and give None for
+    an unknown one.
     """
 
     def __init__(self, atom_count: int) -> None:
@@ -211,24 +215,16 @@ class BodyRegistry:
         self._by_lits[lits] = body_id
         return body_id
 
-    def id_of(self, lits: frozenset[int]) -> int:
-        return self._by_lits[lits]
+    def id_of(self, lits: frozenset[int]) -> int | None:
+        return self._by_lits.get(lits)
 
-    def lits_of(self, body_id: int) -> frozenset[int]:
-        return self._by_id[body_id]
-
-    def has_id(self, body_id: int) -> bool:
-        return body_id in self._by_id
-
-    def has_lits(self, lits: frozenset[int]) -> bool:
-        return lits in self._by_lits
+    def lits_of(self, body_id: int) -> frozenset[int] | None:
+        return self._by_id.get(body_id)
 
 
 def body_definition(body_id: int, lits: frozenset[int]) -> tuple[Nogood, ...]:
     """Nogoods tying a body variable to its literals (definition first)."""
-    # Two stable sorts order by (abs(l), -l) without a key tuple per literal.
-    ordered = sorted(sorted(lits, reverse=True), key=abs)
-    return (lits | {-body_id}, *(frozenset({body_id, -lit}) for lit in ordered))
+    return (lits | {-body_id}, *(frozenset({body_id, -lit}) for lit in sorted_lits(lits)))
 
 
 def normalize_short_body(program: Program) -> Program:

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
+from .proof import sorted_lits
+
 Nogood = frozenset[int]
 Assignment = frozenset[int]
 
@@ -104,7 +106,7 @@ def choice_rule(head: Sequence[int], pos: Iterable[int] = (), neg: Iterable[int]
 
 def weight_rule(head: int, bound: int, weights: Mapping[int, int]) -> Rule:
     """Build a weight rule from a signed-literal -> weight map."""
-    items = tuple(sorted(weights.items(), key=lambda kv: (abs(kv[0]), -kv[0])))
+    items = tuple((lit, weights[lit]) for lit in sorted_lits(weights))
     return Rule(
         RuleKind.WEIGHT,
         (head,),

@@ -151,9 +151,9 @@ def _atomized(program: Program, assignment: Iterable[int], registry: BodyRegistr
         var = abs(lit)
         if var <= program.atom_count:
             out.add(lit)
-        elif registry is not None and registry.has_id(var):
+        elif registry is not None and (body := registry.lits_of(var)) is not None:
             if lit > 0:
-                out.update(registry.lits_of(var))
+                out.update(body)
         else:
             raise ValueError(f"unknown variable {var} in assignment")
     return out

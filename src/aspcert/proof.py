@@ -4,8 +4,8 @@ One step per line, integer tokens, each line closed by 0. Signed variables
 write true as +id and false as -id. Line forms:
 
     a <tv>... 0          add a nogood with the reverse-unit-propagation property
-    c <body> <atom>... 0 add the rule-firing nogood {F atoms..., T body}; with
-                         no atoms, {T body} for an integrity constraint's body
+    c <body> <atom> 0    add the rule-firing nogood {F atom, T body}; with no
+                         atom, {T body} for an integrity constraint's body
     s <atom> <body>... 0 add the support nogood {T atom, F bodies...}
     e <var> 0            extension: a fresh var above the atoms that no body or
                          extension variable holds, fixed true by the nogood {F var}
@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 STEP_KINDS = frozenset("acsedlub")
-# What the first integer of a b or c line names.
-_HEAD_ID = {"b": "variable id", "c": "body id"}
 
 
 class ProofSyntaxError(ValueError):
@@ -67,45 +65,6 @@ class Proof:
         return len(self.steps)
 
 
-def _parse_step(kind: str, payload: list[int], line: int) -> Step:
-    """An s, e, l or u step from its integers, the closing 0 dropped."""
-
-    def positive(values: Iterable[int], what: str) -> tuple[int, ...]:
-        out = tuple(values)
-        if any(v <= 0 for v in out):
-            raise ProofSyntaxError(f"line {line}: {what} must be positive ids")
-        return out
-
-    if kind == "s":
-        if not payload:
-            raise ProofSyntaxError(f"line {line}: s needs an atom id")
-        (atom,) = positive(payload[:1], "atom id")
-        return Step(kind, head=atom, lits=positive(payload[1:], "body ids"))
-    if kind == "e":
-        if len(payload) != 1:
-            raise ProofSyntaxError(f"line {line}: e takes exactly one variable id")
-        (var,) = positive(payload, "variable id")
-        return Step(kind, head=var)
-    if kind == "l":
-        atoms = positive(payload, "loop atoms")
-        if not atoms:
-            raise ProofSyntaxError(f"line {line}: l needs at least one atom")
-        if len(set(atoms)) != len(atoms):
-            raise ProofSyntaxError(f"line {line}: repeated loop atom")
-        return Step(kind, lits=atoms)
-    if kind == "u":
-        if not payload:
-            raise ProofSyntaxError(f"line {line}: u needs a set size")
-        size = payload[0]
-        if size < 1 or len(payload) < 1 + size:
-            raise ProofSyntaxError(f"line {line}: bad unfounded set size")
-        atoms = positive(payload[1 : 1 + size], "unfounded atoms")
-        if len(set(atoms)) != len(atoms):
-            raise ProofSyntaxError(f"line {line}: repeated unfounded atom")
-        return Step(kind, lits=tuple(payload[1 + size :]), unfounded=atoms)
-    raise ProofSyntaxError(f"line {line}: unknown step kind {kind!r}")
-
-
 def parse_proof(text: str) -> Proof:
     """Parse proof text; raises ProofSyntaxError on malformed input."""
     steps: list[Step] = []
@@ -120,25 +79,64 @@ def parse_proof(text: str) -> Proof:
         try:
             payload = list(map(int, tokens[1:]))
         except ValueError:
-            raise ProofSyntaxError(f"line {line_no}: non-integer token") from None
+            # int() refuses a decimal token only past its digit limit.
+            digits = [t[1:] if t[0] in "+-" else t for t in tokens[1:]]
+            reason = "non-integer token"
+            if all(d.isdecimal() for d in digits):
+                reason = f"number of {max(map(len, digits))} digits is too long"
+            raise ProofSyntaxError(f"line {line_no}: {reason}") from None
         if not payload or payload.pop() != 0:
             raise ProofSyntaxError(f"line {line_no}: missing 0 terminator")
         if 0 in payload:
             raise ProofSyntaxError(f"line {line_no}: stray 0 before terminator")
-        # The four most frequent kinds are parsed inline, the rest in _parse_step.
+        # a and d lines, the most frequent, are tested first.
         if kind == "a" or kind == "d":
-            steps.append(Step(kind, 0, tuple(payload)))
-        elif kind == "b" or kind == "c":
+            step = Step(kind, 0, tuple(payload))
+        elif kind == "b" or kind == "e":
+            if kind == "e" and len(payload) != 1:
+                raise ProofSyntaxError(f"line {line_no}: e takes exactly one variable id")
             if not payload:
-                raise ProofSyntaxError(f"line {line_no}: {kind} needs a {_HEAD_ID[kind]}")
+                raise ProofSyntaxError(f"line {line_no}: b needs a variable id")
             if payload[0] < 0:
-                raise ProofSyntaxError(f"line {line_no}: {_HEAD_ID[kind]} must be positive ids")
-            lits = tuple(payload[1:])
-            if kind == "c" and lits and min(lits) < 0:
+                raise ProofSyntaxError(f"line {line_no}: variable id must be positive ids")
+            step = Step(kind, payload[0], tuple(payload[1:]))
+        elif kind == "c":
+            if not payload:
+                raise ProofSyntaxError(f"line {line_no}: c needs a body id")
+            if payload[0] < 0:
+                raise ProofSyntaxError(f"line {line_no}: body id must be positive ids")
+            if min(payload) < 0:
                 raise ProofSyntaxError(f"line {line_no}: atom ids must be positive ids")
-            steps.append(Step(kind, payload[0], lits))
+            step = Step(kind, payload[0], tuple(payload[1:]))
+        elif kind == "s":
+            if not payload:
+                raise ProofSyntaxError(f"line {line_no}: s needs an atom id")
+            if payload[0] < 0:
+                raise ProofSyntaxError(f"line {line_no}: atom id must be positive ids")
+            if min(payload) < 0:
+                raise ProofSyntaxError(f"line {line_no}: body ids must be positive ids")
+            step = Step(kind, payload[0], tuple(payload[1:]))
+        elif kind == "l":
+            if not payload:
+                raise ProofSyntaxError(f"line {line_no}: l needs at least one atom")
+            if min(payload) < 0:
+                raise ProofSyntaxError(f"line {line_no}: loop atoms must be positive ids")
+            if len(set(payload)) != len(payload):
+                raise ProofSyntaxError(f"line {line_no}: repeated loop atom")
+            step = Step(kind, 0, tuple(payload))
         else:
-            steps.append(_parse_step(kind, payload, line_no))
+            if not payload:
+                raise ProofSyntaxError(f"line {line_no}: u needs a set size")
+            size = payload[0]
+            if size < 1 or len(payload) < 1 + size:
+                raise ProofSyntaxError(f"line {line_no}: bad unfounded set size")
+            atoms = payload[1 : 1 + size]
+            if min(atoms) < 0:
+                raise ProofSyntaxError(f"line {line_no}: unfounded atoms must be positive ids")
+            if len(set(atoms)) != size:
+                raise ProofSyntaxError(f"line {line_no}: repeated unfounded atom")
+            step = Step(kind, 0, tuple(payload[1 + size :]), tuple(atoms))
+        steps.append(step)
         lines.append(line_no)
     return Proof(tuple(steps), tuple(lines))
 

@@ -27,6 +27,7 @@ from itertools import islice
 from typing import AbstractSet, Callable, Iterable, Protocol, Sequence
 
 from .core import Assignment, Nogood, Rule, RuleKind
+from .proof import sorted_lits
 
 Derivation = tuple[int, Nogood]
 
@@ -342,11 +343,10 @@ def rup_run(
 ) -> PropagationResult:
     """Propagate under the assumption that every literal of delta holds.
 
-    The assumptions go in by variable, a positive literal before its
-    complement: two stable sorts give the order of the key (abs(l), -l)
-    without building a key tuple per literal.
+    The assumptions go in in sorted_lits order: by variable, a positive
+    literal before its complement.
     """
-    return store.propagate(sorted(sorted(delta, reverse=True), key=abs), propagators)
+    return store.propagate(sorted_lits(delta), propagators)
 
 
 class WeightRulePropagator:

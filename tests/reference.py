@@ -12,7 +12,8 @@ The completion's support and rule-firing families, every loop nogood by
 enumeration, and brute-force entailment between nogood sets are the
 references for the solver's set-up, the checker's store and the loop
 formulas. random_tight_program draws loop-free programs for the tests that
-need them.
+need them. reference_minimal_weight_sets is the recursive enumeration that
+completion.minimal_weight_sets replaced with an explicit stack.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from __future__ import annotations
 import random
 import re
 from itertools import chain, combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from aspcert.completion import (
-    INTERNAL_ID_BASE, BodyCatalog, BodyRegistry, induced_bodies_of_rule,
+    INTERNAL_ID_BASE, BodyCatalog, BodyRegistry, BudgetError, induced_bodies_of_rule,
 )
 from aspcert.core import Nogood, Program, Rule, RuleKind, basic_rule, choice_rule, weight_rule
 from aspcert.fuzz import random_program
@@ -244,6 +245,34 @@ def _parse_rule(builder: _Builder, stmt: str, line: int) -> Rule:
     if head_text.startswith("{"):
         return choice_rule(head, pos, neg)
     return basic_rule(head, pos, neg)
+
+
+def reference_minimal_weight_sets(
+    weights: Mapping[int, int], bound: int, budget: int | None = None
+) -> list[frozenset[int]]:
+    """Subset-minimal literal sets reaching the bound, one recursion per pick."""
+    domain = sorted(weights, key=lambda lit: (-weights[lit], abs(lit), -lit))
+    suffix = [0] * (len(domain) + 1)
+    for i in range(len(domain) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + weights[domain[i]]
+    found: list[frozenset[int]] = []
+
+    def extend(start: int, picked: list[int], total: int) -> None:
+        if total >= bound:
+            if all(total - weights[lit] < bound for lit in picked):
+                found.append(frozenset(picked))
+                if budget is not None and len(found) > budget:
+                    raise BudgetError(f"weight rule induces more than {budget} bodies")
+            return
+        if total + suffix[start] < bound:
+            return
+        for i in range(start, len(domain)):
+            picked.append(domain[i])
+            extend(i + 1, picked, total + weights[domain[i]])
+            picked.pop()
+
+    extend(0, [], 0)
+    return found
 
 
 def forward_family(

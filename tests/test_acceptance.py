@@ -4,11 +4,14 @@ Each test pins the advertised behavior of the toolkit end to end; run with
 pytest -v to get a per-guarantee pass/fail line.
 """
 
+import ast
 import gc
 import itertools
 import random
 import time
+from pathlib import Path
 
+import aspcert
 from aspcert.checker import CheckerState, check
 from aspcert.completion import body_catalog, body_definition
 from aspcert.core import Program, weight_rule
@@ -294,3 +297,28 @@ def test_proof_serialization_roundtrip():
     instances = _inconsistent_instances(1000, base_seed=1_000_000)
     for _, proof in instances:
         assert parse_proof(serialize_proof(proof)) == proof
+
+
+def test_readme_library_snippet_runs_as_written():
+    """README's Library example runs against the package root, each line
+    whose comment is a Python literal evaluates to it, and every name the
+    example imports is exported in __all__."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    snippet = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    claims = 0
+    for statement in ast.parse(snippet).body:
+        code = ast.get_source_segment(snippet, statement)
+        if isinstance(statement, ast.ImportFrom):
+            assert statement.module == "aspcert"
+            assert {alias.name for alias in statement.names} <= set(aspcert.__all__)
+        comment = snippet.splitlines()[statement.lineno - 1].partition("#")[2].strip()
+        try:
+            claimed = ast.literal_eval(comment)
+        except (SyntaxError, ValueError):
+            exec(code, namespace)
+            continue
+        assert isinstance(statement, ast.Expr), code
+        assert eval(code, namespace) == claimed, code
+        claims += 1
+    assert claims == 2

@@ -408,6 +408,26 @@ def test_rule_firing_step_must_match_a_rule():
     assert "rule-firing" in result.reason
 
 
+def test_c_step_names_at_most_one_atom():
+    """`c 4 1 0` and `c 4 3 0` are the rule-firing nogoods of `a :- c.` and
+    `b :- c.`; one line naming both atoms is no rule-firing nogood."""
+    program = "a :- c.\nb :- c.\nc.\n"
+    for atom in (1, 3):
+        assert _check_text(program, f"b 4 2 0\nc 4 {atom} 0\n").step is None
+    result = _check_text(program, "b 4 2 0\nc 4 1 3 0\n")
+    assert (result.ok, result.step) == (False, 2)
+    assert "rule-firing" in result.reason
+
+
+def test_e_step_with_literals_is_a_format_error():
+    """The text format cannot give an e line literals; a Step built in code
+    with them is refused, not read as a definition."""
+    program = parse_program(LOOP_TEXT)
+    with pytest.raises(ProofFormatError, match=r"^step 1: an e step carries no literals$"):
+        check(program, Proof((Step("e", 9, (1,)), Step("a"))))
+    assert check(program, Proof((Step("e", 9), Step("a", lits=(-9,))))).step is None
+
+
 def test_c_step_without_atoms_adds_a_constraint_body_nogood():
     # `:- a.` and `:- not a.` refute `{a}.`; body 3 is also a rule's body.
     program = "{a}.\n:- a.\n:- not a.\nb :- not a.\n"

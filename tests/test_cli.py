@@ -206,6 +206,17 @@ def test_weight_rule_number_past_the_digit_limit_exits_2(write, capsys):
     assert capsys.readouterr().err.endswith(": line 1: number of 5000 digits is too long\n")
 
 
+def test_weight_rule_deeper_than_the_recursion_limit(write, capsys):
+    """A rule over 1,500 literals that needs all of them has one body of 1,500
+    literals: solve finds the empty answer set, and the proof `a 0` is
+    rejected at its step, not ended by a traceback."""
+    program = write("p.lp", "a :- 1500 <= {" + ", ".join(f"b{i}=1" for i in range(1500)) + "}.\n")
+    assert main(["solve", program]) == 0
+    assert capsys.readouterr().out == "CONSISTENT\n{}\n"
+    assert main(["check", program, write("p.drupe", "a 0\n")]) == 1
+    assert capsys.readouterr().out.startswith("Error at step 1")
+
+
 def test_parse_error_exits_2(write):
     path = write("p.lp", "a :-\n")
     assert main(["solve", path]) == 2

@@ -23,7 +23,10 @@ from aspcert.fuzz import random_program, random_rich_program
 from aspcert.loops import loop_nogood
 from aspcert.oracle import enumerate_answer_sets
 from aspcert.program_io import emit_program, parse_program
-from reference import backward_family, declared_registry, forward_family, public_items
+from reference import (
+    backward_family, declared_registry, forward_family, public_items,
+    reference_minimal_weight_sets,
+)
 
 
 def test_induced_bodies_basic_rule():
@@ -85,6 +88,27 @@ def test_minimal_weight_sets_match_brute_force(weights, bound):
     got = minimal_weight_sets(weights, bound)
     assert set(got) == _brute_minimal(weights, bound)
     assert len(set(got)) == len(got)
+
+
+def _weight_sets_or_refusal(enumerate_sets, weights, bound, budget):
+    try:
+        return enumerate_sets(weights, bound, budget)
+    except BudgetError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weight_maps,
+    st.integers(min_value=-2, max_value=32),
+    st.sampled_from([None, 0, 1, 3, 20]),
+)
+def test_minimal_weight_sets_match_the_recursive_reference(weights, bound, budget):
+    """The same sets in the same order, which numbers a weight rule's bodies,
+    and the same refusal past the budget."""
+    assert _weight_sets_or_refusal(minimal_weight_sets, weights, bound, budget) == (
+        _weight_sets_or_refusal(reference_minimal_weight_sets, weights, bound, budget)
+    )
 
 
 def test_minimal_weight_sets_budget():
@@ -153,7 +177,7 @@ def test_choice_rules_have_no_backward_but_do_support():
     program = parse_program("{a} :- c.")
     catalog = body_catalog(program)
     registry = declared_registry(program, catalog)
-    assert catalog.firing == ()
+    assert list(catalog.firing) == []
     assert backward_family(program, catalog, registry) == []
     forwards = {atom: nogood for atom, _, nogood in forward_family(program, catalog, registry)}
     assert forwards[1] == frozenset({1, -registry.id_of(frozenset({2}))})
@@ -168,7 +192,7 @@ def test_catalog_orders_constraint_bodies_but_gives_them_to_no_atom():
         (), (), (frozenset({1}), frozenset({-3})),
     ]
     # the constraints contribute no firing pair
-    assert catalog.firing == ((3, frozenset({1})), (3, frozenset({-3})))
+    assert list(catalog.firing) == [(3, frozenset({1})), (3, frozenset({-3}))]
 
 
 def test_catalog_budget_deferral(over_budget_rule):
@@ -176,7 +200,7 @@ def test_catalog_budget_deferral(over_budget_rule):
     catalog = body_catalog(program)
     assert catalog.deferred == program.rules
     assert catalog.bodies_of(1) == ()
-    assert catalog.ids == {} and catalog.firing == ()
+    assert catalog.ids == {} and list(catalog.firing) == []
     # one body fewer in the rule and its expansion fits the budget
     smaller = body_catalog(parse_program("a :- 7 <= {" + ", ".join(
         f"b{i}=1" for i in range(14)) + "}.\n"))
@@ -245,7 +269,7 @@ def test_registry_declare_and_intern():
     registry.declare(7, frozenset({-1}))
     # an id names one body or one extension variable, never both
     registry.extend(8)
-    assert registry.knows(8) and registry.is_extension(8) and not registry.has_id(8)
+    assert registry.knows(8) and registry.is_extension(8) and registry.lits_of(8) is None
     assert registry.knows(3) and not registry.is_extension(7) and not registry.knows(11)
     with pytest.raises(ValueError, match="already defined"):
         registry.declare(8, frozenset({3}))          # extension id as a body

@@ -103,6 +103,7 @@ def test_parse_records_each_step_line():
         "u 1 0",         # count exceeds payload
         "u 2 1 1 0",     # repeated unfounded atom
         "a x 0",         # non-integer token
+        pytest.param("a " + "9" * 5000 + " 0", id="number past int()'s digit limit"),
     ],
 )
 def test_parse_rejects_malformed_lines(text):
@@ -124,6 +125,21 @@ def test_parse_rejects_malformed_lines(text):
 def test_parse_messages_for_b_and_c_lines(text, message):
     with pytest.raises(ProofSyntaxError, match=f"^line 2: {message}$"):
         parse_proof("a 1 0\n" + text + "\n")
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("9" * 5000, "number of 5000 digits is too long"),
+        ("-" + "9" * 5000, "number of 5000 digits is too long"),
+        ("x", "non-integer token"),
+        ("-+9", "non-integer token"),
+    ],
+    ids=["5000 digits", "5000 digits and a sign", "letter", "two signs"],
+)
+def test_parse_names_why_a_token_is_no_number(token, message):
+    with pytest.raises(ProofSyntaxError, match=f"^line 1: {message}$"):
+        parse_proof(f"a {token} 0\n")
 
 
 def test_parse_reports_line_numbers():
