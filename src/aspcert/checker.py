@@ -1,7 +1,8 @@
 """Polynomial-time proof checking against a ground program.
 
 The checker keeps a multiset of nogoods in a NogoodStore. b steps name
-program bodies and attach their definitions; c and s steps may only add
+program bodies and attach their definitions, and so does the first line
+that names a catalog id no b or e step has taken; c and s steps may only add
 nogoods that belong to the program's completion (a c step with no atoms,
 {T B}, only for an integrity constraint's body B); a steps must have the
 reverse-unit-propagation property against the current multiset, tested
@@ -11,14 +12,18 @@ the dependency graph and the unfounded-set conditions; d steps remove one
 instance, and the dependency graph is built at the first l step, the only
 reader. The proof succeeds when the empty nogood is present at the end.
 
-One BodyRegistry owns every variable id above the atoms: b steps declare
-bodies, e steps extension variables, and bodies a proof never names (l-step
-externals, the preloaded completion) take the lowest free id from a high
-base. An id names one body or one extension variable and keeps that
-meaning, so a b or e step that reuses an id is refused. The program's body
-catalog is the checker's one index of the completion: which literal sets are
-bodies, which (atom, body) pairs fire, and which rules are deferred because
-their expansion exceeds the fixed body budget.
+One BodyRegistry owns every variable id above the atoms. b steps declare
+bodies and e steps extension variables; a catalog id neither has taken
+names its catalog body from the first line that uses it on, and the
+preloaded completion declares every catalog id. An l step gives an external
+body no line has named its catalog id, or the lowest free id from a high
+base when an e or b step took that id or the body, a disjunctive rule's
+unshifted body, has none. An id names one body or one extension variable
+for good, and a body has one id, so a step that breaks either is refused.
+The program's body catalog is the checker's one index of the completion:
+which literal sets are bodies under which ids, which (atom, body) pairs
+fire, and which rules are deferred because their expansion exceeds the
+fixed body budget.
 
 Two error classes mirror the CLI exit codes: ProofFormatError means the proof
 is ill-formed relative to the program (unknown ids, redeclared bodies, ...),
@@ -102,10 +107,9 @@ class CheckerState:
         return dependency_graph(self.program)
 
     def _preload(self) -> None:
-        for body in self.catalog.ids:
-            body_id = self.registry.intern_internal(body)
-            for nogood in body_definition(body_id, body):
-                self.store.insert(nogood)
+        ids = self.catalog.ids
+        for body, body_id in ids.items():
+            self._declare(body_id, body)
             if body in self.catalog.constraints:
                 self.store.insert(frozenset({body_id}))
         by_head: dict[int, list[Rule]] = {}
@@ -118,20 +122,40 @@ class CheckerState:
                     "expansion budget; preloaded checking supports at most one"
                 )
         for atom in self.program.atom_ids():
-            body_ids = tuple(self.registry.id_of(b) for b in self.catalog.bodies_of(atom))
+            body_ids = tuple(ids[b] for b in self.catalog.bodies_of(atom))
             if atom in by_head:  # one rule, as checked above
                 self.propagators.append(WeightRulePropagator(by_head[atom][0], body_ids))
             else:
                 self.store.insert(loop_nogood(atom, body_ids))
         for atom, body in self.catalog.firing:
-            self.store.insert(frozenset({-atom, self.registry.id_of(body)}))
+            self.store.insert(frozenset({-atom, ids[body]}))
 
     # -- variable vocabulary -------------------------------------------------
 
+    def _declare(self, body_id: int, body: frozenset[int]) -> None:
+        """Name body by body_id and add its definition."""
+        try:
+            self.registry.declare(body_id, body)
+        except ValueError as exc:
+            raise ProofFormatError(str(exc)) from None
+        for nogood in body_definition(body_id, body):
+            self.store.insert(nogood)
+
+    def _body(self, body_id: int, what: str = "body id") -> frozenset[int]:
+        """The body an id names; a catalog id no line has taken is declared here."""
+        body = self.registry.lits_of(body_id)
+        if body is None:
+            body = None if self.registry.knows(body_id) else self.catalog.body_of(body_id)
+            if body is None:
+                raise ProofFormatError(f"unknown {what} {body_id}")
+            self._declare(body_id, body)
+        return body
+
     def _require_known(self, lits: tuple[int, ...]) -> None:
+        knows = self.registry.knows
         for lit in lits:
-            if not self.registry.knows(abs(lit)):
-                raise ProofFormatError(f"unknown variable {abs(lit)}")
+            if not knows(abs(lit)):
+                self._body(abs(lit), "variable")
 
     def _require_atoms(self, atoms: tuple[int, ...]) -> None:
         for atom in atoms:
@@ -163,12 +187,7 @@ class CheckerState:
                 "literal set is not an induced body "
                 "of the program (or its expansion exceeds the budget)"
             )
-        try:
-            self.registry.declare(step.head, body)
-        except ValueError as exc:
-            raise ProofFormatError(str(exc)) from None
-        for nogood in body_definition(step.head, body):
-            self.store.insert(nogood)
+        self._declare(step.head, body)
 
     def _step_a(self, step: Step) -> None:
         self._require_known(step.lits)
@@ -178,9 +197,7 @@ class CheckerState:
         self.store.insert(delta)
 
     def _step_c(self, step: Step) -> None:
-        body = self.registry.lits_of(step.head)
-        if body is None:
-            raise ProofFormatError(f"unknown body id {step.head}")
+        body = self._body(step.head)
         self._require_atoms(step.lits)
         if step.lits:
             firing = len(step.lits) == 1 and (step.lits[0], body) in self.catalog.firing
@@ -198,13 +215,8 @@ class CheckerState:
             )
         if len(set(step.lits)) != len(step.lits):
             raise _StepError("repeated body id")
-        bodies = []
-        for body_id in step.lits:
-            body = self.registry.lits_of(body_id)
-            if body is None:
-                raise ProofFormatError(f"unknown body id {body_id}")
-            bodies.append(body)
-        if set(bodies) != set(self.catalog.bodies_of(step.head)):
+        bodies = {self._body(body_id) for body_id in step.lits}
+        if bodies != set(self.catalog.bodies_of(step.head)):
             raise _StepError("body list does not match the atom's induced bodies")
         self.store.insert(loop_nogood(step.head, step.lits))
 
@@ -235,9 +247,12 @@ class CheckerState:
         for body in external_bodies(self.program, self.catalog, atoms):
             body_id = self.registry.id_of(body)
             if body_id is None:
-                body_id = self.registry.intern_internal(body)
-                for nogood in body_definition(body_id, body):
-                    self.store.insert(nogood)
+                body_id = self.catalog.ids.get(body)
+                # An unshifted disjunctive body has no catalog id, and an e or
+                # b line may have taken a catalog body's.
+                if body_id is None or self.registry.knows(body_id):
+                    body_id = self.registry.internal_id()
+                self._declare(body_id, body)
             body_ids.append(body_id)
         self.store.insert(loop_nogood(step.lits[0], body_ids))
 

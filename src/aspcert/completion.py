@@ -89,9 +89,10 @@ class BodyCatalog:
     """All induced bodies of a program, numbered: the one index of them.
 
     ids maps each body, in first-use order, to its variable id, counting up
-    from atom_count + 1; these are the ids the solver's b lines declare. ib
-    lists each atom's induced bodies. firing holds the (head atom, body)
-    pairs of the rule-firing nogoods {F a, T B}: those of every rule that is
+    from first_id = atom_count + 1; proofs name the bodies by these ids.
+    bodies lists the bodies in that order, so body_of inverts ids. ib lists
+    each atom's induced bodies. firing holds the (head atom, body) pairs of
+    the rule-firing nogoods {F a, T B}: those of every rule that is
     not a choice rule, a deferred rule or an integrity constraint, as the
     keys of a dict in rule order. deferred holds, unexpanded, the weight
     rules whose expansion exceeds DEFAULT_BODY_BUDGET bodies, and shifted the
@@ -102,6 +103,8 @@ class BodyCatalog:
 
     ib: dict[int, tuple[frozenset[int], ...]]
     ids: dict[frozenset[int], int]
+    bodies: tuple[frozenset[int], ...]
+    first_id: int
     deferred: tuple[Rule, ...]
     shifted: tuple[Rule, ...]
     firing: dict[tuple[int, frozenset[int]], None]
@@ -109,6 +112,11 @@ class BodyCatalog:
 
     def bodies_of(self, atom: int) -> tuple[frozenset[int], ...]:
         return self.ib.get(atom, ())
+
+    def body_of(self, body_id: int) -> frozenset[int] | None:
+        """The body with this id, or None for an id outside the catalog's range."""
+        index = body_id - self.first_id
+        return self.bodies[index] if 0 <= index < len(self.bodies) else None
 
 
 def body_catalog(program: Program) -> BodyCatalog:
@@ -149,6 +157,8 @@ def body_catalog(program: Program) -> BodyCatalog:
     return BodyCatalog(
         {atom: tuple(bodies) for atom, bodies in ib.items()},
         ids,
+        tuple(ids),
+        program.atom_count + 1,
         tuple(deferred),
         tuple(rule for rule in program.rules if rule.is_disjunctive),
         firing,
@@ -160,12 +170,12 @@ class BodyRegistry:
     """The one owner of every variable id above the atoms.
 
     Each such id names exactly one body or one extension variable, and keeps
-    that meaning. Proof b lines declare bodies under the ids they give and e
-    lines add extension variables; intern_internal gives the lowest free id
-    from INTERNAL_ID_BASE up to a body a proof never names (preloaded
-    completion, loop-step externals), so that such bodies leave the low ids
-    to the proof. id_of and lits_of speak of bodies only, and give None for
-    an unknown one.
+    that meaning. declare names a body by an id, the one a b line gives or
+    its catalog id, and extend adds an extension variable for an e line;
+    internal_id gives the lowest free id from INTERNAL_ID_BASE up, for a
+    loop step's external body whose catalog id a proof line has already
+    taken. id_of and lits_of speak of bodies only, and give None for an
+    unknown one.
     """
 
     def __init__(self, atom_count: int) -> None:
@@ -202,17 +212,12 @@ class BodyRegistry:
         self._by_id[body_id] = lits
         self._by_lits[lits] = body_id
 
-    def intern_internal(self, lits: frozenset[int]) -> int:
-        """The body's id; a new body takes the lowest free id from INTERNAL_ID_BASE up."""
-        existing = self._by_lits.get(lits)
-        if existing is not None:
-            return existing
+    def internal_id(self) -> int:
+        """The lowest free id from INTERNAL_ID_BASE up; declare takes it."""
         body_id = self._cursor
         while self.knows(body_id):
             body_id += 1
         self._cursor = body_id + 1
-        self._by_id[body_id] = lits
-        self._by_lits[lits] = body_id
         return body_id
 
     def id_of(self, lits: frozenset[int]) -> int | None:

@@ -8,8 +8,8 @@ integrity constraints. Every instance is reproducible from the top-level
 seed. The differential loop draws rich programs and cross-checks four
 things per instance: the program parsed back from its emitted text against
 the draw, the solver's verdict against brute-force enumeration, every
-inconsistency proof against the checker, and every reported answer set
-against the stability test.
+inconsistency proof against the checker, as written and preloaded, and
+every reported answer set against the stability test.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .core import Program, Rule, RuleKind, basic_rule, choice_rule, weight_rule
 from .loops import cyclic_atoms, dependency_graph
 from .oracle import enumerate_answer_sets, is_answer_set
 from .program_io import ParseError, emit_program, parse_program
+from .proof import Proof
 from .solver import CONSISTENT, HEURISTICS, INCONSISTENT, solve
 
 
@@ -115,7 +116,9 @@ def _cross_check(program: Program, heuristic: str, seed: int) -> str | None:
     """Solve once and test the outcome; returns the first disagreement found.
 
     The verdict must match brute-force enumeration, an inconsistency proof
-    must pass the checker, and an answer set must pass the stability test.
+    must pass the checker both as written and, with its c and s lines
+    removed, against the preloaded completion, and an answer set must pass
+    the stability test.
     """
     result = solve(program, heuristic=heuristic, seed=seed)
     has_model = bool(enumerate_answer_sets(program, cap=1))
@@ -126,6 +129,10 @@ def _cross_check(program: Program, heuristic: str, seed: int) -> str | None:
         verdict = check(program, result.proof)
         if not verdict:
             return f"proof rejected: {verdict.render()}"
+        bare = Proof(tuple(step for step in result.proof if step.kind not in "cs"))
+        verdict = check(program, bare, preloaded=True)
+        if not verdict:
+            return f"proof rejected with the completion preloaded: {verdict.render()}"
     elif not is_answer_set(program, result.answer_set):
         atoms = sorted(program.name(a) for a in result.answer_set)
         return f"unstable answer set {{{', '.join(atoms)}}}"

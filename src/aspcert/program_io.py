@@ -24,8 +24,8 @@ from .core import Program, Rule, RuleKind, weight_rule
 _COMMENT = re.compile(r"%[^\n]*")
 _NAME = re.compile(r"[A-Za-z_]\w*\Z")
 _LITERAL = re.compile(r"(not\s+|~\s*)?([A-Za-z_]\w*)\Z")
-_WEIGHT_BODY = re.compile(r"(\d+)\s*<=\s*\{(.*)\}\Z", re.DOTALL)
-_WEIGHT_ITEM = re.compile(r"((?:not\s+|~\s*)?[A-Za-z_]\w*)\s*=\s*(\d+)\Z")
+_WEIGHT_BODY = re.compile(r"([0-9]+)\s*<=\s*\{(.*)\}\Z", re.DOTALL)
+_WEIGHT_ITEM = re.compile(r"((?:not\s+|~\s*)?[A-Za-z_]\w*)\s*=\s*([0-9]+)\Z")
 
 
 class ParseError(ValueError):

@@ -1,7 +1,8 @@
 """Inconsistency proof format: steps, text parsing, and serialization.
 
-One step per line, integer tokens, each line closed by 0. Signed variables
-write true as +id and false as -id. Line forms:
+One step per line, integer tokens, each line closed by 0. A token is ASCII
+digits with an optional leading '-': a variable id is true as id and false
+as -id. Line forms:
 
     a <tv>... 0          add a nogood with the reverse-unit-propagation property
     c <body> <atom> 0    add the rule-firing nogood {F atom, T body}; with no
@@ -14,9 +15,13 @@ write true as +id and false as -id. Line forms:
     u <k> <atom>{k} <tv>... 0  unfounded set, then the excluded assignment
     b <body> <tv>... 0   name a program body and add its defining nogoods
 
-`a 0` adds the empty nogood; a proof succeeds when the empty nogood is
+An id above the atoms that no b or e line has taken, within the program's
+body catalog, names the catalog body with that id from the first line that
+uses it on, so b lines are needed only for other ids; the solver writes
+none. `a 0` adds the empty nogood; a proof succeeds when the empty nogood is
 present after all steps. Parsing preserves token order, so serialize(parse(t))
-returns t exactly.
+returns t for text in the form serialize writes: one space between tokens,
+no blank lines, and no leading zeros.
 """
 
 from __future__ import annotations
@@ -69,6 +74,9 @@ def parse_proof(text: str) -> Proof:
     """Parse proof text; raises ProofSyntaxError on malformed input."""
     steps: list[Step] = []
     lines: list[int] = []
+    # int() also reads "+3", "1_0" and non-ASCII digits such as "١". One scan
+    # of the whole text rules them out, so most texts pay no check per line.
+    loose = not text.isascii() or "_" in text or "+" in text
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens:
@@ -76,11 +84,13 @@ def parse_proof(text: str) -> Proof:
         kind = tokens[0]
         if kind not in STEP_KINDS:
             raise ProofSyntaxError(f"line {line_no}: unknown step kind {kind!r}")
+        if loose and not (raw.isascii() and "_" not in raw and "+" not in raw):
+            raise ProofSyntaxError(f"line {line_no}: non-integer token")
         try:
             payload = list(map(int, tokens[1:]))
         except ValueError:
             # int() refuses a decimal token only past its digit limit.
-            digits = [t[1:] if t[0] in "+-" else t for t in tokens[1:]]
+            digits = [t[1:] if t[0] == "-" else t for t in tokens[1:]]
             reason = "non-integer token"
             if all(d.isdecimal() for d in digits):
                 reason = f"number of {max(map(len, digits))} digits is too long"

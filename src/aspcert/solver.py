@@ -26,17 +26,17 @@ writes no d line.
 Set-up (`load_completion`) builds each completion nogood directly as a tuple
 in `sorted_lits` order: by variable id, +v before -v. The body catalog
 numbers the bodies and lists the rule-firing pairs; the solver keeps no
-index of its own. Each body B, in id order, gets its sorted literals as its
-b line, the definition nogood (those literals, then -B: a body id is above
-every atom id) and (-l, B) per literal l, and then, if B is an integrity
-constraint's body, the constraint's nogood (below). One support nogood (a,
--B1, ..., -Bk), body ids ascending, follows per atom in atom order, and then
-the rule-firing nogoods (-a, B) in the catalog's firing order; each of these
-is tagged with its s or c line (an s line lists the bodies in catalog
-order). Apart from the constraints, these
-are the completion's body definitions, support nogoods and rule-firing
-nogoods in sorted_lits order, as the tests check against a reference built
-from the rules. Learned and loop nogoods are sorted the same way. `attach`
+index of its own, and its body ids are the catalog's, which the checker
+knows too. Each body B, in id order, gets the definition nogood (its sorted
+literals, then -B: a body id is above every atom id) and (-l, B) per
+literal l, and then, if B is an integrity constraint's body, the
+constraint's nogood (below). One support nogood (a, -B1, ..., -Bk), body ids
+ascending, follows per atom in atom order, and then the rule-firing nogoods
+(-a, B) in the catalog's firing order; each of these is tagged with its s or
+c line (an s line lists the bodies in catalog order). Apart from the
+constraints, these are the completion's body definitions, support nogoods
+and rule-firing nogoods in sorted_lits order, as the tests check against a
+reference built from the rules. Learned and loop nogoods are sorted the same way. `attach`
 watches the first two entries of a nogood with no assigned literal, and none
 of a nogood with a false entry: that happens only during set-up, at level 0,
 so it stays satisfied for good. Otherwise a nogood has at most one free
@@ -51,12 +51,12 @@ attaches the nogood B' itself, the body's literals, tagged with the line
 false at level 0, with no reason, and attaches no definition of B, so no
 nogood names it. A one-literal B' waits for the unit nogoods at the end, so
 that no attach meets a true entry beside two free ones. Once a lemma rests
-on B', the tag writes B's b line, if it is still pending, and `c B 0`, from
-which the checker derives B'. An atom whose every body contains its own
-negation (a rule `a :- B', not a.`, a choice head `{a} :- B', not a.`) is
-self-blocking: it is false in every answer set. It gets the unit nogood {a},
-attached last. Its line `a <atom> 0` is RUP from the atom's support nogood
-and the definitions {B, a} of its bodies.
+on B', the tag writes `c B 0`, from which the checker derives B'. An atom
+whose every body contains its own negation (a rule `a :- B', not a.`, a
+choice head `{a} :- B', not a.`) is self-blocking: it is false in every
+answer set. It gets the unit nogood {a}, attached last. Its line
+`a <atom> 0` is RUP from the atom's support nogood and the definitions
+{B, a} of its bodies.
 
 Lazy lines. A first-UIP nogood follows by resolution from the conflict nogood
 and the reasons `analyze` resolved on, so it is RUP against those and the
@@ -68,12 +68,12 @@ the support nogood of each unit lemma. It writes the pending lines of the
 nogoods it reached in nogood-index order, then the empty nogood follows. A
 learned nogood rests only on nogoods attached before it, and level-0
 assignments survive every restart, so that order puts every line after those
-it rests on. A nogood's lines are a b line for each body it mentions whose b
-line is still pending, then its own c, s, l or a line (a constraint's c line
-after its body's b line); a body definition has only its b line. So an s line
-follows the b lines of all its bodies, an l line those of its external bodies
-(the checker would otherwise name them itself and refuse a later b line for
-them), and an a line those of every body id it names. A proof holds only the lines the refutation
+it rests on. A nogood's line is its own c, s, l or a line; a body definition
+has none, and no b line is written. The checker declares each body, with
+its definition, at the first line that names its catalog id, and an l line
+gives its external bodies their catalog ids too. A body definition matters
+to a lemma only through another nogood that names the body, and that
+nogood's line comes first. A proof holds only the lines the refutation
 rests on, and a run that never refutes anything writes no line. Lines go to
 a sink; `solve` without one writes to a string and parses it into the
 returned proof.
@@ -156,9 +156,7 @@ class _Search:
             ]
             for atom in self.cyclic
         }
-        # Body ids whose b line is not written yet, with the line's literals,
-        # and the antecedents of each learned nogood, by index.
-        self.body_lines: dict[int, tuple[int, ...]] = {}
+        # The antecedents of each learned nogood, by index.
         self.antecedents: dict[int, Antecedents] = {}
 
         size = 2 * self.var_count + 1
@@ -215,20 +213,12 @@ class _Search:
                 roots.extend(lemma_roots)
             elif tags[idx] is not None and tags[idx][0] == "a":
                 idxs.append(tags[idx][1])
-        body_lines, emit = self.body_lines, self.emit
+        emit = self.emit
         for idx in sorted(batch):
-            for l in nogoods[idx]:
-                body = l if l > 0 else -l
-                if body in body_lines:
-                    emit(Step("b", head=body, lits=body_lines.pop(body)))
             tag = tags[idx]
-            if tag is None:
-                continue
-            kind, head, lits = tag
-            if kind == "c" and head in body_lines:
-                # A constraint's nogood names no body, so its c line needs this b line.
-                emit(Step("b", head=head, lits=body_lines.pop(head)))
-            emit(Step(kind, head=0 if kind == "a" else head, lits=lits))
+            if tag is not None:
+                kind, head, lits = tag
+                emit(Step(kind, head=0 if kind == "a" else head, lits=lits))
 
     def refute(self, conflict: int) -> SolveResult:
         """Write the lines a level-0 conflict rests on, then the empty nogood."""
@@ -317,7 +307,7 @@ class _Search:
         """Attach the completion, its lines pending, in the order the module
         docstring gives; returns a violated nogood's index."""
         program, catalog = self.program, self.catalog
-        attach, body_ids, body_lines = self.attach, catalog.ids, self.body_lines
+        attach, body_ids = self.attach, catalog.ids
         constraints = catalog.constraints
         # Constraint bodies no rule induces: only their constraint's nogood uses them.
         lone = constraints.difference(chain.from_iterable(catalog.ib.values()))
@@ -325,7 +315,7 @@ class _Search:
         conflicts: list[int | None] = []
         units: list[tuple[tuple[int, ...], Tag]] = []
         for body, body_id in body_ids.items():
-            lits = body_lines[body_id] = sorted_lits(body)
+            lits = sorted_lits(body)
             if body in lone:
                 self.assign(-body_id, None)
             else:

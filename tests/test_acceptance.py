@@ -280,6 +280,30 @@ def test_checker_time_scales_linearly():
         assert max(slower, floor) / max(faster, floor) <= 3.0
 
 
+def test_checker_work_scales_linearly():
+    """The counter twin of the wall-clock test above, free of machine noise:
+    per doubling of the chain, the checker's watch visits, its assigned
+    literals and its store slots each at most about double. The proofs are
+    checked as written and, without their c and s lines, preloaded. As
+    written, each c line names its body first, so every nogood is unit or
+    satisfied when it is inserted and no run visits a watch list; preloaded,
+    the final RUP test visits about one watch-list entry per nogood."""
+    for preloaded in (False, True):
+        counts = []
+        for size in (1600, 3200, 6400):
+            program = _chain_program(size)
+            state = CheckerState(program, preloaded=preloaded)
+            for step in solve(program).proof:
+                if not preloaded or step.kind not in "cs":
+                    state.step(step)
+            assert state.result().ok
+            counts.append((state.store.visits, state.store.assigned, len(state.store)))
+        assert all(counts[0][1:]) and (counts[0][0] or not preloaded)
+        for smaller, larger in zip(counts, counts[1:]):
+            for small, large in zip(smaller, larger):
+                assert large <= 2.1 * small
+
+
 def _timed_check(program, proof):
     # Collect first and keep the collector off while timing, so that garbage
     # left by earlier work is not collected inside one size's measurement.

@@ -190,9 +190,10 @@ def test_shifted_proofs_never_refute_a_consistent_disjunctive_program():
 def _random_step_line(rng, program, bodies):
     """One proof line of a random kind that parse_proof accepts.
 
-    Ids come from the atoms and the next few ids, with an occasional
-    INTERNAL_ID_BASE, the first id of the checker's unnamed bodies, so
-    atoms, bodies and extension variables collide often. Atom fields mostly name atoms, and b steps
+    Ids come from the atoms, the catalog ids and the next few ids, with an
+    occasional INTERNAL_ID_BASE, the id an l step gives an external body
+    whose catalog id is taken, so atoms, bodies and extension variables
+    collide often. Atom fields mostly name atoms, and b steps
     mostly declare one of the program's induced bodies.
     """
     atoms = range(1, program.atom_count + 1)
@@ -254,9 +255,9 @@ def test_random_step_sequences_never_refute_a_consistent_program():
     kept = set()
     for program in programs:
         bodies = list(body_catalog(program).ids)
-        # Half the proofs that are not preloaded start by declaring every
-        # consistent body the way the solver does, so that c and s lines
-        # name known bodies.
+        # Half the proofs that are not preloaded start with a b line for
+        # every consistent body under its catalog id; the others leave the
+        # catalog ids to be declared at their first use.
         declared = [
             " ".join(map(str, ("b", body_id, *sorted(body, key=abs), 0)))
             for body_id, body in enumerate(bodies, program.atom_count + 1)
@@ -333,6 +334,10 @@ def test_deleted_nogood_no_longer_supports_additions():
         ("a 99 0\n", "unknown"),
         ("b 4 99 0\n", ": unknown atom 99$"),
         ("b 4 1 -1 0\n", ": contradictory body literals$"),
+        # 4-6 are the catalog ids; an id past them names nothing
+        ("a -7 0\n", ": unknown variable 7$"),
+        ("c 7 3 0\n", ": unknown body id 7$"),
+        ("s 3 6 7 0\n", ": unknown body id 7$"),
     ],
 )
 def test_format_violations_raise(proof_text, message):
@@ -340,13 +345,49 @@ def test_format_violations_raise(proof_text, message):
         check(parse_program(LOOP_TEXT), parse_proof(proof_text))
 
 
+def test_a_catalog_id_names_its_body_at_its_first_use():
+    """The catalog ids of LOOP_TEXT are 4 {b}, 5 {a} and 6 {not a, not x}.
+    LOOP_PROOF checks without its b lines: `c 6 3 0`, the first line that
+    names 6, declares that body and adds its definition, as `b 6 -1 -3 0` did."""
+    bare = "".join(line + "\n" for line in LOOP_PROOF.splitlines() if line[0] != "b")
+    assert "c 6 3 0" in bare and "b" not in bare
+    assert _check_text(LOOP_TEXT, bare).ok
+    state = CheckerState(parse_program(LOOP_TEXT))
+    state.step(Step("c", 6, (3,)))
+    assert state.registry.lits_of(6) == frozenset({-1, -3})
+    definition = {frozenset({-1, -3, -6}), frozenset({6, 1}), frozenset({6, 3})}
+    assert definition <= set(state.store.live())
+
+
+def test_an_e_line_on_a_catalog_id_keeps_it_an_extension_variable():
+    """Catalog id 4 names body {b}, whose definition holds the nogood
+    {T 4, F b}. After `e 4 0`, 4 is an extension variable with no
+    definition, so that nogood is not RUP, and no c line may name 4."""
+    assert _check_text(LOOP_TEXT, "a 4 -2 0\n").step is None
+    result = _check_text(LOOP_TEXT, "e 4 0\na 4 -2 0\n")
+    assert (result.ok, result.step) == (False, 2)
+    assert "unit-propagation" in result.reason
+    with pytest.raises(ProofFormatError, match=r"^step 2 \(line 2\): unknown body id 4$"):
+        _check_text(LOOP_TEXT, "e 4 0\nc 4 1 0\n")
+
+
+@pytest.mark.parametrize("use", ["a 5 0", "c 5 2 0", "s 1 5 0"])
+def test_a_catalog_id_given_to_another_body_bars_that_bodys_own_id(use):
+    """`b 4 1 0` names body {a}, whose catalog id is 5, by id 4; a later first
+    use of 5 would name {a} a second time, so it is a format error."""
+    message = r"^step 2 \(line 2\): body \[1\] is already named by id 4$"
+    with pytest.raises(ProofFormatError, match=message):
+        _check_text(LOOP_TEXT, f"b 4 1 0\n{use}\n")
+
+
 def test_b_line_after_an_l_line_that_named_its_body_is_refused():
-    """An l line names every external body no b line has named yet, so a later
-    b line for one of them is refused; a b line first and the l line after pass."""
+    """An l line gives every external body no line has named yet its catalog
+    id, so a later b line for one of them takes an id already defined; a b
+    line first and the l line after pass."""
     text = "#atoms a b.\nb :- a, b.\na :- a, b.\nb :- a, not b.\na :- not b.\n"
     rest = "a 1 -5 0\nb 4 1 -2 0\nc 4 2 0\na 1 0\nb 3 1 2 0\ns 2 3 4 0\nc 5 1 0\na 0\n"
     assert _check_text(text, "b 5 -2 0\nl 1 2 0\n" + rest).ok
-    with pytest.raises(ProofFormatError, match="already named"):
+    with pytest.raises(ProofFormatError, match="id 5 is already defined"):
         _check_text(text, "l 1 2 0\nb 5 -2 0\n" + rest)
 
 
@@ -360,13 +401,13 @@ def test_b_line_after_an_l_line_that_named_its_body_is_refused():
             "e 3 0\nb 3 -2 0\ne 4 0\nb 4 -1 0\nc 3 1 0\nc 4 2 0\na 1 0\na 0\n",
             "already defined",
         ),
-        # {} is an answer set; the extension variable takes the first id the
-        # l step would give its internal external body {c}, which therefore
-        # gets the next free one, which the constraint `:- c.` then names;
-        # the final a step fails
+        # {} is an answer set; the extension variable takes the catalog id 6
+        # of the l step's external body {c}, which therefore gets the first
+        # free id from INTERNAL_ID_BASE, which the constraint `:- c.` then
+        # names; the final a step fails
         (
             "a :- b.\nb :- a.\na :- c.\n{c}.\n:- c.\n",
-            "e 1099511627776 0\nl 1 2 0\nc 1099511627777 0\na 0\n",
+            "e 6 0\nl 1 2 0\nc 1099511627776 0\na 0\n",
             4,
         ),
     ],

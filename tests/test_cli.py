@@ -100,6 +100,24 @@ def test_check_format_violations_exit_2(write, capsys):
     assert main(["check", program, proof]) == 2
 
 
+def test_check_a_catalog_id_of_a_body_named_otherwise_exits_2(write, capsys):
+    """Body {not b} has catalog id 3. Once a b line names it 4, a first use
+    of 3 would name it a second time: a format error."""
+    program = write("p.lp", "a :- not b.\nb :- not a.\n")
+    proof = write("p.drupe", "b 4 -2 0\na 3 0\na 0\n")
+    assert main(["check", program, proof]) == 2
+    assert "step 2 (line 2): body [-2] is already named by id 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["1_0", "+3"])
+def test_check_integer_tokens_beyond_ascii_digits_exit_2(write, capsys, token):
+    """int() reads these; the proof format does not."""
+    program = write("p.lp", "a :- not a.\n")
+    proof = write("p.drupe", f"a 1 0\na {token} 0\n")
+    assert main(["check", program, proof]) == 2
+    assert "line 2: non-integer token" in capsys.readouterr().err
+
+
 def test_check_u_step_naming_an_extension_variable_exits_2(write, capsys):
     program = write("p.lp", "a :- not b.\nb :- not a.\n")
     proof = write("p.drupe", "e 3 0\nu 1 1 1 3 0\n")

@@ -279,11 +279,13 @@ def test_registry_declare_and_intern():
         registry.extend(2)
     registry.declare(9, frozenset({3}))
     registry.declare(10, frozenset({-2}))
-    # internal interning takes the lowest free id from the base and skips ids already taken
+    # an internal id is the lowest free id from the base, skipping ids already taken
     registry.extend(INTERNAL_ID_BASE)
-    assert registry.intern_internal(frozenset({1, 2})) == INTERNAL_ID_BASE + 1
-    assert registry.intern_internal(frozenset({1, 3})) == INTERNAL_ID_BASE + 2
-    assert registry.intern_internal(frozenset({3})) == 9
+    registry.declare(registry.internal_id(), frozenset({1, 2}))
+    registry.declare(registry.internal_id(), frozenset({1, 3}))
+    assert registry.id_of(frozenset({1, 2})) == INTERNAL_ID_BASE + 1
+    assert registry.id_of(frozenset({1, 3})) == INTERNAL_ID_BASE + 2
+    assert registry.id_of(frozenset({3})) == 9
     assert [i for i, _ in public_items(registry)] == [6, 7, 9, 10]
 
 

@@ -3,6 +3,7 @@
 import random
 
 from aspcert import fuzz
+from aspcert.checker import CheckResult
 from aspcert.core import Program, RuleKind
 from aspcert.fuzz import (
     differential_run,
@@ -91,3 +92,24 @@ def test_differential_run_reports_a_program_the_parser_does_not_give_back(monkey
     assert [(d.program_text, d.detail) for d in found] == [
         ("a :- .\n", "emitted text does not parse: line 1: rule body is empty")
     ] * 2
+
+
+def test_differential_run_checks_each_refutation_preloaded_too(monkeypatch):
+    """Each refutation is checked as written and then, with its c and s lines
+    removed, against the preloaded completion; a rejection in either mode is
+    a discrepancy that names the mode."""
+    calls = []
+
+    def spy(program, proof, preloaded=False):
+        calls.append((preloaded, {step.kind for step in proof}))
+        return CheckResult(not preloaded, 1, "forced")
+
+    monkeypatch.setattr(fuzz, "check", spy)
+    found = differential_run(40, seed=9)
+    assert found and len(calls) == 2 * len(found)
+    assert [preloaded for preloaded, _ in calls] == [False, True] * len(found)
+    assert not any(kinds & set("bcs") for preloaded, kinds in calls if preloaded)
+    assert any(kinds & set("cs") for preloaded, kinds in calls if not preloaded)
+    assert {d.detail for d in found} == {
+        "proof rejected with the completion preloaded: Error at step 1: forced"
+    }

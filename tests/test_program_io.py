@@ -89,6 +89,13 @@ def test_parse_errors():
                      "line 2: number of 5000 digits is too long", id="bound-of-5000-digits"),
         pytest.param("b :- 1 <= {a=" + "9" * 5000 + "}.\n",
                      "line 1: number of 5000 digits is too long", id="weight-of-5000-digits"),
+        # A bound or weight is ASCII digits only; int() alone would read these.
+        pytest.param("a.\nb :- \u0661 <= {a=1}.\n", "line 2: bad literal '\u0661 <= {a=1}'",
+                     id="non-ASCII-bound"),
+        pytest.param("a.\nb :- 1 <= {a=\u0661}.\n", "line 2: bad weight item 'a=\u0661'",
+                     id="non-ASCII-weight"),
+        pytest.param("b :- 1 <= {a=1_0}.\n", "line 1: bad weight item 'a=1_0'",
+                     id="weight-with-separator"),
     ],
 )
 def test_parse_errors_name_the_statement_line(text, message):

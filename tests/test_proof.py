@@ -103,6 +103,10 @@ def test_parse_records_each_step_line():
         "u 1 0",         # count exceeds payload
         "u 2 1 1 0",     # repeated unfounded atom
         "a x 0",         # non-integer token
+        "a 1_0 0",       # digit separator
+        "a +3 0",        # plus sign
+        "a \u0661 0",    # non-ASCII digit
+        "c 4 \uff13 0",  # fullwidth digit
         pytest.param("a " + "9" * 5000 + " 0", id="number past int()'s digit limit"),
     ],
 )
@@ -134,8 +138,13 @@ def test_parse_messages_for_b_and_c_lines(text, message):
         ("-" + "9" * 5000, "number of 5000 digits is too long"),
         ("x", "non-integer token"),
         ("-+9", "non-integer token"),
+        ("1_0", "non-integer token"),
+        ("+3", "non-integer token"),
+        ("-\u0661", "non-integer token"),
+        ("+" + "9" * 5000, "non-integer token"),
     ],
-    ids=["5000 digits", "5000 digits and a sign", "letter", "two signs"],
+    ids=["5000 digits", "5000 digits and a sign", "letter", "two signs", "separator",
+         "plus sign", "non-ASCII digit", "5000 digits and a plus sign"],
 )
 def test_parse_names_why_a_token_is_no_number(token, message):
     with pytest.raises(ProofSyntaxError, match=f"^line 1: {message}$"):

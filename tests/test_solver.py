@@ -7,13 +7,13 @@ import random
 import pytest
 
 import aspcert.solver as solver_module
-from aspcert.checker import check
+from aspcert.checker import CheckerState, check
 from aspcert.core import Program, basic_rule
 from aspcert.completion import body_catalog, body_definition
 from aspcert.fuzz import random_program, random_rich_program
 from aspcert.oracle import enumerate_answer_sets, is_answer_set
-from aspcert.loops import cyclic_atoms, dependency_graph
-from aspcert.proof import parse_proof, serialize_proof, sorted_lits
+from aspcert.loops import cyclic_atoms, dependency_graph, external_bodies
+from aspcert.proof import Proof, Step, parse_proof, serialize_proof, sorted_lits
 from aspcert.program_io import parse_program
 from aspcert.solver import (
     CONSISTENT,
@@ -103,19 +103,26 @@ def test_consistent_program_without_conflicts_writes_no_line():
         assert sink.getvalue() == ""
 
 
-def test_loop_line_follows_the_b_line_of_its_external_body():
+def test_loop_line_names_its_external_body_by_its_catalog_id():
     """The refutation rests on the loop nogood of {a, b}, whose external body
     {not b} (id 5) is named first by the rule-firing nogood of `a :- not b`
-    (c 5 1): the lines are written in nogood-index order, and every
-    completion nogood comes before every loop nogood. So that body's b line
-    precedes both the c line and the l line, and the proof checks."""
+    (c 5 1): the lines are written in nogood-index order, every completion
+    nogood before every loop nogood, and no b line. The checker declares
+    body 5 at the c line, and the l line's nogood names it by that id; with
+    the l line first, the l line declares it under the same catalog id."""
     program = parse_program("#atoms a b.\nb :- a, b.\na :- a, b.\nb :- a, not b.\na :- not b.\n")
     result = solve(program)
     assert result.status == INCONSISTENT
     lines = serialize_proof(result.proof).splitlines()
-    assert lines == ["b 3 1 2 0", "b 4 1 -2 0", "b 5 -2 0", "s 2 3 4 0", "c 4 2 0", "c 5 1 0",
-                     "l 1 2 0", "a 1 -5 0", "a 1 0", "a 0"]
-    assert check(program, result.proof).ok
+    assert lines == ["s 2 3 4 0", "c 4 2 0", "c 5 1 0", "l 1 2 0", "a 1 -5 0", "a 1 0", "a 0"]
+    loop_first = [lines[3], *lines[:3], *lines[4:]]
+    for proof in (result.proof, parse_proof("\n".join(loop_first))):
+        state = CheckerState(program)
+        for step in proof:
+            state.step(step)
+        assert state.result().ok
+        assert state.registry.lits_of(5) == frozenset({-2})
+        assert frozenset({1, -5}) in state.store.live()
 
 
 def test_verdicts_and_witnesses_match_oracle():
@@ -233,10 +240,9 @@ def _chain_text(length):
 
 
 # sha256 over every run of test_search_and_proofs_are_pinned, recorded when
-# integrity constraints became rules with an empty head, each written as its
-# body's b line and `c B 0`, and self-blocking rules `a :- B, not a.` kept
-# their completion.
-PINNED_DIGEST = "d0fb9f991bea03087ada42bc857ef20dffe7ce906f33a8434c210b444afc1920"
+# the solver stopped writing b lines: a proof names each body by its catalog
+# id. The runs are those of the previous digest with every b line left out.
+PINNED_DIGEST = "b5f0b3c071c11febd7769eb35aec8194f11d58608caa7a11a595c3db29868ebe"
 
 
 def test_search_and_proofs_are_pinned(monkeypatch):
@@ -307,16 +313,14 @@ def _self_blocking(program, catalog):
 
 
 def _reference_setup(search):
-    """b-line literals by body id, and the tagged nogoods set-up should
-    attach, built from completion.py's families: after each body's
-    definition, or in its place if no rule induces the body, a constraint's
-    nogood B (with the unit nogoods if B has one literal), and last the unit
-    nogoods {a} of the self-blocking atoms."""
+    """The tagged nogoods set-up should attach, built from completion.py's
+    families: after each body's definition, or in its place if no rule
+    induces the body, a constraint's nogood B (with the unit nogoods if B has
+    one literal), and last the unit nogoods {a} of the self-blocking atoms."""
     program, catalog = search.program, search.catalog
     lone = _lone_constraint_bodies(catalog)
     registry = declared_registry(program, catalog)
     bodies = public_items(registry)
-    body_lines = {body_id: sorted_lits(body) for body_id, body in bodies}
     nogoods, units = [], []
     for body_id, body in bodies:
         if body not in lone:
@@ -332,16 +336,16 @@ def _reference_setup(search):
         (body_id,) = (lit for lit in nogood if lit > 0)
         nogoods.append((nogood, ("c", body_id, (atom,))))
     units += [({atom}, ("a", supports[atom], (atom,))) for atom in _self_blocking(program, catalog)]
-    return body_lines, [(sorted_lits(nogood), tag) for nogood, tag in nogoods + units]
+    return [(sorted_lits(nogood), tag) for nogood, tag in nogoods + units]
 
 
 def test_setup_attaches_the_completion_families_in_order(ex1_program):
-    """The one-pass set-up keeps the same b lines pending and attaches the same
-    nogoods, in the same order and with the same tags, as sorted_lits applied
-    to body_definition (bodies in id order, each constraint's nogood after
-    its body), forward_family and backward_family, and then only the unit
-    nogoods. It writes no line, and the body of each constraint that no rule
-    induces is false at level 0 and named by no nogood."""
+    """The one-pass set-up attaches the same nogoods, in the same order and
+    with the same tags, as sorted_lits applied to body_definition (bodies in
+    id order, each constraint's nogood after its body), forward_family and
+    backward_family, and then only the unit nogoods. It writes no line, and
+    the body of each constraint that no rule induces is false at level 0 and
+    named by no nogood."""
     rng = random.Random(37)
     programs = [ex1_program, parse_program("{a}. {b}. :- a. :- not a, b. :- b, c.\nc :- not a.\n"),
                 parse_program("{a}. {b}. c :- a, b. :- a, b. :- b, a. :- not c.\n")]
@@ -355,9 +359,8 @@ def test_setup_attaches_the_completion_families_in_order(ex1_program):
             program, "min-true", None, sink, cyclic_atoms(dependency_graph(program)),
         )
         search.load_completion()
-        body_lines, nogoods = _reference_setup(search)
+        nogoods = _reference_setup(search)
         assert sink.getvalue() == ""
-        assert search.body_lines == body_lines
         assert list(zip(search.nogoods, search.tags)) == nogoods
         named = {abs(l) for entries in search.nogoods for l in entries}
         lone_bodies = _lone_constraint_bodies(search.catalog)
@@ -370,27 +373,79 @@ def test_setup_attaches_the_completion_families_in_order(ex1_program):
     assert lone > 50 and shared > 0
 
 
-def test_b_lines_declare_the_catalog_ids(ex1_program):
-    """Every b line the solver writes declares a body under its catalog id,
-    under every heuristic, with and without restarts."""
-    rng = random.Random(43)
-    programs = [ex1_program, parse_program(_php_text(4, 3, random.Random(1)))]
+def _solver_refutations(seed):
+    """(program, proof) for every refutation of PHP(4,3), the pathless
+    8-vertex hampath program (l lines) and 200 random normal and rich
+    programs, under every heuristic, with and without restarts."""
+    rng = random.Random(seed)
+    programs = [parse_program(_php_text(4, 3, random.Random(1))),
+                parse_program(_hampath_text(_NO_PATH_GRAPH))]
     for index in range(200):
         generate = random_rich_program if index % 2 else random_program
         programs.append(generate(rng, max_atoms=8, max_rules=16))
-    declared = 0
     for program in programs:
-        ids = body_catalog(program).ids
         for heuristic in HEURISTICS:
             for restarts in (False, True):
                 result = solve(program, heuristic=heuristic, restarts=restarts, seed=3)
-                if result.status != INCONSISTENT:
-                    continue
-                for step in result.proof:
-                    if step.kind == "b":
-                        assert ids[frozenset(step.lits)] == step.head
-                        declared += 1
-    assert declared > 1000
+                if result.status == INCONSISTENT:
+                    yield program, result.proof
+
+
+def _named_body_ids(program, catalog, step):
+    """The ids above the atoms a solver proof line names, in order; an l
+    line names the catalog ids of its loop's external bodies."""
+    if step.kind == "l":
+        return [catalog.ids[body] for body in external_bodies(program, catalog, step.lits)]
+    ids = [step.head] if step.kind == "c" else []
+    return ids + [abs(lit) for lit in step.lits if abs(lit) > program.atom_count]
+
+
+def test_solver_proofs_name_catalog_ids_with_no_b_line(ex1_program):
+    """A solver proof has no b line, and every id above the atoms it names is
+    a catalog id, which the checker declares at its first use. Preloaded
+    mode numbers the bodies the same way, so the proof also checks there
+    with its c and s lines removed."""
+    named = 0
+    for program, proof in [(ex1_program, solve(ex1_program).proof), *_solver_refutations(43)]:
+        catalog = body_catalog(program)
+        assert not [step for step in proof if step.kind == "b"]
+        for step in proof:
+            for body_id in _named_body_ids(program, catalog, step):
+                assert catalog.body_of(body_id) is not None
+                named += 1
+        assert check(program, proof).ok
+        bare = Proof(tuple(step for step in proof if step.kind not in "cs"))
+        assert check(program, bare, preloaded=True).ok
+    assert named > 1000
+
+
+def _final_store(program, proof):
+    state = CheckerState(program)
+    for step in proof:
+        state.step(step)
+    return state.result().ok, sorted(sorted(nogood) for nogood in state.store.live())
+
+
+def test_catalog_b_lines_put_back_change_no_verdict():
+    """A solver proof with the catalog's b line put back before the first line
+    that names each body checks, as it does without them, and leaves the
+    checker the same multiset of nogoods: a first use declares exactly what
+    that b line would."""
+    restored = 0
+    for program, proof in _solver_refutations(47):
+        catalog = body_catalog(program)
+        steps, named = [], set()
+        for step in proof:
+            for body_id in _named_body_ids(program, catalog, step):
+                if body_id not in named:
+                    named.add(body_id)
+                    steps.append(Step("b", body_id, sorted_lits(catalog.body_of(body_id))))
+                    restored += 1
+            steps.append(step)
+        ok, store = _final_store(program, proof)
+        assert ok
+        assert _final_store(program, Proof(tuple(steps))) == (ok, store)
+    assert restored > 500
 
 
 def test_branch_picks_the_smallest_unassigned_variable(monkeypatch):
@@ -590,14 +645,14 @@ def test_written_lemmas_are_those_the_refutation_rests_on(monkeypatch):
 
 def test_constraints_get_lines_only_when_the_refutation_needs_them():
     """The two constraints on `a` refute the program, so only they get lines:
-    each one's body's b line and its c line with no atoms, together. The
-    constraint on `b` (body 6) takes no part and gets none."""
+    each one's c line with no atoms, which names its body by its catalog id.
+    The constraint on `b` (body 6) takes no part and gets none."""
     program = parse_program("{a}. {b}. :- a. :- not a. :- b.\n")
     result = solve(program)
     assert result.status == INCONSISTENT
     assert check(program, result.proof).ok
     lines = serialize_proof(result.proof).splitlines()
-    assert lines == ["b 4 1 0", "c 4 0", "b 5 -1 0", "c 5 0", "a 0"]
+    assert lines == ["c 4 0", "c 5 0", "a 0"]
 
 
 def _blocking_for_constraints(program):
