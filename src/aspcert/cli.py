@@ -12,8 +12,8 @@ import sys
 from typing import Callable
 
 from .checker import ProofFormatError, check
-from .completion import BudgetError, normalize_short_body
-from .core import Program
+from .completion import BudgetError
+from .core import Program, Rule, RuleKind, basic_rule
 from .fuzz import differential_run
 from .oracle import ATOM_GUARD, OracleError, enumerate_answer_sets
 from .program_io import ParseError, emit_program, parse_program
@@ -95,6 +95,54 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     for model in models:
         print(_format_atoms(program, model))
     return 0
+
+
+def normalize_short_body(program: Program) -> Program:
+    """Name long bodies of multi-rule atoms with fresh auxiliary atoms.
+
+    Only defined for normal programs, integrity constraints included, which
+    pass through unchanged. The result has the same answer sets when
+    projected to the original atoms, and every atom has at most one body or
+    only bodies of at most one literal.
+    """
+    for rule in program.rules:
+        if rule.kind is not RuleKind.BASIC or len(rule.head) > 1:
+            raise ValueError("short-body normalization expects a normal program")
+    rule_count: dict[int, int] = {}
+    for rule in program.rules:
+        if rule.head:
+            rule_count[rule.head[0]] = rule_count.get(rule.head[0], 0) + 1
+
+    names = list(program.atom_names)
+    taken = set(names)
+    aux_ids: dict[frozenset[int], int] = {}
+    aux_counter = 0
+    rules: list[Rule] = []
+
+    def aux_for(body: frozenset[int]) -> int:
+        nonlocal aux_counter
+        if body not in aux_ids:
+            aux_counter += 1
+            name = f"__aux{aux_counter}"
+            while name in taken:
+                aux_counter += 1
+                name = f"__aux{aux_counter}"
+            names.append(name)
+            taken.add(name)
+            aux_ids[body] = len(names)
+        return aux_ids[body]
+
+    for rule in program.rules:
+        body = rule.body
+        if rule.head and rule_count[rule.head[0]] >= 2 and len(body) >= 2:
+            aux = aux_ids.get(body)
+            if aux is None:
+                aux = aux_for(body)
+                rules.append(basic_rule([aux], rule.pos_body, rule.neg_body))
+            rules.append(basic_rule(rule.head, [aux]))
+        else:
+            rules.append(rule)
+    return Program(tuple(names), tuple(rules))
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import Nogood, Program, Rule, RuleKind, basic_rule
+from .core import Nogood, Program, Rule, RuleKind
 from .proof import sorted_lits
 
 DEFAULT_BODY_BUDGET = 4096
@@ -75,7 +75,7 @@ def induced_bodies_of_rule(rule: Rule, atom: int, budget: int | None = None) -> 
         raise ValueError(f"atom {atom} is not a head atom of the rule")
     if rule.kind is RuleKind.WEIGHT:
         return minimal_weight_sets(dict(rule.weights), rule.bound, budget)
-    body = rule.body_literals()
+    body = rule.body
     if rule.is_disjunctive:
         others = [b for b in rule.head if b != atom]
         if any(b in rule.pos_body for b in others):
@@ -122,45 +122,51 @@ class BodyCatalog:
 def body_catalog(program: Program) -> BodyCatalog:
     """Collect induced bodies per atom; weight rules expand under the budget.
 
-    Rules whose expansion overruns DEFAULT_BODY_BUDGET are returned
-    unexpanded in .deferred.
+    One pass over the rules fills every field. A rule with one body, that of
+    a normal rule, a choice rule or an integrity constraint, is read from its
+    fields alone; only disjunctive and weight rules go through
+    induced_bodies_of_rule. Rules whose expansion overruns
+    DEFAULT_BODY_BUDGET are returned unexpanded in .deferred.
     """
+    first_id = program.atom_count + 1
     # Dicts with None values serve as insertion-ordered sets.
     ib: dict[int, dict[frozenset[int], None]] = {atom: {} for atom in program.atom_ids()}
     ids: dict[frozenset[int], int] = {}
     deferred: list[Rule] = []
+    shifted: list[Rule] = []
     firing: dict[tuple[int, frozenset[int]], None] = {}
     constraints: set[frozenset[int]] = set()
+    choice, weight = RuleKind.CHOICE, RuleKind.WEIGHT
     for rule in program.rules:
-        if not rule.head:
-            body = rule.body_literals()
-            constraints.add(body)
-            ids.setdefault(body, program.atom_count + 1 + len(ids))
-            continue
-        if rule.kind is not RuleKind.WEIGHT and not rule.is_disjunctive:
-            body = [rule.body_literals()]
-            per_atom = [(a, body) for a in rule.head]
-        else:
-            try:
-                per_atom = [
-                    (a, induced_bodies_of_rule(rule, a, DEFAULT_BODY_BUDGET)) for a in rule.head
-                ]
-            except BudgetError:
-                deferred.append(rule)
-                continue
-        for atom, bodies in per_atom:
-            for body in bodies:
+        kind, head, body = rule.kind, rule.head, rule.body
+        if kind is not weight and not rule.is_disjunctive:
+            ids.setdefault(body, first_id + len(ids))
+            if not head:
+                constraints.add(body)
+            for atom in head:
                 ib[atom][body] = None
-                ids.setdefault(body, program.atom_count + 1 + len(ids))
-                if rule.kind is not RuleKind.CHOICE:
+                if kind is not choice:
                     firing[atom, body] = None
+            continue
+        if rule.is_disjunctive:
+            shifted.append(rule)
+        try:
+            per_atom = [(a, induced_bodies_of_rule(rule, a, DEFAULT_BODY_BUDGET)) for a in head]
+        except BudgetError:
+            deferred.append(rule)
+            continue
+        for atom, bodies in per_atom:
+            for induced in bodies:
+                ib[atom][induced] = None
+                ids.setdefault(induced, first_id + len(ids))
+                firing[atom, induced] = None
     return BodyCatalog(
         {atom: tuple(bodies) for atom, bodies in ib.items()},
         ids,
         tuple(ids),
-        program.atom_count + 1,
+        first_id,
         tuple(deferred),
-        tuple(rule for rule in program.rules if rule.is_disjunctive),
+        tuple(shifted),
         firing,
         frozenset(constraints),
     )
@@ -230,51 +236,3 @@ class BodyRegistry:
 def body_definition(body_id: int, lits: frozenset[int]) -> tuple[Nogood, ...]:
     """Nogoods tying a body variable to its literals (definition first)."""
     return (lits | {-body_id}, *(frozenset({body_id, -lit}) for lit in sorted_lits(lits)))
-
-
-def normalize_short_body(program: Program) -> Program:
-    """Name long bodies of multi-rule atoms with fresh auxiliary atoms.
-
-    Only defined for normal programs, integrity constraints included, which
-    pass through unchanged. The result has the same answer sets when
-    projected to the original atoms, and every atom has at most one body or
-    only bodies of at most one literal.
-    """
-    for rule in program.rules:
-        if rule.kind is not RuleKind.BASIC or len(rule.head) > 1:
-            raise ValueError("short-body normalization expects a normal program")
-    rule_count: dict[int, int] = {}
-    for rule in program.rules:
-        if rule.head:
-            rule_count[rule.head[0]] = rule_count.get(rule.head[0], 0) + 1
-
-    names = list(program.atom_names)
-    taken = set(names)
-    aux_ids: dict[frozenset[int], int] = {}
-    aux_counter = 0
-    rules: list[Rule] = []
-
-    def aux_for(body: frozenset[int]) -> int:
-        nonlocal aux_counter
-        if body not in aux_ids:
-            aux_counter += 1
-            name = f"__aux{aux_counter}"
-            while name in taken:
-                aux_counter += 1
-                name = f"__aux{aux_counter}"
-            names.append(name)
-            taken.add(name)
-            aux_ids[body] = len(names)
-        return aux_ids[body]
-
-    for rule in program.rules:
-        body = rule.body_literals()
-        if rule.head and rule_count[rule.head[0]] >= 2 and len(body) >= 2:
-            aux = aux_ids.get(body)
-            if aux is None:
-                aux = aux_for(body)
-                rules.append(basic_rule([aux], rule.pos_body, rule.neg_body))
-            rules.append(basic_rule(rule.head, [aux]))
-        else:
-            rules.append(rule)
-    return Program(tuple(names), tuple(rules))

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from operator import neg
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .proof import sorted_lits
 
@@ -30,8 +31,24 @@ class RuleKind(Enum):
     WEIGHT = "weight"
 
 
-@dataclass(frozen=True)
-class Rule:
+# Reading a member through the Enum class costs a descriptor call per read,
+# about as much as a short function call; Rule.__new__ reads these instead.
+_BASIC, _WEIGHT = RuleKind.BASIC, RuleKind.WEIGHT
+_EMPTY: frozenset[int] = frozenset()
+
+
+class _RuleFields(NamedTuple):
+    kind: RuleKind
+    head: tuple[int, ...]
+    pos_body: frozenset[int]
+    neg_body: frozenset[int]
+    bound: int
+    weights: tuple[tuple[int, int], ...]
+    body: frozenset[int]
+    is_disjunctive: bool
+
+
+class Rule(_RuleFields):
     """One ground rule; heads and bodies hold signed atom ids.
 
     BASIC covers normal rules (one head atom), disjunctive rules (several)
@@ -39,53 +56,61 @@ class Rule:
     make their head atoms free when the body holds. WEIGHT rules have a
     single head, a bound, and weighted signed literals instead of a plain
     body; pos_body/neg_body are derived from the weight domain.
+
+    A rule is an immutable record, a tuple underneath, checked once in
+    __new__. The constructor takes kind, head, pos_body, neg_body, bound and
+    weights, positionally or by keyword, and stores two fields derived from
+    them: body, the body as signed atom ids (for a weight rule, the weight
+    domain), and is_disjunctive, true for a basic rule with several head
+    atoms. Equality and hashing go by the fields. __getnewargs__ hands copy
+    and pickle the six constructor arguments, since __new__ takes no
+    derived field.
     """
 
-    kind: RuleKind
-    head: tuple[int, ...]
-    pos_body: frozenset[int] = frozenset()
-    neg_body: frozenset[int] = frozenset()
-    bound: int = 0
-    weights: tuple[tuple[int, int], ...] = ()
-    _body: frozenset[int] = field(init=False, repr=False, compare=False, hash=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        head = self.head
+    def __new__(
+        cls,
+        kind: RuleKind,
+        head: tuple[int, ...],
+        pos_body: frozenset[int] = _EMPTY,
+        neg_body: frozenset[int] = _EMPTY,
+        bound: int = 0,
+        weights: tuple[tuple[int, int], ...] = (),
+    ) -> Rule:
         if not head:
-            if self.kind is not RuleKind.BASIC:
+            if kind is not _BASIC:
                 raise ValueError("only a basic rule may have an empty head")
-            if not self.pos_body and not self.neg_body:
+            if not pos_body and not neg_body:
                 raise ValueError("a rule with an empty head needs a body")
         elif min(head) <= 0:
             raise ValueError("head atoms are positive ids")
         if len(head) > 1 and len(set(head)) != len(head):
             raise ValueError("duplicate head atom")
-        if self.kind is RuleKind.WEIGHT:
+        if kind is _WEIGHT:
             if len(head) != 1:
                 raise ValueError("weight rule has exactly one head atom")
-            if self.bound < 0:
+            if bound < 0:
                 raise ValueError("weight bound is non-negative")
-            lits = [lit for lit, _ in self.weights]
+            lits = [lit for lit, _ in weights]
             if not is_consistent(lits) or len(set(lits)) != len(lits):
                 raise ValueError("weight literals must be distinct and consistent")
-            if any(w <= 0 for _, w in self.weights):
+            if any(w <= 0 for _, w in weights):
                 raise ValueError("weights are positive")
             body = frozenset(lits)
-        elif self.weights or self.bound:
+        elif weights or bound:
             raise ValueError("only weight rules carry weights and a bound")
+        elif not neg_body:
+            body = frozenset(pos_body)
         else:
-            body = frozenset(self.pos_body).union([-a for a in self.neg_body])
-        if not self.pos_body.isdisjoint(self.neg_body):
+            body = frozenset(pos_body).union(map(neg, neg_body))
+        if neg_body and not pos_body.isdisjoint(neg_body):
             raise ValueError("atom occurs positively and negatively in one body")
-        object.__setattr__(self, "_body", body)
+        disjunctive = kind is _BASIC and len(head) > 1
+        return tuple.__new__(cls, (kind, head, pos_body, neg_body, bound, weights, body, disjunctive))
 
-    @property
-    def is_disjunctive(self) -> bool:
-        return self.kind is RuleKind.BASIC and len(self.head) > 1
-
-    def body_literals(self) -> frozenset[int]:
-        """The rule body as signed atom ids (weight rules: the weight domain)."""
-        return self._body
+    def __getnewargs__(self) -> tuple:
+        return self[:6]
 
     def weight_of(self, lit: int) -> int:
         for candidate, w in self.weights:

@@ -121,7 +121,7 @@ def external_bodies(
                 for rule in program.rules
                 if atom in rule.head
                 for body in (
-                    [rule.body_literals() | {-b for b in rule.head if b not in atom_set}]
+                    [rule.body | {-b for b in rule.head if b not in atom_set}]
                     if rule.is_disjunctive
                     else induced_bodies_of_rule(rule, atom)
                 )
@@ -163,12 +163,12 @@ def _rule_can_fire_externally(rule: Rule, atomized: set[int], unfounded: set[int
     """Can the body hold under the assignment without true atoms of the set?"""
     usable = [
         lit
-        for lit in rule.body_literals()
+        for lit in rule.body
         if -lit not in atomized and not (lit > 0 and lit in unfounded)
     ]
     if rule.kind is RuleKind.WEIGHT:
         return sum(rule.weight_of(lit) for lit in usable) >= rule.bound
-    return len(usable) == len(rule.body_literals())
+    return len(usable) == len(rule.body)
 
 
 def is_unfounded_set(

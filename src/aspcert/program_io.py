@@ -67,18 +67,20 @@ class _Builder:
         return lit
 
     def body(self, text: str) -> tuple[frozenset[int], frozenset[int]]:
-        """Positive and negative atoms of a comma-separated body."""
+        """Positive and negative atoms of a comma-separated body.
+
+        Whether an atom occurs with both signs is left to the Rule built
+        from them; see _parse_rule.
+        """
         tokens = text.split(",")
         lits = [self.literals.get(token) for token in tokens]
         if None in lits:
             if "" in map(str.strip, tokens):
                 raise ParseError("empty body literal")
             lits = [self.literal(token) for token in tokens]
-        pos = frozenset([lit for lit in lits if lit > 0])
-        neg = frozenset([-lit for lit in lits if lit < 0])
-        if not pos.isdisjoint(neg):
-            raise ParseError("atom occurs positively and negatively in body")
-        return pos, neg
+        if min(lits) > 0:
+            return frozenset(lits), frozenset()
+        return frozenset([lit for lit in lits if lit > 0]), frozenset([-lit for lit in lits if lit < 0])
 
     def directive(self, stmt: str) -> None:
         if not stmt.startswith("#atoms"):
@@ -127,20 +129,18 @@ def parse_program(text: str) -> Program:
 def _parse_rule(builder: _Builder, stmt: str) -> Rule:
     head_text, sep, body_text = stmt.partition(":-")
     head_text = head_text.strip()
-    body_text = body_text.strip()
-    if sep and not body_text:
-        raise ParseError("rule body is empty")
-    if ":-" in body_text:
-        raise ParseError("more than one ':-'")
+    if sep:
+        body_text = body_text.strip()
+        if not body_text:
+            raise ParseError("rule body is empty")
+        if ":-" in body_text:
+            raise ParseError("more than one ':-'")
 
     if not head_text:
         if not sep:
             raise ParseError("empty rule")
-        pos, neg = builder.body(body_text)
-        return Rule(RuleKind.BASIC, (), pos, neg)
-
-    weight_match = _WEIGHT_BODY.match(body_text) if "<=" in body_text else None
-    if weight_match:
+        kind, head = RuleKind.BASIC, ()
+    elif "<=" in body_text and (weight_match := _WEIGHT_BODY.match(body_text)):
         if head_text[0] == "{" or "|" in head_text:
             raise ParseError("weight rule needs a single head atom")
         head = builder.atom(head_text)
@@ -158,25 +158,31 @@ def _parse_rule(builder: _Builder, stmt: str) -> Rule:
         if any(w <= 0 for w in weights.values()):
             raise ParseError("weights must be positive")
         return weight_rule(head, bound, weights)
-
-    if head_text[0] == "{":
-        kind = RuleKind.CHOICE
-        if not head_text.endswith("}"):
-            raise ParseError("unterminated choice head")
-        inner = head_text[1:-1].strip()
-        if not inner:
-            raise ParseError("empty choice head")
-        head = tuple([builder.atom(tok.strip()) for tok in inner.split(";")])
     else:
-        kind = RuleKind.BASIC
-        if "|" in head_text:
-            head = tuple([builder.atom(tok.strip()) for tok in head_text.split("|")])
+        if head_text[0] == "{":
+            kind = RuleKind.CHOICE
+            if not head_text.endswith("}"):
+                raise ParseError("unterminated choice head")
+            inner = head_text[1:-1].strip()
+            if not inner:
+                raise ParseError("empty choice head")
+            head = tuple([builder.atom(tok.strip()) for tok in inner.split(";")])
         else:
-            head = (builder.atom(head_text),)
-    if len(head) > 1 and len(set(head)) != len(head):
-        raise ParseError("duplicate head atom")
-    pos, neg = builder.body(body_text) if sep else (frozenset(), frozenset())
-    return Rule(kind, head, pos, neg)
+            kind = RuleKind.BASIC
+            if "|" in head_text:
+                head = tuple([builder.atom(tok.strip()) for tok in head_text.split("|")])
+            else:
+                head = (builder.atom(head_text),)
+        if len(head) > 1 and len(set(head)) != len(head):
+            raise ParseError("duplicate head atom")
+        if not sep:
+            return Rule(kind, head)
+    pos, neg = builder.body(body_text)
+    try:
+        return Rule(kind, head, pos, neg)
+    except ValueError:
+        # The parser has made all of Rule's other checks by now.
+        raise ParseError("atom occurs positively and negatively in body") from None
 
 
 def _number(digits: str) -> int:

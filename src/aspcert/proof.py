@@ -1,6 +1,7 @@
 """Inconsistency proof format: steps, text parsing, and serialization.
 
-One step per line, integer tokens, each line closed by 0. A token is ASCII
+One step per line, integer tokens, each line closed by 0. Only '\n' ends a
+line; a '\r' before it is ignored, as blank lines are. A token is ASCII
 digits with an optional leading '-': a variable id is true as id and false
 as -id. Line forms:
 
@@ -77,7 +78,9 @@ def parse_proof(text: str) -> Proof:
     # int() also reads "+3", "1_0" and non-ASCII digits such as "١". One scan
     # of the whole text rules them out, so most texts pay no check per line.
     loose = not text.isascii() or "_" in text or "+" in text
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # Lines end at '\n' only, as an editor numbers them; str.splitlines would
+    # also break at '\f', '\x1c' and others. split() drops a trailing '\r'.
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         tokens = raw.split()
         if not tokens:
             continue

@@ -24,25 +24,28 @@ nogood, so no nogood is ever deleted, the search terminates, and the solver
 writes no d line.
 
 Set-up (`load_completion`) builds each completion nogood directly as a tuple
-in `sorted_lits` order: by variable id, +v before -v. The body catalog
-numbers the bodies and lists the rule-firing pairs; the solver keeps no
-index of its own, and its body ids are the catalog's, which the checker
-knows too. Each body B, in id order, gets the definition nogood (its sorted
-literals, then -B: a body id is above every atom id) and (-l, B) per
-literal l, and then, if B is an integrity constraint's body, the
-constraint's nogood (below). One support nogood (a, -B1, ..., -Bk), body ids
-ascending, follows per atom in atom order, and then the rule-firing nogoods
-(-a, B) in the catalog's firing order; each of these is tagged with its s or
-c line (an s line lists the bodies in catalog order). Apart from the
-constraints, these are the completion's body definitions, support nogoods
-and rule-firing nogoods in sorted_lits order, as the tests check against a
-reference built from the rules. Learned and loop nogoods are sorted the same way. `attach`
-watches the first two entries of a nogood with no assigned literal, and none
-of a nogood with a false entry: that happens only during set-up, at level 0,
-so it stays satisfied for good. Otherwise a nogood has at most one free
-entry (a learned one exactly one); `attach` watches it and the true entry of
-the highest level and implies its complement, or with no free entry watches
-the two highest true entries and reports a conflict.
+in `sorted_lits` order: by variable id, +v before -v. A body holds no atom
+with both signs, so one sort of its literals by variable gives that order.
+The body catalog numbers the bodies, lists each atom's bodies and the
+rule-firing pairs; the solver keeps no index of its own, and its body ids
+are the catalog's, which the checker knows too. Each body B, in id order,
+gets the definition nogood (its sorted literals, then -B: a body id is above
+every atom id) and (-l, B) per literal l, and then, if B is an integrity
+constraint's body, the constraint's nogood (below). One support nogood
+(a, -B1, ..., -Bk), body ids ascending, follows per atom in atom order, and
+then the rule-firing nogoods (-a, B) in the catalog's firing order; each of
+these is tagged with its s or c line (an s line lists the bodies in catalog
+order). Apart from the constraints, these are the completion's body
+definitions, support nogoods and rule-firing nogoods in sorted_lits order,
+as the tests check against a reference built from the rules. Learned and
+loop nogoods are sorted the same way. Set-up attaches each nogood through
+`attach`, as search does; `attach` first checks for a nogood of two or more
+entries, none assigned, which it watches on its first two entries. It
+watches none of a nogood with a false entry: that happens only during
+set-up, at level 0, so it stays satisfied for good. Otherwise a nogood has
+at most one free entry (a learned one exactly one); `attach` watches it and
+the true entry of the highest level and implies its complement, or with no
+free entry watches the two highest true entries and reports a conflict.
 
 An integrity constraint `:- B'.` is a rule with an empty head; its body B
 (the literals B') must be false, the rule-firing nogood {T B}. Set-up
@@ -127,7 +130,8 @@ def _check_scope(program: Program, components: list[list[int]]) -> None:
     """Reject disjunctions and weight rules inside a positive SCC."""
     if any(rule.is_disjunctive for rule in program.rules):
         raise SolveError("disjunctive rules are not supported by the solver")
-    weight_rules = [rule for rule in program.rules if rule.kind is RuleKind.WEIGHT]
+    weight = RuleKind.WEIGHT
+    weight_rules = [rule for rule in program.rules if rule.kind is weight]
     if weight_rules:
         scc_of = {atom: i for i, component in enumerate(components) for atom in component}
         for rule in weight_rules:
@@ -269,15 +273,15 @@ class _Search:
         self.tags.append(tag)
 
         val = self.val
-        for l in entries:
-            if val[l] is not None:
-                break
-        else:
-            if len(entries) > 1:
-                first, second = entries[0], entries[1]
-                self.watched.append((first, second))
-                self.watches[first].append(idx)
-                self.watches[second].append(idx)
+        if len(entries) > 1:
+            for l in entries:
+                if val[l] is not None:
+                    break
+            else:
+                watches = self.watches
+                self.watched.append(entries[:2])
+                watches[entries[0]].append(idx)
+                watches[entries[1]].append(idx)
                 return None
         frees: list[int] = []
         trues: list[int] = []
@@ -315,7 +319,7 @@ class _Search:
         conflicts: list[int | None] = []
         units: list[tuple[tuple[int, ...], Tag]] = []
         for body, body_id in body_ids.items():
-            lits = sorted_lits(body)
+            lits = tuple(sorted(body, key=abs))
             if body in lone:
                 self.assign(-body_id, None)
             else:
@@ -330,12 +334,13 @@ class _Search:
                     units.append((lits, tag))
         for atom in program.atom_ids():
             bodies = catalog.bodies_of(atom)
-            ids = tuple(body_ids[body] for body in bodies)
+            ids = tuple([body_ids[body] for body in bodies])
             if bodies and -atom in bodies[0] and all(-atom in body for body in bodies):
                 units.append(((atom,), ("a", len(self.nogoods), (atom,))))
             conflicts.append(attach((atom, *[-b for b in sorted(ids)]), ("s", atom, ids)))
         for atom, body in catalog.firing:
-            conflicts.append(attach((-atom, body_ids[body]), ("c", body_ids[body], (atom,))))
+            body_id = body_ids[body]
+            conflicts.append(attach((-atom, body_id), ("c", body_id, (atom,))))
         for entries, tag in units:
             conflicts.append(attach(entries, tag))
         return next((idx for idx in conflicts if idx is not None), None)

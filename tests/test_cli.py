@@ -5,8 +5,9 @@ import pytest
 import aspcert.cli as cli_module
 from aspcert.checker import check
 from aspcert.cli import main
-from aspcert.proof import parse_proof
+from aspcert.proof import parse_proof, serialize_proof
 from aspcert.program_io import parse_program
+from aspcert.solver import solve
 
 
 @pytest.fixture
@@ -83,9 +84,6 @@ def test_check_preloaded_completion(write, capsys):
 
 def test_check_strict_delete(write, capsys):
     program = write("p.lp", "a.\n:- a.\n")
-    from aspcert.solver import solve
-    from aspcert.proof import serialize_proof
-
     result = solve(parse_program("a.\n:- a.\n"))
     proof = write("p.drupe", "d 1 0\n" + serialize_proof(result.proof))
     assert main(["check", program, proof]) == 0
@@ -116,6 +114,20 @@ def test_check_integer_tokens_beyond_ascii_digits_exit_2(write, capsys, token):
     proof = write("p.drupe", f"a 1 0\na {token} 0\n")
     assert main(["check", program, proof]) == 2
     assert "line 2: non-integer token" in capsys.readouterr().err
+
+
+def test_check_numbers_lines_by_newlines_only(write, capsys):
+    """A form feed is no line break: the two steps share line 1."""
+    program = write("p.lp", "a :- not a.\n")
+    proof = write("p.drupe", "a 1 0\fa 2 0\n")
+    assert main(["check", program, proof]) == 2
+    assert "line 1: non-integer token" in capsys.readouterr().err
+    text = "a :- not b.\nb :- not a.\n:- a.\n:- b.\n"
+    program = write("two.lp", text)
+    proof_text = serialize_proof(solve(parse_program(text)).proof)
+    proof = write("two.drupe", proof_text.replace("\n", "\r\n"))
+    assert main(["check", program, proof]) == 0
+    assert capsys.readouterr().out == "Success\n"
 
 
 def test_check_u_step_naming_an_extension_variable_exits_2(write, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aspcert.cli import normalize_short_body
 from aspcert.completion import (
     DEFAULT_BODY_BUDGET,
     INTERNAL_ID_BASE,
@@ -16,7 +17,6 @@ from aspcert.completion import (
     body_definition,
     induced_bodies_of_rule,
     minimal_weight_sets,
-    normalize_short_body,
 )
 from aspcert.core import Program, basic_rule, choice_rule, is_consistent, weight_rule
 from aspcert.fuzz import random_program, random_rich_program

@@ -58,7 +58,7 @@ def test_random_rich_program_draws_every_construct():
             elif rule.kind is RuleKind.CHOICE:
                 kinds.add("choice")
             elif not rule.head:
-                assert 1 <= len(rule.body_literals()) <= 3
+                assert 1 <= len(rule.body) <= 3
                 kinds.add("constraint")
             else:
                 kinds.add("basic")

@@ -156,6 +156,27 @@ def test_parse_reports_line_numbers():
         parse_proof("a 0\nq 1 0\n")
 
 
+@pytest.mark.parametrize(
+    "separator",
+    ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+    ids=["CR", "VT", "FF", "FS", "GS", "RS", "NEL", "LS", "PS"],
+)
+def test_only_a_newline_ends_a_line(separator):
+    """str.splitlines breaks at these too; an editor does not, so line 2
+    holds both steps and the error names line 2, not a later one."""
+    text = f"a 0\na 1 0{separator}a 2 0\nq 1 0\n"
+    with pytest.raises(ProofSyntaxError, match="^line 2: non-integer token$"):
+        parse_proof(text)
+
+
+def test_parse_reads_crlf_text():
+    proof = parse_proof("a 1 0\r\n\r\nd 1 0\r\na 0\r\n")
+    assert proof.steps == (Step("a", lits=(1,)), Step("d", lits=(1,)), Step("a"))
+    assert proof.lines == (1, 3, 4)
+    with pytest.raises(ProofSyntaxError, match="^line 2: unknown step kind 'q'$"):
+        parse_proof("a 0\r\nq 1 0\r\n")
+
+
 step_strategy = st.one_of(
     st.builds(
         Step,

@@ -760,7 +760,7 @@ def test_each_constraint_is_one_nogood_and_no_other_names_its_body(monkeypatch):
     ones included, names a constraint's body, which no rule induces."""
     attached = _attached(monkeypatch)
     program = parse_program(_php_text(5, 4, random.Random(2)))
-    constraints = [rule.body_literals() for rule in program.rules if not rule.head]
+    constraints = [rule.body for rule in program.rules if not rule.head]
     assert len(constraints) == len(set(constraints)) == 45
     for heuristic in HEURISTICS:
         for restarts in (False, True):
