@@ -38,10 +38,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .completion import BodyCatalog, BodyRegistry, body_catalog, body_definition
-from .core import Program, Rule, is_consistent
+from .core import Program, is_consistent
 from .loops import Graph, dependency_graph, external_bodies, is_loop, is_unfounded_set, loop_nogood
 from .proof import Proof, Step
-from .propagation import NogoodStore, WeightRulePropagator, rup_run
+from .propagation import NogoodStore, rup_run
 
 
 class ProofFormatError(ValueError):
@@ -90,7 +90,6 @@ class CheckerState:
         self.catalog: BodyCatalog = body_catalog(program)
         self.registry = BodyRegistry(program.atom_count)
         self.store = NogoodStore()
-        self.propagators: list[WeightRulePropagator] = []
         self.deferred_heads = frozenset(
             a for rule in self.catalog.deferred for a in rule.head
         )
@@ -112,20 +111,10 @@ class CheckerState:
             self._declare(body_id, body)
             if body in self.catalog.constraints:
                 self.store.insert(frozenset({body_id}))
-        by_head: dict[int, list[Rule]] = {}
-        for rule in self.catalog.deferred:
-            by_head.setdefault(rule.head[0], []).append(rule)
-        for head, rules in by_head.items():
-            if len(rules) > 1:
-                raise ProofFormatError(
-                    f"atom {head} heads {len(rules)} weight rules over the "
-                    "expansion budget; preloaded checking supports at most one"
-                )
+        # A deferred head gets no support nogood, as no s step may add one.
         for atom in self.program.atom_ids():
-            body_ids = tuple(ids[b] for b in self.catalog.bodies_of(atom))
-            if atom in by_head:  # one rule, as checked above
-                self.propagators.append(WeightRulePropagator(by_head[atom][0], body_ids))
-            else:
+            if atom not in self.deferred_heads:
+                body_ids = tuple(ids[b] for b in self.catalog.bodies_of(atom))
                 self.store.insert(loop_nogood(atom, body_ids))
         for atom, body in self.catalog.firing:
             self.store.insert(frozenset({-atom, ids[body]}))
@@ -192,7 +181,7 @@ class CheckerState:
     def _step_a(self, step: Step) -> None:
         self._require_known(step.lits)
         delta = frozenset(step.lits)
-        if not rup_run(self.store, delta, self.propagators).is_conflict:
+        if not rup_run(self.store, delta).is_conflict:
             raise _StepError("nogood lacks the unit-propagation conflict property")
         self.store.insert(delta)
 

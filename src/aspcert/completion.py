@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import Nogood, Program, Rule, RuleKind
+from .core import CHOICE, WEIGHT, Nogood, Program, Rule
 from .proof import sorted_lits
 
 DEFAULT_BODY_BUDGET = 4096
@@ -73,7 +73,7 @@ def induced_bodies_of_rule(rule: Rule, atom: int, budget: int | None = None) -> 
     """Bodies through which this rule can support the given head atom."""
     if atom not in rule.head:
         raise ValueError(f"atom {atom} is not a head atom of the rule")
-    if rule.kind is RuleKind.WEIGHT:
+    if rule.kind is WEIGHT:
         return minimal_weight_sets(dict(rule.weights), rule.bound, budget)
     body = rule.body
     if rule.is_disjunctive:
@@ -136,16 +136,15 @@ def body_catalog(program: Program) -> BodyCatalog:
     shifted: list[Rule] = []
     firing: dict[tuple[int, frozenset[int]], None] = {}
     constraints: set[frozenset[int]] = set()
-    choice, weight = RuleKind.CHOICE, RuleKind.WEIGHT
     for rule in program.rules:
         kind, head, body = rule.kind, rule.head, rule.body
-        if kind is not weight and not rule.is_disjunctive:
+        if kind is not WEIGHT and not rule.is_disjunctive:
             ids.setdefault(body, first_id + len(ids))
             if not head:
                 constraints.add(body)
             for atom in head:
                 ib[atom][body] = None
-                if kind is not choice:
+                if kind is not CHOICE:
                     firing[atom, body] = None
             continue
         if rule.is_disjunctive:

@@ -32,8 +32,8 @@ class RuleKind(Enum):
 
 
 # Reading a member through the Enum class costs a descriptor call per read,
-# about as much as a short function call; Rule.__new__ reads these instead.
-_BASIC, _WEIGHT = RuleKind.BASIC, RuleKind.WEIGHT
+# about as much as a short function call; per-rule code reads these instead.
+BASIC, CHOICE, WEIGHT = RuleKind.BASIC, RuleKind.CHOICE, RuleKind.WEIGHT
 _EMPTY: frozenset[int] = frozenset()
 
 
@@ -79,7 +79,7 @@ class Rule(_RuleFields):
         weights: tuple[tuple[int, int], ...] = (),
     ) -> Rule:
         if not head:
-            if kind is not _BASIC:
+            if kind is not BASIC:
                 raise ValueError("only a basic rule may have an empty head")
             if not pos_body and not neg_body:
                 raise ValueError("a rule with an empty head needs a body")
@@ -87,7 +87,7 @@ class Rule(_RuleFields):
             raise ValueError("head atoms are positive ids")
         if len(head) > 1 and len(set(head)) != len(head):
             raise ValueError("duplicate head atom")
-        if kind is _WEIGHT:
+        if kind is WEIGHT:
             if len(head) != 1:
                 raise ValueError("weight rule has exactly one head atom")
             if bound < 0:
@@ -106,7 +106,7 @@ class Rule(_RuleFields):
             body = frozenset(pos_body).union(map(neg, neg_body))
         if neg_body and not pos_body.isdisjoint(neg_body):
             raise ValueError("atom occurs positively and negatively in one body")
-        disjunctive = kind is _BASIC and len(head) > 1
+        disjunctive = kind is BASIC and len(head) > 1
         return tuple.__new__(cls, (kind, head, pos_body, neg_body, bound, weights, body, disjunctive))
 
     def __getnewargs__(self) -> tuple:
@@ -121,19 +121,19 @@ class Rule(_RuleFields):
 
 def basic_rule(head: Sequence[int], pos: Iterable[int] = (), neg: Iterable[int] = ()) -> Rule:
     """Build a normal or disjunctive rule, or with no head an integrity constraint."""
-    return Rule(RuleKind.BASIC, tuple(head), frozenset(pos), frozenset(neg))
+    return Rule(BASIC, tuple(head), frozenset(pos), frozenset(neg))
 
 
 def choice_rule(head: Sequence[int], pos: Iterable[int] = (), neg: Iterable[int] = ()) -> Rule:
     """Build a choice rule."""
-    return Rule(RuleKind.CHOICE, tuple(head), frozenset(pos), frozenset(neg))
+    return Rule(CHOICE, tuple(head), frozenset(pos), frozenset(neg))
 
 
 def weight_rule(head: int, bound: int, weights: Mapping[int, int]) -> Rule:
     """Build a weight rule from a signed-literal -> weight map."""
     items = tuple((lit, weights[lit]) for lit in sorted_lits(weights))
     return Rule(
-        RuleKind.WEIGHT,
+        WEIGHT,
         (head,),
         frozenset(lit for lit in weights if lit > 0),
         frozenset(-lit for lit in weights if lit < 0),

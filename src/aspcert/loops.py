@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Collection, Iterable
 
-from .core import Nogood, Program, Rule, RuleKind
+from .core import CHOICE, WEIGHT, Nogood, Program, Rule
 from .completion import BodyCatalog, BodyRegistry, induced_bodies_of_rule
 
 Graph = dict[int, set[int]]
@@ -166,7 +166,7 @@ def _rule_can_fire_externally(rule: Rule, atomized: set[int], unfounded: set[int
         for lit in rule.body
         if -lit not in atomized and not (lit > 0 and lit in unfounded)
     ]
-    if rule.kind is RuleKind.WEIGHT:
+    if rule.kind is WEIGHT:
         return sum(rule.weight_of(lit) for lit in usable) >= rule.bound
     return len(usable) == len(rule.body)
 
@@ -191,7 +191,7 @@ def is_unfounded_set(
     for rule in program.rules:
         if not unfounded.intersection(rule.head):
             continue
-        if rule.kind is not RuleKind.CHOICE and any(
+        if rule.kind is not CHOICE and any(
             a in atom_lits for a in rule.head if a not in unfounded
         ):
             continue

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .completion import DEFAULT_BODY_BUDGET, induced_bodies_of_rule
-from .core import Program, RuleKind
+from .core import CHOICE, WEIGHT, Program
 
 ATOM_GUARD = 20
 
@@ -37,7 +37,7 @@ def _translate(
     aux_pairs: list[tuple[int, int]] = []
     next_var = program.atom_count
     for rule in program.rules:
-        if rule.kind is RuleKind.CHOICE:
+        if rule.kind is CHOICE:
             for atom in rule.head:
                 next_var += 1
                 comp = next_var
@@ -46,7 +46,7 @@ def _translate(
                     (frozenset({atom}), rule.pos_body, rule.neg_body | {comp})
                 )
                 rules.append((frozenset({comp}), frozenset(), frozenset({atom})))
-        elif rule.kind is RuleKind.WEIGHT:
+        elif rule.kind is WEIGHT:
             head = frozenset(rule.head)
             for body in induced_bodies_of_rule(rule, rule.head[0], budget):
                 pos = frozenset(l for l in body if l > 0)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 
-from .core import Program, Rule, RuleKind, weight_rule
+from .core import BASIC, CHOICE, WEIGHT, Program, Rule, weight_rule
 
 _COMMENT = re.compile(r"%[^\n]*")
 _NAME = re.compile(r"[A-Za-z_]\w*\Z")
@@ -139,7 +139,7 @@ def _parse_rule(builder: _Builder, stmt: str) -> Rule:
     if not head_text:
         if not sep:
             raise ParseError("empty rule")
-        kind, head = RuleKind.BASIC, ()
+        kind, head = BASIC, ()
     elif "<=" in body_text and (weight_match := _WEIGHT_BODY.match(body_text)):
         if head_text[0] == "{" or "|" in head_text:
             raise ParseError("weight rule needs a single head atom")
@@ -160,7 +160,7 @@ def _parse_rule(builder: _Builder, stmt: str) -> Rule:
         return weight_rule(head, bound, weights)
     else:
         if head_text[0] == "{":
-            kind = RuleKind.CHOICE
+            kind = CHOICE
             if not head_text.endswith("}"):
                 raise ParseError("unterminated choice head")
             inner = head_text[1:-1].strip()
@@ -168,7 +168,7 @@ def _parse_rule(builder: _Builder, stmt: str) -> Rule:
                 raise ParseError("empty choice head")
             head = tuple([builder.atom(tok.strip()) for tok in inner.split(";")])
         else:
-            kind = RuleKind.BASIC
+            kind = BASIC
             if "|" in head_text:
                 head = tuple([builder.atom(tok.strip()) for tok in head_text.split("|")])
             else:
@@ -208,13 +208,13 @@ def emit_program(program: Program) -> str:
     if program.atom_names:
         lines.append(f"#atoms {' '.join(program.atom_names)}.")
     for rule in program.rules:
-        if rule.kind is RuleKind.WEIGHT:
+        if rule.kind is WEIGHT:
             items = ", ".join(
                 f"{_literal_text(program, lit)}={w}" for lit, w in rule.weights
             )
             lines.append(f"{program.name(rule.head[0])} :- {rule.bound} <= {{ {items} }}.")
             continue
-        if rule.kind is RuleKind.CHOICE:
+        if rule.kind is CHOICE:
             head = "{" + "; ".join(program.name(a) for a in rule.head) + "}"
         else:
             head = " | ".join(program.name(a) for a in rule.head)

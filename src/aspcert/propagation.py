@@ -1,4 +1,4 @@
-"""Unit propagation over nogoods, RUP tests, and weight-rule propagation.
+"""Unit propagation over nogoods and RUP tests.
 
 A nogood forbids its literal set: it is violated when all entries hold, and
 unit when exactly one entry is unassigned and the rest hold, which forces the
@@ -24,23 +24,10 @@ the checker shares no inference code with it.
 from __future__ import annotations
 
 from itertools import islice
-from typing import AbstractSet, Callable, Iterable, Protocol, Sequence
+from typing import Callable, Iterable
 
-from .core import Assignment, Nogood, Rule, RuleKind
+from .core import Assignment, Nogood
 from .proof import sorted_lits
-
-Derivation = tuple[int, Nogood]
-
-
-class Propagator(Protocol):
-    """External propagation hook, consulted at each unit-propagation fixpoint."""
-
-    def __call__(self, assigned: AbstractSet[int]) -> tuple[Nogood | None, list[Derivation]]:
-        """Return (violated nogood or None, forced literals with reasons).
-
-        assigned is the caller's live set of true literals: read it during
-        the call, and neither change it nor keep a reference to it.
-        """
 
 
 class PropagationResult:
@@ -89,9 +76,8 @@ class NogoodStore:
     that literal is false there already; with none left it is violated there
     and becomes the top-level conflict. propagate() first catches up: one
     run from the head visits what the inserts since the last test left
-    pending. It then assumes its literals on top, runs again, consulting the
-    propagators only in this second run, and pops its own suffix, so the
-    next test starts from the same top level.
+    pending. It then assumes its literals on top, runs again and pops its own
+    suffix, so the next test starts from the same top level.
 
     Every watched literal that is true at the top level lies at or after the
     head, or the other watched literal is false there. A run moves watches
@@ -129,8 +115,7 @@ class NogoodStore:
         # A fresh list rather than a cleared one: results of earlier runs
         # read their assignment off a prefix of the old trail.
         self._trail: list[int] = []
-        # The reason slot of each trail entry; -1 for assumptions and
-        # propagator output, which only runs put on the trail.
+        # The reason slot of each trail entry; -1 for a test's assumptions.
         self._reasons: list[int] = []
         self._true: set[int] = set()
         # The top-level literals; _true also holds those of a running test.
@@ -224,9 +209,7 @@ class NogoodStore:
                 self._settle(kept, unit, 0 if lit in self._true else lit)
         return True
 
-    def propagate(
-        self, assumptions: Iterable[int], propagators: Sequence[Propagator] = ()
-    ) -> PropagationResult:
+    def propagate(self, assumptions: Iterable[int]) -> PropagationResult:
         """Propagate the live nogoods from the assumptions, through the watch lists."""
         trail, true = self._trail, self._true
         conflict = frozenset() if self.empty else self._conflict
@@ -247,15 +230,8 @@ class NogoodStore:
                     trail.append(lit)
                     self._reasons.append(-1)
             assumed = len(trail)
-            head = mark
-            while conflict is None:
-                conflict = self._run(head)
-                head = len(trail)
-                if conflict is not None or not propagators:
-                    break
-                conflict = self._consult(propagators)
-                if len(trail) == head:
-                    break
+            if conflict is None:
+                conflict = self._run(mark)
         own = trail[mark:]
         del trail[mark:]
         del self._reasons[mark:]
@@ -321,109 +297,11 @@ class NogoodStore:
         self.visits += visits
         return None
 
-    def _consult(self, propagators: Sequence[Propagator]) -> Nogood | None:
-        """Put what the propagators force on the trail; return a conflict they find."""
-        trail, true = self._trail, self._true
-        for propagator in propagators:
-            conflict, forced = propagator(true)
-            if conflict is not None:
-                return conflict
-            for lit, reason in forced:
-                if -lit in true:
-                    return reason
-                if lit not in true:
-                    true.add(lit)
-                    trail.append(lit)
-                    self._reasons.append(-1)
-        return None
 
-
-def rup_run(
-    store: NogoodStore, delta: Nogood, propagators: Sequence[Propagator] = ()
-) -> PropagationResult:
+def rup_run(store: NogoodStore, delta: Nogood) -> PropagationResult:
     """Propagate under the assumption that every literal of delta holds.
 
     The assumptions go in in sorted_lits order: by variable, a positive
     literal before its complement.
     """
-    return store.propagate(sorted_lits(delta), propagators)
-
-
-class WeightRulePropagator:
-    """Propagation for one weight rule without materializing its bodies.
-
-    Emulates unit propagation over the rule's completion fragment. With T the
-    satisfied weight, U the unassigned weight, and w the bound:
-
-    * T >= w forces the head true;
-    * T + U < w kills the body; if no other support of the head remains, the
-      head is forced false;
-    * a false head forces the complement of any unassigned literal l with
-      T + wght(l) >= w;
-    * a true head whose other supports are all false forces the unassigned
-      indispensable literals S = {l : T + U - wght(l) < w}, but only when S
-      alone reaches the bound (then exactly one non-falsified minimal body
-      remains, namely S, and unit propagation forces its literals).
-
-    Reasons are nogoods over the rule's own variables (plus the other-support
-    body variables where those gate the derivation).
-    """
-
-    def __init__(self, rule: Rule, other_support_ids: Sequence[int] = ()) -> None:
-        if rule.kind is not RuleKind.WEIGHT:
-            raise ValueError("weight propagation needs a weight rule")
-        self.rule = rule
-        self.head = rule.head[0]
-        self.other_support_ids = tuple(other_support_ids)
-
-    def __call__(self, assigned: AbstractSet[int]) -> tuple[Nogood | None, list[Derivation]]:
-        head, rule = self.head, self.rule
-        bound = rule.bound
-        sat = [lit for lit, _ in rule.weights if lit in assigned]
-        falsified = [lit for lit, _ in rule.weights if -lit in assigned]
-        free = [lit for lit, _ in rule.weights if lit not in assigned and -lit not in assigned]
-        total_sat = sum(rule.weight_of(lit) for lit in sat)
-        total_free = sum(rule.weight_of(lit) for lit in free)
-        sole_support = all(-b in assigned for b in self.other_support_ids)
-        dead_reason = frozenset(
-            {head, *(-lit for lit in falsified), *(-b for b in self.other_support_ids)}
-        )
-
-        derivations: list[Derivation] = []
-        forced: set[int] = set()
-
-        def derive(lit: int, reason: Nogood) -> Nogood | None:
-            if -lit in assigned:
-                return reason
-            if lit not in assigned and lit not in forced:
-                forced.add(lit)
-                derivations.append((lit, reason))
-            return None
-
-        if total_sat >= bound:
-            conflict = derive(head, frozenset({-head, *sat}))
-            if conflict is not None:
-                return conflict, []
-        if total_sat + total_free < bound and sole_support:
-            conflict = derive(-head, dead_reason)
-            if conflict is not None:
-                return conflict, []
-        if -head in assigned:
-            for lit in free:
-                if total_sat + rule.weight_of(lit) >= bound:
-                    conflict = derive(-lit, frozenset({-head, lit, *sat}))
-                    if conflict is not None:
-                        return conflict, []
-        if head in assigned and sole_support and total_sat + total_free >= bound:
-            indispensable = [
-                lit
-                for lit in sat + free
-                if total_sat + total_free - rule.weight_of(lit) < bound
-            ]
-            if sum(rule.weight_of(lit) for lit in indispensable) >= bound:
-                for lit in indispensable:
-                    if lit in free:
-                        conflict = derive(lit, dead_reason | {-lit})
-                        if conflict is not None:
-                            return conflict, []
-        return None, derivations
+    return store.propagate(sorted_lits(delta))

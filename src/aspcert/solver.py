@@ -91,7 +91,7 @@ from itertools import chain
 from typing import IO
 
 from .completion import body_catalog
-from .core import Nogood, Program, RuleKind
+from .core import WEIGHT, Nogood, Program
 from .loops import (
     cyclic_atoms, dependency_graph, external_bodies, loop_nogood, strongly_connected_components,
 )
@@ -130,8 +130,7 @@ def _check_scope(program: Program, components: list[list[int]]) -> None:
     """Reject disjunctions and weight rules inside a positive SCC."""
     if any(rule.is_disjunctive for rule in program.rules):
         raise SolveError("disjunctive rules are not supported by the solver")
-    weight = RuleKind.WEIGHT
-    weight_rules = [rule for rule in program.rules if rule.kind is weight]
+    weight_rules = [rule for rule in program.rules if rule.kind is WEIGHT]
     if weight_rules:
         scc_of = {atom: i for i, component in enumerate(components) for atom in component}
         for rule in weight_rules:

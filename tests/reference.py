@@ -12,7 +12,8 @@ The completion's support and rule-firing families, every loop nogood by
 enumeration, and brute-force entailment between nogood sets are the
 references for the solver's set-up, the checker's store and the loop
 formulas. random_tight_program draws loop-free programs for the tests that
-need them. reference_minimal_weight_sets is the recursive enumeration that
+need them, and with_disjunctions_and_a_deferred_rule adds disjunctive rules
+and a weight rule past the body budget to a draw. reference_minimal_weight_sets is the recursive enumeration that
 completion.minimal_weight_sets replaced with an explicit stack.
 """
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 import random
 import re
 from itertools import chain, combinations
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from aspcert.completion import (
     INTERNAL_ID_BASE, BodyCatalog, BodyRegistry, BudgetError, induced_bodies_of_rule,
@@ -34,15 +35,13 @@ from aspcert.loops import (
 )
 from aspcert.oracle import ATOM_GUARD, OracleError
 from aspcert.program_io import ParseError
-from aspcert.propagation import PropagationResult, Propagator
+from aspcert.propagation import PropagationResult
 
 MAX_LOOP_ENUMERATION = 1 << 16
 
 
 def unit_propagate(
-    nogoods: Iterable[Nogood | None],
-    assumptions: Iterable[int] = (),
-    propagators: Sequence[Propagator] = (),
+    nogoods: Iterable[Nogood | None], assumptions: Iterable[int] = ()
 ) -> PropagationResult:
     """Propagate to fixpoint from the assumptions; None entries are skipped."""
     store = [delta for delta in nogoods if delta is not None]
@@ -75,39 +74,18 @@ def unit_propagate(
             assigned.add(-free)
             derived.append(-free)
             changed = True
-        if changed:
-            continue
-        for propagator in propagators:
-            conflict, forced = propagator(assigned)
-            if conflict is not None:
-                return stop(conflict)
-            for lit, reason in forced:
-                if -lit in assigned:
-                    return stop(reason)
-                if lit not in assigned:
-                    assigned.add(lit)
-                    derived.append(lit)
-                    changed = True
         if not changed:
             return stop(None)
 
 
-def reference_rup_run(
-    nogoods: Iterable[Nogood | None],
-    delta: Nogood,
-    propagators: Sequence[Propagator] = (),
-) -> PropagationResult:
+def reference_rup_run(nogoods: Iterable[Nogood | None], delta: Nogood) -> PropagationResult:
     """unit_propagate under delta, assumed in the order rup_run assumes it."""
-    return unit_propagate(nogoods, sorted(delta, key=lambda l: (abs(l), -l)), propagators)
+    return unit_propagate(nogoods, sorted(delta, key=lambda l: (abs(l), -l)))
 
 
-def is_rup(
-    nogoods: Iterable[Nogood | None],
-    delta: Nogood,
-    propagators: Sequence[Propagator] = (),
-) -> bool:
+def is_rup(nogoods: Iterable[Nogood | None], delta: Nogood) -> bool:
     """Check that asserting delta propagates to a conflict (reverse unit propagation)."""
-    return reference_rup_run(nogoods, delta, propagators).is_conflict
+    return reference_rup_run(nogoods, delta).is_conflict
 
 
 _NAME = re.compile(r"[A-Za-z_]\w*\Z")
@@ -379,3 +357,20 @@ def random_tight_program(
         program = random_program(rng, max_atoms=max_atoms, max_rules=max_rules)
         if not has_loops(program):
             return program
+
+
+def with_disjunctions_and_a_deferred_rule(rng: random.Random, program: Program) -> Program:
+    """The program plus one to three disjunctive rules, and a weight rule
+    past the body budget over fifteen new atoms, placed at a random spot."""
+    atoms = range(1, program.atom_count + 1)
+    rules = list(program.rules)
+    for _ in range(rng.randint(1, 3)):
+        head = rng.sample(atoms, min(len(atoms), rng.randint(2, 3)))
+        body = rng.sample(atoms, rng.randint(0, min(2, len(atoms))))
+        neg = {a for a in body if rng.random() < 0.5}
+        rules.insert(rng.randint(0, len(rules)), basic_rule(head, set(body) - neg, neg))
+    extra = range(program.atom_count + 1, program.atom_count + 16)
+    deferred = weight_rule(rng.choice(atoms), 7, {atom: 1 for atom in extra})
+    rules.insert(rng.randint(0, len(rules)), deferred)
+    names = program.atom_names + tuple(f"w{i}" for i in range(15))
+    return Program(names, tuple(rules))

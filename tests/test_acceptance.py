@@ -14,17 +14,15 @@ from pathlib import Path
 import aspcert
 from aspcert.checker import CheckerState, check
 from aspcert.completion import body_catalog, body_definition
-from aspcert.core import Program, weight_rule
 from aspcert.fuzz import differential_run, random_program
 from aspcert.loops import dependency_graph, is_loop
 from aspcert.oracle import enumerate_answer_sets
 from aspcert.program_io import parse_program
-from aspcert.propagation import WeightRulePropagator
 from aspcert.proof import Proof, parse_proof, serialize_proof
 from aspcert.solver import INCONSISTENT, solve
 from reference import (
     all_loop_nogoods, backward_family, declared_registry, entails, forward_family, is_rup,
-    public_items, random_tight_program, reference_rup_run, unit_propagate,
+    public_items, random_tight_program, reference_rup_run,
 )
 
 
@@ -178,59 +176,6 @@ def test_tight_completion_equivalence():
         program = random_tight_program(rng, max_atoms=6, max_rules=10)
         expected = set(enumerate_answer_sets(program))
         assert _completion_models(program) == expected
-
-
-def _weight_rule_family():
-    atoms = (2, 3, 4)
-    for size in (1, 2, 3):
-        for chosen in itertools.combinations(atoms, size):
-            for signs in itertools.product((1, -1), repeat=size):
-                literals = tuple(a * s for a, s in zip(chosen, signs))
-                for weights in ({l: 1 for l in literals}, {l: 2 - i % 2 for i, l in enumerate(literals)}):
-                    total = sum(weights.values())
-                    for bound in range(total + 2):
-                        yield weight_rule(1, bound, weights)
-
-
-def _seeded_weight_rules(count, literal_count):
-    rng = random.Random(88)
-    for _ in range(count):
-        atoms = rng.sample(range(2, 8), literal_count)
-        literals = [a * rng.choice((1, -1)) for a in atoms]
-        weights = {l: rng.randint(1, 3) for l in literals}
-        yield weight_rule(1, rng.randint(0, sum(weights.values()) + 1), weights)
-
-
-def _assert_propagator_matches_expansion(rule):
-    variables = sorted({1} | {abs(l) for l, _ in rule.weights})
-    names = tuple(f"x{i}" for i in range(1, max(variables) + 1))
-    program = Program(atom_names=names, rules=(rule,))
-    catalog = body_catalog(program)
-    registry = declared_registry(program, catalog)
-    # the rule's own expansion: body definitions plus the head's two families
-    nogoods = []
-    for body_id, body in public_items(registry):
-        nogoods.extend(body_definition(body_id, body))
-    nogoods.extend(
-        n for atom, _, n in forward_family(program, catalog, registry) if atom == 1
-    )
-    nogoods.extend(backward_family(program, catalog, registry))
-    propagator = WeightRulePropagator(rule)
-    for states in itertools.product((1, -1, 0), repeat=len(variables)):
-        assumed = tuple(v * s for v, s in zip(variables, states) if s)
-        expanded = unit_propagate(nogoods, assumptions=assumed)
-        direct = unit_propagate([], assumptions=assumed, propagators=(propagator,))
-        assert expanded.is_conflict == direct.is_conflict
-        if not expanded.is_conflict:
-            atom_view = {l for l in expanded.assignment if abs(l) <= len(names)}
-            assert atom_view == direct.assignment
-
-
-def test_weight_propagator_equivalence():
-    for rule in _weight_rule_family():
-        _assert_propagator_matches_expansion(rule)
-    for rule in _seeded_weight_rules(10, 6):
-        _assert_propagator_matches_expansion(rule)
 
 
 def _chain_program(length):

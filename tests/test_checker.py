@@ -3,6 +3,7 @@
 import gc
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -11,11 +12,12 @@ from aspcert.checker import CheckerState, ProofFormatError, check
 from aspcert.completion import INTERNAL_ID_BASE, body_catalog
 from aspcert.core import Program, basic_rule
 from aspcert.fuzz import random_program, random_rich_program
-from aspcert.loops import dependency_graph, strongly_connected_components
+from aspcert.loops import dependency_graph, loop_nogood, strongly_connected_components
 from aspcert.oracle import enumerate_answer_sets
 from aspcert.proof import Proof, Step, parse_proof
 from aspcert.program_io import emit_program, parse_program
 from aspcert.solver import INCONSISTENT, solve
+from reference import with_disjunctions_and_a_deferred_rule
 
 # The last rule excludes every answer set without a, as `:- not a.` would,
 # but over an atom of its own, x (id 3), which the hand-written proofs name.
@@ -509,24 +511,67 @@ def test_preloaded_rejects_declaration_steps():
             check(program, parse_proof(line + "a 0\n"), preloaded=True)
 
 
+def _support_nogood(state, atom):
+    """{T atom} + {F B} per catalog body B of the atom."""
+    catalog = state.catalog
+    return loop_nogood(atom, (catalog.ids[body] for body in catalog.bodies_of(atom)))
+
+
 def test_preloaded_weight_rule_uses_bound_propagation(over_budget_rule):
-    # Only the bound propagator of the deferred weight rule derives a from
-    # b0, ..., b6, so only it makes `a -1 0` RUP; the preloaded constraint
-    # then refutes a.
+    """The head of a weight rule past the body budget gets no support nogood
+    in preloaded mode, as no s line may add one in written mode, and no
+    propagation reads the rule's bound: b0, ..., b6 reach it, yet nothing
+    derives a, so against `:- a.` the empty nogood is not RUP at step 1 in
+    either mode."""
     facts = "".join(f"b{i}.\n" for i in range(7))
     program = parse_program(over_budget_rule + facts + ":- a.\n")
     state = CheckerState(program, preloaded=True)
-    assert len(state.propagators) == 1
-    assert check(program, parse_proof("a -1 0\na 0\n"), preloaded=True).ok
-    # With six of the facts the bound is out of reach, and `a -1 0` is not RUP.
-    fewer = parse_program(over_budget_rule + "".join(f"b{i}.\n" for i in range(6)) + ":- a.\n")
-    assert not check(fewer, parse_proof("a -1 0\na 0\n"), preloaded=True).ok
+    assert state.catalog.deferred
+    assert _support_nogood(state, program.atom("a")) not in state.store.live()
+    for preloaded in (True, False):
+        result = check(program, parse_proof("a 0\n"), preloaded=preloaded)
+        assert (result.ok, result.step) == (False, 1)
+        assert "unit-propagation" in result.reason
 
 
 def test_preloaded_rejects_two_deferred_rules_per_head(over_budget_rule):
+    """With two weight rules past the budget on one head, a preloaded state
+    builds, the head has no support nogood, and every other atom has its one."""
     program = parse_program(over_budget_rule + over_budget_rule.replace("b0=1", "c=1"))
-    with pytest.raises(ProofFormatError, match="at most one"):
-        CheckerState(program, preloaded=True)
+    state = CheckerState(program, preloaded=True)
+    assert len(state.catalog.deferred) == 2
+    live = state.store.live()
+    a = program.atom("a")
+    assert _support_nogood(state, a) not in live
+    for atom in program.atom_ids():
+        if atom != a:
+            assert live.count(_support_nogood(state, atom)) == 1
+
+
+def test_both_modes_load_the_same_completion():
+    """Written mode fed every c line the catalog allows and every s line for
+    a head that is not deferred holds, as a multiset, what preloaded mode
+    loads, on rich draws with disjunctive rules and a deferred weight rule.
+    A b line declares any catalog body no c or s line named."""
+    rng = random.Random(24)
+    for _ in range(150):
+        program = with_disjunctions_and_a_deferred_rule(
+            rng, random_rich_program(rng, max_atoms=6, max_rules=12))
+        preloaded = CheckerState(program, preloaded=True)
+        written = CheckerState(program)
+        catalog = written.catalog
+        assert len(catalog.deferred) == 1
+        ids = catalog.ids
+        steps = [Step("c", ids[body], (atom,)) for atom, body in catalog.firing]
+        steps += [Step("c", ids[body]) for body in catalog.constraints]
+        steps += [Step("s", atom, tuple(ids[body] for body in catalog.bodies_of(atom)))
+                  for atom in program.atom_ids() if atom not in written.deferred_heads]
+        for step in steps:
+            written.step(step)
+        for body, body_id in ids.items():
+            if written.registry.lits_of(body_id) is None:
+                written.step(Step("b", body_id, tuple(body)))
+        assert Counter(written.store.live()) == Counter(preloaded.store.live())
 
 
 def test_s_line_for_a_deferred_head_is_refused(over_budget_rule):

@@ -18,14 +18,14 @@ from aspcert.completion import (
     induced_bodies_of_rule,
     minimal_weight_sets,
 )
-from aspcert.core import Program, basic_rule, choice_rule, is_consistent, weight_rule
+from aspcert.core import basic_rule, choice_rule, is_consistent, weight_rule
 from aspcert.fuzz import random_program, random_rich_program
 from aspcert.loops import loop_nogood
 from aspcert.oracle import enumerate_answer_sets
 from aspcert.program_io import emit_program, parse_program
 from reference import (
     backward_family, declared_registry, forward_family, public_items,
-    reference_minimal_weight_sets,
+    reference_minimal_weight_sets, with_disjunctions_and_a_deferred_rule,
 )
 
 
@@ -207,23 +207,6 @@ def test_catalog_budget_deferral(over_budget_rule):
     assert not smaller.deferred and len(smaller.ids) == 3432 <= DEFAULT_BODY_BUDGET
 
 
-def _with_disjunctions_and_a_deferred_rule(rng, program):
-    """The program plus one to three disjunctive rules, and a weight rule
-    past the body budget over fifteen new atoms, placed at a random spot."""
-    atoms = range(1, program.atom_count + 1)
-    rules = list(program.rules)
-    for _ in range(rng.randint(1, 3)):
-        head = rng.sample(atoms, min(len(atoms), rng.randint(2, 3)))
-        body = rng.sample(atoms, rng.randint(0, min(2, len(atoms))))
-        neg = {a for a in body if rng.random() < 0.5}
-        rules.insert(rng.randint(0, len(rules)), basic_rule(head, set(body) - neg, neg))
-    extra = range(program.atom_count + 1, program.atom_count + 16)
-    deferred = weight_rule(rng.choice(atoms), 7, {atom: 1 for atom in extra})
-    rules.insert(rng.randint(0, len(rules)), deferred)
-    names = program.atom_names + tuple(f"w{i}" for i in range(15))
-    return Program(names, tuple(rules))
-
-
 def test_firing_matches_the_reference_rule_firing_family():
     """catalog.firing lists the pairs of backward_family, which is built from
     the rules, in its order, on rich draws with choice rules, constraints,
@@ -234,7 +217,7 @@ def test_firing_matches_the_reference_rule_firing_family():
     rng = random.Random(61)
     kinds = set()
     for _ in range(150):
-        program = _with_disjunctions_and_a_deferred_rule(
+        program = with_disjunctions_and_a_deferred_rule(
             rng, random_rich_program(rng, max_atoms=6, max_rules=12))
         catalog = body_catalog(program)
         assert len(catalog.deferred) == 1

@@ -1,4 +1,4 @@
-"""Unit propagation, RUP checks, and the weight-rule propagator."""
+"""Unit propagation and RUP checks."""
 
 import random
 from collections import Counter
@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aspcert.checker import CheckerState
-from aspcert.core import weight_rule
 from aspcert.program_io import parse_program
-from aspcert.propagation import NogoodStore, WeightRulePropagator, rup_run
+from aspcert.propagation import NogoodStore, rup_run
 from aspcert.solver import solve
 from reference import entails, is_rup, reference_rup_run, unit_propagate
 
@@ -99,42 +98,6 @@ def test_rup_additions_are_entailed(nogoods, delta):
         assert entails(nogoods, [delta])
 
 
-def test_weight_propagate_head_from_satisfied_body():
-    rule = weight_rule(1, 2, {2: 1, 3: 1, -4: 2})
-    conflict, derivations = WeightRulePropagator(rule)(frozenset({-4}))
-    assert conflict is None
-    assert [lit for lit, _ in derivations] == [1]
-    literal, reason = derivations[0]
-    assert -literal in reason and reason <= frozenset({-4, -1})
-
-
-def test_weight_propagate_body_literal_from_false_head():
-    rule = weight_rule(1, 2, {2: 1, 3: 1, -4: 2})
-    conflict, derivations = WeightRulePropagator(rule)(frozenset({-1, 4, 2}))
-    assert conflict is None
-    assert [lit for lit, _ in derivations] == [-3]
-
-
-def test_weight_propagate_quiet_on_empty_assignment():
-    rule = weight_rule(1, 2, {2: 1, 3: 1, -4: 2})
-    assert WeightRulePropagator(rule)(frozenset()) == (None, [])
-
-
-def test_weight_propagate_conflict():
-    rule = weight_rule(1, 2, {2: 1, 3: 1, -4: 2})
-    conflict, _ = WeightRulePropagator(rule)(frozenset({-1, -4}))
-    assert conflict is not None
-    assert conflict <= frozenset({-1, -4})
-
-
-def test_weight_propagator_plugs_into_unit_propagate():
-    rule = weight_rule(1, 2, {2: 1, 3: 1, -4: 2})
-    propagator = WeightRulePropagator(rule)
-    result = unit_propagate([], assumptions=(-4,), propagators=(propagator,))
-    assert not result.is_conflict
-    assert 1 in result.assignment
-
-
 small_lits = st.integers(min_value=-5, max_value=5).filter(lambda x: x != 0)
 # With no assumption, {-2} and {2, -3} imply 2 and 3; the rest of chain
 # extends that to -4 (with a second reason {2, 3, 4}) and 5, which {3, 5}
@@ -158,22 +121,10 @@ store_operations = st.lists(
     min_size=10,
     max_size=40,
 )
-weight_rules = st.builds(
-    lambda signed, bound: weight_rule(1, bound, {v * sign: w for v, (sign, w) in signed.items()}),
-    st.dictionaries(
-        st.integers(min_value=2, max_value=5),
-        st.tuples(st.sampled_from((1, -1)), st.integers(min_value=1, max_value=3)),
-        min_size=1,
-        max_size=3,
-    ),
-    st.integers(min_value=0, max_value=6),
-)
-
 
 @settings(max_examples=300, deadline=None)
-@given(store_operations, st.none() | weight_rules)
-def test_nogood_store_matches_reference_propagation(operations, rule):
-    propagators = () if rule is None else (WeightRulePropagator(rule),)
+@given(store_operations)
+def test_nogood_store_matches_reference_propagation(operations):
     store = NogoodStore()
     reference: list = []
     for kind, nogood in operations:
@@ -187,8 +138,8 @@ def test_nogood_store_matches_reference_propagation(operations, rule):
             if nogood in reference:
                 reference.remove(nogood)
         else:
-            watched = rup_run(store, nogood, propagators)
-            naive = reference_rup_run(reference, nogood, propagators)
+            watched = rup_run(store, nogood)
+            naive = reference_rup_run(reference, nogood)
             assert watched.is_conflict == naive.is_conflict
             if not naive.is_conflict:
                 assert watched.assignment == naive.assignment
