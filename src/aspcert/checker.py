@@ -181,7 +181,7 @@ class CheckerState:
     def _step_a(self, step: Step) -> None:
         self._require_known(step.lits)
         delta = frozenset(step.lits)
-        if not rup_run(self.store, delta).is_conflict:
+        if rup_run(self.store, delta) is None:
             raise _StepError("nogood lacks the unit-propagation conflict property")
         self.store.insert(delta)
 

@@ -16,7 +16,6 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .proof import sorted_lits
 
 Nogood = frozenset[int]
-Assignment = frozenset[int]
 
 
 def is_consistent(literals: Iterable[int]) -> bool:

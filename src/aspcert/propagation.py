@@ -14,49 +14,21 @@ one run, assumes its nogood on top, and pops its own suffix afterwards, so
 it pays only for what the assumption adds. A nogood whose other watched
 literal is false at the top level is satisfied until the top level is
 rebuilt, so a run takes it off the watch list it visits, as MiniSat does
-with clauses satisfied at level 0 (Eén & Sörensson, SAT 2003). Deleting the
-reason of a top-level literal rebuilds the top level from the unit nogoods
-and puts those watches back. rup_run is the RUP test over a store. The
-solver does not use the store; it keeps its own watch-based engine so that
-the checker shares no inference code with it.
+with clauses satisfied at level 0 (Eén & Sörensson, SAT 2003). Deleting a
+nogood that is unit or violated at the top level, or any nogood while a
+top-level conflict stands, marks the top level stale; the next test rebuilds
+it, and every watch list, from the unit nogoods and the watched pairs.
+rup_run is the RUP test over a store. The solver does not use the store; it
+keeps its own watch-based engine so that the checker shares no inference
+code with it.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .core import Assignment, Nogood
+from .core import Nogood
 from .proof import sorted_lits
-
-
-class PropagationResult:
-    """Outcome of a propagation run: conflict, forced literals, final state.
-
-    derived lists the literals the run forced, in order; a NogoodStore run
-    leaves out its assumptions and the literals its top level already held.
-    assignment, every literal true when the run stopped, is built when read.
-    """
-
-    __slots__ = ("conflict", "derived", "_assignment")
-
-    def __init__(
-        self,
-        conflict: Nogood | None,
-        derived: tuple[int, ...],
-        assignment: Callable[[], Assignment],
-    ) -> None:
-        self.conflict = conflict
-        self.derived = derived
-        self._assignment = assignment
-
-    @property
-    def is_conflict(self) -> bool:
-        return self.conflict is not None
-
-    @property
-    def assignment(self) -> Assignment:
-        return self._assignment()
 
 
 class NogoodStore:
@@ -68,16 +40,16 @@ class NogoodStore:
     and propagate() fails at once while an empty nogood is present.
 
     The top level is a trail of the literals the live nogoods imply with no
-    assumption, the slot of each one's reason, and a head: the watchers of
-    the literals before it have been visited. insert() does no propagation.
-    A nogood watches two literals that are not true at the top level. With
-    fewer than two such literals, as a unit nogood always has, it is unit
-    there and pushes the complement of the one left onto the trail, unless
-    that literal is false there already; with none left it is violated there
-    and becomes the top-level conflict. propagate() first catches up: one
-    run from the head visits what the inserts since the last test left
-    pending. It then assumes its literals on top, runs again and pops its own
-    suffix, so the next test starts from the same top level.
+    assumption, and a head: the watchers of the literals before it have been
+    visited. insert() does no propagation. A nogood watches two literals
+    that are not true at the top level. With fewer than two such literals,
+    as a unit nogood always has, it is unit there and pushes the complement
+    of the one left onto the trail, unless that literal is false there
+    already; with none left it is violated there and becomes the top-level
+    conflict. propagate() first catches up: one run from the head visits
+    what the inserts since the last test left pending. It then assumes its
+    literals on top, runs again and pops its own suffix, so the next test
+    starts from the same top level.
 
     Every watched literal that is true at the top level lies at or after the
     head, or the other watched literal is false there. A run moves watches
@@ -86,12 +58,19 @@ class NogoodStore:
     that a run drops it from the list of the literal it visits it through
     when the other watched literal is false at the top level: that literal
     cannot become true while the top level stands, so the nogood can be
-    neither unit nor violated. Deleting the reason of a top-level literal,
-    or any nogood while a top-level conflict stands, rebuilds the trail from
-    the unit nogoods with the head at 0 and puts every dropped watch back,
-    and the next test derives the rest again; every other deletion leaves
-    the trail as it is, since each literal keeps its reason. A deleted slot
-    stays in its watch lists until a run next visits them.
+    neither unit nor violated. The reason of every top-level literal has
+    fewer than two literals outside the top level, so deleting a nogood like
+    that, or any nogood while a top-level conflict stands, marks the top
+    level stale. The next propagate() then rebuilds it: it empties the
+    trail, rebuilds every watch list from the watched pairs, which puts the
+    dropped watches back and leaves the deleted slots out, settles the unit
+    nogoods again with the head at 0, and derives the rest in its catch-up
+    run. That run visits the watchers of every top-level literal, and a
+    nogood unit or violated there has a true watched literal whatever pair
+    it watches, so an insert while the store is stale may settle against
+    the old top level. Every other deletion leaves the trail as it is, since
+    each literal keeps its reason; a deleted slot stays in its watch lists
+    until a run next visits them.
     """
 
     def __init__(self) -> None:
@@ -100,10 +79,6 @@ class NogoodStore:
         self._copies: dict[Nogood, list[int]] | None = None
         # The watched literals of slot i are _watched[2 * i] and _watched[2 * i + 1].
         self._watched: list[int] = []
-        self._watchers: dict[int, list[int]] = {}
-        self._units: list[int] = []
-        # The watched literal each dropped slot is off the watch list of.
-        self._dropped: dict[int, int] = {}
         self.empty = 0
         # Literals assigned over the store's life, at the top level and in runs.
         self.assigned = 0
@@ -112,21 +87,22 @@ class NogoodStore:
         self._reset_top()
 
     def _reset_top(self) -> None:
-        # A fresh list rather than a cleared one: results of earlier runs
-        # read their assignment off a prefix of the old trail.
         self._trail: list[int] = []
-        # The reason slot of each trail entry; -1 for a test's assumptions.
-        self._reasons: list[int] = []
         self._true: set[int] = set()
         # The top-level literals; _true also holds those of a running test.
         self._top: set[int] = set()
         self._head = 0
         self._conflict: Nogood | None = None
-        slots, watchers_of = self._slots, self._watchers
-        for slot, lit in self._dropped.items():
-            if slots[slot] is not None:
-                watchers_of[lit].append(slot)
-        self._dropped = {}
+        self._stale = False
+        watched, watchers_of = self._watched, {}
+        self._watchers: dict[int, list[int]] = watchers_of
+        for slot, nogood in enumerate(self._slots):
+            if nogood is not None and len(nogood) > 1:
+                watchers_of.setdefault(watched[2 * slot], []).append(slot)
+                watchers_of.setdefault(watched[2 * slot + 1], []).append(slot)
+            elif nogood:  # a unit nogood
+                (lit,) = nogood
+                self._settle(nogood, 0 if lit in self._true else lit)
 
     def __len__(self) -> int:
         return len(self._slots)
@@ -145,9 +121,8 @@ class NogoodStore:
             if not nogood:
                 self.empty += 1
                 return
-            self._units.append(slot)
             (lit,) = nogood
-            self._settle(nogood, slot, 0 if lit in self._true else lit)
+            self._settle(nogood, 0 if lit in self._true else lit)
             return
         true = self._true
         lits = iter(nogood)
@@ -162,7 +137,7 @@ class NogoodStore:
                     first = lit
             else:
                 # Watch the literal left, if any, and a true one.
-                self._settle(nogood, slot, first)
+                self._settle(nogood, first)
                 lits = iter(nogood)
                 one, two = next(lits), next(lits)
                 if not first:
@@ -173,7 +148,7 @@ class NogoodStore:
         self._watchers.setdefault(first, []).append(slot)
         self._watchers.setdefault(second, []).append(slot)
 
-    def _settle(self, nogood: Nogood, slot: int, free: int) -> None:
+    def _settle(self, nogood: Nogood, free: int) -> None:
         """Apply a nogood whose literals other than free (0: none) are all true."""
         if not free:
             if self._conflict is None:
@@ -182,7 +157,6 @@ class NogoodStore:
             self._true.add(-free)
             self._top.add(-free)
             self._trail.append(-free)
-            self._reasons.append(slot)
             self.assigned += 1
 
     def remove(self, nogood: Nogood) -> bool:
@@ -198,28 +172,26 @@ class NogoodStore:
         if not copies:
             del self._copies[nogood]
         self._slots[slot] = None
-        if len(nogood) == 1:
-            self._units.remove(slot)
-        elif not nogood:
+        if not nogood:
             self.empty -= 1
-        if self._conflict is not None or slot in self._reasons:
-            self._reset_top()
-            for unit in self._units:
-                (lit,) = kept = self._slots[unit]
-                self._settle(kept, unit, 0 if lit in self._true else lit)
+        top = self._top
+        if self._conflict is not None or sum(lit not in top for lit in nogood) < 2:
+            self._stale = True
         return True
 
-    def propagate(self, assumptions: Iterable[int]) -> PropagationResult:
-        """Propagate the live nogoods from the assumptions, through the watch lists."""
+    def propagate(self, assumptions: Iterable[int]) -> Nogood | None:
+        """Propagate the live nogoods from the assumptions; return a violated nogood or None."""
+        if self._stale:
+            self._reset_top()
         trail, true = self._trail, self._true
         conflict = frozenset() if self.empty else self._conflict
         if conflict is None and self._head < len(trail):
             size = len(trail)
             conflict = self._conflict = self._run(self._head)
-            self._top.update(islice(trail, size, None))
+            self._top.update(trail[size:])
             self._head = len(trail)
             self.assigned += len(trail) - size
-        mark = assumed = len(trail)
+        mark = len(trail)
         if conflict is None:
             for lit in assumptions:
                 if -lit in true:
@@ -228,28 +200,17 @@ class NogoodStore:
                 if lit not in true:
                     true.add(lit)
                     trail.append(lit)
-                    self._reasons.append(-1)
-            assumed = len(trail)
             if conflict is None:
                 conflict = self._run(mark)
-        own = trail[mark:]
+        self.assigned += len(trail) - mark
+        true.difference_update(trail[mark:])
         del trail[mark:]
-        del self._reasons[mark:]
-        true.difference_update(own)
-        self.assigned += len(own)
-        # No later run truncates the trail below mark, and a rebuild starts a
-        # new list, so the prefix the assignment is read from stays as it is.
-        return PropagationResult(
-            conflict,
-            tuple(own[assumed - mark:]),
-            lambda: frozenset(islice(trail, mark)).union(own),
-        )
+        return conflict
 
     def _run(self, head: int) -> Nogood | None:
         """Visit the watchers of each trail literal from head on; return a violated nogood."""
-        trail, reasons, true, top = self._trail, self._reasons, self._true, self._top
+        trail, true, top = self._trail, self._true, self._top
         slots, watched, watchers_of = self._slots, self._watched, self._watchers
-        dropped = self._dropped
         visits = 0
         while head < len(trail):
             lit = trail[head]
@@ -271,10 +232,8 @@ class NogoodStore:
                     other = watched[at]
                     at += 1
                 if -other in true:
-                    if -other in top:
-                        # Satisfied until _reset_top puts it back on this list.
-                        dropped[slot] = lit
-                    else:
+                    # Dropped if the top level satisfies it, until a rebuild lists it again.
+                    if -other not in top:
                         watchers[keep] = slot
                         keep += 1
                     continue
@@ -290,7 +249,6 @@ class NogoodStore:
                         return nogood
                     true.add(-other)
                     trail.append(-other)
-                    reasons.append(slot)
                     watchers[keep] = slot
                     keep += 1
             del watchers[keep:]
@@ -298,8 +256,9 @@ class NogoodStore:
         return None
 
 
-def rup_run(store: NogoodStore, delta: Nogood) -> PropagationResult:
-    """Propagate under the assumption that every literal of delta holds.
+def rup_run(store: NogoodStore, delta: Nogood) -> Nogood | None:
+    """Propagate under the assumption that every literal of delta holds; return
+    the violated nogood, or None when propagation stops without a conflict.
 
     The assumptions go in in sorted_lits order: by variable, a positive
     literal before its complement.

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 import re
+from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Iterable, Iterator, Mapping
 
@@ -35,21 +36,34 @@ from aspcert.loops import (
 )
 from aspcert.oracle import ATOM_GUARD, OracleError
 from aspcert.program_io import ParseError
-from aspcert.propagation import PropagationResult
 
 MAX_LOOP_ENUMERATION = 1 << 16
 
 
+@dataclass(frozen=True)
+class Propagation:
+    """What unit_propagate found: the violated nogood or None, the literals
+    it forced in order, and every literal true when it stopped."""
+
+    conflict: Nogood | None
+    derived: tuple[int, ...]
+    assignment: frozenset[int]
+
+    @property
+    def is_conflict(self) -> bool:
+        return self.conflict is not None
+
+
 def unit_propagate(
     nogoods: Iterable[Nogood | None], assumptions: Iterable[int] = ()
-) -> PropagationResult:
+) -> Propagation:
     """Propagate to fixpoint from the assumptions; None entries are skipped."""
     store = [delta for delta in nogoods if delta is not None]
     assigned: set[int] = set()
     derived: list[int] = []
 
-    def stop(conflict: Nogood | None) -> PropagationResult:
-        return PropagationResult(conflict, tuple(derived), lambda: frozenset(assigned))
+    def stop(conflict: Nogood | None) -> Propagation:
+        return Propagation(conflict, tuple(derived), frozenset(assigned))
 
     for lit in assumptions:
         if -lit in assigned:
@@ -78,7 +92,7 @@ def unit_propagate(
             return stop(None)
 
 
-def reference_rup_run(nogoods: Iterable[Nogood | None], delta: Nogood) -> PropagationResult:
+def reference_rup_run(nogoods: Iterable[Nogood | None], delta: Nogood) -> Propagation:
     """unit_propagate under delta, assumed in the order rup_run assumes it."""
     return unit_propagate(nogoods, sorted(delta, key=lambda l: (abs(l), -l)))
 

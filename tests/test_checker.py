@@ -614,6 +614,32 @@ def _refutation(text):
     return program, result.proof
 
 
+def test_refutations_check_with_each_lemma_deleted_and_added_again():
+    """Each a line of a refutation, followed by a d line for it and the same
+    a line again, still checks: the d line restores the store the first a
+    line was tested against. A unit lemma is a top-level reason, so its
+    deletion makes the next step rebuild the store's top level; PHP(4, 3)
+    adds longer lemmas, most of which no top-level literal rests on. Each
+    proof checks as written and, without its c and s lines, preloaded."""
+    rng = random.Random(25)
+    refutations = [_refutation(PHP_TEXT)]
+    while len(refutations) < 151:
+        program = random_rich_program(rng, max_atoms=6, max_rules=12)
+        result = solve(program)
+        if result.status == INCONSISTENT:
+            refutations.append((program, result.proof))
+    for program, proof in refutations:
+        steps = []
+        for step in proof:
+            steps.append(step)
+            if step.kind == "a":
+                steps += [Step("d", lits=step.lits), step]
+        text = emit_program(program)
+        assert check(program, Proof(tuple(steps))), text
+        bare = Proof(tuple(step for step in steps if step.kind not in "cs"))
+        assert check(program, bare, preloaded=True), text
+
+
 def test_dependency_graph_is_built_at_the_first_l_step(monkeypatch, ex1_program, fig1_text):
     """Only l steps read the dependency graph, so proofs without one check
     without building it; the golden proof's l line does build it."""

@@ -138,11 +138,12 @@ def test_nogood_store_matches_reference_propagation(operations):
             if nogood in reference:
                 reference.remove(nogood)
         else:
-            watched = rup_run(store, nogood)
-            naive = reference_rup_run(reference, nogood)
-            assert watched.is_conflict == naive.is_conflict
-            if not naive.is_conflict:
-                assert watched.assignment == naive.assignment
+            # The query and each of its one-literal extensions, which probe
+            # what a run under the query derives.
+            for lit in (0, *range(-5, 0), *range(1, 6)):
+                query = nogood | {lit} if lit else nogood
+                conflict = rup_run(store, query) is not None
+                assert conflict == reference_rup_run(reference, query).is_conflict
         assert Counter(store.live()) == Counter(reference)
         assert store.empty == reference.count(frozenset())
 
@@ -153,9 +154,12 @@ def test_nogood_store_keeps_watches_after_a_conflict():
         store.insert(frozenset(nogood))
     # both binary nogoods watch 1; the run assumes 1 and 2, and the first one
     # is violated before the second is visited
-    assert rup_run(store, frozenset({1, 2})).conflict == frozenset({1, 2})
+    assert rup_run(store, frozenset({1, 2})) == frozenset({1, 2})
     store.remove(frozenset({1, 2}))
-    assert -3 in rup_run(store, frozenset({1})).assignment
+    # the test assigns 1 and derives -3 through {1, 3}
+    assigned = store.assigned
+    assert rup_run(store, frozenset({1})) is None
+    assert store.assigned - assigned == 2
 
 
 def _php_text(pigeons, holes):
@@ -188,11 +192,11 @@ def test_nogood_store_takes_ids_of_any_size():
     store = NogoodStore()
     for nogood in ({-big, 1}, {big, -(big + 1)}, {big + 1, 10**30}, {-(10**30)}):
         store.insert(frozenset(nogood))
-    assert rup_run(store, frozenset({1})).is_conflict
-    assert not rup_run(store, frozenset({-1})).is_conflict
+    assert rup_run(store, frozenset({1})) is not None
+    assert rup_run(store, frozenset({-1})) is None
     assert len(store) == 4
     assert store.remove(frozenset({-(10**30)}))
-    assert not rup_run(store, frozenset({1})).is_conflict
+    assert rup_run(store, frozenset({1})) is None
     assert len(store) == 4
 
 
@@ -204,12 +208,13 @@ def test_nogood_store_stops_visiting_nogoods_the_top_level_satisfies():
     for k in range(2, 7):
         store.insert(frozenset({1, k}))
         store.insert(frozenset({k}))
-    assert not rup_run(store, frozenset({1})).is_conflict
+    assert rup_run(store, frozenset({1})) is None
     assert store.visits == 5
     for _ in range(3):
-        result = rup_run(store, frozenset({1}))
-        assert not result.is_conflict
-        assert result.assignment == {1, -2, -3, -4, -5, -6}
+        # -2, ..., -6 already hold: each test assigns only its assumption.
+        assigned = store.assigned
+        assert rup_run(store, frozenset({1})) is None
+        assert store.assigned - assigned == 1
     assert store.visits == 5
 
 
@@ -221,12 +226,39 @@ def test_nogood_store_restores_dropped_watches_when_it_rebuilds_the_top_level():
     for nogood in ({1, 2}, {-2, 3, 5}, {-2, -3, 5}, {2}):
         store.insert(frozenset(nogood))
     # -2 holds at the top level, so this test drops {1, 2} from 1's list.
-    assert not rup_run(store, frozenset({1})).is_conflict
+    assert rup_run(store, frozenset({1})) is None
     visits = store.visits
-    assert not rup_run(store, frozenset({1})).is_conflict
+    assert rup_run(store, frozenset({1})) is None
     assert store.visits == visits
-    # Deleting the reason of -2 rebuilds the top level, which must put
-    # {1, 2} back on 1's list: it is the only route to the conflict.
+    # Deleting the reason of -2 makes the next test rebuild the top level,
+    # which must put {1, 2} back on 1's list: it is the only route to the
+    # conflict.
     assert store.remove(frozenset({2}))
-    assert rup_run(store, frozenset({1, 5})).is_conflict
-    assert rup_run(store, frozenset({1})).derived == (-2,)
+    assert rup_run(store, frozenset({1, 5})) is not None
+    # The top level is empty now: the test assigns 1 and derives only -2.
+    assigned = store.assigned
+    assert rup_run(store, frozenset({1})) is None
+    assert store.assigned - assigned == 2
+
+
+def test_nogood_store_keeps_its_top_level_when_a_deletion_takes_no_reason():
+    # {-2}, {2, -3} and {3, 4} make 2, 3 and -4 true at the top level, and
+    # under 1, {1, 7} forces -7. {2, 5, 6} has two literals outside the top
+    # level, so it is neither unit nor violated there.
+    store = NogoodStore()
+    for nogood in ({-2}, {2, -3}, {3, 4}, {2, 5, 6}, {1, 7}):
+        store.insert(frozenset(nogood))
+    assert rup_run(store, frozenset({1})) is None
+
+    def increment():
+        assigned = store.assigned
+        assert rup_run(store, frozenset({1})) is None
+        return store.assigned - assigned
+
+    assert increment() == 2
+    assert store.remove(frozenset({2, 5, 6}))
+    assert increment() == 2
+    # {3, 4} is the reason of -4, so the next test rebuilds the top level
+    # and assigns 2 and 3 again.
+    assert store.remove(frozenset({3, 4}))
+    assert increment() == 4
