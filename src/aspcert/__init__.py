@@ -11,7 +11,7 @@ from .loops import cyclic_atoms, dependency_graph
 from .oracle import OracleError, enumerate_answer_sets, is_answer_set
 from .program_io import ParseError, emit_program, parse_program
 from .proof import Proof, ProofSyntaxError, Step, parse_proof, serialize_proof
-from .solver import CONSISTENT, INCONSISTENT, UNKNOWN, SolveError, SolveResult, solve
+from .solver import CONSISTENT, INCONSISTENT, SolveError, SolveResult, solve
 
 __version__ = "0.1.0"
 
@@ -31,7 +31,6 @@ __all__ = [
     "SolveError",
     "SolveResult",
     "Step",
-    "UNKNOWN",
     "basic_rule",
     "check",
     "choice_rule",

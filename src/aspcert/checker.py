@@ -20,10 +20,11 @@ body no line has named its catalog id, or the lowest free id from a high
 base when an e or b step took that id or the body, a disjunctive rule's
 unshifted body, has none. An id names one body or one extension variable
 for good, and a body has one id, so a step that breaks either is refused.
-The program's body catalog is the checker's one index of the completion:
-which literal sets are bodies under which ids, which (atom, body) pairs
-fire, and which rules are deferred because their expansion exceeds the
-fixed body budget.
+The checker reads the program as normalize_weights rewrites it, so a
+weight rule's counter atoms take the ids after the program's atoms, and the
+catalog's body ids follow them. The body catalog of that program is the
+checker's one index of the completion: which literal sets are bodies under
+which ids, and which (atom, body) pairs fire.
 
 Two error classes mirror the CLI exit codes: ProofFormatError means the proof
 is ill-formed relative to the program (unknown ids, redeclared bodies, ...),
@@ -37,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .completion import BodyCatalog, BodyRegistry, body_catalog, body_definition
+from .completion import BodyCatalog, BodyRegistry, body_catalog, body_definition, normalize_weights
 from .core import Program, is_consistent
 from .loops import Graph, dependency_graph, external_bodies, is_loop, is_unfounded_set, loop_nogood
 from .proof import Proof, Step
@@ -84,15 +85,12 @@ class CheckerState:
         preloaded: bool = False,
         strict_delete: bool = False,
     ) -> None:
-        self.program = program
+        self.program = program = normalize_weights(program)
         self.preloaded = preloaded
         self.strict_delete = strict_delete
         self.catalog: BodyCatalog = body_catalog(program)
         self.registry = BodyRegistry(program.atom_count)
         self.store = NogoodStore()
-        self.deferred_heads = frozenset(
-            a for rule in self.catalog.deferred for a in rule.head
-        )
         self.step_no = 0
         self.line: int | None = None
         if preloaded:
@@ -111,11 +109,9 @@ class CheckerState:
             self._declare(body_id, body)
             if body in self.catalog.constraints:
                 self.store.insert(frozenset({body_id}))
-        # A deferred head gets no support nogood, as no s step may add one.
         for atom in self.program.atom_ids():
-            if atom not in self.deferred_heads:
-                body_ids = tuple(ids[b] for b in self.catalog.bodies_of(atom))
-                self.store.insert(loop_nogood(atom, body_ids))
+            body_ids = tuple(ids[b] for b in self.catalog.bodies_of(atom))
+            self.store.insert(loop_nogood(atom, body_ids))
         for atom, body in self.catalog.firing:
             self.store.insert(frozenset({-atom, ids[body]}))
 
@@ -172,10 +168,7 @@ class CheckerState:
             self._require_atoms(tuple(abs(l) for l in step.lits))
             if not is_consistent(step.lits):
                 raise ProofFormatError("contradictory body literals")
-            raise ProofFormatError(
-                "literal set is not an induced body "
-                "of the program (or its expansion exceeds the budget)"
-            )
+            raise ProofFormatError("literal set is not an induced body of the program")
         self._declare(step.head, body)
 
     def _step_a(self, step: Step) -> None:
@@ -198,10 +191,6 @@ class CheckerState:
 
     def _step_s(self, step: Step) -> None:
         self._require_atoms((step.head,))
-        if step.head in self.deferred_heads:
-            raise ProofFormatError(
-                f"induced bodies of atom {step.head} exceed the expansion budget"
-            )
         if len(set(step.lits)) != len(step.lits):
             raise _StepError("repeated body id")
         bodies = {self._body(body_id) for body_id in step.lits}
@@ -226,10 +215,6 @@ class CheckerState:
     def _step_l(self, step: Step) -> None:
         self._require_atoms(step.lits)
         atoms = frozenset(step.lits)
-        if atoms & self.deferred_heads:
-            raise ProofFormatError(
-                "loop atoms supported by a weight rule beyond the expansion budget"
-            )
         if not is_loop(self.graph, atoms):
             raise _StepError("atom set is not a loop of the program")
         body_ids = []
@@ -276,7 +261,8 @@ def check(
     preloaded: bool = False,
     strict_delete: bool = False,
 ) -> CheckResult:
-    """Check a proof of inconsistency for the program."""
+    """Check a proof of inconsistency for the program; BudgetError when a
+    weight rule's counter is past the cap."""
     state = CheckerState(program, preloaded=preloaded, strict_delete=strict_delete)
     for step, line in zip(proof.steps, proof.lines or (None,) * len(proof)):
         state.line = line

@@ -53,7 +53,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 restarts=args.restarts,
                 proof_sink=sink,
             )
-        except SolveError as exc:
+        except (SolveError, BudgetError) as exc:
             raise _InputError(str(exc)) from None
     finally:
         if sink is not None:
@@ -61,8 +61,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     print(result.status)
     if result.status == CONSISTENT:
         print(_format_atoms(program, result.answer_set))
-    elif result.reason:
-        print(result.reason)
     return 0
 
 
@@ -80,7 +78,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             preloaded=args.preloaded_completion,
             strict_delete=args.strict_delete,
         )
-    except ProofFormatError as exc:
+    except (ProofFormatError, BudgetError) as exc:
         raise _InputError(str(exc)) from None
     print(result.render())
     return 0 if result.ok else 1
@@ -90,7 +88,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     program = _load_program(args.program)
     try:
         models = enumerate_answer_sets(program, cap=args.max_models)
-    except (OracleError, BudgetError) as exc:
+    except OracleError as exc:
         raise _InputError(str(exc)) from None
     for model in models:
         print(_format_atoms(program, model))

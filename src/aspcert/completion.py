@@ -13,68 +13,93 @@ Every body gets a variable of its own. The three nogood families are:
 
 Disjunctive rules induce one shifted body per head atom (body plus the
 negations of the other head atoms; none when another head atom is in the
-positive body, since that body could never hold); weight rules induce one
-body per subset-minimal set of weighted literals reaching the bound.
+positive body, since that body could never hold). Weight rules induce no
+body: normalize_weights first rewrites each into normal rules, so the
+catalog, the solver and the checker read one rule shape, and body_catalog
+refuses a weight rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import accumulate
 
-from .core import CHOICE, WEIGHT, Nogood, Program, Rule
+from .core import CHOICE, WEIGHT, Nogood, Program, Rule, basic_rule
 from .proof import sorted_lits
 
-DEFAULT_BODY_BUDGET = 4096
+COUNTER_CAP = 1 << 16
 INTERNAL_ID_BASE = 1 << 40
 
 
 class BudgetError(ValueError):
-    """Raised when a weight rule's minimal-body expansion exceeds the budget."""
+    """Raised when a weight rule's counter needs more than COUNTER_CAP atoms."""
 
 
-def minimal_weight_sets(
-    weights: Mapping[int, int], bound: int, budget: int | None = None
-) -> list[frozenset[int]]:
-    """Enumerate subset-minimal literal sets whose weights reach the bound.
+def normalize_weights(program: Program) -> Program:
+    """The program with each weight rule rewritten into a counter of normal rules.
 
-    Positive weights make the co-singleton test sufficient for minimality:
-    a candidate is minimal iff dropping any one element falls below the bound.
-    The search runs depth first, literals by falling weight, on an explicit
-    path rather than the call stack, so that a rule of any length is enumerated.
+    For h :- L <= {l1=w1, ..., ln=wn}, its literals in ascending weight
+    order, atom (i, j) stands for "l1..li reach weight j", and (n, L) is h
+    itself. (i, j) gets the rules (i, j) :- (i-1, j) and
+    (i, j) :- li, (i-1, j - wi), the latter with li alone when j <= wi.
+    Thresholds are made from the head down, so each one leads to L, and only
+    those that l1..li can reach get an atom; the largest weight is tested
+    first. L = 0 makes h a fact, and L above the total weight gives h no rule.
+
+    Each fresh atom has only its counter rules, which hold the atoms of the
+    level below positively. So in the least model of the reduct for a
+    candidate M, (i, j) holds exactly when l1..li, each not b read in M,
+    reach j: the reduct of the weight rule (Simons, Niemelä & Soininen, AIJ
+    138, 2002). The answer sets, cut back to the program's atoms, stay the
+    same, inside positive cycles too. The fresh atoms are numbered after the
+    program's in the order they are made, and named #rule.i.j, a name the
+    parser gives no atom; a rule that needs more than COUNTER_CAP of them
+    raises BudgetError. A program with no weight rule comes back as it is.
     """
-    domain = sorted(weights, key=lambda lit: (-weights[lit], abs(lit), -lit))
-    suffix = [0] * (len(domain) + 1)
-    for i in range(len(domain) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + weights[domain[i]]
-    found: list[frozenset[int]] = []
-    path: list[int] = []  # the picked literals' indices into domain, ascending
-    total = start = 0
-    while True:
-        if total >= bound:
-            if all(total - weights[domain[i]] < bound for i in path):
-                found.append(frozenset(domain[i] for i in path))
-                if budget is not None and len(found) > budget:
-                    raise BudgetError(f"weight rule induces more than {budget} bodies")
-        elif total + suffix[start] >= bound:
-            path.append(start)
-            total += weights[domain[start]]
-            start += 1
+    if all(rule.kind is not WEIGHT for rule in program.rules):
+        return program
+    names = list(program.atom_names)
+    rules: list[Rule] = []
+    for number, rule in enumerate(program.rules, 1):
+        if rule.kind is not WEIGHT:
+            rules.append(rule)
             continue
-        if not path:
-            return found
-        # Back up: drop the last pick and try the literal after it instead.
-        start = path.pop()
-        total -= weights[domain[start]]
-        start += 1
+        items = sorted(rule.weights, key=lambda item: item[1])
+        reach = list(accumulate((w for _, w in items), initial=0))
+        if rule.bound == 0:
+            rules.append(basic_rule(rule.head))
+        if not 0 < rule.bound <= reach[-1]:
+            continue
+        limit = len(names) + COUNTER_CAP
+        level = {rule.bound: rule.head[0]}  # level i's thresholds and their atoms
+        for i in range(len(items), 0, -1):
+            lit, weight = items[i - 1]
+            pos, neg = ([lit], []) if lit > 0 else ([], [-lit])
+            below: dict[int, int] = {}
+            for j, atom in level.items():
+                for need, body_pos, body_neg in ((j, [], []), (j - weight, pos, neg)):
+                    if need > reach[i - 1]:
+                        continue
+                    if need > 0:
+                        if need not in below:
+                            if len(names) == limit:
+                                raise BudgetError(
+                                    f"weight rule {number}, for {program.name(rule.head[0])}, "
+                                    f"needs more than {COUNTER_CAP} counter atoms"
+                                )
+                            names.append(f"#{number}.{i - 1}.{need}")
+                            below[need] = len(names)
+                        body_pos = [*body_pos, below[need]]
+                    rules.append(basic_rule((atom,), body_pos, body_neg))
+            level = below
+    return Program(tuple(names), tuple(rules))
 
 
-def induced_bodies_of_rule(rule: Rule, atom: int, budget: int | None = None) -> list[frozenset[int]]:
-    """Bodies through which this rule can support the given head atom."""
+def induced_bodies_of_rule(rule: Rule, atom: int) -> list[frozenset[int]]:
+    """Bodies through which a normal, disjunctive or choice rule can support
+    the given head atom."""
     if atom not in rule.head:
         raise ValueError(f"atom {atom} is not a head atom of the rule")
-    if rule.kind is WEIGHT:
-        return minimal_weight_sets(dict(rule.weights), rule.bound, budget)
     body = rule.body
     if rule.is_disjunctive:
         others = [b for b in rule.head if b != atom]
@@ -92,20 +117,18 @@ class BodyCatalog:
     from first_id = atom_count + 1; proofs name the bodies by these ids.
     bodies lists the bodies in that order, so body_of inverts ids. ib lists
     each atom's induced bodies. firing holds the (head atom, body) pairs of
-    the rule-firing nogoods {F a, T B}: those of every rule that is
-    not a choice rule, a deferred rule or an integrity constraint, as the
-    keys of a dict in rule order. deferred holds, unexpanded, the weight
-    rules whose expansion exceeds DEFAULT_BODY_BUDGET bodies, and shifted the
-    disjunctive rules, whose bodies the catalog holds shifted. constraints
-    holds the bodies of the integrity constraints; each is in ids too, from
-    its first use on, but in no atom's ib unless another rule induces it.
+    the rule-firing nogoods {F a, T B}: those of every rule that is not a
+    choice rule or an integrity constraint, as the keys of a dict in rule
+    order. shifted holds the disjunctive rules, whose bodies the catalog
+    holds shifted. constraints holds the bodies of the integrity
+    constraints; each is in ids too, from its first use on, but in no
+    atom's ib unless another rule induces it.
     """
 
     ib: dict[int, tuple[frozenset[int], ...]]
     ids: dict[frozenset[int], int]
     bodies: tuple[frozenset[int], ...]
     first_id: int
-    deferred: tuple[Rule, ...]
     shifted: tuple[Rule, ...]
     firing: dict[tuple[int, frozenset[int]], None]
     constraints: frozenset[frozenset[int]]
@@ -120,25 +143,25 @@ class BodyCatalog:
 
 
 def body_catalog(program: Program) -> BodyCatalog:
-    """Collect induced bodies per atom; weight rules expand under the budget.
+    """Collect induced bodies per atom, in one pass over the rules.
 
-    One pass over the rules fills every field. A rule with one body, that of
-    a normal rule, a choice rule or an integrity constraint, is read from its
-    fields alone; only disjunctive and weight rules go through
-    induced_bodies_of_rule. Rules whose expansion overruns
-    DEFAULT_BODY_BUDGET are returned unexpanded in .deferred.
+    A rule with one body, that of a normal rule, a choice rule or an
+    integrity constraint, is read from its fields alone; only disjunctive
+    rules go through induced_bodies_of_rule. A weight rule raises
+    ValueError: normalize_weights rewrites it first.
     """
     first_id = program.atom_count + 1
     # Dicts with None values serve as insertion-ordered sets.
     ib: dict[int, dict[frozenset[int], None]] = {atom: {} for atom in program.atom_ids()}
     ids: dict[frozenset[int], int] = {}
-    deferred: list[Rule] = []
     shifted: list[Rule] = []
     firing: dict[tuple[int, frozenset[int]], None] = {}
     constraints: set[frozenset[int]] = set()
     for rule in program.rules:
         kind, head, body = rule.kind, rule.head, rule.body
-        if kind is not WEIGHT and not rule.is_disjunctive:
+        if kind is WEIGHT:
+            raise ValueError("weight rule in the catalog: normalize_weights rewrites it first")
+        if not rule.is_disjunctive:
             ids.setdefault(body, first_id + len(ids))
             if not head:
                 constraints.add(body)
@@ -147,15 +170,9 @@ def body_catalog(program: Program) -> BodyCatalog:
                 if kind is not CHOICE:
                     firing[atom, body] = None
             continue
-        if rule.is_disjunctive:
-            shifted.append(rule)
-        try:
-            per_atom = [(a, induced_bodies_of_rule(rule, a, DEFAULT_BODY_BUDGET)) for a in head]
-        except BudgetError:
-            deferred.append(rule)
-            continue
-        for atom, bodies in per_atom:
-            for induced in bodies:
+        shifted.append(rule)
+        for atom in head:
+            for induced in induced_bodies_of_rule(rule, atom):
                 ib[atom][induced] = None
                 ids.setdefault(induced, first_id + len(ids))
                 firing[atom, induced] = None
@@ -164,7 +181,6 @@ def body_catalog(program: Program) -> BodyCatalog:
         ids,
         tuple(ids),
         first_id,
-        tuple(deferred),
         tuple(shifted),
         firing,
         frozenset(constraints),

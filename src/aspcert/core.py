@@ -111,12 +111,6 @@ class Rule(_RuleFields):
     def __getnewargs__(self) -> tuple:
         return self[:6]
 
-    def weight_of(self, lit: int) -> int:
-        for candidate, w in self.weights:
-            if candidate == lit:
-                return w
-        raise KeyError(lit)
-
 
 def basic_rule(head: Sequence[int], pos: Iterable[int] = (), neg: Iterable[int] = ()) -> Rule:
     """Build a normal or disjunctive rule, or with no head an integrity constraint."""

@@ -3,13 +3,15 @@
 `random_program` draws uniform random normal programs: a random atom and
 rule count up to the configured maxima, bodies of up to three distinct
 atoms, each negated with probability one half. `random_rich_program` mixes
-in every other construct the solver accepts: choice rules, weight rules and
-integrity constraints. Every instance is reproducible from the top-level
-seed. The differential loop draws rich programs and cross-checks four
-things per instance: the program parsed back from its emitted text against
-the draw, the solver's verdict against brute-force enumeration, every
-inconsistency proof against the checker, as written and preloaded, and
-every reported answer set against the stability test.
+in every other construct the solver accepts: choice rules, weight rules,
+recursive ones included, and integrity constraints. Every instance is
+reproducible from the top-level seed. The differential loop draws rich
+programs and cross-checks four things per instance: the program parsed
+back from its emitted text against the draw, the solver's verdict against
+brute-force enumeration, every inconsistency proof against the checker, as
+written and preloaded, and every reported answer set against the stability
+test. The oracle reads a weight rule by its reduct, the solver and the
+checker by its counter of normal rules, so the two readings are compared.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ import string
 from dataclasses import dataclass
 
 from .checker import check
-from .core import Program, Rule, RuleKind, basic_rule, choice_rule, weight_rule
-from .loops import cyclic_atoms, dependency_graph
+from .core import Program, Rule, basic_rule, choice_rule, weight_rule
 from .oracle import enumerate_answer_sets, is_answer_set
 from .program_io import ParseError, emit_program, parse_program
 from .proof import Proof
@@ -71,36 +72,31 @@ def random_rich_program(
     """A random program of basic, choice and weight rules and integrity constraints.
 
     Weight rules get one to four signed literals with weights 1-3 and a
-    bound from 0 to one above their total weight; an integrity constraint is
-    a basic rule with an empty head and a body of one to three atoms. The
-    solver rejects weight rules inside a positive cycle, so a draw with
-    a cyclic weight-rule head is drawn again.
+    bound from 0 to one above their total weight, and their heads may lie on
+    a positive cycle; an integrity constraint is a basic rule with an empty
+    head and a body of one to three atoms.
     """
-    while True:
-        atom_count = rng.randint(1, max_atoms)
-        rules: list[Rule] = []
-        for _ in range(rng.randint(1, max_rules)):
-            kind = rng.random()
-            if kind < 0.4:
-                pos, neg = _random_body(rng, atom_count, 0)
-                rules.append(basic_rule((rng.randint(1, atom_count),), pos, neg))
-            elif kind < 0.6:
-                heads = rng.sample(range(1, atom_count + 1), rng.randint(1, min(3, atom_count)))
-                pos, neg = _random_body(rng, atom_count, 0)
-                rules.append(choice_rule(heads, pos, neg))
-            elif kind < 0.8:
-                size = rng.randint(1, min(4, atom_count))
-                lits = [a if rng.random() < 0.5 else -a
-                        for a in rng.sample(range(1, atom_count + 1), size)]
-                weights = {lit: rng.randint(1, 3) for lit in lits}
-                bound = rng.randint(0, sum(weights.values()) + 1)
-                rules.append(weight_rule(rng.randint(1, atom_count), bound, weights))
-            else:
-                rules.append(basic_rule((), *_random_body(rng, atom_count, 1)))
-        program = Program(_atom_names(atom_count), tuple(rules))
-        cyclic = cyclic_atoms(dependency_graph(program))
-        if not any(r.kind is RuleKind.WEIGHT and r.head[0] in cyclic for r in rules):
-            return program
+    atom_count = rng.randint(1, max_atoms)
+    rules: list[Rule] = []
+    for _ in range(rng.randint(1, max_rules)):
+        kind = rng.random()
+        if kind < 0.4:
+            pos, neg = _random_body(rng, atom_count, 0)
+            rules.append(basic_rule((rng.randint(1, atom_count),), pos, neg))
+        elif kind < 0.6:
+            heads = rng.sample(range(1, atom_count + 1), rng.randint(1, min(3, atom_count)))
+            pos, neg = _random_body(rng, atom_count, 0)
+            rules.append(choice_rule(heads, pos, neg))
+        elif kind < 0.8:
+            size = rng.randint(1, min(4, atom_count))
+            lits = [a if rng.random() < 0.5 else -a
+                    for a in rng.sample(range(1, atom_count + 1), size)]
+            weights = {lit: rng.randint(1, 3) for lit in lits}
+            bound = rng.randint(0, sum(weights.values()) + 1)
+            rules.append(weight_rule(rng.randint(1, atom_count), bound, weights))
+        else:
+            rules.append(basic_rule((), *_random_body(rng, atom_count, 1)))
+    return Program(_atom_names(atom_count), tuple(rules))
 
 
 def _round_trip(program: Program, text: str) -> str | None:

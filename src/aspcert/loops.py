@@ -1,19 +1,18 @@
 """Positive dependency graph, loops, external bodies, and unfounded sets.
 
 The dependency graph has an edge (b, a) whenever b occurs positively in the
-body of a rule with a in the head (for weight rules: positively weighted).
-It is a plain dict that maps every atom to the set of its successors, so an
-atom with no edges maps to an empty set. A loop is a nonempty atom set whose
-induced subgraph is strongly connected and contains at least one edge, so
-singletons need a self-edge.
+body of a rule with a in the head. It is a plain dict that maps every atom
+to the set of its successors, so an atom with no edges maps to an empty set.
+A loop is a nonempty atom set whose induced subgraph is strongly connected
+and contains at least one edge, so singletons need a self-edge.
 """
 
 from __future__ import annotations
 
 from typing import Collection, Iterable
 
-from .core import CHOICE, WEIGHT, Nogood, Program, Rule
-from .completion import BodyCatalog, BodyRegistry, induced_bodies_of_rule
+from .core import CHOICE, Nogood, Program, Rule
+from .completion import BodyCatalog, BodyRegistry
 
 Graph = dict[int, set[int]]
 
@@ -80,13 +79,10 @@ def is_loop(graph: Graph, atoms: Collection[int]) -> bool:
     return any(sub.values()) and len(strongly_connected_components(sub)) == 1
 
 
-def cyclic_atoms(graph: Graph, components: list[list[int]] | None = None) -> frozenset[int]:
-    """Atoms on some positive cycle; components, if given, are the graph's SCCs."""
-    if components is None:
-        components = strongly_connected_components(graph)
-    return frozenset(
-        atom for c in components for atom in c if len(c) > 1 or atom in graph[atom]
-    )
+def cyclic_atoms(graph: Graph) -> frozenset[int]:
+    """Atoms on some positive cycle."""
+    components = strongly_connected_components(graph)
+    return frozenset(atom for c in components for atom in c if len(c) > 1 or atom in graph[atom])
 
 
 def external_bodies(
@@ -117,14 +113,11 @@ def external_bodies(
     for atom in sorted(atom_set):
         if atom in unshifted:
             bodies = [
-                body
+                rule.body | {-b for b in rule.head if b not in atom_set}
+                if rule.is_disjunctive
+                else rule.body
                 for rule in program.rules
                 if atom in rule.head
-                for body in (
-                    [rule.body | {-b for b in rule.head if b not in atom_set}]
-                    if rule.is_disjunctive
-                    else induced_bodies_of_rule(rule, atom)
-                )
             ]
         else:
             bodies = catalog.bodies_of(atom)
@@ -161,14 +154,7 @@ def _atomized(program: Program, assignment: Iterable[int], registry: BodyRegistr
 
 def _rule_can_fire_externally(rule: Rule, atomized: set[int], unfounded: set[int]) -> bool:
     """Can the body hold under the assignment without true atoms of the set?"""
-    usable = [
-        lit
-        for lit in rule.body
-        if -lit not in atomized and not (lit > 0 and lit in unfounded)
-    ]
-    if rule.kind is WEIGHT:
-        return sum(rule.weight_of(lit) for lit in usable) >= rule.bound
-    return len(usable) == len(rule.body)
+    return not any(-lit in atomized or lit in unfounded for lit in rule.body)
 
 
 def is_unfounded_set(
@@ -180,9 +166,9 @@ def is_unfounded_set(
     """Check that no rule can support any atom of the set under the assignment.
 
     Each rule with a head atom in the set must be neutralized: its body cannot
-    fire without the set (a literal is contradicted, required positive atoms
-    lie in the set, or a weight bound becomes unreachable), or, for non-choice
-    rules, the rule is already satisfied by a true head atom outside the set.
+    fire without the set (a literal is contradicted, or a positive body atom
+    lies in the set), or, for non-choice rules, the rule is already satisfied
+    by a true head atom outside the set.
     """
     unfounded = set(atoms)
     if not unfounded or not all(1 <= a <= program.atom_count for a in unfounded):

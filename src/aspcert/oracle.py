@@ -1,24 +1,32 @@
 """Brute-force semantic ground truth for small ground programs.
 
 Answer sets are found by candidate testing: choice rules are translated to
-normal rules with fresh complement atoms, weight rules are expanded to the
-normal rules over their induced bodies, and a candidate is accepted when it
-satisfies no integrity constraint's body and is a minimal model of the
+normal rules with fresh complement atoms, and a candidate is accepted when
+it satisfies no integrity constraint's body and is a minimal model of the
 reduct of the other rules (the least model, when no rule is disjunctive).
-An atom-count guard and the body budget keep enumeration at desk scale;
-this module exists to certify the others, not to perform.
+Weight rules are read by their own reduct (Simons, Niemelä & Soininen, AIJ
+138, 2002): for a candidate M, h :- L <= {lits} becomes a positive weight
+rule over its positive literals, its bound lowered by the weights of the
+literals not b with b outside M. They share no code with the completion's
+counter, so the differential fuzzer compares two readings of a weight rule.
+An atom-count guard keeps enumeration at desk scale; this module exists to
+certify the others, not to perform.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .completion import DEFAULT_BODY_BUDGET, induced_bodies_of_rule
 from .core import CHOICE, WEIGHT, Program
 
 ATOM_GUARD = 20
 
 TranslatedRule = tuple[frozenset[int], frozenset[int], frozenset[int]]
+# A weight rule: head, bound, and the (atom, weight) pairs of its positive
+# and of its negative literals.
+WeightRule = tuple[int, int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
+# Its reduct for a candidate: head, lowered bound, positive pairs.
+ReducedWeightRule = tuple[int, int, tuple[tuple[int, int], ...]]
 
 
 class OracleError(ValueError):
@@ -26,14 +34,15 @@ class OracleError(ValueError):
 
 
 def _translate(
-    program: Program, budget: int | None = None
-) -> tuple[list[TranslatedRule], list[tuple[int, int]]]:
-    """Rewrite choice and weight rules; returns (heads, pos, neg) triples.
+    program: Program,
+) -> tuple[list[TranslatedRule], list[WeightRule], list[tuple[int, int]]]:
+    """Rewrite choice rules; returns (heads, pos, neg) triples, the weight
+    rules apart, and the choice complement pairs.
 
-    An integrity constraint keeps its empty heads. A weight rule that induces
-    more than budget bodies (if given) raises BudgetError.
+    An integrity constraint keeps its empty heads.
     """
     rules: list[TranslatedRule] = []
+    weighted: list[WeightRule] = []
     aux_pairs: list[tuple[int, int]] = []
     next_var = program.atom_count
     for rule in program.rules:
@@ -47,21 +56,27 @@ def _translate(
                 )
                 rules.append((frozenset({comp}), frozenset(), frozenset({atom})))
         elif rule.kind is WEIGHT:
-            head = frozenset(rule.head)
-            for body in induced_bodies_of_rule(rule, rule.head[0], budget):
-                pos = frozenset(l for l in body if l > 0)
-                neg = frozenset(-l for l in body if l < 0)
-                rules.append((head, pos, neg))
+            pos = tuple((l, w) for l, w in rule.weights if l > 0)
+            neg = tuple((-l, w) for l, w in rule.weights if l < 0)
+            weighted.append((rule.head[0], rule.bound, pos, neg))
         else:
             rules.append((frozenset(rule.head), rule.pos_body, rule.neg_body))
-    return rules, aux_pairs
+    return rules, weighted, aux_pairs
 
 
 def _extend(model: frozenset[int], aux_pairs: list[tuple[int, int]]) -> frozenset[int]:
     return model | {comp for atom, comp in aux_pairs if atom not in model}
 
 
-def _least_model(reduct: list[tuple[frozenset[int], frozenset[int]]]) -> frozenset[int]:
+def _reaches(
+    pos: tuple[tuple[int, int], ...], atoms: set[int] | frozenset[int], bound: int
+) -> bool:
+    return sum(w for atom, w in pos if atom in atoms) >= bound
+
+
+def _least_model(
+    reduct: list[tuple[frozenset[int], frozenset[int]]], weighted: list[ReducedWeightRule]
+) -> frozenset[int]:
     derived: set[int] = set()
     changed = True
     while changed:
@@ -71,16 +86,28 @@ def _least_model(reduct: list[tuple[frozenset[int], frozenset[int]]]) -> frozens
             if head not in derived and pos <= derived:
                 derived.add(head)
                 changed = True
+        for head, bound, pos in weighted:
+            if head not in derived and _reaches(pos, derived, bound):
+                derived.add(head)
+                changed = True
     return frozenset(derived)
 
+
 def _is_model(
-    reduct: list[tuple[frozenset[int], frozenset[int]]], candidate: frozenset[int]
+    reduct: list[tuple[frozenset[int], frozenset[int]]],
+    weighted: list[ReducedWeightRule],
+    candidate: frozenset[int],
 ) -> bool:
-    return all(heads & candidate or not pos <= candidate for heads, pos in reduct)
+    return all(heads & candidate or not pos <= candidate for heads, pos in reduct) and all(
+        head in candidate or not _reaches(pos, candidate, bound) for head, bound, pos in weighted
+    )
 
 
 def _stable(
-    rules: list[TranslatedRule], model: frozenset[int], disjunctive: bool
+    rules: list[TranslatedRule],
+    weighted: list[WeightRule],
+    model: frozenset[int],
+    disjunctive: bool,
 ) -> bool:
     reduct: list[tuple[frozenset[int], frozenset[int]]] = []
     for heads, pos, neg in rules:
@@ -91,14 +118,18 @@ def _stable(
                 return False
             continue
         reduct.append((heads, pos))
+    weight_reduct = [
+        (head, bound - sum(w for atom, w in neg if atom not in model), pos)
+        for head, bound, pos, neg in weighted
+    ]
     if not disjunctive:
-        return _least_model(reduct) == model
-    if not _is_model(reduct, model):
+        return _least_model(reduct, weight_reduct) == model
+    if not _is_model(reduct, weight_reduct, model):
         return False
     members = sorted(model)
     for mask in range((1 << len(members)) - 1):
         subset = frozenset(m for i, m in enumerate(members) if mask >> i & 1)
-        if _is_model(reduct, subset):
+        if _is_model(reduct, weight_reduct, subset):
             return False
     return True
 
@@ -109,9 +140,9 @@ def is_answer_set(program: Program, atoms: Iterable[int]) -> bool:
     for atom in model:
         if not 1 <= atom <= program.atom_count:
             raise ValueError(f"unknown atom {atom}")
-    rules, aux_pairs = _translate(program)
+    rules, weighted, aux_pairs = _translate(program)
     disjunctive = any(len(heads) > 1 for heads, _, _ in rules)
-    return _stable(rules, _extend(model, aux_pairs), disjunctive)
+    return _stable(rules, weighted, _extend(model, aux_pairs), disjunctive)
 
 
 def enumerate_answer_sets(
@@ -122,13 +153,13 @@ def enumerate_answer_sets(
         raise OracleError(
             f"{program.atom_count} atoms exceed the enumeration guard {ATOM_GUARD}"
         )
-    rules, aux_pairs = _translate(program, DEFAULT_BODY_BUDGET)
+    rules, weighted, aux_pairs = _translate(program)
     disjunctive = any(len(heads) > 1 for heads, _, _ in rules)
     atoms = list(program.atom_ids())
     found: list[frozenset[int]] = []
     for mask in range(1 << len(atoms)):
         model = frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
-        if _stable(rules, _extend(model, aux_pairs), disjunctive):
+        if _stable(rules, weighted, _extend(model, aux_pairs), disjunctive):
             found.append(model)
             if cap is not None and len(found) >= cap:
                 break

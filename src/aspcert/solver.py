@@ -2,10 +2,13 @@
 
 The solver assigns atoms and body variables under the program's completion
 nogoods, learns first-UIP nogoods from conflicts, and breaks unfounded
-positive recursion with loop nogoods. An inconsistent run ends once a
-conflict no longer depends on any decision. Only then does the solver write
-the proof: the lines of the nogoods the refutation rests on, learned ones
-included, and the empty nogood; see "Lazy lines".
+positive recursion with loop nogoods. It runs on the program as
+normalize_weights rewrites it: weight rules become normal rules over counter
+atoms, numbered after the program's atoms, and the answer set drops them.
+An inconsistent run ends once a conflict no longer depends on any decision.
+Only then does the solver write the proof: the lines of the nogoods the
+refutation rests on, learned ones included, and the empty nogood; see
+"Lazy lines".
 
 Search state lives in flat lists. Variable ids are contiguous, atoms
 1..atom_count and then the bodies in catalog order, so `val` is indexed by
@@ -90,8 +93,8 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import IO
 
-from .completion import body_catalog
-from .core import WEIGHT, Nogood, Program
+from .completion import body_catalog, normalize_weights
+from .core import Nogood, Program
 from .loops import (
     cyclic_atoms, dependency_graph, external_bodies, loop_nogood, strongly_connected_components,
 )
@@ -111,7 +114,6 @@ Antecedents = tuple[tuple[int, ...], tuple[int, ...]]
 
 CONSISTENT = "CONSISTENT"
 INCONSISTENT = "INCONSISTENT"
-UNKNOWN = "UNKNOWN"
 
 
 class SolveError(ValueError):
@@ -123,20 +125,6 @@ class SolveResult:
     status: str
     answer_set: frozenset[int] | None = None
     proof: Proof | None = None
-    reason: str = ""
-
-
-def _check_scope(program: Program, components: list[list[int]]) -> None:
-    """Reject disjunctions and weight rules inside a positive SCC."""
-    if any(rule.is_disjunctive for rule in program.rules):
-        raise SolveError("disjunctive rules are not supported by the solver")
-    weight_rules = [rule for rule in program.rules if rule.kind is WEIGHT]
-    if weight_rules:
-        scc_of = {atom: i for i, component in enumerate(components) for atom in component}
-        for rule in weight_rules:
-            head = rule.head[0]
-            if any(lit > 0 and scc_of[lit] == scc_of[head] for lit, _ in rule.weights):
-                raise SolveError("recursive weight rules are not supported")
 
 
 class _Search:
@@ -550,29 +538,27 @@ def solve(
 ) -> SolveResult:
     """Solve a normal/choice/weight program, logging a checkable proof.
 
-    Returns CONSISTENT with an answer set, INCONSISTENT with a proof, or
-    UNKNOWN when a weight rule's body expansion exceeds the fixed budget
-    (completion.DEFAULT_BODY_BUDGET). Given a proof_sink, the proof is
-    written there line by line and not kept, so the result's proof is None;
-    without one, the proof is parsed back from its text and so carries the
-    line numbers.
+    Returns CONSISTENT with an answer set or INCONSISTENT with a proof. The
+    search runs on the program as normalize_weights rewrites it, so the
+    proof names its counter atoms, and the answer set drops them. Given a
+    proof_sink, the proof is written there line by line and not kept, so the
+    result's proof is None; without one, the proof is parsed back from its
+    text and so carries the line numbers.
     """
     if heuristic not in HEURISTICS:
         raise SolveError(f"unknown heuristic {heuristic!r}")
-    graph = dependency_graph(program)
-    components = strongly_connected_components(graph)
-    _check_scope(program, components)
-    cyclic = cyclic_atoms(graph, components)
+    if any(rule.is_disjunctive for rule in program.rules):
+        raise SolveError("disjunctive rules are not supported by the solver")
+    normal = normalize_weights(program)
+    cyclic = cyclic_atoms(dependency_graph(normal))
     rng = random.Random(seed) if heuristic == "random" else None
     sink = io.StringIO() if proof_sink is None else proof_sink
-    search = _Search(program, heuristic, rng, sink, cyclic)
-    if search.catalog.deferred:
-        return SolveResult(
-            UNKNOWN, reason="weight rule expansion exceeds the body budget"
-        )
-
+    search = _Search(normal, heuristic, rng, sink, cyclic)
     conflict = search.load_completion()
     result = search.run(restarts) if conflict is None else search.refute(conflict)
+    if normal is not program and result.status == CONSISTENT:
+        atoms = frozenset(program.atom_ids())
+        return SolveResult(CONSISTENT, answer_set=result.answer_set & atoms)
     if proof_sink is None and result.status == INCONSISTENT:
         return SolveResult(INCONSISTENT, proof=parse_proof(sink.getvalue()))
     return result

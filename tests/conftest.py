@@ -1,5 +1,5 @@
 """Shared fixtures: the running example program and its golden proof, and a
-weight rule past the body budget."""
+weight rule with thousands of subset-minimal bodies."""
 
 import pytest
 
@@ -20,9 +20,9 @@ e :- c, not e.
 e :- not a, not e.
 """
 
-# `7 <= {b0=1, ..., b14=1}` has C(15, 7) = 6,435 minimal bodies, more than
-# the catalog's fixed budget of 4,096, so this rule's expansion is deferred.
-OVER_BUDGET_RULE = "a :- 7 <= {" + ", ".join(f"b{i}=1" for i in range(15)) + "}.\n"
+# `7 <= {b0=1, ..., b14=1}` has C(15, 7) = 6,435 subset-minimal bodies; its
+# counter of normal rules needs 62 fresh atoms.
+WIDE_WEIGHT_RULE = "a :- 7 <= {" + ", ".join(f"b{i}=1" for i in range(15)) + "}.\n"
 
 # Golden 26-line proof for EX1_TEXT. Body numbering per its b lines:
 # 6={c} 7={not c} 8={not d} 9={a,d} 10={b,d} 11={c,d} 12={not a,not e}
@@ -68,5 +68,5 @@ def fig1_text():
 
 
 @pytest.fixture
-def over_budget_rule():
-    return OVER_BUDGET_RULE
+def wide_weight_rule():
+    return WIDE_WEIGHT_RULE

@@ -12,9 +12,11 @@ The completion's support and rule-firing families, every loop nogood by
 enumeration, and brute-force entailment between nogood sets are the
 references for the solver's set-up, the checker's store and the loop
 formulas. random_tight_program draws loop-free programs for the tests that
-need them, and with_disjunctions_and_a_deferred_rule adds disjunctive rules
-and a weight rule past the body budget to a draw. reference_minimal_weight_sets is the recursive enumeration that
-completion.minimal_weight_sets replaced with an explicit stack.
+need them, and with_disjunctions_and_a_wide_weight_rule adds disjunctive
+rules and a weight rule with 6,435 subset-minimal bodies to a draw.
+reference_minimal_weight_sets enumerates a weight rule's subset-minimal
+bodies, the reading of a weight rule that the tests hold the counter of
+completion.normalize_weights against.
 """
 
 from __future__ import annotations
@@ -281,12 +283,14 @@ def forward_family(
 def backward_family(
     program: Program, catalog: BodyCatalog, registry: BodyRegistry
 ) -> list[Nogood]:
-    """Rule-firing nogoods {F a, T B} for non-choice rules, deduplicated, rule order."""
+    """Rule-firing nogoods {F a, T B} for non-choice rules, deduplicated, rule order.
+
+    The program holds no weight rule: normalize_weights rewrites them first.
+    """
     out: list[Nogood] = []
     seen: set[Nogood] = set()
-    deferred = set(map(id, catalog.deferred))
     for rule in program.rules:
-        if rule.kind is RuleKind.CHOICE or id(rule) in deferred:
+        if rule.kind is RuleKind.CHOICE:
             continue
         for atom in rule.head:
             for body in induced_bodies_of_rule(rule, atom):
@@ -373,9 +377,10 @@ def random_tight_program(
             return program
 
 
-def with_disjunctions_and_a_deferred_rule(rng: random.Random, program: Program) -> Program:
-    """The program plus one to three disjunctive rules, and a weight rule
-    past the body budget over fifteen new atoms, placed at a random spot."""
+def with_disjunctions_and_a_wide_weight_rule(rng: random.Random, program: Program) -> Program:
+    """The program plus one to three disjunctive rules, and the weight rule
+    7 <= {15 new atoms}, with C(15, 7) = 6,435 subset-minimal bodies, placed
+    at a random spot."""
     atoms = range(1, program.atom_count + 1)
     rules = list(program.rules)
     for _ in range(rng.randint(1, 3)):
@@ -384,7 +389,7 @@ def with_disjunctions_and_a_deferred_rule(rng: random.Random, program: Program) 
         neg = {a for a in body if rng.random() < 0.5}
         rules.insert(rng.randint(0, len(rules)), basic_rule(head, set(body) - neg, neg))
     extra = range(program.atom_count + 1, program.atom_count + 16)
-    deferred = weight_rule(rng.choice(atoms), 7, {atom: 1 for atom in extra})
-    rules.insert(rng.randint(0, len(rules)), deferred)
+    wide = weight_rule(rng.choice(atoms), 7, {atom: 1 for atom in extra})
+    rules.insert(rng.randint(0, len(rules)), wide)
     names = program.atom_names + tuple(f"w{i}" for i in range(15))
     return Program(names, tuple(rules))

@@ -9,7 +9,7 @@ import pytest
 
 import aspcert.checker as checker_module
 from aspcert.checker import CheckerState, ProofFormatError, check
-from aspcert.completion import INTERNAL_ID_BASE, body_catalog
+from aspcert.completion import INTERNAL_ID_BASE, body_catalog, normalize_weights
 from aspcert.core import Program, basic_rule
 from aspcert.fuzz import random_program, random_rich_program
 from aspcert.loops import dependency_graph, loop_nogood, strongly_connected_components
@@ -17,7 +17,7 @@ from aspcert.oracle import enumerate_answer_sets
 from aspcert.proof import Proof, Step, parse_proof
 from aspcert.program_io import emit_program, parse_program
 from aspcert.solver import INCONSISTENT, solve
-from reference import with_disjunctions_and_a_deferred_rule
+from reference import with_disjunctions_and_a_wide_weight_rule
 
 # The last rule excludes every answer set without a, as `:- not a.` would,
 # but over an atom of its own, x (id 3), which the hand-written proofs name.
@@ -256,20 +256,23 @@ def test_random_step_sequences_never_refute_a_consistent_program():
             programs.append(program)
     kept = set()
     for program in programs:
-        bodies = list(body_catalog(program).ids)
+        # Lines name the normalized program's ids: its counter atoms follow
+        # the program's atoms, and its catalog ids follow them.
+        normal = normalize_weights(program)
+        bodies = list(body_catalog(normal).ids)
         # Half the proofs that are not preloaded start with a b line for
         # every consistent body under its catalog id; the others leave the
         # catalog ids to be declared at their first use.
         declared = [
             " ".join(map(str, ("b", body_id, *sorted(body, key=abs), 0)))
-            for body_id, body in enumerate(bodies, program.atom_count + 1)
+            for body_id, body in enumerate(bodies, normal.atom_count + 1)
             if all(-lit not in body for lit in body)
         ]
         for _ in range(8):
             options = {"preloaded": rng.random() < 0.2, "strict_delete": rng.random() < 0.2}
             lines = declared[:] if not options["preloaded"] and rng.random() < 0.5 else []
             for _ in range(24):
-                line = "a 0" if rng.random() < 0.15 else _random_step_line(rng, program, bodies)
+                line = "a 0" if rng.random() < 0.15 else _random_step_line(rng, normal, bodies)
                 text = "".join(f"{kept_line}\n" for kept_line in (*lines, line))
                 try:
                     result = check(program, parse_proof(text), **options)
@@ -517,55 +520,42 @@ def _support_nogood(state, atom):
     return loop_nogood(atom, (catalog.ids[body] for body in catalog.bodies_of(atom)))
 
 
-def test_preloaded_weight_rule_uses_bound_propagation(over_budget_rule):
-    """The head of a weight rule past the body budget gets no support nogood
-    in preloaded mode, as no s line may add one in written mode, and no
-    propagation reads the rule's bound: b0, ..., b6 reach it, yet nothing
-    derives a, so against `:- a.` the empty nogood is not RUP at step 1 in
-    either mode."""
+def test_preloaded_weight_rule_uses_bound_propagation(wide_weight_rule):
+    """b0, ..., b6 reach the bound of a's weight rule, so against `:- a.` the
+    program has no answer set. Preloaded mode loads the counter's completion,
+    whose unit propagation carries the facts up to a: the empty nogood is
+    RUP at once.
+    The solver's proof checks both as written and, without its c and s
+    lines, preloaded."""
     facts = "".join(f"b{i}.\n" for i in range(7))
-    program = parse_program(over_budget_rule + facts + ":- a.\n")
+    program = parse_program(wide_weight_rule + facts + ":- a.\n")
     state = CheckerState(program, preloaded=True)
-    assert state.catalog.deferred
-    assert _support_nogood(state, program.atom("a")) not in state.store.live()
-    for preloaded in (True, False):
-        result = check(program, parse_proof("a 0\n"), preloaded=preloaded)
-        assert (result.ok, result.step) == (False, 1)
-        assert "unit-propagation" in result.reason
-
-
-def test_preloaded_rejects_two_deferred_rules_per_head(over_budget_rule):
-    """With two weight rules past the budget on one head, a preloaded state
-    builds, the head has no support nogood, and every other atom has its one."""
-    program = parse_program(over_budget_rule + over_budget_rule.replace("b0=1", "c=1"))
-    state = CheckerState(program, preloaded=True)
-    assert len(state.catalog.deferred) == 2
-    live = state.store.live()
-    a = program.atom("a")
-    assert _support_nogood(state, a) not in live
-    for atom in program.atom_ids():
-        if atom != a:
-            assert live.count(_support_nogood(state, atom)) == 1
+    assert _support_nogood(state, program.atom("a")) in state.store.live()
+    assert check(program, parse_proof("a 0\n"), preloaded=True).ok
+    result = solve(program)
+    assert result.status == INCONSISTENT
+    assert check(program, result.proof).ok
+    bare = Proof(tuple(step for step in result.proof if step.kind not in "cs"))
+    assert check(program, bare, preloaded=True).ok
 
 
 def test_both_modes_load_the_same_completion():
-    """Written mode fed every c line the catalog allows and every s line for
-    a head that is not deferred holds, as a multiset, what preloaded mode
-    loads, on rich draws with disjunctive rules and a deferred weight rule.
-    A b line declares any catalog body no c or s line named."""
+    """Written mode fed every c line the catalog allows and every s line
+    holds, as a multiset, what preloaded mode loads, on rich draws with
+    disjunctive rules and a wide weight rule, whose counter atoms the lines
+    name. A b line declares any catalog body no c or s line named."""
     rng = random.Random(24)
     for _ in range(150):
-        program = with_disjunctions_and_a_deferred_rule(
+        program = with_disjunctions_and_a_wide_weight_rule(
             rng, random_rich_program(rng, max_atoms=6, max_rules=12))
         preloaded = CheckerState(program, preloaded=True)
         written = CheckerState(program)
         catalog = written.catalog
-        assert len(catalog.deferred) == 1
         ids = catalog.ids
         steps = [Step("c", ids[body], (atom,)) for atom, body in catalog.firing]
         steps += [Step("c", ids[body]) for body in catalog.constraints]
         steps += [Step("s", atom, tuple(ids[body] for body in catalog.bodies_of(atom)))
-                  for atom in program.atom_ids() if atom not in written.deferred_heads]
+                  for atom in written.program.atom_ids()]
         for step in steps:
             written.step(step)
         for body, body_id in ids.items():
@@ -574,15 +564,25 @@ def test_both_modes_load_the_same_completion():
         assert Counter(written.store.live()) == Counter(preloaded.store.live())
 
 
-def test_s_line_for_a_deferred_head_is_refused(over_budget_rule):
-    """No s line can list the bodies of a head whose weight rule is past the
-    body budget, and no b line can declare one of them."""
-    program = parse_program(over_budget_rule)
-    with pytest.raises(ProofFormatError, match="exceed the expansion budget"):
-        check(program, parse_proof("s 1 0\na 0\n"))
+def test_s_line_for_a_weight_head_lists_its_counter_bodies(wide_weight_rule):
+    """The s line of a weight rule's head lists the bodies of its counter's
+    top level, by the ids after the counter atoms; a subset-minimal literal
+    set of the rule is no body, so no b line can declare one."""
+    program = parse_program(wide_weight_rule)
+    state = CheckerState(program)
+    normal, ids = state.program, state.catalog.ids
+    top, rest = normal.atom("#1.14.7"), normal.atom("#1.14.6")
+    first = ids[frozenset({top})]
+    second = ids[frozenset({program.atom("b14"), rest})]
+    assert program.atom_count < normal.atom_count < first < second
+    state.step(Step("s", 1, (first, second)))
+    assert frozenset({1, -first, -second}) in state.store.live()
+    result = check(program, parse_proof(f"s 1 {first} 0\na 0\n"))
+    assert (result.ok, result.step) == (False, 1)
+    assert "induced bodies" in result.reason
     body = " ".join(str(i) for i in range(2, 9))
     with pytest.raises(ProofFormatError, match="not an induced body"):
-        check(program, parse_proof(f"b 17 {body} 0\na 0\n"))
+        check(program, parse_proof(f"b 200 {body} 0\na 0\n"))
 
 
 def test_checker_state_incremental_interface():

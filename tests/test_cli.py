@@ -155,14 +155,29 @@ def test_oracle_silent_on_inconsistency(write, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_oracle_refuses_a_rule_past_the_body_budget(write, capsys, over_budget_rule):
-    """Enumeration would test 2^16 candidates against 6,435 bodies; the rule is
-    refused at once with the budget message instead."""
-    path = write("p.lp", over_budget_rule)
-    assert main(["oracle", path]) == 2
-    assert capsys.readouterr().err == "error: weight rule induces more than 4096 bodies\n"
+def test_oracle_answers_a_rule_with_6435_minimal_bodies(write, capsys, wide_weight_rule):
+    """The oracle reads the rule by its reduct, so it answers at once: with
+    no b atom true, a is not derived."""
+    path = write("p.lp", wide_weight_rule)
+    assert main(["oracle", path]) == 0
+    assert capsys.readouterr().out == "{}\n"
 
 
+# 30 literals of weights 1000 + i^2, bound at half their total: the counter
+# would need more than COUNTER_CAP = 65,536 atoms.
+PAST_CAP_RULE = (
+    "a :- 19277 <= {" + ", ".join(f"b{i}={1000 + i * i}" for i in range(30)) + "}.\n:- a.\n"
+)
+
+
+def test_solve_and_check_refuse_a_rule_past_the_counter_cap(write, capsys):
+    program = write("p.lp", PAST_CAP_RULE)
+    proof = write("p.proof", "a 0\n")
+    message = "error: weight rule 1, for a, needs more than 65536 counter atoms\n"
+    for argv in (["solve", program], ["check", program, proof]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message
 def test_normalize_prints_rewritten_program(write, capsys):
     path = write("p.lp", "a :- b, d.\na :- c.\n")
     assert main(["normalize", path]) == 0
@@ -237,9 +252,10 @@ def test_weight_rule_number_past_the_digit_limit_exits_2(write, capsys):
 
 
 def test_weight_rule_deeper_than_the_recursion_limit(write, capsys):
-    """A rule over 1,500 literals that needs all of them has one body of 1,500
-    literals: solve finds the empty answer set, and the proof `a 0` is
-    rejected at its step, not ended by a traceback."""
+    """A rule over 1,500 literals that needs all of them has a counter of
+    1,499 atoms in a chain, built without recursion: solve finds the empty
+    answer set, and the proof `a 0` is rejected at its step, not ended by a
+    traceback."""
     program = write("p.lp", "a :- 1500 <= {" + ", ".join(f"b{i}=1" for i in range(1500)) + "}.\n")
     assert main(["solve", program]) == 0
     assert capsys.readouterr().out == "CONSISTENT\n{}\n"

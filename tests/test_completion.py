@@ -1,4 +1,5 @@
-"""Induced bodies, completion nogood families, and normalization."""
+"""Induced bodies, the weight-rule counter, completion nogood families, and
+normalization."""
 
 import random
 from itertools import combinations
@@ -8,24 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aspcert.cli import normalize_short_body
+import aspcert.completion as completion_module
 from aspcert.completion import (
-    DEFAULT_BODY_BUDGET,
     INTERNAL_ID_BASE,
     BodyRegistry,
     BudgetError,
     body_catalog,
     body_definition,
     induced_bodies_of_rule,
-    minimal_weight_sets,
+    normalize_weights,
 )
-from aspcert.core import basic_rule, choice_rule, is_consistent, weight_rule
+from aspcert.core import Program, basic_rule, choice_rule, is_consistent, weight_rule
 from aspcert.fuzz import random_program, random_rich_program
 from aspcert.loops import loop_nogood
 from aspcert.oracle import enumerate_answer_sets
 from aspcert.program_io import emit_program, parse_program
 from reference import (
     backward_family, declared_registry, forward_family, public_items,
-    reference_minimal_weight_sets, with_disjunctions_and_a_deferred_rule,
+    reference_minimal_weight_sets, with_disjunctions_and_a_wide_weight_rule,
 )
 
 
@@ -48,9 +49,18 @@ def test_induced_bodies_disjunctive_drops_contradictory_shifts():
 
 
 def test_induced_bodies_weight_rule():
-    rule = weight_rule(1, 2, {2: 1, 3: 1, -4: 2})
-    got = set(induced_bodies_of_rule(rule, 1))
-    assert got == {frozenset({2, 3}), frozenset({-4})}
+    """A weight rule reaches the catalog only as its counter of normal rules:
+    literals by ascending weight b, c, d, counter atoms after the program's."""
+    program = parse_program("b.\nc.\na :- 2 <= {b=1, c=1, d=2}.\n")
+    with pytest.raises(ValueError, match="normalize_weights"):
+        body_catalog(program)
+    normal = normalize_weights(program)
+    assert normal.atom_names == ("b", "c", "a", "d", "#3.2.2", "#3.1.1")
+    assert emit_program(normal).splitlines()[1:] == [
+        "b.", "c.", "a :- #3.2.2.", "a :- d.", "#3.2.2 :- c, #3.1.1.", "#3.1.1 :- b.",
+    ]
+    assert body_catalog(normal).bodies_of(program.atom("a")) == (frozenset({5}), frozenset({4}))
+    assert normalize_weights(parse_program("a :- b.\n")) == parse_program("a :- b.\n")
 
 
 def test_induced_bodies_choice_rule():
@@ -85,36 +95,91 @@ weight_maps = st.dictionaries(
 @settings(max_examples=300, deadline=None)
 @given(weight_maps, st.integers(min_value=0, max_value=20))
 def test_minimal_weight_sets_match_brute_force(weights, bound):
-    got = minimal_weight_sets(weights, bound)
+    """The reference enumeration the counter is held against is itself exact."""
+    got = reference_minimal_weight_sets(weights, bound)
     assert set(got) == _brute_minimal(weights, bound)
     assert len(set(got)) == len(got)
 
 
-def _weight_sets_or_refusal(enumerate_sets, weights, bound, budget):
-    try:
-        return enumerate_sets(weights, bound, budget)
-    except BudgetError as exc:
-        return str(exc)
+def _counter_derives(normal, head, true_atoms):
+    """Is head in the least model of the normalized rules' reduct, with
+    true_atoms as facts? The counter's rules come from the head down, so a
+    pass in reverse order derives bottom up."""
+    derived = set(true_atoms)
+    changed = True
+    while changed:
+        changed = False
+        for rule in reversed(normal.rules):
+            atom = rule.head[0]
+            if atom not in derived and rule.pos_body <= derived and not rule.neg_body & true_atoms:
+                derived.add(atom)
+                changed = True
+    return head in derived
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    weight_maps,
-    st.integers(min_value=-2, max_value=32),
-    st.sampled_from([None, 0, 1, 3, 20]),
-)
-def test_minimal_weight_sets_match_the_recursive_reference(weights, bound, budget):
-    """The same sets in the same order, which numbers a weight rule's bodies,
-    and the same refusal past the budget."""
-    assert _weight_sets_or_refusal(minimal_weight_sets, weights, bound, budget) == (
-        _weight_sets_or_refusal(reference_minimal_weight_sets, weights, bound, budget)
-    )
+counter_maps = st.dictionaries(
+    st.integers(min_value=-8, max_value=8).filter(lambda x: x != 0),
+    st.one_of(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=10**6)),
+    max_size=8,
+).filter(lambda d: not any(-k in d for k in d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(counter_maps, st.integers(min_value=0, max_value=105), st.integers(min_value=-2, max_value=2))
+def test_counter_matches_minimal_weight_sets(weights, percent, jitter):
+    """Under every assignment to its literals, the head of a weight rule is in
+    the least model of its counter exactly when one of its subset-minimal
+    literal sets holds."""
+    bound = max(0, sum(weights.values()) * percent // 100 + jitter)
+    head = 9
+    program = Program(tuple("abcdefghi"), (weight_rule(head, bound, weights),))
+    normal = normalize_weights(program)
+    minimal = reference_minimal_weight_sets(weights, bound)
+    atoms = sorted({abs(lit) for lit in weights})
+    for mask in range(1 << len(atoms)):
+        true_atoms = frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
+        holds = any(all((abs(l) in true_atoms) == (l > 0) for l in s) for s in minimal)
+        assert _counter_derives(normal, head, true_atoms) == holds
 
 
 def test_minimal_weight_sets_budget():
+    """The reference enumeration refuses past its budget, which the sample of
+    rules with up to 4,096 minimal bodies relies on."""
     weights = {i: 1 for i in range(1, 13)}
+    assert len(reference_minimal_weight_sets(weights, 6, budget=924)) == 924
     with pytest.raises(BudgetError):
-        minimal_weight_sets(weights, 6, budget=10)
+        reference_minimal_weight_sets(weights, 6, budget=923)
+
+
+def test_counter_cap_refuses_one_atom_past_it(monkeypatch):
+    """The cap bounds the fresh atoms of one rule: 7 <= {15 atoms} needs 62."""
+    program = parse_program("a :- 7 <= {" + ", ".join(f"b{i}=1" for i in range(15)) + "}.\n")
+    monkeypatch.setattr(completion_module, "COUNTER_CAP", 62)
+    assert normalize_weights(program).atom_count == program.atom_count + 62
+    monkeypatch.setattr(completion_module, "COUNTER_CAP", 61)
+    with pytest.raises(BudgetError, match="^weight rule 1, for a, needs more than 61 counter atoms$"):
+        normalize_weights(program)
+
+
+def test_rules_with_up_to_4096_minimal_bodies_fit_under_the_cap():
+    """Every weight rule with at most 4,096 subset-minimal bodies gets its
+    counter under the cap: a seeded sample of 2 to 22 literals, weights up to
+    10^9."""
+    rng = random.Random(3)
+    kept = 0
+    for _ in range(200):
+        size = rng.randint(2, 22)
+        top = 10 ** rng.randint(0, 9)
+        weights = {a if rng.random() < 0.5 else -a: rng.randint(1, top) for a in range(1, size + 1)}
+        bound = rng.randint(0, sum(weights.values()))
+        try:
+            reference_minimal_weight_sets(weights, bound, 4096)
+        except BudgetError:
+            continue
+        kept += 1
+        names = tuple(f"x{i}" for i in range(size + 1))
+        normalize_weights(Program(names, (weight_rule(size + 1, bound, weights),)))
+    assert kept > 150
 
 
 def test_body_definition_examples():
@@ -195,32 +260,36 @@ def test_catalog_orders_constraint_bodies_but_gives_them_to_no_atom():
     assert list(catalog.firing) == [(3, frozenset({1})), (3, frozenset({-3}))]
 
 
-def test_catalog_budget_deferral(over_budget_rule):
-    program = parse_program(over_budget_rule)
-    catalog = body_catalog(program)
-    assert catalog.deferred == program.rules
-    assert catalog.bodies_of(1) == ()
-    assert catalog.ids == {} and list(catalog.firing) == []
-    # one body fewer in the rule and its expansion fits the budget
-    smaller = body_catalog(parse_program("a :- 7 <= {" + ", ".join(
-        f"b{i}=1" for i in range(14)) + "}.\n"))
-    assert not smaller.deferred and len(smaller.ids) == 3432 <= DEFAULT_BODY_BUDGET
+def test_catalog_of_a_wide_weight_rule(wide_weight_rule):
+    """The rule with 6,435 subset-minimal bodies reaches the catalog as 62
+    counter atoms and 119 normal rules, one body each, numbered after them;
+    its head a has the two bodies of the top level, {(14, 7)} and
+    {b14, (14, 6)}."""
+    program = parse_program(wide_weight_rule)
+    normal = normalize_weights(program)
+    catalog = body_catalog(normal)
+    assert normal.atom_count == 16 + 62 and len(normal.rules) == 119
+    assert len(catalog.ids) == 119 and catalog.first_id == 79
+    a, b14 = program.atom("a"), program.atom("b14")
+    top, rest = normal.atom("#1.14.7"), normal.atom("#1.14.6")
+    assert catalog.bodies_of(a) == (frozenset({top}), frozenset({b14, rest}))
 
 
 def test_firing_matches_the_reference_rule_firing_family():
     """catalog.firing lists the pairs of backward_family, which is built from
     the rules, in its order, on rich draws with choice rules, constraints,
-    disjunctive rules and a deferred weight rule; ids count up from
-    atom_count + 1 and hold every body of ib and every constraint body, each
-    consistent and over program atoms only (the checker's b step relies on
-    that to skip both checks for a body it finds)."""
+    disjunctive rules and a wide weight rule, normalized first; ids count up
+    from atom_count + 1 and hold every body of ib and every constraint body,
+    each consistent and over program atoms only (the checker's b step relies
+    on that to skip both checks for a body it finds)."""
     rng = random.Random(61)
     kinds = set()
     for _ in range(150):
-        program = with_disjunctions_and_a_deferred_rule(
+        raw = with_disjunctions_and_a_wide_weight_rule(
             rng, random_rich_program(rng, max_atoms=6, max_rules=12))
+        kinds.update(rule.kind.name for rule in raw.rules if rule.head)
+        program = normalize_weights(raw)
         catalog = body_catalog(program)
-        assert len(catalog.deferred) == 1
         assert list(catalog.ids.values()) == list(
             range(program.atom_count + 1, program.atom_count + 1 + len(catalog.ids)))
         induced = {body for bodies in catalog.ib.values() for body in bodies}
@@ -232,7 +301,6 @@ def test_firing_matches_the_reference_rule_firing_family():
         pairs = [(-min(nogood), registry.lits_of(max(nogood)))
                  for nogood in backward_family(program, catalog, registry)]
         assert list(catalog.firing) == pairs
-        kinds.update(rule.kind.name for rule in program.rules if rule.head)
         kinds.update("constraint" for rule in program.rules if not rule.head)
         kinds.update("disjunctive" for rule in program.rules if rule.is_disjunctive)
     assert kinds == {"BASIC", "CHOICE", "WEIGHT", "constraint", "disjunctive"}
@@ -332,7 +400,7 @@ def test_normalize_preserves_answer_sets(seed):
 @settings(max_examples=150, deadline=None)
 @given(weight_maps, st.integers(min_value=0, max_value=12))
 def test_weight_bodies_pairwise_non_subset(weights, bound):
-    rule_sets = minimal_weight_sets(weights, bound)
+    rule_sets = reference_minimal_weight_sets(weights, bound)
     for left in rule_sets:
         for right in rule_sets:
             assert not left < right

@@ -41,9 +41,12 @@ def test_random_tight_program_has_no_loops():
 
 
 def test_random_rich_program_draws_every_construct():
+    """Every construct is drawn, and weight rules whose head lies on a
+    positive cycle are drawn too."""
     rng = random.Random(8)
     kinds = set()
     several_constraints = 0
+    cyclic_weight_heads = 0
     for _ in range(200):
         program = random_rich_program(rng)
         cyclic = cyclic_atoms(dependency_graph(program))
@@ -52,7 +55,7 @@ def test_random_rich_program_draws_every_construct():
         several_constraints += sum(not rule.head for rule in program.rules) >= 2
         for rule in program.rules:
             if rule.kind is RuleKind.WEIGHT:
-                assert rule.head[0] not in cyclic
+                cyclic_weight_heads += rule.head[0] in cyclic
                 assert 0 <= rule.bound <= sum(w for _, w in rule.weights) + 1
                 kinds.add("weight")
             elif rule.kind is RuleKind.CHOICE:
@@ -65,6 +68,7 @@ def test_random_rich_program_draws_every_construct():
         assert parse_program(emit_program(program)) == program
     assert kinds == {"basic", "choice", "weight", "constraint"}
     assert several_constraints > 0
+    assert cyclic_weight_heads > 0
 
 
 def test_differential_run_covers_choice_weight_and_constraints():

@@ -4,9 +4,8 @@ import random
 
 import pytest
 
-from aspcert.completion import BudgetError
-from aspcert.core import Program, basic_rule
-from aspcert.fuzz import random_program
+from aspcert.core import Program, RuleKind, basic_rule
+from aspcert.fuzz import random_program, random_rich_program
 from aspcert.oracle import (
     ATOM_GUARD,
     OracleError,
@@ -14,7 +13,7 @@ from aspcert.oracle import (
     is_answer_set,
 )
 from aspcert.program_io import parse_program
-from reference import entails
+from reference import entails, reference_minimal_weight_sets
 
 
 def test_running_example_has_no_answer_sets(ex1_program):
@@ -140,15 +139,49 @@ def test_is_answer_set_rejects_foreign_atoms():
         is_answer_set(parse_program("a.\n"), frozenset({9}))
 
 
-def test_only_enumeration_refuses_a_rule_past_the_body_budget(over_budget_rule):
-    """Enumeration would test every candidate against the rule's 6,435 bodies;
-    one is_answer_set test passes over them once, so it stays exact."""
-    program = parse_program(over_budget_rule + "".join(f"b{i}.\n" for i in range(7)))
-    with pytest.raises(BudgetError, match="more than 4096 bodies"):
-        enumerate_answer_sets(program)
+def test_oracle_answers_a_rule_with_6435_minimal_bodies(wide_weight_rule):
+    """The oracle reads the rule by its reduct, not by its minimal bodies, so
+    enumeration answers at once: with b0, ..., b6 true, a is derived, and the
+    other eight b atoms stay false."""
+    program = parse_program(wide_weight_rule + "".join(f"b{i}.\n" for i in range(7)))
     facts = frozenset(program.atom(f"b{i}") for i in range(7))
+    assert enumerate_answer_sets(program) == [facts | {program.atom("a")}]
     assert is_answer_set(program, facts | {program.atom("a")})
     assert not is_answer_set(program, facts)
+
+
+def test_weight_rules_by_their_reduct():
+    """A negative literal lowers the bound when its atom is false, and a
+    weight rule on a positive cycle supports nothing by itself."""
+    program = parse_program("{c}.\na :- 2 <= {b=1, not c=1}.\nb :- a.\n")
+    assert enumerate_answer_sets(program) == [frozenset(), frozenset({program.atom("c")})]
+    program = parse_program("{c}.\na :- 2 <= {b=1, not c=2}.\nb :- a.\n")
+    a, b, c = (program.atom(x) for x in "abc")
+    assert set(enumerate_answer_sets(program)) == {frozenset({a, b}), frozenset({c})}
+    program = parse_program("a | d.\na :- 1 <= {b=1}.\nb :- 1 <= {a=2}.\n")
+    assert set(enumerate_answer_sets(program)) == {
+        frozenset({program.atom("a"), program.atom("b")}), frozenset({program.atom("d")})}
+
+
+def test_weight_reduct_matches_the_minimal_body_expansion():
+    """On rich draws, recursive weight rules included, reading weight rules by
+    their reduct gives the answer sets of the program with each weight rule
+    expanded into one normal rule per subset-minimal body."""
+    rng = random.Random(31)
+    weighted = 0
+    for _ in range(300):
+        program = random_rich_program(rng, max_atoms=6, max_rules=12)
+        rules = []
+        for rule in program.rules:
+            if rule.kind is not RuleKind.WEIGHT:
+                rules.append(rule)
+                continue
+            weighted += 1
+            for body in reference_minimal_weight_sets(dict(rule.weights), rule.bound):
+                rules.append(basic_rule(rule.head, [l for l in body if l > 0], [-l for l in body if l < 0]))
+        expanded = Program(program.atom_names, tuple(rules))
+        assert set(enumerate_answer_sets(program)) == set(enumerate_answer_sets(expanded))
+    assert weighted > 100
 
 
 def test_atom_guard():

@@ -9,7 +9,7 @@ import pytest
 import aspcert.solver as solver_module
 from aspcert.checker import CheckerState, check
 from aspcert.core import Program, basic_rule
-from aspcert.completion import body_catalog, body_definition
+from aspcert.completion import body_catalog, body_definition, normalize_weights
 from aspcert.fuzz import random_program, random_rich_program
 from aspcert.oracle import enumerate_answer_sets, is_answer_set
 from aspcert.loops import cyclic_atoms, dependency_graph, external_bodies
@@ -19,7 +19,6 @@ from aspcert.solver import (
     CONSISTENT,
     HEURISTICS,
     INCONSISTENT,
-    UNKNOWN,
     SolveError,
     solve,
 )
@@ -180,9 +179,12 @@ def test_rejects_disjunctive_programs():
         solve(parse_program("a | b.\n"))
 
 
-def test_rejects_recursive_weight_rules():
-    with pytest.raises(SolveError, match="recursive weight"):
-        solve(parse_program("a :- 1 <= {b=1}.\nb :- a.\n"))
+def test_solves_recursive_weight_rules():
+    """a and b support only each other through a weight rule: {} is the one
+    answer set."""
+    result = solve(parse_program("a :- 1 <= {b=1}.\nb :- a.\n"))
+    assert result.status == CONSISTENT
+    assert result.answer_set == frozenset()
 
 
 def test_rejects_unknown_heuristic():
@@ -190,11 +192,29 @@ def test_rejects_unknown_heuristic():
         solve(parse_program("a.\n"), heuristic="bogus")
 
 
-def test_unknown_when_expansion_exceeds_budget(over_budget_rule):
-    result = solve(parse_program(over_budget_rule))
-    assert result.status == UNKNOWN
-    assert "budget" in result.reason
-    assert result.proof is None and result.answer_set is None
+def _cardinality_text(n, k):
+    """{x1..xn}, a when k of them hold, b when n-k+1 of them fail, and both
+    required: no answer set. a's rule has C(n, k) subset-minimal bodies."""
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    return (
+        "{" + "; ".join(xs) + "}.\n"
+        + f"a :- {k} <= {{" + ", ".join(f"{x}=1" for x in xs) + "}.\n"
+        + f"b :- {n - k + 1} <= {{" + ", ".join(f"not {x}=1" for x in xs) + "}.\n"
+        + ":- not a.\n:- not b.\n"
+    )
+
+
+def test_certifies_cardinality_rules_with_exponentially_many_minimal_bodies():
+    """C(16, 8) = 12,870 up to C(40, 20), about 1.4 * 10^11, minimal bodies:
+    their counters are refuted, and each proof checks both as written and,
+    without its c and s lines, preloaded."""
+    for n, k in ((16, 8), (24, 12), (40, 20)):
+        program = parse_program(_cardinality_text(n, k))
+        result = solve(program, heuristic="min-false")
+        assert result.status == INCONSISTENT
+        assert check(program, result.proof).ok
+        bare = Proof(tuple(step for step in result.proof if step.kind not in "cs"))
+        assert check(program, bare, preloaded=True).ok
 
 
 def _php_text(pigeons, holes, rng):
@@ -353,7 +373,7 @@ def test_setup_attaches_the_completion_families_in_order(ex1_program):
         generate = random_rich_program if index % 2 else random_program
         programs.append(generate(rng, max_atoms=8, max_rules=16))
     lone = shared = 0
-    for program in programs:
+    for program in map(normalize_weights, programs):
         sink = io.StringIO()
         search = solver_module._Search(
             program, "min-true", None, sink, cyclic_atoms(dependency_graph(program)),
@@ -407,10 +427,11 @@ def test_solver_proofs_name_catalog_ids_with_no_b_line(ex1_program):
     with its c and s lines removed."""
     named = 0
     for program, proof in [(ex1_program, solve(ex1_program).proof), *_solver_refutations(43)]:
-        catalog = body_catalog(program)
+        normal = normalize_weights(program)
+        catalog = body_catalog(normal)
         assert not [step for step in proof if step.kind == "b"]
         for step in proof:
-            for body_id in _named_body_ids(program, catalog, step):
+            for body_id in _named_body_ids(normal, catalog, step):
                 assert catalog.body_of(body_id) is not None
                 named += 1
         assert check(program, proof).ok
@@ -433,10 +454,11 @@ def test_catalog_b_lines_put_back_change_no_verdict():
     that b line would."""
     restored = 0
     for program, proof in _solver_refutations(47):
-        catalog = body_catalog(program)
+        normal = normalize_weights(program)
+        catalog = body_catalog(normal)
         steps, named = [], set()
         for step in proof:
-            for body_id in _named_body_ids(program, catalog, step):
+            for body_id in _named_body_ids(normal, catalog, step):
                 if body_id not in named:
                     named.add(body_id)
                     steps.append(Step("b", body_id, sorted_lits(catalog.body_of(body_id))))
@@ -678,7 +700,8 @@ def test_self_blocking_lines_come_in_order_and_at_most_once(monkeypatch):
     for index in range(300):
         generate = random_rich_program if index % 2 else random_program
         program = _blocking_for_constraints(generate(rng, max_atoms=8, max_rules=16))
-        blocking = set(_self_blocking(program, body_catalog(program)))
+        normal = normalize_weights(program)
+        blocking = set(_self_blocking(normal, body_catalog(normal)))
         for heuristic in HEURISTICS:
             for restarts in (False, True):
                 sink = io.StringIO()
