@@ -49,6 +49,11 @@ set-up, at level 0, so it stays satisfied for good. Otherwise a nogood has
 at most one free entry (a learned one exactly one); `attach` watches it and
 the true entry of the highest level and implies its complement, or with no
 free entry watches the two highest true entries and reports a conflict.
+When a watched entry becomes true, `propagate` reads the other watched entry
+first: if that one is false, the nogood is satisfied, keeps both watches
+and stays on the list without a replacement scan. Its false entry was
+assigned at a level no higher than the true one, so a backjump that frees
+the false entry frees the true one too.
 
 An integrity constraint `:- B'.` is a rule with an empty head; its body B
 (the literals B') must be false, the rule-firing nogood {T B}. Set-up
@@ -65,9 +70,14 @@ answer set. It gets the unit nogood {a}, attached last. Its line
 {B, a} of its bodies.
 
 Lazy lines. A first-UIP nogood follows by resolution from the conflict nogood
-and the reasons `analyze` resolved on, so it is RUP against those and the
-level-0 reasons behind their level-0 literals. `run` keeps both with the
-learned nogood as its antecedents and writes nothing. Once a conflict at
+and the reasons `analyze` resolved on. `analyze` then minimises it: it drops
+each literal below the conflict level whose reason's other entries are all
+in the nogood or at level 0, so that reason derives it from the rest. The
+nogood is RUP against the conflict, the reasons resolved on, the reasons
+minimisation used and the level-0 reasons behind their level-0 literals.
+`run` keeps these with the learned nogood as its antecedents: the first
+three as nogood indices, the last as the level-0 variables. It writes
+nothing. Once a conflict at
 level 0 is found, `write_needed` walks back from it once: through the level-0
 reason of each variable it meets, the antecedents of each learned nogood and
 the support nogood of each unit lemma. It writes the pending lines of the
@@ -108,8 +118,8 @@ RESTART_INTERVAL = 100
 # the index of its support nogood; a constraint's c tag ("c", B, ()) has no
 # atoms.
 Tag = tuple[str, int, tuple[int, ...]]
-# What a learned nogood was derived from: the conflict and the reasons analyze()
-# resolved on, and the level-0 variables they name.
+# What a learned nogood was derived from: the conflict, the reasons analyze()
+# resolved on and those minimisation used, and the level-0 variables they name.
 Antecedents = tuple[tuple[int, ...], tuple[int, ...]]
 
 CONSISTENT = "CONSISTENT"
@@ -166,6 +176,8 @@ class _Search:
         self.tags: list[Tag | None] = []
         self.loop_seen: set[Nogood] = set()
         self.conflicts = 0
+        # Lower-level literals that minimisation dropped from learned nogoods.
+        self.dropped = 0
 
     # -- proof emission ------------------------------------------------------
 
@@ -337,9 +349,11 @@ class _Search:
     def propagate(self) -> int | None:
         """Run the watch loop to fixpoint; returns a violated nogood's index.
 
-        A nogood of two literals watches both, so it never looks for a
-        replacement watch; implied literals are assigned inline, as assign()
-        would.
+        A visited nogood whose other watched entry is false is satisfied and
+        keeps both watches; otherwise it looks for a replacement watch. A
+        nogood of two literals watches both, so it never looks for one. The
+        watch list is compacted in place; implied literals are assigned
+        inline, as assign() would.
         """
         trail, val, level, reason = self.trail, self.val, self.level, self.reason
         nogoods, watched, watches = self.nogoods, self.watched, self.watches
@@ -348,27 +362,26 @@ class _Search:
             lit = trail[qhead]
             qhead += 1
             idxs = watches[lit]
-            if not idxs:
-                continue
-            kept: list[int] = []
-            conflict = None
+            kept = 0
             for pos, idx in enumerate(idxs):
-                entries = nogoods[idx]
                 w1, w2 = watched[idx]
-                if w2 == lit and w1 != lit:
+                if w1 != lit:
                     w1, w2 = w2, w1
-                if len(entries) > 2:
-                    for cand in entries:
-                        if cand != w1 and cand != w2 and val[cand] is not True:
-                            watched[idx] = (cand, w2)
-                            watches[cand].append(idx)
-                            break
-                    else:
-                        cand = 0  # no replacement: literal 0 never occurs
-                    if cand:
-                        continue
-                kept.append(idx)
                 other = val[w2] if w2 != w1 else True
+                if other is not False:
+                    entries = nogoods[idx]
+                    if len(entries) > 2:
+                        for cand in entries:
+                            if cand != w1 and cand != w2 and val[cand] is not True:
+                                watched[idx] = (cand, w2)
+                                watches[cand].append(idx)
+                                break
+                        else:
+                            cand = 0  # no replacement: literal 0 never occurs
+                        if cand:
+                            continue
+                idxs[kept] = idx
+                kept += 1
                 if other is False:
                     continue
                 if other is None:
@@ -379,13 +392,10 @@ class _Search:
                     reason[var] = idx
                     trail.append(-w2)
                     continue
-                conflict = idx
-                kept.extend(idxs[pos + 1 :])
-                break
-            watches[lit] = kept
-            if conflict is not None:
+                del idxs[kept:pos + 1]
                 self.qhead = qhead
-                return conflict
+                return idx
+            del idxs[kept:]
         self.qhead = qhead
         return None
 
@@ -444,50 +454,74 @@ class _Search:
     # -- conflict analysis ---------------------------------------------------
 
     def analyze(self, conflict_idx: int, conflict_level: int) -> tuple[Nogood, int, Antecedents]:
-        """First-UIP resolution; returns the learned nogood, the backjump
-        level and the nogood's antecedents."""
+        """First-UIP resolution with local minimisation; returns the learned
+        nogood, the backjump level and the nogood's antecedents.
+
+        Resolution walks the trail back from the conflict until one entry of
+        the conflict level is left, the UIP. Minimisation then drops each
+        entry of a lower level whose reason's other entries are all in the
+        nogood or at level 0; that reason joins the resolved ones, and its
+        level-0 variables the roots.
+        """
+        level, reason, nogoods, trail = self.level, self.reason, self.nogoods, self.trail
         seen: set[int] = set()
         below: list[int] = []
         roots: list[int] = []
         resolved = [conflict_idx]
-        pending = 0
-
-        def merge(lit: int) -> None:
-            nonlocal pending
-            var = abs(lit)
-            if var in seen:
-                return
-            seen.add(var)
-            lv = self.level[var]
-            if lv == 0:
-                roots.append(var)
-            elif lv == conflict_level:
-                pending += 1
-            else:
-                below.append(lit)
-
-        for lit in self.nogoods[conflict_idx]:
-            merge(lit)
-        uip = 0
-        for i in range(len(self.trail) - 1, -1, -1):
-            lit = self.trail[i]
-            var = abs(lit)
-            if var not in seen or self.level[var] != conflict_level:
-                continue
+        entries = nogoods[conflict_idx]
+        skip = pending = 0
+        pos = len(trail)
+        while True:
+            for entry in entries:
+                var = entry if entry > 0 else -entry
+                if entry == skip or var in seen:
+                    continue
+                seen.add(var)
+                lv = level[var]
+                if lv == conflict_level:
+                    pending += 1
+                elif lv:
+                    below.append(entry)
+                else:
+                    roots.append(var)
+            # Walking back, the trail meets no seen variable of another
+            # level before the UIP.
+            while True:
+                pos -= 1
+                lit = trail[pos]
+                var = lit if lit > 0 else -lit
+                if var in seen:
+                    break
             pending -= 1
-            if pending == 0:
-                uip = lit
+            if not pending:
                 break
-            reason_idx = self.reason[var]
-            resolved.append(reason_idx)
-            for entry in self.nogoods[reason_idx]:
-                if entry != -lit:
-                    merge(entry)
-        if uip == 0:
-            raise AssertionError("conflict analysis found no UIP")
-        learned = frozenset({uip, *below})
-        target = max((self.level[abs(l)] for l in below), default=0)
-        return learned, target, (tuple(resolved), tuple(roots))
+            idx = reason[var]
+            resolved.append(idx)
+            entries = nogoods[idx]
+            skip = -lit
+        learned = [lit]  # the UIP
+        target = 0
+        for lit in below:
+            var = lit if lit > 0 else -lit
+            idx = reason[var]
+            if idx is not None:
+                for entry in nogoods[idx]:
+                    v = entry if entry > 0 else -entry
+                    if v not in seen and level[v]:
+                        break
+                else:
+                    resolved.append(idx)
+                    for entry in nogoods[idx]:
+                        v = entry if entry > 0 else -entry
+                        if v not in seen:
+                            seen.add(v)
+                            roots.append(v)
+                    continue
+            learned.append(lit)
+            if level[var] > target:
+                target = level[var]
+        self.dropped += len(below) + 1 - len(learned)
+        return frozenset(learned), target, (tuple(resolved), tuple(roots))
 
     # -- search ---------------------------------------------------------------
 

@@ -13,7 +13,8 @@ enumeration, and brute-force entailment between nogood sets are the
 references for the solver's set-up, the checker's store and the loop
 formulas. random_tight_program draws loop-free programs for the tests that
 need them, and with_disjunctions_and_a_wide_weight_rule adds disjunctive
-rules and a weight rule with 6,435 subset-minimal bodies to a draw.
+rules and a weight rule with 6,435 subset-minimal bodies to a draw, and
+random_3sat_program draws programs whose refutations need search.
 reference_minimal_weight_sets enumerates a weight rule's subset-minimal
 bodies, the reading of a weight rule that the tests hold the counter of
 completion.normalize_weights against.
@@ -393,3 +394,16 @@ def with_disjunctions_and_a_wide_weight_rule(rng: random.Random, program: Progra
     rules.insert(rng.randint(0, len(rules)), wide)
     names = program.atom_names + tuple(f"w{i}" for i in range(15))
     return Program(names, tuple(rules))
+
+
+def random_3sat_program(rng: random.Random, atoms: int) -> Program:
+    """A 3-SAT draw: `{x1; ...; xn}.` plus round(4.3·n) integrity
+    constraints, each over three distinct atoms with random signs. The ratio
+    sits near the satisfiability threshold, so refutations need search and
+    learn nogoods of several literals."""
+    rules = [choice_rule(range(1, atoms + 1))]
+    for _ in range(round(4.3 * atoms)):
+        trio = rng.sample(range(1, atoms + 1), 3)
+        neg = {atom for atom in trio if rng.random() < 0.5}
+        rules.append(basic_rule((), set(trio) - neg, neg))
+    return Program(tuple(f"x{i}" for i in range(1, atoms + 1)), tuple(rules))

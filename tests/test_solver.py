@@ -22,7 +22,9 @@ from aspcert.solver import (
     SolveError,
     solve,
 )
-from reference import backward_family, declared_registry, forward_family, public_items
+from reference import (
+    backward_family, declared_registry, forward_family, public_items, random_3sat_program,
+)
 
 
 def test_consistent_program():
@@ -260,9 +262,9 @@ def _chain_text(length):
 
 
 # sha256 over every run of test_search_and_proofs_are_pinned, recorded when
-# the solver stopped writing b lines: a proof names each body by its catalog
-# id. The runs are those of the previous digest with every b line left out.
-PINNED_DIGEST = "b5f0b3c071c11febd7769eb35aec8194f11d58608caa7a11a595c3db29868ebe"
+# the watch loop began to leave satisfied nogoods alone and analyze began to
+# minimise learned nogoods, which changed search order and lemmas.
+PINNED_DIGEST = "c3b313c18a153c337a77d03d54ad82e776febb02addd17c4362f9920a2a8693b"
 
 
 def test_search_and_proofs_are_pinned(monkeypatch):
@@ -316,6 +318,111 @@ def test_restarts_finish_on_pigeonhole(monkeypatch, heuristic, pigeons, interval
     assert counts["restarts"] > 0
     assert not [step for step in result.proof if step.kind == "d"]
     assert check(program, result.proof).ok
+
+
+def _count_dropped(monkeypatch):
+    """Spy on runs; sums the literals minimisation dropped in each search."""
+    run = solver_module._Search.run
+    counts = {"dropped": 0}
+
+    def counted_run(search, restarts):
+        try:
+            return run(search, restarts)
+        finally:
+            counts["dropped"] += search.dropped
+
+    monkeypatch.setattr(solver_module._Search, "run", counted_run)
+    return counts
+
+
+def _checks_in_both_modes(program, proof):
+    """The proof checks as written and, without its c and s lines, against
+    the preloaded completion."""
+    bare = Proof(tuple(step for step in proof if step.kind not in "cs"))
+    return check(program, proof).ok and check(program, bare, preloaded=True).ok
+
+
+def test_satisfied_nogood_keeps_its_watches():
+    """A nogood whose other watched entry is false is satisfied: when its
+    first watch becomes true it keeps both watches and its place on that
+    watch's list, with no replacement scan, while a nogood beside it whose
+    other watch is free moves to a replacement."""
+    program = parse_program("#atoms a b c d.\n")
+    search = solver_module._Search(program, "min-true", None, io.StringIO(), frozenset())
+    for entries in ((1, 4), (1, 2, 3), (1, 3, 4)):
+        assert search.attach(entries, None) is None
+    assert search.watches[1] == [0, 1, 2]
+    search.decide(-2)
+    assert search.propagate() is None
+    search.decide(1)
+    assert search.propagate() is None
+    # (1, 4) implied -4, so (1, 3, 4) moved its watch from 1 to 4.
+    assert search.trail == [-2, 1, -4]
+    assert search.watches[1] == [0, 1]
+    assert search.watched[1] == (1, 2)
+    assert 1 not in search.watches[3]
+    assert search.watched[2] == (4, 3) and 2 in search.watches[4]
+
+
+_MINIMISABLE = """{x1; y; x2; z; u; w}.
+f.
+:- x1, f, not y.
+:- x2, y, z.
+:- x2, x1, not z.
+:- not x2, x1, u.
+:- not x2, x1, not u.
+:- not x1, w.
+:- not x1, not w.
+"""
+
+
+def test_minimisation_drops_a_literal_its_reason_implies(monkeypatch):
+    """The fact f holds at level 0. Deciding x1 implies y by
+    `:- x1, f, not y.`; deciding x2 then implies z and violates
+    `:- x2, y, z.`. The first-UIP nogood {x1, y, x2} holds y, whose reason's
+    other entries are x1, in the nogood, and f, at level 0, so minimisation
+    drops y and the lemma is {x1, x2}. Nothing else in the refutation uses
+    y's reason or f, so their lines (`c 9 0`, and `c 8 7 0` for f's rule)
+    are written only because the lemma records them. The proof checks in
+    both modes."""
+    dropped = _count_dropped(monkeypatch)
+    program = parse_program(_MINIMISABLE)
+    result = solve(program)
+    assert result.status == INCONSISTENT
+    lemmas = [step.lits for step in result.proof if step.kind == "a"]
+    assert lemmas == [(1, 3), (1,), ()]
+    assert dropped["dropped"] == 1
+    assert Step("c", 9) in result.proof.steps and Step("c", 8, (7,)) in result.proof.steps
+    assert _checks_in_both_modes(program, result.proof)
+
+
+def test_3sat_refutations_check_in_both_modes(monkeypatch):
+    """3-SAT draws of 12-20 atoms need search. Every heuristic, with and
+    without restarts every four conflicts, gives the same verdict on each
+    draw; every answer set is stable, and each of the 40 refuted draws'
+    proofs checks as written and preloaded without its c and s lines. The
+    floors keep the draws from going trivial: many lemmas have two or more
+    literals, and minimisation drops many literals."""
+    monkeypatch.setattr(solver_module, "RESTART_INTERVAL", 4)
+    restarts_seen = _count_restarts(monkeypatch)
+    dropped = _count_dropped(monkeypatch)
+    rng = random.Random(41)
+    draws = refuted = long_lemmas = 0
+    while refuted < 40:
+        draws += 1
+        program = random_3sat_program(rng, rng.randint(12, 20))
+        results = [solve(program, heuristic=heuristic, restarts=restarts, seed=draws)
+                   for heuristic in HEURISTICS for restarts in (False, True)]
+        (status,) = {result.status for result in results}
+        if status == CONSISTENT:
+            assert all(is_answer_set(program, result.answer_set) for result in results)
+            continue
+        refuted += 1
+        for result in results:
+            assert _checks_in_both_modes(program, result.proof)
+            long_lemmas += sum(step.kind == "a" and len(step.lits) >= 2 for step in result.proof)
+    assert restarts_seen["restarts"] > 0
+    assert long_lemmas > 1000 and dropped["dropped"] > 500
 
 
 def _lone_constraint_bodies(catalog):
