@@ -1,14 +1,15 @@
 """Brute-force semantic ground truth for small ground programs.
 
-Answer sets are found by candidate testing: choice rules are translated to
-normal rules with fresh complement atoms, and a candidate is accepted when
+Answer sets are found by candidate testing: a candidate is accepted when
 it satisfies no integrity constraint's body and is a minimal model of the
 reduct of the other rules (the least model, when no rule is disjunctive).
-Weight rules are read by their own reduct (Simons, Niemelä & Soininen, AIJ
-138, 2002): for a candidate M, h :- L <= {lits} becomes a positive weight
-rule over its positive literals, its bound lowered by the weights of the
-literals not b with b outside M. They share no code with the completion's
-counter, so the differential fuzzer compares two readings of a weight rule.
+Choice and weight rules are read by their own reduct (Simons, Niemelä &
+Soininen, AIJ 138, 2002). For a candidate M, {a...} :- B gives a :- B+ for
+each head atom a in M, when no atom of B- is in M. h :- L <= {lits} becomes
+a positive weight rule over its positive literals, its bound lowered by the
+weights of the literals not b with b outside M. Weight rules share no code
+with the completion's counter, so the differential fuzzer compares two
+readings of a weight rule.
 An atom-count guard keeps enumeration at desk scale; this module exists to
 certify the others, not to perform.
 """
@@ -35,37 +36,24 @@ class OracleError(ValueError):
 
 def _translate(
     program: Program,
-) -> tuple[list[TranslatedRule], list[WeightRule], list[tuple[int, int]]]:
-    """Rewrite choice rules; returns (heads, pos, neg) triples, the weight
-    rules apart, and the choice complement pairs.
+) -> tuple[list[TranslatedRule], list[TranslatedRule], list[WeightRule]]:
+    """Split the rules: (heads, pos, neg) triples of the basic rules and of
+    the choice rules, and the weight rules.
 
     An integrity constraint keeps its empty heads.
     """
     rules: list[TranslatedRule] = []
+    choices: list[TranslatedRule] = []
     weighted: list[WeightRule] = []
-    aux_pairs: list[tuple[int, int]] = []
-    next_var = program.atom_count
     for rule in program.rules:
-        if rule.kind is CHOICE:
-            for atom in rule.head:
-                next_var += 1
-                comp = next_var
-                aux_pairs.append((atom, comp))
-                rules.append(
-                    (frozenset({atom}), rule.pos_body, rule.neg_body | {comp})
-                )
-                rules.append((frozenset({comp}), frozenset(), frozenset({atom})))
-        elif rule.kind is WEIGHT:
+        if rule.kind is WEIGHT:
             pos = tuple((l, w) for l, w in rule.weights if l > 0)
             neg = tuple((-l, w) for l, w in rule.weights if l < 0)
             weighted.append((rule.head[0], rule.bound, pos, neg))
         else:
-            rules.append((frozenset(rule.head), rule.pos_body, rule.neg_body))
-    return rules, weighted, aux_pairs
-
-
-def _extend(model: frozenset[int], aux_pairs: list[tuple[int, int]]) -> frozenset[int]:
-    return model | {comp for atom, comp in aux_pairs if atom not in model}
+            (choices if rule.kind is CHOICE else rules).append(
+                (frozenset(rule.head), rule.pos_body, rule.neg_body))
+    return rules, choices, weighted
 
 
 def _reaches(
@@ -105,6 +93,7 @@ def _is_model(
 
 def _stable(
     rules: list[TranslatedRule],
+    choices: list[TranslatedRule],
     weighted: list[WeightRule],
     model: frozenset[int],
     disjunctive: bool,
@@ -118,6 +107,9 @@ def _stable(
                 return False
             continue
         reduct.append((heads, pos))
+    for heads, pos, neg in choices:
+        if not neg & model:
+            reduct += [(frozenset({atom}), pos) for atom in heads & model]
     weight_reduct = [
         (head, bound - sum(w for atom, w in neg if atom not in model), pos)
         for head, bound, pos, neg in weighted
@@ -140,9 +132,9 @@ def is_answer_set(program: Program, atoms: Iterable[int]) -> bool:
     for atom in model:
         if not 1 <= atom <= program.atom_count:
             raise ValueError(f"unknown atom {atom}")
-    rules, weighted, aux_pairs = _translate(program)
+    rules, choices, weighted = _translate(program)
     disjunctive = any(len(heads) > 1 for heads, _, _ in rules)
-    return _stable(rules, weighted, _extend(model, aux_pairs), disjunctive)
+    return _stable(rules, choices, weighted, model, disjunctive)
 
 
 def enumerate_answer_sets(
@@ -153,13 +145,13 @@ def enumerate_answer_sets(
         raise OracleError(
             f"{program.atom_count} atoms exceed the enumeration guard {ATOM_GUARD}"
         )
-    rules, weighted, aux_pairs = _translate(program)
+    rules, choices, weighted = _translate(program)
     disjunctive = any(len(heads) > 1 for heads, _, _ in rules)
     atoms = list(program.atom_ids())
     found: list[frozenset[int]] = []
     for mask in range(1 << len(atoms)):
         model = frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
-        if _stable(rules, weighted, _extend(model, aux_pairs), disjunctive):
+        if _stable(rules, choices, weighted, model, disjunctive):
             found.append(model)
             if cap is not None and len(found) >= cap:
                 break

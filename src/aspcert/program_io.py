@@ -137,8 +137,7 @@ def _parse_rule(builder: _Builder, stmt: str) -> Rule:
             raise ParseError("more than one ':-'")
 
     if not head_text:
-        if not sep:
-            raise ParseError("empty rule")
+        # The statement is not empty, so an empty head means a ':-' follows.
         kind, head = BASIC, ()
     elif "<=" in body_text and (weight_match := _WEIGHT_BODY.match(body_text)):
         if head_text[0] == "{" or "|" in head_text:

@@ -44,9 +44,11 @@ as the tests check against a reference built from the rules. Learned and
 loop nogoods are sorted the same way. Set-up attaches each nogood through
 `attach`, as search does; `attach` first checks for a nogood of two or more
 entries, none assigned, which it watches on its first two entries. It
-watches none of a nogood with a false entry: that happens only during
-set-up, at level 0, so it stays satisfied for good. Otherwise a nogood has
-at most one free entry (a learned one exactly one); `attach` watches it and
+watches none of a nogood with a false entry, and a nogood with two or more
+free entries beside a true one watches its first two free entries and
+implies nothing: both happen only during set-up, at level 0, where an
+earlier nogood has implied an entry for good. Otherwise a nogood has at
+most one free entry (a learned one exactly one); `attach` watches it and
 the true entry of the highest level and implies its complement, or with no
 free entry watches the two highest true entries and reports a conflict.
 When a watched entry becomes true, `propagate` reads the other watched entry
@@ -60,14 +62,8 @@ An integrity constraint `:- B'.` is a rule with an empty head; its body B
 attaches the nogood B' itself, the body's literals, tagged with the line
 `c B 0`. When no other rule induces B, nothing else needs B: set-up sets B
 false at level 0, with no reason, and attaches no definition of B, so no
-nogood names it. A one-literal B' waits for the unit nogoods at the end, so
-that no attach meets a true entry beside two free ones. Once a lemma rests
-on B', the tag writes `c B 0`, from which the checker derives B'. An atom
-whose every body contains its own negation (a rule `a :- B', not a.`, a
-choice head `{a} :- B', not a.`) is self-blocking: it is false in every
-answer set. It gets the unit nogood {a}, attached last. Its line
-`a <atom> 0` is RUP from the atom's support nogood and the definitions
-{B, a} of its bodies.
+nogood names it. B' follows B's definition whatever its length. Once a lemma
+rests on B', the tag writes `c B 0`, from which the checker derives B'.
 
 Lazy lines. A first-UIP nogood follows by resolution from the conflict nogood
 and the reasons `analyze` resolved on. `analyze` then minimises it: it drops
@@ -77,10 +73,9 @@ nogood is RUP against the conflict, the reasons resolved on, the reasons
 minimisation used and the level-0 reasons behind their level-0 literals.
 `run` keeps these with the learned nogood as its antecedents: the first
 three as nogood indices, the last as the level-0 variables. It writes
-nothing. Once a conflict at
-level 0 is found, `write_needed` walks back from it once: through the level-0
-reason of each variable it meets, the antecedents of each learned nogood and
-the support nogood of each unit lemma. It writes the pending lines of the
+nothing. Once a conflict at level 0 is found, `write_needed` walks back from
+it once: through the level-0 reason of each variable it meets and the
+antecedents of each learned nogood. It writes the pending lines of the
 nogoods it reached in nogood-index order, then the empty nogood follows. A
 learned nogood rests only on nogoods attached before it, and level-0
 assignments survive every restart, so that order puts every line after those
@@ -114,9 +109,8 @@ HEURISTICS = ("min-true", "min-false", "random")
 RESTART_INTERVAL = 100
 
 # The kind, head and literals of the line a nogood is written with once the
-# refutation rests on it. A learned nogood's a tag has head 0, a unit lemma's
-# the index of its support nogood; a constraint's c tag ("c", B, ()) has no
-# atoms.
+# refutation rests on it. A learned nogood's a tag has head 0; a constraint's
+# c tag ("c", B, ()) has no atoms.
 Tag = tuple[str, int, tuple[int, ...]]
 # What a learned nogood was derived from: the conflict, the reasons analyze()
 # resolved on and those minimisation used, and the level-0 variables they name.
@@ -188,8 +182,8 @@ class _Search:
         """Write the pending lines of the nogoods a level-0 conflict rests on.
 
         From the conflict, the walk follows the level-0 reason of each
-        variable it meets, the recorded antecedents of each learned nogood
-        and the support nogood of each unit lemma.
+        variable it meets and the recorded antecedents of each learned
+        nogood.
         """
         tags, reason, nogoods, antecedents = self.tags, self.reason, self.nogoods, self.antecedents
         batch: list[int] = []
@@ -214,14 +208,11 @@ class _Search:
                 resolved, lemma_roots = antecedents[idx]
                 idxs.extend(resolved)
                 roots.extend(lemma_roots)
-            elif tags[idx] is not None and tags[idx][0] == "a":
-                idxs.append(tags[idx][1])
         emit = self.emit
         for idx in sorted(batch):
             tag = tags[idx]
             if tag is not None:
-                kind, head, lits = tag
-                emit(Step(kind, head=0 if kind == "a" else head, lits=lits))
+                emit(Step(*tag))
 
     def refute(self, conflict: int) -> SolveResult:
         """Write the lines a level-0 conflict rests on, then the empty nogood."""
@@ -303,7 +294,8 @@ class _Search:
             self.watches[lit].append(idx)
         if not frees:
             return idx
-        self.assign(-frees[0], idx)
+        if len(frees) == 1:
+            self.assign(-frees[0], idx)
         return None
 
     def load_completion(self) -> int | None:
@@ -316,7 +308,6 @@ class _Search:
         lone = constraints.difference(chain.from_iterable(catalog.ib.values()))
 
         conflicts: list[int | None] = []
-        units: list[tuple[tuple[int, ...], Tag]] = []
         for body, body_id in body_ids.items():
             lits = tuple(sorted(body, key=abs))
             if body in lone:
@@ -326,22 +317,13 @@ class _Search:
                 for lit in lits:
                     conflicts.append(attach((-lit, body_id), None))
             if body in constraints:
-                tag = ("c", body_id, ())
-                if len(lits) > 1:
-                    conflicts.append(attach(lits, tag))
-                else:
-                    units.append((lits, tag))
+                conflicts.append(attach(lits, ("c", body_id, ())))
         for atom in program.atom_ids():
-            bodies = catalog.bodies_of(atom)
-            ids = tuple([body_ids[body] for body in bodies])
-            if bodies and -atom in bodies[0] and all(-atom in body for body in bodies):
-                units.append(((atom,), ("a", len(self.nogoods), (atom,))))
+            ids = tuple([body_ids[body] for body in catalog.bodies_of(atom)])
             conflicts.append(attach((atom, *[-b for b in sorted(ids)]), ("s", atom, ids)))
         for atom, body in catalog.firing:
             body_id = body_ids[body]
             conflicts.append(attach((-atom, body_id), ("c", body_id, (atom,))))
-        for entries, tag in units:
-            conflicts.append(attach(entries, tag))
         return next((idx for idx in conflicts if idx is not None), None)
 
     # -- propagation ------------------------------------------------------------

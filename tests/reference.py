@@ -13,11 +13,14 @@ enumeration, and brute-force entailment between nogood sets are the
 references for the solver's set-up, the checker's store and the loop
 formulas. random_tight_program draws loop-free programs for the tests that
 need them, and with_disjunctions_and_a_wide_weight_rule adds disjunctive
-rules and a weight rule with 6,435 subset-minimal bodies to a draw, and
-random_3sat_program draws programs whose refutations need search.
-reference_minimal_weight_sets enumerates a weight rule's subset-minimal
-bodies, the reading of a weight rule that the tests hold the counter of
-completion.normalize_weights against.
+rules and a weight rule with 6,435 subset-minimal bodies to a draw.
+random_3sat_program draws programs whose refutations need search, and
+random_3sat_program_with_units adds facts and one-literal constraints that
+hold at the top level. reference_minimal_weight_sets enumerates a weight
+rule's subset-minimal bodies, the reading of a weight rule that the tests
+hold the counter of completion.normalize_weights against.
+with_complement_atoms is the complement-atom translation of choice rules,
+the reading the tests hold the oracle's choice reduct against.
 """
 
 from __future__ import annotations
@@ -407,3 +410,37 @@ def random_3sat_program(rng: random.Random, atoms: int) -> Program:
         neg = {atom for atom in trio if rng.random() < 0.5}
         rules.append(basic_rule((), set(trio) - neg, neg))
     return Program(tuple(f"x{i}" for i in range(1, atoms + 1)), tuple(rules))
+
+
+def random_3sat_program_with_units(rng: random.Random, atoms: int) -> Program:
+    """A 3-SAT draw plus one to three facts `x.` or one-literal constraints
+    `:- x.` or `:- not x.` over distinct atoms, so that those atoms are
+    assigned at the top level and reasons found during search name them."""
+    program = random_3sat_program(rng, atoms)
+    units = []
+    for atom in rng.sample(range(1, atoms + 1), rng.randint(1, 3)):
+        head, pos, neg = rng.choice([((atom,), (), ()), ((), (atom,), ()), ((), (), (atom,))])
+        units.append(basic_rule(head, pos, neg))
+    return Program(program.atom_names, program.rules + tuple(units))
+
+
+def with_complement_atoms(program: Program) -> tuple[Program, list[tuple[int, int]]]:
+    """Each head atom a of each choice rule {...} :- B gets a complement atom
+    a' of its own, numbered after the others, and the rules a :- B, not a'
+    and a' :- not a replace the choice rule. Returns the program and the
+    (atom, complement) pairs; a candidate M of the program corresponds to M
+    plus the complements of the atoms outside M."""
+    names = list(program.atom_names)
+    rules: list[Rule] = []
+    pairs: list[tuple[int, int]] = []
+    for rule in program.rules:
+        if rule.kind is not RuleKind.CHOICE:
+            rules.append(rule)
+            continue
+        for atom in rule.head:
+            names.append(f"{program.name(atom)}'{len(names) + 1}")
+            comp = len(names)
+            pairs.append((atom, comp))
+            rules.append(basic_rule((atom,), rule.pos_body, rule.neg_body | {comp}))
+            rules.append(basic_rule((comp,), (), (atom,)))
+    return Program(tuple(names), tuple(rules)), pairs

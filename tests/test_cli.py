@@ -63,6 +63,10 @@ def test_check_reports_semantic_errors(write, capsys, ex1_program, fig1_text):
     proof = write("p.drupe", fig1_text.replace("l 1 2 0", "l 1 5 0"))
     assert main(["check", program, proof]) == 1
     assert capsys.readouterr().out.startswith("Error at step 14")
+    # Every step holds, but without `a 0` the empty nogood is never derived.
+    proof = write("q.drupe", fig1_text.removesuffix("a 0\n"))
+    assert main(["check", program, proof]) == 1
+    assert capsys.readouterr().out == "Error: empty nogood never derived (or deleted)\n"
 
 
 def test_check_errors_name_the_proof_file_line(write, capsys):

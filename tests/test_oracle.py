@@ -13,7 +13,10 @@ from aspcert.oracle import (
     is_answer_set,
 )
 from aspcert.program_io import parse_program
-from reference import entails, reference_minimal_weight_sets
+from reference import (
+    entails, reference_minimal_weight_sets, with_complement_atoms,
+    with_disjunctions_and_a_wide_weight_rule,
+)
 
 
 def test_running_example_has_no_answer_sets(ex1_program):
@@ -43,8 +46,28 @@ def test_positive_loops_are_not_self_supporting():
 
 
 def test_choice_rule_branches():
+    """A choice rule read by its reduct gives the answer sets of its
+    complement-atom translation. On disjunctive rich draws with a wide weight
+    rule, every set of the draw's atoms is an answer set both ways or
+    neither, alone and with one of the weight rule's 15 atoms, which head no
+    rule; many draws with a choice rule have answer sets."""
     program = parse_program("{a}.\n")
     assert set(enumerate_answer_sets(program)) == {frozenset(), frozenset({1})}
+    rng = random.Random(17)
+    found = 0
+    for _ in range(100):
+        drawn = random_rich_program(rng, max_atoms=4, max_rules=8)
+        program = with_disjunctions_and_a_wide_weight_rule(rng, drawn)
+        translated, pairs = with_complement_atoms(program)
+        wide = range(drawn.atom_count + 1, program.atom_count + 1)
+        for mask in range(1 << drawn.atom_count):
+            model = frozenset(a for a in drawn.atom_ids() if mask >> (a - 1) & 1)
+            for candidate in (model, model | {rng.choice(wide)}):
+                extended = candidate | {comp for atom, comp in pairs if atom not in candidate}
+                stable = is_answer_set(program, candidate)
+                assert stable == is_answer_set(translated, extended)
+                found += stable and bool(pairs)
+    assert found > 50
 
 
 def test_choice_with_weight_rule():

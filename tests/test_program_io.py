@@ -96,6 +96,11 @@ def test_parse_errors():
                      id="non-ASCII-weight"),
         pytest.param("b :- 1 <= {a=1_0}.\n", "line 1: bad weight item 'a=1_0'",
                      id="weight-with-separator"),
+        ("\n#atoms.\n", "line 2: #atoms lists no names"),
+        ("#atoms a a.\n", "line 1: atom 'a' declared twice"),
+        ("a.\n{a} :- 1 <= {b=1}.\n", "line 2: weight rule needs a single head atom"),
+        ("a :- 1 <= {b=0}.\n", "line 1: weights must be positive"),
+        ("a.\n\n{}.\n", "line 3: empty choice head"),
     ],
 )
 def test_parse_errors_name_the_statement_line(text, message):

@@ -102,6 +102,10 @@ def test_parse_records_each_step_line():
         "l 1 1 0",       # repeated loop atom
         "u 1 0",         # count exceeds payload
         "u 2 1 1 0",     # repeated unfounded atom
+        "s 1 -3 0",      # negative body id
+        "l -1 0",        # negative loop atom
+        "u 0",           # u without a set size
+        "u 1 -2 0",      # negative unfounded atom
         "a x 0",         # non-integer token
         "a 1_0 0",       # digit separator
         "a +3 0",        # plus sign

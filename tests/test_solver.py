@@ -24,6 +24,7 @@ from aspcert.solver import (
 )
 from reference import (
     backward_family, declared_registry, forward_family, public_items, random_3sat_program,
+    random_3sat_program_with_units,
 )
 
 
@@ -262,9 +263,10 @@ def _chain_text(length):
 
 
 # sha256 over every run of test_search_and_proofs_are_pinned, recorded when
-# the watch loop began to leave satisfied nogoods alone and analyze began to
-# minimise learned nogoods, which changed search order and lemmas.
-PINNED_DIGEST = "c3b313c18a153c337a77d03d54ad82e776febb02addd17c4362f9920a2a8693b"
+# set-up began to attach each constraint's nogood right after its body and
+# stopped giving self-blocking atoms unit nogoods, which changed set-up order
+# and so search order and lemmas.
+PINNED_DIGEST = "61ea63608669b212bdb75cee1f0e3ea3a26810a25a78c8b62d60e0bb03681af6"
 
 
 def test_search_and_proofs_are_pinned(monkeypatch):
@@ -278,7 +280,7 @@ def test_search_and_proofs_are_pinned(monkeypatch):
     where the restarts fall. A change that speeds up search must leave this
     hash alone. A change that alters search order, learning, restarts or
     proof emission on purpose updates PINNED_DIGEST and says so in CHANGES.md.
-    Every refutation in the corpus checks.
+    Every refutation in the corpus checks as written and preloaded.
     """
     monkeypatch.setattr(solver_module, "RESTART_INTERVAL", 2)
     counts = _count_restarts(monkeypatch)
@@ -298,7 +300,7 @@ def test_search_and_proofs_are_pinned(monkeypatch):
                 answer = sorted(result.answer_set or ())
                 digest.update(f"{result.status} {answer}\n{sink.getvalue()}".encode())
                 if result.status == INCONSISTENT:
-                    assert check(program, parse_proof(sink.getvalue())).ok
+                    assert _checks_in_both_modes(program, parse_proof(sink.getvalue()))
                     refuted += 1
     assert counts["undoing"] > 0 and refuted > 200
     assert digest.hexdigest() == PINNED_DIGEST
@@ -397,30 +399,36 @@ def test_minimisation_drops_a_literal_its_reason_implies(monkeypatch):
 
 
 def test_3sat_refutations_check_in_both_modes(monkeypatch):
-    """3-SAT draws of 12-20 atoms need search. Every heuristic, with and
-    without restarts every four conflicts, gives the same verdict on each
-    draw; every answer set is stable, and each of the 40 refuted draws'
-    proofs checks as written and preloaded without its c and s lines. The
-    floors keep the draws from going trivial: many lemmas have two or more
+    """3-SAT draws of 12-20 atoms need search: plain ones, and ones with
+    facts or one-literal constraints, whose atoms are assigned at level 0,
+    so that the reasons minimisation uses name level-0 variables whose lines
+    nothing else may need. Every heuristic, with and without restarts every
+    four conflicts, gives the same verdict on each draw; every answer set is
+    stable, and for each kind of draw each of 40 refuted draws' proofs
+    checks as written and preloaded without its c and s lines. The floors
+    keep the draws from going trivial: many lemmas have two or more
     literals, and minimisation drops many literals."""
     monkeypatch.setattr(solver_module, "RESTART_INTERVAL", 4)
     restarts_seen = _count_restarts(monkeypatch)
     dropped = _count_dropped(monkeypatch)
     rng = random.Random(41)
-    draws = refuted = long_lemmas = 0
-    while refuted < 40:
-        draws += 1
-        program = random_3sat_program(rng, rng.randint(12, 20))
-        results = [solve(program, heuristic=heuristic, restarts=restarts, seed=draws)
-                   for heuristic in HEURISTICS for restarts in (False, True)]
-        (status,) = {result.status for result in results}
-        if status == CONSISTENT:
-            assert all(is_answer_set(program, result.answer_set) for result in results)
-            continue
-        refuted += 1
-        for result in results:
-            assert _checks_in_both_modes(program, result.proof)
-            long_lemmas += sum(step.kind == "a" and len(step.lits) >= 2 for step in result.proof)
+    draws = long_lemmas = 0
+    for draw in (random_3sat_program, random_3sat_program_with_units):
+        refuted = 0
+        while refuted < 40:
+            draws += 1
+            program = draw(rng, rng.randint(12, 20))
+            results = [solve(program, heuristic=heuristic, restarts=restarts, seed=draws)
+                       for heuristic in HEURISTICS for restarts in (False, True)]
+            (status,) = {result.status for result in results}
+            if status == CONSISTENT:
+                assert all(is_answer_set(program, result.answer_set) for result in results)
+                continue
+            refuted += 1
+            for result in results:
+                assert _checks_in_both_modes(program, result.proof)
+                long_lemmas += sum(step.kind == "a" and len(step.lits) >= 2
+                                   for step in result.proof)
     assert restarts_seen["restarts"] > 0
     assert long_lemmas > 1000 and dropped["dropped"] > 500
 
@@ -431,46 +439,34 @@ def _lone_constraint_bodies(catalog):
     return catalog.constraints - induced
 
 
-def _self_blocking(program, catalog):
-    """Atoms with at least one body, each of which contains the atom's negation."""
-    return [
-        atom for atom in program.atom_ids()
-        if catalog.bodies_of(atom) and all(-atom in body for body in catalog.bodies_of(atom))
-    ]
-
-
 def _reference_setup(search):
     """The tagged nogoods set-up should attach, built from completion.py's
     families: after each body's definition, or in its place if no rule
-    induces the body, a constraint's nogood B (with the unit nogoods if B has
-    one literal), and last the unit nogoods {a} of the self-blocking atoms."""
+    induces the body, a constraint's nogood B, whatever its length; then the
+    support and the rule-firing nogoods."""
     program, catalog = search.program, search.catalog
     lone = _lone_constraint_bodies(catalog)
     registry = declared_registry(program, catalog)
-    bodies = public_items(registry)
-    nogoods, units = [], []
-    for body_id, body in bodies:
+    nogoods = []
+    for body_id, body in public_items(registry):
         if body not in lone:
             nogoods += [(nogood, None) for nogood in body_definition(body_id, body)]
         if body in catalog.constraints:
-            (nogoods if len(body) > 1 else units).append((body, ("c", body_id, ())))
-    supports = {}
+            nogoods.append((body, ("c", body_id, ())))
     for atom, body_ids, nogood in forward_family(program, catalog, registry):
-        supports[atom] = len(nogoods)
         nogoods.append((nogood, ("s", atom, body_ids)))
     for nogood in backward_family(program, catalog, registry):
         (atom,) = (-lit for lit in nogood if lit < 0)
         (body_id,) = (lit for lit in nogood if lit > 0)
         nogoods.append((nogood, ("c", body_id, (atom,))))
-    units += [({atom}, ("a", supports[atom], (atom,))) for atom in _self_blocking(program, catalog)]
-    return [(sorted_lits(nogood), tag) for nogood, tag in nogoods + units]
+    return [(sorted_lits(nogood), tag) for nogood, tag in nogoods]
 
 
 def test_setup_attaches_the_completion_families_in_order(ex1_program):
     """The one-pass set-up attaches the same nogoods, in the same order and
     with the same tags, as sorted_lits applied to body_definition (bodies in
     id order, each constraint's nogood after its body), forward_family and
-    backward_family, and then only the unit nogoods. It writes no line, and
+    backward_family, and nothing else. It writes no line, and
     the body of each constraint that no rule induces is false at level 0 and
     named by no nogood."""
     rng = random.Random(37)
@@ -659,36 +655,39 @@ def test_trail_stays_level_ordered_under_fuzzing(monkeypatch):
 
 
 def test_attach_sees_false_entries_only_at_set_up(monkeypatch):
-    """Every entry false when a nogood is attached was assigned at level 0,
-    during set-up; a learned nogood (an a tag with head 0; a unit lemma's
-    head is its support nogood) has exactly one free entry, and a loop
-    nogood, like any nogood with an assigned entry and no false one, at most
-    one. That is what lets attach leave a nogood with a false entry unwatched
-    and watch a free entry beside the highest true one. A constraint's
-    nogood (a c tag without atoms) of two or more entries is attached among
-    the body definitions, while every atom is free; one of a single entry,
-    with the unit nogoods."""
+    """A nogood attached with a false entry, or with a true entry beside two
+    free ones, is attached at level 0, during set-up, and its assigned
+    entries were assigned there; the second kind implies nothing. A learned
+    nogood (every a tag) has exactly one free entry, and a loop nogood at
+    most one. That is what lets attach leave a nogood with a false entry
+    unwatched, watch two free entries beside a true one for good, and
+    otherwise watch a free entry beside the highest true one. Set-up attaches
+    each constraint's nogood right after its body, so a one-literal
+    constraint attached earlier leaves true entries beside free ones. Every
+    refutation checks as written and preloaded."""
     monkeypatch.setattr(solver_module, "RESTART_INTERVAL", 8)
     attach = solver_module._Search.attach
-    counts = {"false": 0, "learned": 0, "loop": 0, "constraint": 0}
+    counts = {"false": 0, "beside": 0, "learned": 0, "loop": 0}
 
     def checked_attach(search, entries, tag):
-        learned = tag is not None and tag[:2] == ("a", 0)
         values = [search.val[l] for l in entries]
-        for l, value in zip(entries, values):
-            if value is False:
-                assert search.dl == 0 and search.level[abs(l)] == 0
-                counts["false"] += 1
-        if False not in values and (True in values or tag and tag[0] == "l"):
-            assert values.count(None) <= 1
-        if learned:
-            assert values.count(None) == 1
+        frees = values.count(None)
+        beside = False not in values and True in values and frees > 1
+        if False in values or beside:
+            assert search.dl == 0
+            assert all(search.level[abs(l)] == 0 for l, v in zip(entries, values) if v is not None)
+            counts["false" if False in values else "beside"] += 1
+        if tag and tag[0] == "a":
+            assert tag[1] == 0 and frees == 1
             counts["learned"] += 1
-        counts["loop"] += bool(tag and tag[0] == "l")
-        if tag and tag[0] == "c" and not tag[2] and len(entries) > 1:
-            assert values.count(None) == len(entries)
-            counts["constraint"] += 1
-        return attach(search, entries, tag)
+        if tag and tag[0] == "l":
+            assert False not in values and frees <= 1
+            counts["loop"] += 1
+        trail = len(search.trail)
+        conflict = attach(search, entries, tag)
+        if beside:
+            assert conflict is None and len(search.trail) == trail
+        return conflict
 
     monkeypatch.setattr(solver_module._Search, "attach", checked_attach)
     rng = random.Random(61)
@@ -700,9 +699,11 @@ def test_attach_sees_false_entries_only_at_set_up(monkeypatch):
     for index, program in enumerate(programs):
         for heuristic in HEURISTICS:
             for restarts in (False, True):
-                solve(program, heuristic=heuristic, restarts=restarts, seed=index)
+                result = solve(program, heuristic=heuristic, restarts=restarts, seed=index)
+                if result.status == INCONSISTENT:
+                    assert _checks_in_both_modes(program, result.proof)
     assert counts["false"] > 1000 and counts["learned"] > 300 and counts["loop"] > 100
-    assert counts["constraint"] > 500
+    assert counts["beside"] > 100
 
 
 def _rested_on(search, conflict):
@@ -759,10 +760,7 @@ def test_written_lemmas_are_those_the_refutation_rests_on(monkeypatch):
                 if result.status != INCONSISTENT:
                     continue
                 ((search, conflict),) = final
-                # The a lines of unit lemmas.
-                units = {tag[2] for tag in search.tags if tag and tag[0] == "a" and tag[1]}
-                written = [step.lits for step in result.proof
-                           if step.kind == "a" and step.lits and step.lits not in units]
+                written = [step.lits for step in result.proof if step.kind == "a" and step.lits]
                 rested_on = _rested_on(search, conflict)
                 assert written == [search.nogoods[idx] for idx in rested_on]
                 assert check(program, result.proof).ok
@@ -796,39 +794,53 @@ def _blocking_for_constraints(program):
     return Program(tuple(names), tuple(rules))
 
 
+def _setup_tags(monkeypatch):
+    """Spy on set-up; lists, per search, the tags of the nogoods it attached."""
+    load_completion = solver_module._Search.load_completion
+    seen = []
+
+    def recorded_load_completion(search):
+        conflict = load_completion(search)
+        seen.append([tag for tag in search.tags if tag])
+        return conflict
+
+    monkeypatch.setattr(solver_module._Search, "load_completion", recorded_load_completion)
+    return seen
+
+
 def test_self_blocking_lines_come_in_order_and_at_most_once(monkeypatch):
-    """Under every heuristic, with and without restarts, a self-blocking atom's
-    a line follows its s line and is written at most once, and the streamed
-    proof checks. The rich programs' constraints are written as self-blocking
-    atoms."""
+    """The rich programs' constraints are written as self-blocking atoms, each
+    false in every answer set. Under every heuristic, with and without
+    restarts, set-up attaches no a line for them, only each one's support
+    nogood with its s tag, as for any atom; search refutes such an atom like
+    any other. Every witness is an answer set, and every streamed proof checks
+    as written and preloaded."""
     monkeypatch.setattr(solver_module, "RESTART_INTERVAL", 8)
+    setups = _setup_tags(monkeypatch)
     rng = random.Random(53)
-    refuted = justified = 0
+    refuted = blocked = 0
     for index in range(300):
         generate = random_rich_program if index % 2 else random_program
-        program = _blocking_for_constraints(generate(rng, max_atoms=8, max_rules=16))
-        normal = normalize_weights(program)
-        blocking = set(_self_blocking(normal, body_catalog(normal)))
+        drawn = generate(rng, max_atoms=8, max_rules=16)
+        program = _blocking_for_constraints(drawn)
+        blocking = range(drawn.atom_count + 1, program.atom_count + 1)
         for heuristic in HEURISTICS:
             for restarts in (False, True):
+                del setups[:]
                 sink = io.StringIO()
                 result = solve(program, heuristic=heuristic, restarts=restarts, seed=index,
                                proof_sink=sink)
-                if result.status != INCONSISTENT:
+                (tags,) = setups
+                assert not [tag for tag in tags if tag[0] == "a"]
+                supported = {tag[1] for tag in tags if tag[0] == "s"}
+                assert supported.issuperset(blocking)
+                blocked += len(blocking)
+                if result.status == CONSISTENT:
+                    assert is_answer_set(program, result.answer_set)
                     continue
                 refuted += 1
-                proof = parse_proof(sink.getvalue())
-                supported, asserted = set(), set()
-                for step in proof:
-                    if step.kind == "s" and step.head in blocking:
-                        supported.add(step.head)
-                    elif step.kind == "a" and len(step.lits) == 1 and step.lits[0] in blocking:
-                        assert step.lits[0] in supported
-                        assert step.lits[0] not in asserted
-                        asserted.add(step.lits[0])
-                justified += len(asserted)
-                assert check(program, proof).ok
-    assert refuted > 300 and justified > 300
+                assert _checks_in_both_modes(program, parse_proof(sink.getvalue()))
+    assert refuted > 300 and blocked > 1000
 
 
 def _attached(monkeypatch):
@@ -852,15 +864,16 @@ def _attached(monkeypatch):
     "a :- b, not a.",
 ])
 def test_self_blocking_atoms_that_are_not_constraints_keep_their_completion(monkeypatch, snippet):
-    """A self-blocking atom `a` keeps its support nogood and unit lemma,
-    whether it heads a choice rule, is named in a second rule, has an empty
-    B' or is named nowhere else, as in the rule `a :- b, not a.` that the
-    constraint `:- b.` behaves like. Treating the choice rule as a
-    constraint would refute `{a} :- c, not a, not b. c.`, which has an
-    answer set. Verdicts match the oracle under every heuristic, with and
-    without restarts, witnesses are answer sets and every proof checks."""
+    """A self-blocking atom `a` keeps its support nogood, and set-up attaches
+    no a line for it, whether it heads a choice rule, is named in a second
+    rule, has an empty B' or is named nowhere else, as in the rule
+    `a :- b, not a.` that the constraint `:- b.` behaves like. Treating the
+    choice rule as a constraint would refute `{a} :- c, not a, not b. c.`,
+    which has an answer set. Verdicts match the oracle under every
+    heuristic, with and without restarts, witnesses are answer sets and
+    every proof checks as written and preloaded."""
     monkeypatch.setattr(solver_module, "RESTART_INTERVAL", 2)
-    attached = _attached(monkeypatch)
+    setups = _setup_tags(monkeypatch)
     contexts = ["", "b.", "c.", "b.\nc.", "{b}.\n{c}.", "{b; c}.\n:- not b.", "{c}.\n:- not c.",
                 "{b}.\nc :- not b.", "{c}.\nb :- c.\n:- b, not c.", "c.\n:- not a."]
     refuted = 0
@@ -869,17 +882,17 @@ def test_self_blocking_atoms_that_are_not_constraints_keep_their_completion(monk
         consistent = bool(enumerate_answer_sets(program, cap=1))
         for heuristic in HEURISTICS:
             for restarts in (False, True):
-                del attached[:]
+                del setups[:]
                 result = solve(program, heuristic=heuristic, restarts=restarts, seed=3)
-                tags = [tag for _, _, tag in attached if tag]
-                assert [tag for tag in tags if tag[0] == "a" and tag[2] == (1,)]
+                (tags,) = setups
+                assert not [tag for tag in tags if tag[0] == "a"]
                 assert [tag for tag in tags if tag[0] == "s" and tag[1] == 1]
                 if consistent:
                     assert result.status == CONSISTENT
                     assert is_answer_set(program, result.answer_set)
                 else:
                     assert result.status == INCONSISTENT
-                    assert check(program, result.proof).ok
+                    assert _checks_in_both_modes(program, result.proof)
                     refuted += 1
     assert refuted > 0
 
