@@ -116,26 +116,17 @@ def normalize_short_body(program: Program) -> Program:
     aux_ids: dict[frozenset[int], int] = {}
     aux_counter = 0
     rules: list[Rule] = []
-
-    def aux_for(body: frozenset[int]) -> int:
-        nonlocal aux_counter
-        if body not in aux_ids:
-            aux_counter += 1
-            name = f"__aux{aux_counter}"
-            while name in taken:
-                aux_counter += 1
-                name = f"__aux{aux_counter}"
-            names.append(name)
-            taken.add(name)
-            aux_ids[body] = len(names)
-        return aux_ids[body]
-
     for rule in program.rules:
         body = rule.body
         if rule.head and rule_count[rule.head[0]] >= 2 and len(body) >= 2:
             aux = aux_ids.get(body)
             if aux is None:
-                aux = aux_for(body)
+                # Counters only grow, so only the program's own names can collide.
+                aux_counter += 1
+                while f"__aux{aux_counter}" in taken:
+                    aux_counter += 1
+                names.append(f"__aux{aux_counter}")
+                aux = aux_ids[body] = len(names)
                 rules.append(basic_rule([aux], rule.pos_body, rule.neg_body))
             rules.append(basic_rule(rule.head, [aux]))
         else:

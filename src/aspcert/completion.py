@@ -95,20 +95,6 @@ def normalize_weights(program: Program) -> Program:
     return Program(tuple(names), tuple(rules))
 
 
-def induced_bodies_of_rule(rule: Rule, atom: int) -> list[frozenset[int]]:
-    """Bodies through which a normal, disjunctive or choice rule can support
-    the given head atom."""
-    if atom not in rule.head:
-        raise ValueError(f"atom {atom} is not a head atom of the rule")
-    body = rule.body
-    if rule.is_disjunctive:
-        others = [b for b in rule.head if b != atom]
-        if any(b in rule.pos_body for b in others):
-            return []
-        return [body | frozenset(-b for b in others)]
-    return [body]
-
-
 @dataclass(frozen=True, eq=False)
 class BodyCatalog:
     """All induced bodies of a program, numbered: the one index of them.
@@ -146,9 +132,9 @@ def body_catalog(program: Program) -> BodyCatalog:
     """Collect induced bodies per atom, in one pass over the rules.
 
     A rule with one body, that of a normal rule, a choice rule or an
-    integrity constraint, is read from its fields alone; only disjunctive
-    rules go through induced_bodies_of_rule. A weight rule raises
-    ValueError: normalize_weights rewrites it first.
+    integrity constraint, is read from its fields alone; a disjunctive rule
+    induces one shifted body per head atom, as the module docstring says. A
+    weight rule raises ValueError: normalize_weights rewrites it first.
     """
     first_id = program.atom_count + 1
     # Dicts with None values serve as insertion-ordered sets.
@@ -172,7 +158,9 @@ def body_catalog(program: Program) -> BodyCatalog:
             continue
         shifted.append(rule)
         for atom in head:
-            for induced in induced_bodies_of_rule(rule, atom):
+            others = [b for b in head if b != atom]
+            if rule.pos_body.isdisjoint(others):
+                induced = body.union([-b for b in others])
                 ib[atom][induced] = None
                 ids.setdefault(induced, first_id + len(ids))
                 firing[atom, induced] = None

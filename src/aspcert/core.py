@@ -8,7 +8,7 @@ hold at once; the empty nogood marks inconsistency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from operator import neg
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -141,19 +141,17 @@ class Program:
 
     atom_names: tuple[str, ...]
     rules: tuple[Rule, ...]
-    _ids: dict[str, int] = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
-        ids = {name: i + 1 for i, name in enumerate(self.atom_names)}
-        if len(ids) != len(self.atom_names):
+        count = len(self.atom_names)
+        if len(set(self.atom_names)) != count:
             raise ValueError("duplicate atom name")
-        object.__setattr__(self, "_ids", ids)
         used: set[int] = set()
         for rule in self.rules:
             used.update(rule.head, rule.pos_body, rule.neg_body)
-        if used and not 1 <= min(used) <= max(used) <= len(ids):
+        if used and not 1 <= min(used) <= max(used) <= count:
             order = [a for r in self.rules for a in (*r.head, *r.pos_body, *r.neg_body)]
-            unknown = next(a for a in order if not 1 <= a <= len(ids))
+            unknown = next(a for a in order if not 1 <= a <= count)
             raise ValueError(f"rule uses unknown atom id {unknown}")
 
     @property
@@ -162,9 +160,6 @@ class Program:
 
     def atom_ids(self) -> range:
         return range(1, len(self.atom_names) + 1)
-
-    def atom(self, name: str) -> int:
-        return self._ids[name]
 
     def name(self, atom_id: int) -> str:
         return self.atom_names[atom_id - 1]

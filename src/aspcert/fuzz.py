@@ -139,14 +139,13 @@ def differential_run(
     count: int,
     *,
     max_atoms: int = 6,
-    max_rules: int = 10,
     seed: int = 0,
 ) -> list[Discrepancy]:
     """Cross-check parser, solver, checker, and oracle on `count` random rich programs."""
     rng = random.Random(seed)
     found: list[Discrepancy] = []
     for index in range(count):
-        program = random_rich_program(rng, max_atoms=max_atoms, max_rules=max_rules)
+        program = random_rich_program(rng, max_atoms=max_atoms)
         text = emit_program(program)
         detail = _round_trip(program, text) or _cross_check(
             program, HEURISTICS[index % len(HEURISTICS)], index

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Collection, Iterable
 
-from .core import CHOICE, Nogood, Program, Rule
+from .core import CHOICE, Nogood, Program
 from .completion import BodyCatalog, BodyRegistry
 
 Graph = dict[int, set[int]]
@@ -152,11 +152,6 @@ def _atomized(program: Program, assignment: Iterable[int], registry: BodyRegistr
     return out
 
 
-def _rule_can_fire_externally(rule: Rule, atomized: set[int], unfounded: set[int]) -> bool:
-    """Can the body hold under the assignment without true atoms of the set?"""
-    return not any(-lit in atomized or lit in unfounded for lit in rule.body)
-
-
 def is_unfounded_set(
     program: Program,
     assignment: Iterable[int],
@@ -181,6 +176,7 @@ def is_unfounded_set(
             a in atom_lits for a in rule.head if a not in unfounded
         ):
             continue
-        if _rule_can_fire_externally(rule, atom_lits, unfounded):
+        # Can the body hold under the assignment without true atoms of the set?
+        if not any(-lit in atom_lits or lit in unfounded for lit in rule.body):
             return False
     return True

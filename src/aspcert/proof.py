@@ -31,6 +31,14 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 STEP_KINDS = frozenset("acsedlub")
+# A b, c, e or s line starts with one id, its head: what the line needs, the
+# head's name, and the name of the ids after it when they must be positive.
+_HEADED = {
+    "b": ("a variable id", "variable id", None),
+    "e": ("a variable id", "variable id", None),
+    "c": ("a body id", "body id", "atom ids"),
+    "s": ("an atom id", "atom id", "body ids"),
+}
 
 
 class ProofSyntaxError(ValueError):
@@ -105,29 +113,16 @@ def parse_proof(text: str) -> Proof:
         # a and d lines, the most frequent, are tested first.
         if kind == "a" or kind == "d":
             step = Step(kind, 0, tuple(payload))
-        elif kind == "b" or kind == "e":
+        elif kind in _HEADED:
+            needs, head, rest = _HEADED[kind]
             if kind == "e" and len(payload) != 1:
                 raise ProofSyntaxError(f"line {line_no}: e takes exactly one variable id")
             if not payload:
-                raise ProofSyntaxError(f"line {line_no}: b needs a variable id")
+                raise ProofSyntaxError(f"line {line_no}: {kind} needs {needs}")
             if payload[0] < 0:
-                raise ProofSyntaxError(f"line {line_no}: variable id must be positive ids")
-            step = Step(kind, payload[0], tuple(payload[1:]))
-        elif kind == "c":
-            if not payload:
-                raise ProofSyntaxError(f"line {line_no}: c needs a body id")
-            if payload[0] < 0:
-                raise ProofSyntaxError(f"line {line_no}: body id must be positive ids")
-            if min(payload) < 0:
-                raise ProofSyntaxError(f"line {line_no}: atom ids must be positive ids")
-            step = Step(kind, payload[0], tuple(payload[1:]))
-        elif kind == "s":
-            if not payload:
-                raise ProofSyntaxError(f"line {line_no}: s needs an atom id")
-            if payload[0] < 0:
-                raise ProofSyntaxError(f"line {line_no}: atom id must be positive ids")
-            if min(payload) < 0:
-                raise ProofSyntaxError(f"line {line_no}: body ids must be positive ids")
+                raise ProofSyntaxError(f"line {line_no}: {head} must be positive ids")
+            if rest and min(payload) < 0:
+                raise ProofSyntaxError(f"line {line_no}: {rest} must be positive ids")
             step = Step(kind, payload[0], tuple(payload[1:]))
         elif kind == "l":
             if not payload:

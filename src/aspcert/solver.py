@@ -73,10 +73,10 @@ nogood is RUP against the conflict, the reasons resolved on, the reasons
 minimisation used and the level-0 reasons behind their level-0 literals.
 `run` keeps these with the learned nogood as its antecedents: the first
 three as nogood indices, the last as the level-0 variables. It writes
-nothing. Once a conflict at level 0 is found, `write_needed` walks back from
+nothing. Once a conflict at level 0 is found, `refute` walks back from
 it once: through the level-0 reason of each variable it meets and the
-antecedents of each learned nogood. It writes the pending lines of the
-nogoods it reached in nogood-index order, then the empty nogood follows. A
+antecedents of each learned nogood. It gives the pending lines of the
+nogoods it reached in nogood-index order, then the empty nogood. A
 learned nogood rests only on nogoods attached before it, and level-0
 assignments survive every restart, so that order puts every line after those
 it rests on. A nogood's line is its own c, s, l or a line; a body definition
@@ -85,14 +85,12 @@ its definition, at the first line that names its catalog id, and an l line
 gives its external bodies their catalog ids too. A body definition matters
 to a lemma only through another nogood that names the body, and that
 nogood's line comes first. A proof holds only the lines the refutation
-rests on, and a run that never refutes anything writes no line. Lines go to
-a sink; `solve` without one writes to a string and parses it into the
-returned proof.
+rests on, and a run that never refutes anything writes no line. `solve`
+returns these steps as the proof, or writes their text to a given sink.
 """
 
 from __future__ import annotations
 
-import io
 import random
 from dataclasses import dataclass
 from itertools import chain
@@ -103,7 +101,7 @@ from .core import Nogood, Program
 from .loops import (
     cyclic_atoms, dependency_graph, external_bodies, loop_nogood, strongly_connected_components,
 )
-from .proof import Proof, Step, parse_proof, serialize_step, sorted_lits
+from .proof import Proof, Step, serialize_step, sorted_lits
 
 HEURISTICS = ("min-true", "min-false", "random")
 RESTART_INTERVAL = 100
@@ -135,11 +133,10 @@ class _Search:
     """Two-watch engine plus CDNL state over atoms and body variables."""
 
     def __init__(self, program: Program, heuristic: str, rng: random.Random | None,
-                 sink: IO[str], cyclic: frozenset[int]) -> None:
+                 cyclic: frozenset[int]) -> None:
         self.program = program
         self.heuristic = heuristic
         self.rng = rng
-        self.sink = sink
 
         self.catalog = body_catalog(program)
         self.var_count = program.atom_count + len(self.catalog.ids)
@@ -173,13 +170,11 @@ class _Search:
         # Lower-level literals that minimisation dropped from learned nogoods.
         self.dropped = 0
 
-    # -- proof emission ------------------------------------------------------
+    # -- proof steps -----------------------------------------------------------
 
-    def emit(self, step: Step) -> None:
-        self.sink.write(serialize_step(step) + "\n")
-
-    def write_needed(self, conflict: int) -> None:
-        """Write the pending lines of the nogoods a level-0 conflict rests on.
+    def refute(self, conflict: int) -> tuple[Step, ...]:
+        """The pending lines of the nogoods a level-0 conflict rests on, then
+        the empty nogood.
 
         From the conflict, the walk follows the level-0 reason of each
         variable it meets and the recorded antecedents of each learned
@@ -208,17 +203,9 @@ class _Search:
                 resolved, lemma_roots = antecedents[idx]
                 idxs.extend(resolved)
                 roots.extend(lemma_roots)
-        emit = self.emit
-        for idx in sorted(batch):
-            tag = tags[idx]
-            if tag is not None:
-                emit(Step(*tag))
-
-    def refute(self, conflict: int) -> SolveResult:
-        """Write the lines a level-0 conflict rests on, then the empty nogood."""
-        self.write_needed(conflict)
-        self.emit(Step("a"))
-        return SolveResult(INCONSISTENT)
+        steps = [Step(*tags[idx]) for idx in sorted(batch) if tags[idx] is not None]
+        steps.append(Step("a"))
+        return tuple(steps)
 
     # -- assignment ------------------------------------------------------------
 
@@ -520,7 +507,8 @@ class _Search:
             return var if self.rng.random() < 0.5 else -var
         return cursor if self.heuristic == "min-true" else -cursor
 
-    def run(self, restarts: bool) -> SolveResult:
+    def run(self, restarts: bool) -> frozenset[int] | tuple[Step, ...]:
+        """Search to the end: an answer set, or the steps of a refutation."""
         while True:
             conflict = self.propagate_full()
             if conflict is not None:
@@ -539,8 +527,7 @@ class _Search:
                 continue
             branch = self.pick_branch()
             if branch is None:
-                answer = frozenset(a for a in self.program.atom_ids() if self.val[a])
-                return SolveResult(CONSISTENT, answer_set=answer)
+                return frozenset(a for a in self.program.atom_ids() if self.val[a])
             self.decide(branch)
 
 
@@ -557,9 +544,9 @@ def solve(
     Returns CONSISTENT with an answer set or INCONSISTENT with a proof. The
     search runs on the program as normalize_weights rewrites it, so the
     proof names its counter atoms, and the answer set drops them. Given a
-    proof_sink, the proof is written there line by line and not kept, so the
-    result's proof is None; without one, the proof is parsed back from its
-    text and so carries the line numbers.
+    proof_sink, the proof's text is written there and not kept, so the
+    result's proof is None; without one, the proof carries the line numbers
+    1..n that its text would have.
     """
     if heuristic not in HEURISTICS:
         raise SolveError(f"unknown heuristic {heuristic!r}")
@@ -568,13 +555,14 @@ def solve(
     normal = normalize_weights(program)
     cyclic = cyclic_atoms(dependency_graph(normal))
     rng = random.Random(seed) if heuristic == "random" else None
-    sink = io.StringIO() if proof_sink is None else proof_sink
-    search = _Search(normal, heuristic, rng, sink, cyclic)
+    search = _Search(normal, heuristic, rng, cyclic)
     conflict = search.load_completion()
-    result = search.run(restarts) if conflict is None else search.refute(conflict)
-    if normal is not program and result.status == CONSISTENT:
-        atoms = frozenset(program.atom_ids())
-        return SolveResult(CONSISTENT, answer_set=result.answer_set & atoms)
-    if proof_sink is None and result.status == INCONSISTENT:
-        return SolveResult(INCONSISTENT, proof=parse_proof(sink.getvalue()))
-    return result
+    outcome = search.run(restarts) if conflict is None else search.refute(conflict)
+    if isinstance(outcome, frozenset):
+        if normal is not program:
+            outcome &= frozenset(program.atom_ids())
+        return SolveResult(CONSISTENT, answer_set=outcome)
+    if proof_sink is not None:
+        proof_sink.writelines(serialize_step(step) + "\n" for step in outcome)
+        return SolveResult(INCONSISTENT)
+    return SolveResult(INCONSISTENT, proof=Proof(outcome, tuple(range(1, len(outcome) + 1))))

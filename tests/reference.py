@@ -31,9 +31,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Iterable, Iterator, Mapping
 
-from aspcert.completion import (
-    INTERNAL_ID_BASE, BodyCatalog, BodyRegistry, BudgetError, induced_bodies_of_rule,
-)
+from aspcert.completion import INTERNAL_ID_BASE, BodyCatalog, BodyRegistry, BudgetError
 from aspcert.core import Nogood, Program, Rule, RuleKind, basic_rule, choice_rule, weight_rule
 from aspcert.fuzz import random_program
 from aspcert.loops import (
@@ -284,6 +282,24 @@ def forward_family(
     return out
 
 
+def atom_id(program: Program, name: str) -> int:
+    """The id of the named atom: its place in atom_names, counting from 1."""
+    return program.atom_names.index(name) + 1
+
+
+def induced_bodies(rule: Rule, atom: int) -> list[frozenset[int]]:
+    """The bodies through which a rule supports one of its head atoms, read
+    from the rule alone: its body, and for a disjunctive rule that body plus
+    the negations of the other head atoms, none when one of those is in the
+    positive body."""
+    if not rule.is_disjunctive:
+        return [rule.body]
+    others = set(rule.head) - {atom}
+    if others & rule.pos_body:
+        return []
+    return [rule.body | {-b for b in others}]
+
+
 def backward_family(
     program: Program, catalog: BodyCatalog, registry: BodyRegistry
 ) -> list[Nogood]:
@@ -297,7 +313,7 @@ def backward_family(
         if rule.kind is RuleKind.CHOICE:
             continue
         for atom in rule.head:
-            for body in induced_bodies_of_rule(rule, atom):
+            for body in induced_bodies(rule, atom):
                 nogood = frozenset({-atom, registry.id_of(body)})
                 if nogood not in seen:
                     seen.add(nogood)

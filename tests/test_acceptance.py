@@ -110,7 +110,7 @@ def test_solver_reports_and_certifies_inconsistency(ex1_program):
 
 
 def test_differential_fuzzing_thousand_instances():
-    assert differential_run(1000, max_atoms=6, max_rules=10, seed=0) == []
+    assert differential_run(1000, max_atoms=6, seed=0) == []
 
 
 def test_mutated_proofs_are_rejected():

@@ -1,9 +1,11 @@
 """Proof checking: step validation, deletion, and preloaded mode."""
 
+import ast
 import gc
 import random
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +19,7 @@ from aspcert.oracle import enumerate_answer_sets
 from aspcert.proof import Proof, Step, parse_proof
 from aspcert.program_io import emit_program, parse_program
 from aspcert.solver import INCONSISTENT, solve
-from reference import with_disjunctions_and_a_wide_weight_rule
+from reference import atom_id, with_disjunctions_and_a_wide_weight_rule
 
 # The last rule excludes every answer set without a, as `:- not a.` would,
 # but over an atom of its own, x (id 3), which the hand-written proofs name.
@@ -530,7 +532,7 @@ def test_preloaded_weight_rule_uses_bound_propagation(wide_weight_rule):
     facts = "".join(f"b{i}.\n" for i in range(7))
     program = parse_program(wide_weight_rule + facts + ":- a.\n")
     state = CheckerState(program, preloaded=True)
-    assert _support_nogood(state, program.atom("a")) in state.store.live()
+    assert _support_nogood(state, atom_id(program, "a")) in state.store.live()
     assert check(program, parse_proof("a 0\n"), preloaded=True).ok
     result = solve(program)
     assert result.status == INCONSISTENT
@@ -571,9 +573,9 @@ def test_s_line_for_a_weight_head_lists_its_counter_bodies(wide_weight_rule):
     program = parse_program(wide_weight_rule)
     state = CheckerState(program)
     normal, ids = state.program, state.catalog.ids
-    top, rest = normal.atom("#1.14.7"), normal.atom("#1.14.6")
+    top, rest = atom_id(normal, "#1.14.7"), atom_id(normal, "#1.14.6")
     first = ids[frozenset({top})]
-    second = ids[frozenset({program.atom("b14"), rest})]
+    second = ids[frozenset({atom_id(program, "b14"), rest})]
     assert program.atom_count < normal.atom_count < first < second
     state.step(Step("s", 1, (first, second)))
     assert frozenset({1, -first, -second}) in state.store.live()
@@ -677,3 +679,24 @@ def test_checker_state_is_freed_without_the_cycle_collector(ex1_program, fig1_te
     finally:
         if enabled:
             gc.enable()
+
+
+def _relative_imports(source):
+    """The sibling modules a module's source imports (from .x import ...)."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            yield from [node.module] if node.module else (alias.name for alias in node.names)
+
+
+def test_trusted_base_is_the_six_checker_modules():
+    """The modules checker.py imports, followed to their closure, are exactly
+    the six of the trusted base. Read from source, since importing the
+    package root loads the solver too."""
+    package = Path(checker_module.__file__).parent
+    base, pending = set(), ["checker"]
+    while pending:
+        name = pending.pop()
+        if name not in base:
+            base.add(name)
+            pending.extend(_relative_imports((package / f"{name}.py").read_text()))
+    assert base == {"checker", "completion", "core", "loops", "proof", "propagation"}

@@ -3,7 +3,8 @@
 import pytest
 
 import aspcert.cli as cli_module
-from aspcert.checker import check
+import aspcert.fuzz as fuzz_module
+from aspcert.checker import CheckResult, check
 from aspcert.cli import main
 from aspcert.proof import parse_proof, serialize_proof
 from aspcert.program_io import parse_program
@@ -200,6 +201,21 @@ def test_fuzz_clean_run(capsys):
     assert capsys.readouterr().out == "20 instances, 0 discrepancies\n"
 
 
+def test_fuzz_prints_each_discrepancy_and_exits_1(capsys, monkeypatch):
+    """With every proof rejected as written, each refuted draw is printed
+    with its finding and its program text, and the run exits 1."""
+    monkeypatch.setattr(
+        fuzz_module, "check",
+        lambda program, proof, preloaded=False: CheckResult(preloaded, 1, "forced"))
+    found = fuzz_module.differential_run(20, seed=3)
+    assert found
+    assert main(["fuzz", "--count", "20", "--seed", "3"]) == 1
+    assert capsys.readouterr().out == f"20 instances, {len(found)} discrepancies\n" + "".join(
+        f"instance {d.index}: proof rejected: Error at step 1: forced\n{d.program_text}"
+        for d in found
+    )
+
+
 def test_fuzz_accepts_atom_bound(capsys):
     assert main(["fuzz", "--count", "5", "--atoms", "4", "--seed", "1"]) == 0
 
@@ -236,6 +252,24 @@ def test_out_of_range_numbers_exit_2(argv, message, capsys):
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == "" and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["solve", "p.lp", "--proof-log", "absent/p.proof"], "a.\n", "cannot write proof log: "),
+        (["oracle", "p.lp"], "".join(f"x{i}.\n" for i in range(21)),
+         "21 atoms exceed the enumeration guard 20"),
+    ],
+    ids=["proof log in a missing directory", "oracle past its atom guard"],
+)
+def test_input_errors_exit_2(write, capsys, tmp_path, monkeypatch, argv, text, message):
+    monkeypatch.chdir(tmp_path)
+    write("p.lp", text)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: " + message)
+    assert "Traceback" not in captured.err
 
 
 def test_missing_file_exits_2(tmp_path):

@@ -16,7 +16,6 @@ from aspcert.completion import (
     BudgetError,
     body_catalog,
     body_definition,
-    induced_bodies_of_rule,
     normalize_weights,
 )
 from aspcert.core import Program, basic_rule, choice_rule, is_consistent, weight_rule
@@ -25,27 +24,32 @@ from aspcert.loops import loop_nogood
 from aspcert.oracle import enumerate_answer_sets
 from aspcert.program_io import emit_program, parse_program
 from reference import (
-    backward_family, declared_registry, forward_family, public_items,
+    atom_id, backward_family, declared_registry, forward_family, public_items,
     reference_minimal_weight_sets, with_disjunctions_and_a_wide_weight_rule,
 )
 
 
+def _induced(rule, atom):
+    """The catalog's bodies of the atom in a program of the rule over atoms a-d."""
+    return body_catalog(Program(tuple("abcd"), (rule,))).bodies_of(atom)
+
+
 def test_induced_bodies_basic_rule():
     rule = basic_rule((1,), pos=(2, 4))
-    assert induced_bodies_of_rule(rule, 1) == [frozenset({2, 4})]
+    assert _induced(rule, 1) == (frozenset({2, 4}),)
 
 
 def test_induced_bodies_disjunctive_shifts_other_heads():
     rule = basic_rule((1, 2), pos=(3,))
-    assert induced_bodies_of_rule(rule, 1) == [frozenset({3, -2})]
-    assert induced_bodies_of_rule(rule, 2) == [frozenset({3, -1})]
+    assert _induced(rule, 1) == (frozenset({3, -2}),)
+    assert _induced(rule, 2) == (frozenset({3, -1}),)
 
 
 def test_induced_bodies_disjunctive_drops_contradictory_shifts():
     # a | b :- b. would shift to a :- b, not b, which never holds.
     rule = basic_rule((1, 2), pos=(2,))
-    assert induced_bodies_of_rule(rule, 1) == []
-    assert induced_bodies_of_rule(rule, 2) == [frozenset({2, -1})]
+    assert _induced(rule, 1) == ()
+    assert _induced(rule, 2) == (frozenset({2, -1}),)
 
 
 def test_induced_bodies_weight_rule():
@@ -59,18 +63,13 @@ def test_induced_bodies_weight_rule():
     assert emit_program(normal).splitlines()[1:] == [
         "b.", "c.", "a :- #3.2.2.", "a :- d.", "#3.2.2 :- c, #3.1.1.", "#3.1.1 :- b.",
     ]
-    assert body_catalog(normal).bodies_of(program.atom("a")) == (frozenset({5}), frozenset({4}))
+    assert body_catalog(normal).bodies_of(atom_id(program, "a")) == (frozenset({5}), frozenset({4}))
     assert normalize_weights(parse_program("a :- b.\n")) == parse_program("a :- b.\n")
 
 
 def test_induced_bodies_choice_rule():
     rule = choice_rule((1, 2), pos=(3,), neg=(4,))
-    assert induced_bodies_of_rule(rule, 1) == [frozenset({3, -4})]
-
-
-def test_induced_bodies_rejects_non_head_atom():
-    with pytest.raises(ValueError):
-        induced_bodies_of_rule(basic_rule((1,)), 2)
+    assert _induced(rule, 1) == _induced(rule, 2) == (frozenset({3, -4}),)
 
 
 def _brute_minimal(weights, bound):
@@ -270,8 +269,8 @@ def test_catalog_of_a_wide_weight_rule(wide_weight_rule):
     catalog = body_catalog(normal)
     assert normal.atom_count == 16 + 62 and len(normal.rules) == 119
     assert len(catalog.ids) == 119 and catalog.first_id == 79
-    a, b14 = program.atom("a"), program.atom("b14")
-    top, rest = normal.atom("#1.14.7"), normal.atom("#1.14.6")
+    a, b14 = atom_id(program, "a"), atom_id(program, "b14")
+    top, rest = atom_id(normal, "#1.14.7"), atom_id(normal, "#1.14.6")
     assert catalog.bodies_of(a) == (frozenset({top}), frozenset({b14, rest}))
 
 
@@ -357,6 +356,24 @@ def test_normalize_short_body_example():
         "__aux1 :- b, d.\n"
         "a :- __aux1.\n"
         "a :- c.\n"
+    )
+    assert is_short_body_form(normalized)
+
+
+def test_normalize_skips_aux_names_the_program_has():
+    """A program that already has an atom __aux1 gets __aux2 for its first
+    long body, and the next counter name after that for its second."""
+    program = parse_program("a :- b, d.\na :- c.\n__aux1 :- c, d.\n__aux1 :- b.\n__aux3.\n")
+    normalized = normalize_short_body(program)
+    assert emit_program(normalized) == (
+        "#atoms a b d c __aux1 __aux3 __aux2 __aux4.\n"
+        "__aux2 :- b, d.\n"
+        "a :- __aux2.\n"
+        "a :- c.\n"
+        "__aux4 :- d, c.\n"
+        "__aux1 :- __aux4.\n"
+        "__aux1 :- b.\n"
+        "__aux3.\n"
     )
     assert is_short_body_form(normalized)
 

@@ -135,8 +135,7 @@ def test_program_atom_table():
     program = Program(("p", "q"), (basic_rule((1,), pos=(2,)),))
     assert program.atom_count == 2
     assert list(program.atom_ids()) == [1, 2]
-    assert program.atom("q") == 2
-    assert program.name(1) == "p"
+    assert (program.name(1), program.name(2)) == ("p", "q")
 
 
 def test_program_rejects_out_of_range_rule_atoms():

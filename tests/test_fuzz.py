@@ -5,6 +5,9 @@ import random
 from aspcert import fuzz
 from aspcert.checker import CheckResult
 from aspcert.core import Program, RuleKind
+from aspcert.oracle import is_answer_set
+from aspcert.proof import Proof
+from aspcert.solver import CONSISTENT, INCONSISTENT, SolveResult
 from aspcert.fuzz import (
     differential_run,
     random_program,
@@ -117,3 +120,64 @@ def test_differential_run_checks_each_refutation_preloaded_too(monkeypatch):
     assert {d.detail for d in found} == {
         "proof rejected with the completion preloaded: Error at step 1: forced"
     }
+
+
+def _solve_spy(monkeypatch, fake):
+    """Replace the fuzzer's solve with fake(program, real result); returns the
+    list of (program, real result) per call, in draw order."""
+    real_solve, calls = fuzz.solve, []
+
+    def spy(program, **kwargs):
+        result = real_solve(program, **kwargs)
+        calls.append((program, result))
+        return fake(program, result)
+
+    monkeypatch.setattr(fuzz, "solve", spy)
+    return calls
+
+
+def test_differential_run_reports_a_verdict_the_oracle_contradicts(monkeypatch):
+    """Every draw whose verdict is flipped is reported, in both directions."""
+    def flipped(program, result):
+        if result.status == CONSISTENT:
+            return SolveResult(INCONSISTENT, proof=Proof(()))
+        return SolveResult(CONSISTENT, answer_set=frozenset())
+
+    calls = _solve_spy(monkeypatch, flipped)
+    found = differential_run(40, seed=9)
+    assert [d.index for d in found] == list(range(40)) and len(calls) == 40
+    other = {CONSISTENT: INCONSISTENT, INCONSISTENT: CONSISTENT}
+    assert [d.detail for d in found] == [
+        f"solver said {other[result.status]}, oracle says {result.status}" for _, result in calls
+    ]
+    assert {result.status for _, result in calls} == {CONSISTENT, INCONSISTENT}
+
+
+def test_differential_run_reports_a_rejected_proof(monkeypatch):
+    """A refutation the checker rejects as written is reported at its draw."""
+    calls = _solve_spy(monkeypatch, lambda program, result: result)
+    monkeypatch.setattr(
+        fuzz, "check", lambda program, proof, preloaded=False: CheckResult(preloaded, 1, "forced"))
+    found = differential_run(40, seed=9)
+    refuted = [index for index, (_, result) in enumerate(calls) if result.status == INCONSISTENT]
+    assert refuted and [d.index for d in found] == refuted
+    assert {d.detail for d in found} == {"proof rejected: Error at step 1: forced"}
+
+
+def test_differential_run_reports_an_unstable_answer_set(monkeypatch):
+    """An answer set swapped for its complement is reported, with the
+    complement's atom names, wherever the complement is not stable."""
+    def complement(program, result):
+        if result.status == INCONSISTENT:
+            return result
+        return SolveResult(CONSISTENT, frozenset(program.atom_ids()) - result.answer_set)
+
+    calls = _solve_spy(monkeypatch, complement)
+    found = differential_run(40, seed=9)
+    expected = []
+    for index, (program, result) in enumerate(calls):
+        fake = complement(program, result)
+        if fake.status == CONSISTENT and not is_answer_set(program, fake.answer_set):
+            names = ", ".join(sorted(program.name(a) for a in fake.answer_set))
+            expected.append((index, f"unstable answer set {{{names}}}"))
+    assert expected and [(d.index, d.detail) for d in found] == expected

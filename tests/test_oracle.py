@@ -14,7 +14,7 @@ from aspcert.oracle import (
 )
 from aspcert.program_io import parse_program
 from reference import (
-    entails, reference_minimal_weight_sets, with_complement_atoms,
+    atom_id, entails, reference_minimal_weight_sets, with_complement_atoms,
     with_disjunctions_and_a_wide_weight_rule,
 )
 
@@ -167,9 +167,9 @@ def test_oracle_answers_a_rule_with_6435_minimal_bodies(wide_weight_rule):
     enumeration answers at once: with b0, ..., b6 true, a is derived, and the
     other eight b atoms stay false."""
     program = parse_program(wide_weight_rule + "".join(f"b{i}.\n" for i in range(7)))
-    facts = frozenset(program.atom(f"b{i}") for i in range(7))
-    assert enumerate_answer_sets(program) == [facts | {program.atom("a")}]
-    assert is_answer_set(program, facts | {program.atom("a")})
+    facts = frozenset(atom_id(program, f"b{i}") for i in range(7))
+    assert enumerate_answer_sets(program) == [facts | {atom_id(program, "a")}]
+    assert is_answer_set(program, facts | {atom_id(program, "a")})
     assert not is_answer_set(program, facts)
 
 
@@ -177,13 +177,13 @@ def test_weight_rules_by_their_reduct():
     """A negative literal lowers the bound when its atom is false, and a
     weight rule on a positive cycle supports nothing by itself."""
     program = parse_program("{c}.\na :- 2 <= {b=1, not c=1}.\nb :- a.\n")
-    assert enumerate_answer_sets(program) == [frozenset(), frozenset({program.atom("c")})]
+    assert enumerate_answer_sets(program) == [frozenset(), frozenset({atom_id(program, "c")})]
     program = parse_program("{c}.\na :- 2 <= {b=1, not c=2}.\nb :- a.\n")
-    a, b, c = (program.atom(x) for x in "abc")
+    a, b, c = (atom_id(program, x) for x in "abc")
     assert set(enumerate_answer_sets(program)) == {frozenset({a, b}), frozenset({c})}
     program = parse_program("a | d.\na :- 1 <= {b=1}.\nb :- 1 <= {a=2}.\n")
     assert set(enumerate_answer_sets(program)) == {
-        frozenset({program.atom("a"), program.atom("b")}), frozenset({program.atom("d")})}
+        frozenset({atom_id(program, "a"), atom_id(program, "b")}), frozenset({atom_id(program, "d")})}
 
 
 def test_weight_reduct_matches_the_minimal_body_expansion():

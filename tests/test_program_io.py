@@ -16,8 +16,7 @@ from reference import reference_parse_program
 
 def test_first_occurrence_numbering():
     program = parse_program("c :- not d.\nd :- not c.")
-    assert program.atom("c") == 1
-    assert program.atom("d") == 2
+    assert program.atom_names == ("c", "d")
     assert len(program.rules) == 2
 
 

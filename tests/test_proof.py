@@ -128,11 +128,31 @@ def test_parse_rejects_malformed_lines(text):
         ("c 0", "c needs a body id"),
         ("c -8 3 0", "body id must be positive ids"),
         ("c 3 -1 0", "atom ids must be positive ids"),
+        ("e 0", "e takes exactly one variable id"),
+        ("e 3 4 0", "e takes exactly one variable id"),
+        ("e -3 0", "variable id must be positive ids"),
+        ("s 0", "s needs an atom id"),
+        ("s -1 3 0", "atom id must be positive ids"),
+        ("s 1 -3 0", "body ids must be positive ids"),
     ],
 )
 def test_parse_messages_for_b_and_c_lines(text, message):
+    """Also e and s lines: each of the four kinds that start with a head id."""
     with pytest.raises(ProofSyntaxError, match=f"^line 2: {message}$"):
         parse_proof("a 1 0\n" + text + "\n")
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (("q",), "unknown step kind 'q'"),
+        (("a", 0, (), (1,)), "only u steps carry an unfounded set"),
+    ],
+    ids=["unknown kind", "unfounded set on an a step"],
+)
+def test_step_rejects_bad_fields(fields, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Step(*fields)
 
 
 @pytest.mark.parametrize(

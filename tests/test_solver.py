@@ -85,8 +85,9 @@ def test_random_heuristic_is_seed_deterministic(ex1_program):
 
 
 def test_proof_sink_streams_serialized_steps(ex1_program):
-    """A sink gets the proof a sink-less solve returns, and the result keeps
-    none; the sink-less proof is that text parsed, line numbers included."""
+    """A sink gets the text of the proof a sink-less solve returns, and the
+    result keeps none; the sink-less proof numbers its steps' lines 1..n, as
+    parsing that text does."""
     sink = io.StringIO()
     result = solve(ex1_program, proof_sink=sink)
     assert result.status == INCONSISTENT and result.proof is None
@@ -350,7 +351,7 @@ def test_satisfied_nogood_keeps_its_watches():
     watch's list, with no replacement scan, while a nogood beside it whose
     other watch is free moves to a replacement."""
     program = parse_program("#atoms a b c d.\n")
-    search = solver_module._Search(program, "min-true", None, io.StringIO(), frozenset())
+    search = solver_module._Search(program, "min-true", None, frozenset())
     for entries in ((1, 4), (1, 2, 3), (1, 3, 4)):
         assert search.attach(entries, None) is None
     assert search.watches[1] == [0, 1, 2]
@@ -466,9 +467,8 @@ def test_setup_attaches_the_completion_families_in_order(ex1_program):
     """The one-pass set-up attaches the same nogoods, in the same order and
     with the same tags, as sorted_lits applied to body_definition (bodies in
     id order, each constraint's nogood after its body), forward_family and
-    backward_family, and nothing else. It writes no line, and
-    the body of each constraint that no rule induces is false at level 0 and
-    named by no nogood."""
+    backward_family, and nothing else. The body of each constraint that no
+    rule induces is false at level 0 and named by no nogood."""
     rng = random.Random(37)
     programs = [ex1_program, parse_program("{a}. {b}. :- a. :- not a, b. :- b, c.\nc :- not a.\n"),
                 parse_program("{a}. {b}. c :- a, b. :- a, b. :- b, a. :- not c.\n")]
@@ -477,13 +477,11 @@ def test_setup_attaches_the_completion_families_in_order(ex1_program):
         programs.append(generate(rng, max_atoms=8, max_rules=16))
     lone = shared = 0
     for program in map(normalize_weights, programs):
-        sink = io.StringIO()
         search = solver_module._Search(
-            program, "min-true", None, sink, cyclic_atoms(dependency_graph(program)),
+            program, "min-true", None, cyclic_atoms(dependency_graph(program)),
         )
         search.load_completion()
         nogoods = _reference_setup(search)
-        assert sink.getvalue() == ""
         assert list(zip(search.nogoods, search.tags)) == nogoods
         named = {abs(l) for entries in search.nogoods for l in entries}
         lone_bodies = _lone_constraint_bodies(search.catalog)
@@ -603,7 +601,7 @@ def test_branch_picks_the_smallest_unassigned_variable(monkeypatch):
 def test_backjump_pops_a_suffix():
     """A backjump keeps the trail up to the first undone decision, and only that."""
     program = parse_program("#atoms a b c d e f.\n")
-    search = solver_module._Search(program, "min-true", None, io.StringIO(), frozenset())
+    search = solver_module._Search(program, "min-true", None, frozenset())
     for atom in (1, 2, 3):
         assert search.attach((atom, atom + 3), None) is None
     for _ in range(3):
