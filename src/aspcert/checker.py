@@ -1,15 +1,15 @@
 """Polynomial-time proof checking against a ground program.
 
 The checker keeps a multiset of nogoods in a NogoodStore. b steps name
-program bodies and attach their definitions, and so does the first line
-that names a catalog id no b or e step has taken; c and s steps may only add
-nogoods that belong to the program's completion (a c step with no atoms,
-{T B}, only for an integrity constraint's body B); a steps must have the
-reverse-unit-propagation property against the current multiset, tested
+program bodies and attach their definitions, and so does the first line but
+a d line that names a catalog id no b or e step has taken; c and s steps may
+only add nogoods that belong to the program's completion (a c step with no
+atoms, {T B}, only for an integrity constraint's body B); a steps must have
+the reverse-unit-propagation property against the current multiset, tested
 through the store's watch lists from the top-level assignment the store
-keeps between tests; l and u steps are validated against
-the dependency graph and the unfounded-set conditions; d steps remove one
-instance, and the dependency graph is built at the first l step, the only
+keeps between tests; l and u steps are validated against the dependency
+graph and the unfounded-set conditions; d steps remove one instance and
+declare nothing. The dependency graph is built at the first l step, the only
 reader. The proof succeeds when the empty nogood is present at the end.
 
 One BodyRegistry owns every variable id above the atoms. b steps declare
@@ -208,7 +208,6 @@ class CheckerState:
         self.store.insert(frozenset({-step.head}))
 
     def _step_d(self, step: Step) -> None:
-        self._require_known(step.lits)
         if not self.store.remove(frozenset(step.lits)) and self.strict_delete:
             raise _StepError("deleted nogood is not present")
 

@@ -41,28 +41,25 @@ these is tagged with its s or c line (an s line lists the bodies in catalog
 order). Apart from the constraints, these are the completion's body
 definitions, support nogoods and rule-firing nogoods in sorted_lits order,
 as the tests check against a reference built from the rules. Learned and
-loop nogoods are sorted the same way. Set-up attaches each nogood through
-`attach`, as search does; `attach` first checks for a nogood of two or more
-entries, none assigned, which it watches on its first two entries. It
-watches none of a nogood with a false entry, and a nogood with two or more
-free entries beside a true one watches its first two free entries and
-implies nothing: both happen only during set-up, at level 0, where an
-earlier nogood has implied an entry for good. Otherwise a nogood has at
-most one free entry (a learned one exactly one); `attach` watches it and
-the true entry of the highest level and implies its complement, or with no
-free entry watches the two highest true entries and reports a conflict.
-When a watched entry becomes true, `propagate` reads the other watched entry
-first: if that one is false, the nogood is satisfied, keeps both watches
-and stays on the list without a replacement scan. Its false entry was
-assigned at a level no higher than the true one, so a backjump that frees
-the false entry frees the true one too.
+loop nogoods are sorted the same way. Set-up then watches every nogood in
+one pass, as MiniSat adds its problem clauses: on its first two entries, a
+unit nogood on its one entry twice, and a free unit nogood's complement is
+set at level 0 with that nogood as its reason. The first propagation does
+the rest; it meets a violated unit nogood on its true entry, and `run`
+refutes that conflict. `attach` adds only what search derives, a learned or
+loop nogood, which has no false entry and at most one free entry (a learned
+one exactly one). When a watched entry becomes true, `propagate` reads the
+other watched entry first: if that one is false, the nogood is satisfied,
+keeps both watches and stays on the list without a replacement scan. Its
+false entry was assigned at a level no higher than the true one, so a
+backjump that frees the false entry frees the true one too.
 
 An integrity constraint `:- B'.` is a rule with an empty head; its body B
 (the literals B') must be false, the rule-firing nogood {T B}. Set-up
-attaches the nogood B' itself, the body's literals, tagged with the line
+adds the nogood B' itself, the body's literals, tagged with the line
 `c B 0`. When no other rule induces B, nothing else needs B: set-up sets B
-false at level 0, with no reason, and attaches no definition of B, so no
-nogood names it. B' follows B's definition whatever its length. Once a lemma
+false at level 0, with no reason, and adds no definition of B, so no nogood
+names it. B' follows B's definition whatever its length. Once a lemma
 rests on B', the tag writes `c B 0`, from which the checker derives B'.
 
 Lazy lines. A first-UIP nogood follows by resolution from the conflict nogood
@@ -242,38 +239,21 @@ class _Search:
 
     # -- nogood store ------------------------------------------------------------
 
-    def attach(self, entries: tuple[int, ...], tag: Tag | None) -> int | None:
-        """Add a nogood given in sorted_lits order, its lines pending; returns
-        its index as a conflict if currently violated."""
+    def attach(self, entries: tuple[int, ...], tag: Tag) -> int | None:
+        """Add a learned or loop nogood, given in sorted_lits order, its line
+        pending; returns its index as a conflict if it is violated.
+
+        The nogood has no false entry and at most one free entry (a learned
+        one exactly one). It watches the free entry, if any, and the true
+        entries of the highest levels, and implies the free entry's
+        complement.
+        """
         idx = len(self.nogoods)
         self.nogoods.append(entries)
         self.tags.append(tag)
-
-        val = self.val
-        if len(entries) > 1:
-            for l in entries:
-                if val[l] is not None:
-                    break
-            else:
-                watches = self.watches
-                self.watched.append(entries[:2])
-                watches[entries[0]].append(idx)
-                watches[entries[1]].append(idx)
-                return None
-        frees: list[int] = []
-        trues: list[int] = []
-        for l in entries:
-            v = val[l]
-            if v is None:
-                frees.append(l)
-            elif v:
-                trues.append(l)
-            else:
-                self.watched.append((0, 0))
-                return None
-        if len(trues) > 1:
-            level = self.level
-            trues.sort(key=lambda l: -level[abs(l)])
+        val, level = self.val, self.level
+        frees = [l for l in entries if val[l] is None]
+        trues = sorted([l for l in entries if val[l]], key=lambda l: -level[abs(l)])
         pool = frees + trues
         pair = (pool[0], pool[1] if len(pool) > 1 else pool[0])
         self.watched.append(pair)
@@ -281,37 +261,53 @@ class _Search:
             self.watches[lit].append(idx)
         if not frees:
             return idx
-        if len(frees) == 1:
-            self.assign(-frees[0], idx)
+        self.assign(-frees[0], idx)
         return None
 
-    def load_completion(self) -> int | None:
-        """Attach the completion, its lines pending, in the order the module
-        docstring gives; returns a violated nogood's index."""
+    def load_completion(self) -> None:
+        """Build the completion, its lines pending, in the order the module
+        docstring gives, and watch it in one pass.
+
+        Each nogood watches its first two entries, a unit nogood its one
+        entry twice, and a free unit nogood's complement is set at level 0
+        with that nogood as its reason. The first propagation does the rest:
+        it finds any nogood violated at level 0, and `run` refutes it.
+        """
         program, catalog = self.program, self.catalog
-        attach, body_ids = self.attach, catalog.ids
+        nogoods, tags, body_ids = self.nogoods, self.tags, catalog.ids
         constraints = catalog.constraints
         # Constraint bodies no rule induces: only their constraint's nogood uses them.
         lone = constraints.difference(chain.from_iterable(catalog.ib.values()))
 
-        conflicts: list[int | None] = []
         for body, body_id in body_ids.items():
             lits = tuple(sorted(body, key=abs))
             if body in lone:
                 self.assign(-body_id, None)
             else:
-                conflicts.append(attach(lits + (-body_id,), None))
-                for lit in lits:
-                    conflicts.append(attach((-lit, body_id), None))
+                nogoods.append(lits + (-body_id,))
+                nogoods += [(-lit, body_id) for lit in lits]
+                tags += [None] * (len(lits) + 1)
             if body in constraints:
-                conflicts.append(attach(lits, ("c", body_id, ())))
+                nogoods.append(lits)
+                tags.append(("c", body_id, ()))
         for atom in program.atom_ids():
             ids = tuple([body_ids[body] for body in catalog.bodies_of(atom)])
-            conflicts.append(attach((atom, *[-b for b in sorted(ids)]), ("s", atom, ids)))
+            nogoods.append((atom, *[-b for b in sorted(ids)]))
+            tags.append(("s", atom, ids))
         for atom, body in catalog.firing:
             body_id = body_ids[body]
-            conflicts.append(attach((-atom, body_id), ("c", body_id, (atom,))))
-        return next((idx for idx in conflicts if idx is not None), None)
+            nogoods.append((-atom, body_id))
+            tags.append(("c", body_id, (atom,)))
+
+        val, watches = self.val, self.watches
+        for idx, entries in enumerate(nogoods):
+            first = entries[0]
+            watches[first].append(idx)
+            if len(entries) > 1:
+                watches[entries[1]].append(idx)
+            elif val[first] is None:
+                self.assign(-first, idx)
+        self.watched = [entries[:2] if len(entries) > 1 else entries * 2 for entries in nogoods]
 
     # -- propagation ------------------------------------------------------------
 
@@ -556,8 +552,8 @@ def solve(
     cyclic = cyclic_atoms(dependency_graph(normal))
     rng = random.Random(seed) if heuristic == "random" else None
     search = _Search(normal, heuristic, rng, cyclic)
-    conflict = search.load_completion()
-    outcome = search.run(restarts) if conflict is None else search.refute(conflict)
+    search.load_completion()
+    outcome = search.run(restarts)
     if isinstance(outcome, frozenset):
         if normal is not program:
             outcome &= frozenset(program.atom_ids())

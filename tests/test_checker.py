@@ -312,6 +312,29 @@ def test_strict_delete_of_absent_nogood_fails():
     assert "not present" in result.reason
 
 
+def test_delete_declares_nothing():
+    """`d 3 0` names catalog body 3, {not b}, which no line has declared, so
+    its nogood cannot be present: the deletion adds no nogood and claims no
+    id, a later `b 9 -2 0` names that body as it would alone, and under
+    --strict-delete the deletion fails."""
+    two = "a :- not b.\nb :- not a.\n:- a.\n:- b.\n"
+
+    def final_state(proof_text):
+        state = CheckerState(parse_program(two))
+        for step in parse_proof(proof_text):
+            state.step(step)
+        return state
+
+    deleted = final_state("d 3 0\n")
+    assert not list(deleted.store.live()) and not deleted.registry.knows(3)
+    both, alone = final_state("d 3 0\nb 9 -2 0\n"), final_state("b 9 -2 0\n")
+    assert both.registry.id_of(frozenset({-2})) == 9
+    stores = [sorted(sorted(nogood) for nogood in state.store.live()) for state in (both, alone)]
+    assert stores[0] == stores[1] != []
+    result = _check_text(two, "d 3 0\n", strict_delete=True)
+    assert not result.ok and result.step == 1 and "not present" in result.reason
+
+
 def test_delete_removes_one_copy_at_a_time():
     double = LOOP_PROOF.replace("u 2 1 2 1 0\n", "u 2 1 2 1 0\nu 2 1 2 1 0\nd 1 0\n")
     assert _check_text(LOOP_TEXT, double).ok

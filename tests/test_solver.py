@@ -56,6 +56,26 @@ def test_constraint_only_inconsistency():
     assert check(program, result.proof).ok
 
 
+@pytest.mark.parametrize("text", [
+    ":- a.\n:- not a.\n",
+    "a.\n:- a.\n",
+    "#atoms a b.\n:- not a.\n",
+    "a :- not b.\nb :- not a.\n:- a.\n:- b.\n",
+])
+def test_refutations_at_level_0(text):
+    """Set-up reports no conflict; the first propagation finds one at level 0,
+    before any decision, and run refutes it. Under every heuristic, with and
+    without restarts, the proof holds no a line but `a 0` and checks as
+    written and, without its c and s lines, preloaded."""
+    program = parse_program(text)
+    for heuristic in HEURISTICS:
+        for restarts in (False, True):
+            result = solve(program, heuristic=heuristic, restarts=restarts)
+            assert result.status == INCONSISTENT
+            assert [step for step in result.proof if step.kind == "a"] == [Step("a")]
+            assert _checks_in_both_modes(program, result.proof)
+
+
 def test_weight_rules_solve():
     program = parse_program("b.\nc.\na :- 2 <= {b=1, c=1, d=2}.\n")
     result = solve(program)
@@ -345,15 +365,27 @@ def _checks_in_both_modes(program, proof):
     return check(program, proof).ok and check(program, bare, preloaded=True).ok
 
 
+def _search_over(names, nogoods):
+    """A search over the atoms `names` holding the given untagged nogoods,
+    each watched on its first two entries, as set-up watches a nogood of two
+    or more entries."""
+    search = solver_module._Search(parse_program(f"#atoms {names}.\n"), "min-true", None,
+                                   frozenset())
+    for idx, entries in enumerate(nogoods):
+        search.nogoods.append(entries)
+        search.tags.append(None)
+        search.watched.append(entries[:2])
+        for lit in entries[:2]:
+            search.watches[lit].append(idx)
+    return search
+
+
 def test_satisfied_nogood_keeps_its_watches():
     """A nogood whose other watched entry is false is satisfied: when its
     first watch becomes true it keeps both watches and its place on that
     watch's list, with no replacement scan, while a nogood beside it whose
     other watch is free moves to a replacement."""
-    program = parse_program("#atoms a b c d.\n")
-    search = solver_module._Search(program, "min-true", None, frozenset())
-    for entries in ((1, 4), (1, 2, 3), (1, 3, 4)):
-        assert search.attach(entries, None) is None
+    search = _search_over("a b c d", ((1, 4), (1, 2, 3), (1, 3, 4)))
     assert search.watches[1] == [0, 1, 2]
     search.decide(-2)
     assert search.propagate() is None
@@ -441,7 +473,7 @@ def _lone_constraint_bodies(catalog):
 
 
 def _reference_setup(search):
-    """The tagged nogoods set-up should attach, built from completion.py's
+    """The tagged nogoods set-up should build, from completion.py's
     families: after each body's definition, or in its place if no rule
     induces the body, a constraint's nogood B, whatever its length; then the
     support and the rule-firing nogoods."""
@@ -464,11 +496,13 @@ def _reference_setup(search):
 
 
 def test_setup_attaches_the_completion_families_in_order(ex1_program):
-    """The one-pass set-up attaches the same nogoods, in the same order and
+    """The one-pass set-up builds the same nogoods, in the same order and
     with the same tags, as sorted_lits applied to body_definition (bodies in
     id order, each constraint's nogood after its body), forward_family and
-    backward_family, and nothing else. The body of each constraint that no
-    rule induces is false at level 0 and named by no nogood."""
+    backward_family, and nothing else. Each nogood watches its first two
+    entries, a unit nogood its one entry twice, and no unit nogood's entry is
+    left free. The body of each constraint that no rule induces is false at
+    level 0 and named by no nogood."""
     rng = random.Random(37)
     programs = [ex1_program, parse_program("{a}. {b}. :- a. :- not a, b. :- b, c.\nc :- not a.\n"),
                 parse_program("{a}. {b}. c :- a, b. :- a, b. :- b, a. :- not c.\n")]
@@ -483,6 +517,11 @@ def test_setup_attaches_the_completion_families_in_order(ex1_program):
         search.load_completion()
         nogoods = _reference_setup(search)
         assert list(zip(search.nogoods, search.tags)) == nogoods
+        assert search.dl == search.qhead == 0
+        for idx, entries in enumerate(search.nogoods):
+            pair = search.watched[idx]
+            assert pair == (entries * 2)[:2] and all(idx in search.watches[l] for l in pair)
+            assert len(entries) > 1 or search.val[entries[0]] is not None
         named = {abs(l) for entries in search.nogoods for l in entries}
         lone_bodies = _lone_constraint_bodies(search.catalog)
         for body in lone_bodies:
@@ -600,10 +639,7 @@ def test_branch_picks_the_smallest_unassigned_variable(monkeypatch):
 
 def test_backjump_pops_a_suffix():
     """A backjump keeps the trail up to the first undone decision, and only that."""
-    program = parse_program("#atoms a b c d e f.\n")
-    search = solver_module._Search(program, "min-true", None, frozenset())
-    for atom in (1, 2, 3):
-        assert search.attach((atom, atom + 3), None) is None
+    search = _search_over("a b c d e f", ((1, 4), (2, 5), (3, 6)))
     for _ in range(3):
         search.decide(search.pick_branch())
         assert search.propagate() is None
@@ -652,41 +688,39 @@ def test_trail_stays_level_ordered_under_fuzzing(monkeypatch):
     assert counts["backjumps"] > 100 and counts["decisions"] > 500
 
 
-def test_attach_sees_false_entries_only_at_set_up(monkeypatch):
-    """A nogood attached with a false entry, or with a true entry beside two
-    free ones, is attached at level 0, during set-up, and its assigned
-    entries were assigned there; the second kind implies nothing. A learned
-    nogood (every a tag) has exactly one free entry, and a loop nogood at
-    most one. That is what lets attach leave a nogood with a false entry
-    unwatched, watch two free entries beside a true one for good, and
-    otherwise watch a free entry beside the highest true one. Set-up attaches
-    each constraint's nogood right after its body, so a one-literal
-    constraint attached earlier leaves true entries beside free ones. Every
-    refutation checks as written and preloaded."""
+def test_attach_takes_only_nogoods_search_derives(monkeypatch):
+    """Set-up attaches nothing: attach receives only learned nogoods (a tags)
+    and loop nogoods (l tags), in search. Neither has a false entry; a learned
+    nogood has exactly one free entry, and a loop nogood at most one. That is
+    what lets attach watch a free entry beside the highest true one, or with
+    none report a conflict. Every refutation checks as written and
+    preloaded."""
     monkeypatch.setattr(solver_module, "RESTART_INTERVAL", 8)
-    attach = solver_module._Search.attach
-    counts = {"false": 0, "beside": 0, "learned": 0, "loop": 0}
+    attach, load_completion = solver_module._Search.attach, solver_module._Search.load_completion
+    counts = {"learned": 0, "loop": 0, "loop_conflict": 0}
+    loaded = set()
+
+    def checked_load_completion(search):
+        load_completion(search)
+        loaded.add(id(search))
 
     def checked_attach(search, entries, tag):
+        assert id(search) in loaded
         values = [search.val[l] for l in entries]
         frees = values.count(None)
-        beside = False not in values and True in values and frees > 1
-        if False in values or beside:
-            assert search.dl == 0
-            assert all(search.level[abs(l)] == 0 for l, v in zip(entries, values) if v is not None)
-            counts["false" if False in values else "beside"] += 1
-        if tag and tag[0] == "a":
+        assert False not in values and frees <= 1
+        if tag[0] == "a":
             assert tag[1] == 0 and frees == 1
             counts["learned"] += 1
-        if tag and tag[0] == "l":
-            assert False not in values and frees <= 1
+        else:
+            assert tag[0] == "l"
             counts["loop"] += 1
-        trail = len(search.trail)
         conflict = attach(search, entries, tag)
-        if beside:
-            assert conflict is None and len(search.trail) == trail
+        assert (conflict is None) == (frees == 1)
+        counts["loop_conflict"] += conflict is not None
         return conflict
 
+    monkeypatch.setattr(solver_module._Search, "load_completion", checked_load_completion)
     monkeypatch.setattr(solver_module._Search, "attach", checked_attach)
     rng = random.Random(61)
     programs = [parse_program(_hampath_text(_NO_PATH_GRAPH)),
@@ -700,8 +734,7 @@ def test_attach_sees_false_entries_only_at_set_up(monkeypatch):
                 result = solve(program, heuristic=heuristic, restarts=restarts, seed=index)
                 if result.status == INCONSISTENT:
                     assert _checks_in_both_modes(program, result.proof)
-    assert counts["false"] > 1000 and counts["learned"] > 300 and counts["loop"] > 100
-    assert counts["beside"] > 100
+    assert counts["learned"] > 300 and counts["loop"] > 100 and counts["loop_conflict"] > 0
 
 
 def _rested_on(search, conflict):
@@ -793,7 +826,7 @@ def _blocking_for_constraints(program):
 
 
 def _setup_tags(monkeypatch):
-    """Spy on set-up; lists, per search, the tags of the nogoods it attached."""
+    """Spy on set-up; lists, per search, the tags of the nogoods it built."""
     load_completion = solver_module._Search.load_completion
     seen = []
 
@@ -809,7 +842,7 @@ def _setup_tags(monkeypatch):
 def test_self_blocking_lines_come_in_order_and_at_most_once(monkeypatch):
     """The rich programs' constraints are written as self-blocking atoms, each
     false in every answer set. Under every heuristic, with and without
-    restarts, set-up attaches no a line for them, only each one's support
+    restarts, set-up builds no a line for them, only each one's support
     nogood with its s tag, as for any atom; search refutes such an atom like
     any other. Every witness is an answer set, and every streamed proof checks
     as written and preloaded."""
@@ -841,19 +874,6 @@ def test_self_blocking_lines_come_in_order_and_at_most_once(monkeypatch):
     assert refuted > 300 and blocked > 1000
 
 
-def _attached(monkeypatch):
-    """Spy on attach; lists (search, entries, tag) for every nogood attached."""
-    attach = solver_module._Search.attach
-    seen = []
-
-    def recorded_attach(search, entries, tag):
-        seen.append((search, entries, tag))
-        return attach(search, entries, tag)
-
-    monkeypatch.setattr(solver_module._Search, "attach", recorded_attach)
-    return seen
-
-
 @pytest.mark.parametrize("snippet", [
     "{a} :- c, not a, not b.",
     "a :- b, not a.\nc :- a.",
@@ -862,7 +882,7 @@ def _attached(monkeypatch):
     "a :- b, not a.",
 ])
 def test_self_blocking_atoms_that_are_not_constraints_keep_their_completion(monkeypatch, snippet):
-    """A self-blocking atom `a` keeps its support nogood, and set-up attaches
+    """A self-blocking atom `a` keeps its support nogood, and set-up builds
     no a line for it, whether it heads a choice rule, is named in a second
     rule, has an empty B' or is named nowhere else, as in the rule
     `a :- b, not a.` that the constraint `:- b.` behaves like. Treating the
@@ -896,27 +916,36 @@ def test_self_blocking_atoms_that_are_not_constraints_keep_their_completion(monk
 
 
 def test_each_constraint_is_one_nogood_and_no_other_names_its_body(monkeypatch):
-    """Solving PHP(5,4) attaches exactly one nogood per constraint, the
-    body's literals tagged with its c line, and no other nogood, learned
-    ones included, names a constraint's body, which no rule induces."""
-    attached = _attached(monkeypatch)
+    """Solving PHP(5,4) holds exactly one nogood per constraint, the body's
+    literals tagged with its c line, and no other nogood, learned ones
+    included, names a constraint's body, which no rule induces."""
+    run = solver_module._Search.run
+    searches = []
+
+    def recorded_run(search, restarts):
+        searches.append(search)
+        return run(search, restarts)
+
+    monkeypatch.setattr(solver_module._Search, "run", recorded_run)
     program = parse_program(_php_text(5, 4, random.Random(2)))
     constraints = [rule.body for rule in program.rules if not rule.head]
     assert len(constraints) == len(set(constraints)) == 45
     for heuristic in HEURISTICS:
         for restarts in (False, True):
-            del attached[:]
+            del searches[:]
             result = solve(program, heuristic=heuristic, restarts=restarts)
             assert result.status == INCONSISTENT
             assert check(program, result.proof).ok
-            search = attached[0][0]
+            (search,) = searches
+            held = list(zip(search.nogoods, search.tags))
+            assert len(held) > len(search.antecedents) > 0
             hidden = {search.catalog.ids[body] for body in constraints}
             assert _lone_constraint_bodies(search.catalog) == set(constraints)
-            tagged = [(entries, tag) for _, entries, tag in attached
+            tagged = [(entries, tag) for entries, tag in held
                       if tag and tag[0] == "c" and not tag[2]]
             assert sorted(tag[1] for _, tag in tagged) == sorted(hidden)
             body_of = {body_id: body for body, body_id in search.catalog.ids.items()}
             assert all(entries == sorted_lits(body_of[tag[1]]) for entries, tag in tagged)
-            for _, entries, tag in attached:
+            for entries, tag in held:
                 assert not hidden & {abs(l) for l in entries}
                 assert not (tag and tag[0] == "c" and tag[1] in hidden and tag[2])
