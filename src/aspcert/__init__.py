@@ -6,7 +6,6 @@ The package root holds the pipeline; the rest lives in the submodules."""
 from .checker import CheckResult, ProofFormatError, check
 from .completion import BudgetError
 from .core import Program, Rule, RuleKind, basic_rule, choice_rule, weight_rule
-from .fuzz import differential_run
 from .loops import cyclic_atoms, dependency_graph
 from .oracle import OracleError, enumerate_answer_sets, is_answer_set
 from .program_io import ParseError, emit_program, parse_program
@@ -36,7 +35,6 @@ __all__ = [
     "choice_rule",
     "cyclic_atoms",
     "dependency_graph",
-    "differential_run",
     "emit_program",
     "enumerate_answer_sets",
     "is_answer_set",

@@ -35,8 +35,8 @@ the proof was parsed from text, since blank lines make the two counts differ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .completion import BodyCatalog, BodyRegistry, body_catalog, body_definition, normalize_weights
 from .core import Program, is_consistent
@@ -49,8 +49,7 @@ class ProofFormatError(ValueError):
     """Proof text is well-formed but inconsistent with the program."""
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     ok: bool
     step: int | None = None
     reason: str = ""

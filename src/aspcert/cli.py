@@ -1,4 +1,4 @@
-"""Command-line interface: solve, check, oracle, normalize, fuzz.
+"""Command-line interface: solve, check, oracle, fuzz.
 
 Exit codes: 0 on success (for check: proof accepted), 1 when a check fails
 or the fuzz loop finds a discrepancy, 2 on I/O, parse, or input-domain
@@ -13,10 +13,10 @@ from typing import Callable
 
 from .checker import ProofFormatError, check
 from .completion import BudgetError
-from .core import Program, Rule, RuleKind, basic_rule
+from .core import Program
 from .fuzz import differential_run
 from .oracle import ATOM_GUARD, OracleError, enumerate_answer_sets
-from .program_io import ParseError, emit_program, parse_program
+from .program_io import ParseError, parse_program
 from .proof import ProofSyntaxError, parse_proof
 from .solver import CONSISTENT, HEURISTICS, SolveError, solve
 
@@ -95,55 +95,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
-def normalize_short_body(program: Program) -> Program:
-    """Name long bodies of multi-rule atoms with fresh auxiliary atoms.
-
-    Only defined for normal programs, integrity constraints included, which
-    pass through unchanged. The result has the same answer sets when
-    projected to the original atoms, and every atom has at most one body or
-    only bodies of at most one literal.
-    """
-    for rule in program.rules:
-        if rule.kind is not RuleKind.BASIC or len(rule.head) > 1:
-            raise ValueError("short-body normalization expects a normal program")
-    rule_count: dict[int, int] = {}
-    for rule in program.rules:
-        if rule.head:
-            rule_count[rule.head[0]] = rule_count.get(rule.head[0], 0) + 1
-
-    names = list(program.atom_names)
-    taken = set(names)
-    aux_ids: dict[frozenset[int], int] = {}
-    aux_counter = 0
-    rules: list[Rule] = []
-    for rule in program.rules:
-        body = rule.body
-        if rule.head and rule_count[rule.head[0]] >= 2 and len(body) >= 2:
-            aux = aux_ids.get(body)
-            if aux is None:
-                # Counters only grow, so only the program's own names can collide.
-                aux_counter += 1
-                while f"__aux{aux_counter}" in taken:
-                    aux_counter += 1
-                names.append(f"__aux{aux_counter}")
-                aux = aux_ids[body] = len(names)
-                rules.append(basic_rule([aux], rule.pos_body, rule.neg_body))
-            rules.append(basic_rule(rule.head, [aux]))
-        else:
-            rules.append(rule)
-    return Program(tuple(names), tuple(rules))
-
-
-def _cmd_normalize(args: argparse.Namespace) -> int:
-    program = _load_program(args.program)
-    try:
-        normalized = normalize_short_body(program)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from None
-    sys.stdout.write(emit_program(normalized))
-    return 0
-
-
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     discrepancies = differential_run(args.count, max_atoms=args.atoms, seed=args.seed)
     print(f"{args.count} instances, {len(discrepancies)} discrepancies")
@@ -195,10 +146,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("program")
     p_oracle.add_argument("--max-models", type=_at_least(1), metavar="N")
     p_oracle.set_defaults(run=_cmd_oracle)
-
-    p_norm = sub.add_parser("normalize", help="print the short-body normalized program")
-    p_norm.add_argument("program")
-    p_norm.set_defaults(run=_cmd_normalize)
 
     p_fuzz = sub.add_parser("fuzz", help="differential-test solver, checker, and oracle")
     p_fuzz.add_argument("--count", type=_at_least(0), default=100)

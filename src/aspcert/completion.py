@@ -21,11 +21,10 @@ refuses a weight rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .core import CHOICE, WEIGHT, Nogood, Program, Rule, basic_rule
-from .proof import sorted_lits
+from .proof import Record, sorted_lits
 
 COUNTER_CAP = 1 << 16
 INTERNAL_ID_BASE = 1 << 40
@@ -95,8 +94,7 @@ def normalize_weights(program: Program) -> Program:
     return Program(tuple(names), tuple(rules))
 
 
-@dataclass(frozen=True, eq=False)
-class BodyCatalog:
+class BodyCatalog(Record):
     """All induced bodies of a program, numbered: the one index of them.
 
     ids maps each body, in first-use order, to its variable id, counting up
@@ -108,9 +106,10 @@ class BodyCatalog:
     order. shifted holds the disjunctive rules, whose bodies the catalog
     holds shifted. constraints holds the bodies of the integrity
     constraints; each is in ids too, from its first use on, but in no
-    atom's ib unless another rule induces it.
+    atom's ib unless another rule induces it. Catalogs compare by identity.
     """
 
+    __slots__ = ("ib", "ids", "bodies", "first_id", "shifted", "firing", "constraints")
     ib: dict[int, tuple[frozenset[int], ...]]
     ids: dict[frozenset[int], int]
     bodies: tuple[frozenset[int], ...]
@@ -118,6 +117,20 @@ class BodyCatalog:
     shifted: tuple[Rule, ...]
     firing: dict[tuple[int, frozenset[int]], None]
     constraints: frozenset[frozenset[int]]
+
+    def __init__(
+        self,
+        ib: dict[int, tuple[frozenset[int], ...]],
+        ids: dict[frozenset[int], int],
+        bodies: tuple[frozenset[int], ...],
+        first_id: int,
+        shifted: tuple[Rule, ...],
+        firing: dict[tuple[int, frozenset[int]], None],
+        constraints: frozenset[frozenset[int]],
+    ) -> None:
+        values = (ib, ids, bodies, first_id, shifted, firing, constraints)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def bodies_of(self, atom: int) -> tuple[frozenset[int], ...]:
         return self.ib.get(atom, ())

@@ -8,7 +8,6 @@ hold at once; the empty nogood marks inconsistency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from operator import neg
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -135,24 +134,32 @@ def weight_rule(head: int, bound: int, weights: Mapping[int, int]) -> Rule:
     )
 
 
-@dataclass(frozen=True)
-class Program:
-    """A ground program: atom names (ids 1..n in order) and rules."""
-
+class _ProgramFields(NamedTuple):
     atom_names: tuple[str, ...]
     rules: tuple[Rule, ...]
 
-    def __post_init__(self) -> None:
-        count = len(self.atom_names)
-        if len(set(self.atom_names)) != count:
+
+class Program(_ProgramFields):
+    """A ground program: atom names (ids 1..n in order) and rules.
+
+    An immutable record, a tuple underneath like Rule, checked once in
+    __new__; equality and hashing go by the two fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, atom_names: tuple[str, ...], rules: tuple[Rule, ...]) -> Program:
+        count = len(atom_names)
+        if len(set(atom_names)) != count:
             raise ValueError("duplicate atom name")
         used: set[int] = set()
-        for rule in self.rules:
+        for rule in rules:
             used.update(rule.head, rule.pos_body, rule.neg_body)
         if used and not 1 <= min(used) <= max(used) <= count:
-            order = [a for r in self.rules for a in (*r.head, *r.pos_body, *r.neg_body)]
+            order = [a for r in rules for a in (*r.head, *r.pos_body, *r.neg_body)]
             unknown = next(a for a in order if not 1 <= a <= count)
             raise ValueError(f"rule uses unknown atom id {unknown}")
+        return tuple.__new__(cls, (atom_names, rules))
 
     @property
     def atom_count(self) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 import string
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .checker import check
 from .core import Program, Rule, basic_rule, choice_rule, weight_rule
@@ -28,8 +28,7 @@ from .proof import Proof
 from .solver import CONSISTENT, HEURISTICS, INCONSISTENT, solve
 
 
-@dataclass(frozen=True)
-class Discrepancy:
+class Discrepancy(NamedTuple):
     index: int
     program_text: str
     detail: str

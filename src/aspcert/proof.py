@@ -27,7 +27,6 @@ no blank lines, and no leading zeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 STEP_KINDS = frozenset("acsedlub")
@@ -45,32 +44,87 @@ class ProofSyntaxError(ValueError):
     """Raised on malformed proof text."""
 
 
-@dataclass(frozen=True, slots=True)
-class Step:
+class Record:
+    """An immutable record on __slots__, its fields in slot order.
+
+    A subclass's __init__ sets each field once through object.__setattr__;
+    after that, assigning or deleting an attribute raises AttributeError.
+    repr names every field, and copy and pickle rebuild a record by calling
+    its class with its fields, so __init__ checks them again. Equality and
+    hashing are identity unless the subclass defines them.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Step(Record):
     """One proof line; field use depends on kind (see module docstring)."""
 
+    __slots__ = ("kind", "head", "lits", "unfounded")
     kind: str
-    head: int = 0
-    lits: tuple[int, ...] = ()
-    unfounded: tuple[int, ...] = ()
+    head: int
+    lits: tuple[int, ...]
+    unfounded: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.kind not in STEP_KINDS:
-            raise ValueError(f"unknown step kind {self.kind!r}")
-        if self.unfounded and self.kind != "u":
+    def __init__(
+        self, kind: str, head: int = 0, lits: tuple[int, ...] = (), unfounded: tuple[int, ...] = ()
+    ) -> None:
+        if kind not in STEP_KINDS:
+            raise ValueError(f"unknown step kind {kind!r}")
+        if unfounded and kind != "u":
             raise ValueError("only u steps carry an unfounded set")
+        init = object.__setattr__
+        init(self, "kind", kind)
+        init(self, "head", head)
+        init(self, "lits", lits)
+        init(self, "unfounded", unfounded)
+
+    def _key(self) -> tuple:
+        return self.kind, self.head, self.lits, self.unfounded
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
-@dataclass(frozen=True)
-class Proof:
-    """Steps in order; lines holds each step's 1-based line when parsed from text."""
+class Proof(Record):
+    """Steps in order; lines holds each step's 1-based line when parsed from
+    text. Equality and hashing go by the steps alone."""
 
+    __slots__ = ("steps", "lines")
     steps: tuple[Step, ...]
-    lines: tuple[int, ...] = field(default=(), compare=False)
+    lines: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.lines and len(self.lines) != len(self.steps):
+    def __init__(self, steps: tuple[Step, ...], lines: tuple[int, ...] = ()) -> None:
+        if lines and len(lines) != len(steps):
             raise ValueError("a proof needs one line number per step, or none")
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "lines", lines)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.steps == other.steps
+
+    def __hash__(self) -> int:
+        return hash((self.steps,))
 
     def __iter__(self) -> Iterator[Step]:
         return iter(self.steps)

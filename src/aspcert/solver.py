@@ -89,9 +89,8 @@ returns these steps as the proof, or writes their text to a given sink.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import chain
-from typing import IO
+from typing import IO, NamedTuple
 
 from .completion import body_catalog, normalize_weights
 from .core import Nogood, Program
@@ -119,8 +118,7 @@ class SolveError(ValueError):
     """Raised for programs outside the solver's scope."""
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     status: str
     answer_set: frozenset[int] | None = None
     proof: Proof | None = None

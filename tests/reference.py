@@ -21,6 +21,8 @@ rule's subset-minimal bodies, the reading of a weight rule that the tests
 hold the counter of completion.normalize_weights against.
 with_complement_atoms is the complement-atom translation of choice rules,
 the reading the tests hold the oracle's choice reduct against.
+normalize_short_body rewrites a normal program into short-body normal
+form, a translation the tests hold against the oracle.
 """
 
 from __future__ import annotations
@@ -460,3 +462,42 @@ def with_complement_atoms(program: Program) -> tuple[Program, list[tuple[int, in
             rules.append(basic_rule((atom,), rule.pos_body, rule.neg_body | {comp}))
             rules.append(basic_rule((comp,), (), (atom,)))
     return Program(tuple(names), tuple(rules)), pairs
+
+
+def normalize_short_body(program: Program) -> Program:
+    """Name long bodies of multi-rule atoms with fresh auxiliary atoms.
+
+    Only defined for normal programs, integrity constraints included, which
+    pass through unchanged. The result has the same answer sets when
+    projected to the original atoms, and every atom has at most one body or
+    only bodies of at most one literal.
+    """
+    for rule in program.rules:
+        if rule.kind is not RuleKind.BASIC or len(rule.head) > 1:
+            raise ValueError("short-body normalization expects a normal program")
+    rule_count: dict[int, int] = {}
+    for rule in program.rules:
+        if rule.head:
+            rule_count[rule.head[0]] = rule_count.get(rule.head[0], 0) + 1
+
+    names = list(program.atom_names)
+    taken = set(names)
+    aux_ids: dict[frozenset[int], int] = {}
+    aux_counter = 0
+    rules: list[Rule] = []
+    for rule in program.rules:
+        body = rule.body
+        if rule.head and rule_count[rule.head[0]] >= 2 and len(body) >= 2:
+            aux = aux_ids.get(body)
+            if aux is None:
+                # Counters only grow, so only the program's own names can collide.
+                aux_counter += 1
+                while f"__aux{aux_counter}" in taken:
+                    aux_counter += 1
+                names.append(f"__aux{aux_counter}")
+                aux = aux_ids[body] = len(names)
+                rules.append(basic_rule([aux], rule.pos_body, rule.neg_body))
+            rules.append(basic_rule(rule.head, [aux]))
+        else:
+            rules.append(rule)
+    return Program(tuple(names), tuple(rules))

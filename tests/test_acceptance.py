@@ -7,7 +7,10 @@ pytest -v to get a per-guarantee pass/fail line.
 import ast
 import gc
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -266,6 +269,22 @@ def test_proof_serialization_roundtrip():
     instances = _inconsistent_instances(1000, base_seed=1_000_000)
     for _, proof in instances:
         assert parse_proof(serialize_proof(proof)) == proof
+
+
+def test_import_loads_no_fuzzer_and_no_dataclasses():
+    """A fresh `import aspcert`, the start-up every solve or check pays,
+    loads neither the fuzzer, the command line, nor dataclasses and the
+    modules it pulls in."""
+    src = Path(aspcert.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = "import sys, aspcert; print(aspcert.__file__); print(*sorted(sys.modules))"
+    lines = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    assert Path(lines[0]).resolve().parent == src / "aspcert"
+    loaded = set(lines[1].split())
+    assert "aspcert.checker" in loaded and "aspcert.solver" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "aspcert.fuzz", "aspcert.cli"})
 
 
 def test_readme_library_snippet_runs_as_written():

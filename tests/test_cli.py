@@ -183,19 +183,6 @@ def test_solve_and_check_refuse_a_rule_past_the_counter_cap(write, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == message
-def test_normalize_prints_rewritten_program(write, capsys):
-    path = write("p.lp", "a :- b, d.\na :- c.\n")
-    assert main(["normalize", path]) == 0
-    assert capsys.readouterr().out == (
-        "#atoms a b d c __aux1.\n__aux1 :- b, d.\na :- __aux1.\na :- c.\n"
-    )
-
-
-def test_normalize_rejects_non_normal_programs(write):
-    path = write("p.lp", "{a}.\n")
-    assert main(["normalize", path]) == 2
-
-
 def test_fuzz_clean_run(capsys):
     assert main(["fuzz", "--count", "20", "--seed", "3"]) == 0
     assert capsys.readouterr().out == "20 instances, 0 discrepancies\n"

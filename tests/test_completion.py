@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aspcert.cli import normalize_short_body
 import aspcert.completion as completion_module
 from aspcert.completion import (
     INTERNAL_ID_BASE,
@@ -24,8 +23,8 @@ from aspcert.loops import loop_nogood
 from aspcert.oracle import enumerate_answer_sets
 from aspcert.program_io import emit_program, parse_program
 from reference import (
-    atom_id, backward_family, declared_registry, forward_family, public_items,
-    reference_minimal_weight_sets, with_disjunctions_and_a_wide_weight_rule,
+    atom_id, backward_family, declared_registry, forward_family, normalize_short_body,
+    public_items, reference_minimal_weight_sets, with_disjunctions_and_a_wide_weight_rule,
 )
 
 
